@@ -8,15 +8,14 @@ from .attribution import (
     GradientSet,
     J6_LABELS,
     JPLUS_LABELS,
-    align,
     compute_gradient_set,
     default_alignment,
-    logit_field,
     score_j6,
     score_jplus,
 )
 from .probgen import Family, GeneratorSpec, conflict_certificate, generate, roleswap_certificate
 from .model import (
+    Forward,
     ObjectiveKind,
     ObjectivePair,
     Perturbations,
@@ -25,14 +24,13 @@ from .model import (
     compute_logits,
     confidence_loss,
     fd_gradient,
-    grad_h,
-    grad_logits_conf,
-    grad_logits_heat,
-    grad_w,
+    forward,
     heat_loss,
+    log_softmax,
+    logit_gradients,
     objectives,
+    pullback,
     set_validation,
-    softmax,
     zero_perturbations,
 )
 from .optimizer import (

@@ -1,33 +1,40 @@
 """Jacobian blocks and the 6- and 15-component attribution score vectors.
 
 The four blocks are the gradients of the two objectives with respect to
-the two parameter groups.  Scores mix squared norms with inner products;
-an inner product between an h-shaped and a w-shaped gradient is only
+the two parameter groups, computed together from one forward pass.
+Every score is a squared norm or an inner product of blocks or block
+sums, so all 15 are read from three 2x2 Gram matrices: the native Grams
+within the h blocks (J11, J21) and within the w blocks (J12, J22), and
+the cross matrix between the groups.
+
+An inner product between an h-shaped and a w-shaped gradient is only
 directly defined when the shapes match (SINGLE_ROW / BROADCAST), so a
-``pushforward`` alignment is provided that compares the logit-space
-changes the two gradients induce under the model's local linearization
-(exact here, the model being bilinear).
+``pushforward`` alignment compares the logit-space changes the two
+gradients induce under the model's local linearization (exact here, the
+model being bilinear).  Those products have closed forms in A = H + h
+and B = W with w folded in: <field_h(g), field_w(G)> = (B g) . (G a)
+with a = sum_t A_t for FULL_MATRIX, with column v_star of B g under
+SINGLE_ROW and its sum over v under BROADCAST.  No T x V field is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .model import (
+    Forward,
     Perturbations,
     ProblemInstance,
     WMode,
-    compute_logits,
-    embed_matrix,
-    grad_h,
-    grad_logits_conf,
-    grad_logits_heat,
-    grad_w,
-    hidden_matrix,
-    softmax,
+    forward,
+    logit_gradients,
+    pullback,
+    w_shape,
 )
 
 __all__ = [
@@ -37,8 +44,6 @@ __all__ = [
     "GradientSet",
     "default_alignment",
     "compute_gradient_set",
-    "logit_field",
-    "align",
     "score_j6",
     "score_jplus",
     "J6_LABELS",
@@ -130,155 +135,135 @@ class GradientSet:
     def scaled(self, c: float) -> "GradientSet":
         return GradientSet(self.J11 * c, self.J12 * c, self.J21 * c, self.J22 * c)
 
+    @cached_property
+    def grams(self) -> tuple[list[list[float]], list[list[float]]]:
+        """Native 2x2 Grams of the h blocks (J11, J21) and the w blocks (J12, J22)."""
+        h, w = (self.J11, self.J21), (self.J12, self.J22)
+        return _dots(h, h), _dots(w, w)
+
     def norms(self) -> tuple[float, float, float, float]:
-        """Euclidean norms (n11, n12, n21, n22)."""
-        return (
-            float(np.linalg.norm(self.J11)),
-            float(np.linalg.norm(self.J12)),
-            float(np.linalg.norm(self.J21)),
-            float(np.linalg.norm(self.J22)),
-        )
+        """Euclidean norms (n11, n12, n21, n22), from the Gram diagonals."""
+        (h11, _), (_, h22) = self.grams[0]
+        (w11, _), (_, w22) = self.grams[1]
+        return math.sqrt(h11), math.sqrt(w11), math.sqrt(h22), math.sqrt(w22)
 
 
-def compute_gradient_set(instance: ProblemInstance, pert: Perturbations) -> GradientSet:
-    """All four blocks at the current (h, w)."""
-    logits = compute_logits(instance, pert)
-    g_heat = np.empty_like(logits)
-    g_conf = np.empty_like(logits)
-    for t in range(instance.T):
-        p = softmax(logits[t])
-        g_heat[t] = grad_logits_heat(p, int(instance.y[t]))
-        g_conf[t] = grad_logits_conf(p)
-    return GradientSet(
-        J11=grad_h(instance, pert, g_heat),
-        J12=grad_w(instance, pert, g_heat),
-        J21=grad_h(instance, pert, g_conf),
-        J22=grad_w(instance, pert, g_conf),
-    )
+def compute_gradient_set(instance: ProblemInstance, at: Perturbations | Forward) -> GradientSet:
+    """All four blocks at a point: both objectives' logit-space gradients
+    from one log-softmax, pulled back to h and to w in one batched
+    product each.  ``at`` is the point's perturbations, or a forward
+    pass already taken there."""
+    fwd = at if isinstance(at, Forward) else forward(instance, at)
+    grad_h, grad_w = pullback(instance, fwd, logit_gradients(fwd.logp, instance.y))
+    return GradientSet(J11=grad_h[0], J12=grad_w[0], J21=grad_h[1], J22=grad_w[1])
 
 
-def logit_field(
-    g: np.ndarray, group: str, instance: ProblemInstance, pert: Perturbations
-) -> np.ndarray:
-    """Logit-space change (T x V) induced by moving parameter group
-    ``group`` ("h" or "w") along g, holding the other group fixed."""
-    T, V = instance.T, instance.V
-    if group == "h":
-        if g.shape != (instance.d,):
-            raise ValueError("h-group gradient must have shape (d,)")
-        return np.broadcast_to(embed_matrix(instance, pert) @ g, (T, V)).copy()
-    if group != "w":
-        raise ValueError("group must be 'h' or 'w'")
-    A = hidden_matrix(instance, pert)
+def _dots(xs: tuple[np.ndarray, ...], ys: tuple[np.ndarray, ...]) -> list[list[float]]:
+    """2x2 inner products x_i . y_j of flattened arrays."""
+    return [[float(np.vdot(x, y)) for y in ys] for x in xs]
+
+
+def _combos(m: list[list[float]]) -> list[list[float]]:
+    """Products among the (first, second, first + second) operands of
+    each side, from the 2x2 products of the first two."""
+    (a, b), (c, d) = m
+    return [[a, b, a + b], [c, d, c + d], [a + c, b + d, a + b + c + d]]
+
+
+def _cos(raw: float, sq_a: float, sq_b: float) -> float:
+    """raw / (|a| |b|) from squared norms; 0 when a norm is 0 (or, for a
+    sum of blocks, rounds below 0)."""
+    if sq_a > 0.0 and sq_b > 0.0:
+        return raw / (math.sqrt(sq_a) * math.sqrt(sq_b))
+    return 0.0
+
+
+def _pushforward(
+    h: tuple[np.ndarray, ...],
+    w: tuple[np.ndarray, ...],
+    instance: ProblemInstance,
+    fwd: Forward,
+    with_grams: bool,
+) -> tuple[list[list[float]], list[list[float]] | None, list[list[float]] | None]:
+    """Products of the blocks' logit-space fields, by the closed forms in
+    the module docstring: the 2x2 cross matrix and, when ``with_grams``,
+    the field Grams of the h and of the w blocks, T (B g_i).(B g_j) and
+    sum((G_i A^T A) * G_j) (times V under BROADCAST)."""
+    Bh = [fwd.B @ g for g in h]
+    a = fwd.A.sum(axis=0)
     if instance.w_mode is WMode.FULL_MATRIX:
-        if g.shape != (V, instance.d):
-            raise ValueError("w-group gradient must have shape (V, d)")
-        return A @ g.T
-    if g.shape != (instance.d,):
-        raise ValueError("w-group gradient must have shape (d,)")
-    col = A @ g
-    if instance.w_mode is WMode.SINGLE_ROW:
-        field = np.zeros((T, V))
-        field[:, instance.v_star] = col
-        return field
-    return np.repeat(col[:, None], V, axis=1)
-
-
-def _scaled_dot(a: np.ndarray, b: np.ndarray, scale: AlignScale) -> float:
-    raw = float(a @ b)
-    if scale is AlignScale.COSINE:
-        na = float(np.linalg.norm(a))
-        nb = float(np.linalg.norm(b))
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return raw / (na * nb)
-    return raw
-
-
-def align(
-    g_a: np.ndarray,
-    g_b: np.ndarray,
-    mode: AlignmentMode,
-    instance: ProblemInstance,
-    pert: Perturbations,
-    group_a: str = "h",
-    group_b: str = "w",
-) -> float:
-    """Inner product of two parameter-space gradients.
-
-    DIRECT flattens both operands (shapes must match).  PUSHFORWARD maps
-    each operand to its induced logit-space field first, then takes the
-    product there.  COSINE divides by the operand norms in the space the
-    product was taken, returning 0 when either norm is 0.
-    """
-    if mode.kind is AlignKind.DIRECT:
-        a = np.asarray(g_a, dtype=np.float64).ravel()
-        b = np.asarray(g_b, dtype=np.float64).ravel()
-        if a.shape != b.shape:
-            raise ValueError(
-                f"direct alignment requires matching shapes, got {g_a.shape} vs {g_b.shape}"
-            )
+        cross = _dots(Bh, [G @ a for G in w])
     else:
-        a = logit_field(np.asarray(g_a, dtype=np.float64), group_a, instance, pert).ravel()
-        b = logit_field(np.asarray(g_b, dtype=np.float64), group_b, instance, pert).ravel()
-    return _scaled_dot(a, b, mode.scale)
-
-
-def _sq_norm(g: np.ndarray) -> float:
-    flat = g.ravel()
-    return float(flat @ flat)
-
-
-def score_j6(
-    gs: GradientSet,
-    mode: AlignmentMode,
-    instance: ProblemInstance,
-    pert: Perturbations,
-) -> np.ndarray:
-    """The 6-score vector in canonical slot order (see J6_LABELS).
-
-    The four squared norms are always taken in native parameter space;
-    only the two cross-shape alignment slots go through ``align``.
-    """
-    s = np.empty(6)
-    s[0] = _sq_norm(gs.J11)
-    s[1] = align(gs.J11, gs.J22, mode, instance, pert)
-    s[2] = _sq_norm(gs.J12)
-    s[3] = _sq_norm(gs.J21)
-    s[4] = _sq_norm(gs.J22)
-    s[5] = align(gs.J21, gs.J12, mode, instance, pert)
-    return s
+        ga = [float(g @ a) for g in w]
+        single = instance.w_mode is WMode.SINGLE_ROW
+        col = [float(u[instance.v_star] if single else u.sum()) for u in Bh]
+        cross = [[c * x for x in ga] for c in col]
+    if not with_grams:
+        return cross, None, None
+    field_h = [[instance.T * x for x in row] for row in _dots(Bh, Bh)]
+    AtA = fwd.A.T @ fwd.A
+    field_w = _dots([G @ AtA for G in w], w)
+    if instance.w_mode is WMode.BROADCAST:
+        field_w = [[instance.V * x for x in row] for row in field_w]
+    return cross, field_h, field_w
 
 
 def score_jplus(
     gs: GradientSet,
     mode: AlignmentMode,
     instance: ProblemInstance,
-    pert: Perturbations,
+    at: Perturbations | Forward,
 ) -> np.ndarray:
     """The 15-score vector in action-table order (see JPLUS_LABELS).
 
-    Group sums J11+J21 and J12+J22 are formed in native parameter space.
-    Cross-shape products (components 5, 6, 9-13) go through ``align``;
-    the same-group consistency products (7, 8) are native inner products
-    with the same scale applied.
+    Every score is an entry, or a fixed sum of entries, of three 2x2
+    matrices: the native Grams of (J11, J21) and of (J12, J22), and
+    their cross matrix in alignment space.  Squared norms (1-4, 14, 15)
+    are always native and never scaled.  Under COSINE the consistency
+    products (7, 8) divide by native norms and the cross products
+    (5, 6, 9-13) by the operand norms in alignment space; a zero norm
+    gives 0.  ``at`` is the point's perturbations, or a forward pass
+    already taken there; only PUSHFORWARD reads it.
     """
-    sum_h = gs.J11 + gs.J21
-    sum_w = gs.J12 + gs.J22
-    s = np.empty(15)
-    s[0] = _sq_norm(gs.J11)
-    s[1] = _sq_norm(gs.J12)
-    s[2] = _sq_norm(gs.J21)
-    s[3] = _sq_norm(gs.J22)
-    s[4] = align(gs.J11, gs.J22, mode, instance, pert)
-    s[5] = align(gs.J21, gs.J12, mode, instance, pert)
-    s[6] = _scaled_dot(gs.J11.ravel(), gs.J21.ravel(), mode.scale)
-    s[7] = _scaled_dot(gs.J12.ravel(), gs.J22.ravel(), mode.scale)
-    s[8] = align(sum_h, sum_w, mode, instance, pert)
-    s[9] = align(gs.J11, sum_w, mode, instance, pert)
-    s[10] = align(gs.J21, sum_w, mode, instance, pert)
-    s[11] = align(sum_h, gs.J12, mode, instance, pert)
-    s[12] = align(sum_h, gs.J22, mode, instance, pert)
-    s[13] = _sq_norm(sum_h)
-    s[14] = _sq_norm(sum_w)
-    return s
+    h, w = (gs.J11, gs.J21), (gs.J12, gs.J22)
+    cosine = mode.scale is AlignScale.COSINE
+    gram_h, gram_w = gs.grams
+    if mode.kind is AlignKind.DIRECT:
+        if gs.J11.shape != gs.J12.shape:
+            raise ValueError(
+                "direct alignment requires matching shapes, "
+                f"got {gs.J11.shape} vs {gs.J12.shape}"
+            )
+        cross, field_h, field_w = _dots(h, w), gram_h, gram_w
+    else:
+        shapes = ((instance.d,), w_shape(instance.V, instance.d, instance.w_mode))
+        if (gs.J11.shape, gs.J12.shape) != shapes:
+            raise ValueError(f"pushforward alignment requires h and w shapes {shapes}")
+        fwd = at if isinstance(at, Forward) else forward(instance, at)
+        cross, field_h, field_w = _pushforward(h, w, instance, fwd, cosine)
+    nh, nw, x = _combos(gram_h), _combos(gram_w), _combos(cross)
+    consistency_h, consistency_w = gram_h[0][1], gram_w[0][1]
+    if cosine:
+        consistency_h = _cos(consistency_h, gram_h[0][0], gram_h[1][1])
+        consistency_w = _cos(consistency_w, gram_w[0][0], gram_w[1][1])
+        sq_h = [row[i] for i, row in enumerate(_combos(field_h))]
+        sq_w = [row[i] for i, row in enumerate(_combos(field_w))]
+        x = [[_cos(x[i][j], sq_h[i], sq_w[j]) for j in range(3)] for i in range(3)]
+    return np.array([
+        nh[0][0], nw[0][0], nh[1][1], nw[1][1],
+        x[0][1], x[1][0], consistency_h, consistency_w,
+        x[2][2], x[0][2], x[1][2], x[2][0], x[2][1],
+        nh[2][2], nw[2][2],
+    ])
+
+
+def score_j6(
+    gs: GradientSet,
+    mode: AlignmentMode,
+    instance: ProblemInstance,
+    at: Perturbations | Forward,
+) -> np.ndarray:
+    """The 6-score vector in canonical slot order (see J6_LABELS): four
+    native squared norms and the two cross-objective alignment slots,
+    i.e. components (1, 5, 2, 3, 4, 6) of ``score_jplus``."""
+    return score_jplus(gs, mode, instance, at)[[0, 4, 1, 2, 3, 5]]

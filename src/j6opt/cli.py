@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +31,14 @@ from .model import (
     fd_gradient,
 )
 from .optimizer import NonFiniteLossError, RunConfig, init_perturbations, run
-from .serialize import InstanceFormatError, load_instance, save_instance, write_summary, write_trace
+from .serialize import (
+    InstanceFormatError,
+    _atomic_write,
+    load_instance,
+    save_instance,
+    write_summary,
+    write_trace,
+)
 from .strategies import PreNorm, StrategyConfig, StrategyKind
 
 GRADCHECK_TOL = 1e-5
@@ -253,21 +260,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     attr = _SWEEP_PARAMS[args.param]
     rcfg = _run_config(args)
     base = _strategy_config(args, instance, args.strategy)
-    cfgs = []
-    for value in values:
-        kwargs = {
-            "kind": base.kind,
-            "tau": base.tau,
-            "gamma": base.gamma,
-            "eta_h": base.eta_h,
-            "eta_w": base.eta_w,
-            "beta_aux": base.beta_aux,
-            "lam": base.lam,
-            "pre_norm": base.pre_norm,
-            "alignment": base.alignment,
-        }
-        kwargs[attr] = value
-        cfgs.append(StrategyConfig(**kwargs))
+    cfgs = [dataclasses.replace(base, **{attr: value}) for value in values]
     results = _map_in_order(lambda cfg: run(instance, cfg, rcfg), cfgs, args.jobs)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -287,10 +280,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 alpha_max,
             ]
         )
-    tmp = Path(args.out)
-    tmp_path = tmp.with_name(tmp.name + ".tmp")
-    tmp_path.write_text(buf.getvalue(), encoding="utf-8", newline="")
-    os.replace(tmp_path, tmp)
+    _atomic_write(args.out, buf.getvalue())
     print(f"wrote {args.out} ({len(values)} rows)")
     return 0
 

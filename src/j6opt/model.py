@@ -2,14 +2,21 @@
 
 The model scores V vocabulary tokens at T positions as
 
-    logits = (H + h) (W + w)^T
+    logits = A B^T,   A = H + h,   B = W with w folded in per w_mode
 
 where H (T x d hidden states) and W (V x d embeddings) are frozen and
 (h, w) are small additive perturbations.  Two losses are defined on the
 logits: ``heat`` (mean cross-entropy against the target tokens, to be
 driven down for fidelity) and ``confidence`` (mean negative entropy of
-the softmax, to be driven down for certainty).  A central-difference
-oracle provides an independent check of every analytic gradient.
+the softmax, to be driven down for certainty).
+
+One forward pass (``forward``) forms A, B, the logits and one row-wise
+log-softmax, and reads both losses from it.  ``logit_gradients`` turns
+that log-softmax into both losses' logit-space gradients, stacked as
+(2, T, V); ``pullback`` maps stacked logit-space gradients to h and to
+w in one batched product per group.  A central-difference oracle
+(``fd_gradient``) checks every analytic gradient through the forward
+pass alone.
 
 All numerics are float64.  Every public function is pure.
 """
@@ -28,20 +35,18 @@ __all__ = [
     "ProblemInstance",
     "Perturbations",
     "ObjectivePair",
+    "Forward",
     "set_validation",
     "w_shape",
     "zero_perturbations",
-    "hidden_matrix",
-    "embed_matrix",
     "compute_logits",
-    "softmax",
+    "forward",
+    "log_softmax",
     "heat_loss",
     "confidence_loss",
     "objectives",
-    "grad_logits_heat",
-    "grad_logits_conf",
-    "grad_h",
-    "grad_w",
+    "logit_gradients",
+    "pullback",
     "fd_gradient",
 ]
 
@@ -153,6 +158,16 @@ class ObjectivePair:
     ob2: float  # confidence: mean negative entropy, in [-log V, 0]
 
 
+@dataclass(frozen=True, eq=False)
+class Forward:
+    """One forward pass at a point (h, w)."""
+
+    A: np.ndarray     # H + h, (T, d)
+    B: np.ndarray     # W with w folded in per w_mode, (V, d)
+    logp: np.ndarray  # row-wise log-softmax of the logits A B^T, (T, V)
+    objectives: ObjectivePair
+
+
 def zero_perturbations(instance: ProblemInstance) -> Perturbations:
     return Perturbations(
         np.zeros(instance.d), np.zeros(w_shape(instance.V, instance.d, instance.w_mode))
@@ -169,133 +184,123 @@ def _check_shapes(instance: ProblemInstance, pert: Perturbations) -> None:
         )
 
 
-def hidden_matrix(instance: ProblemInstance, pert: Perturbations) -> np.ndarray:
-    """H + h, shape (T, d)."""
-    _check_shapes(instance, pert)
-    return instance.H + pert.h
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable row-wise log-softmax of a (T, V) logit matrix.
 
-
-def embed_matrix(instance: ProblemInstance, pert: Perturbations) -> np.ndarray:
-    """W with w folded in per w_mode, shape (V, d)."""
-    _check_shapes(instance, pert)
-    B = instance.W.copy()
-    if instance.w_mode is WMode.FULL_MATRIX:
-        B += pert.w
-    elif instance.w_mode is WMode.SINGLE_ROW:
-        B[instance.v_star] += pert.w
-    else:  # broadcast
-        B += pert.w[None, :]
-    return B
-
-
-def compute_logits(instance: ProblemInstance, pert: Perturbations) -> np.ndarray:
-    """logits[t, v] = (H[t] + h) . (W[v] + w_row(v)), shape (T, V)."""
-    return hidden_matrix(instance, pert) @ embed_matrix(instance, pert).T
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a single logit vector."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("softmax takes a single logit vector; got a matrix")
-    if not np.isfinite(z).all():
-        raise ValueError("softmax input must be finite")
-    e = np.exp(z - z.max())
-    p = e / e.sum()
-    if _validation:
-        assert abs(p.sum() - 1.0) < BOUNDS_TOL, "softmax output must sum to 1"
-        assert (p >= 0).all(), "softmax output must be non-negative"
-    return p
-
-
-def _row_logp(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a (T, V) logit matrix."""
+    Non-finite rows pass through (as nan) so that a diverging run
+    surfaces as a non-finite loss rather than as an error here.
+    """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("logits must be a (T, V) matrix")
     shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    if _validation:
+        p = np.exp(logp[np.isfinite(logp).all(axis=1)])
+        assert (np.abs(p.sum(axis=1) - 1.0) < BOUNDS_TOL).all(), "softmax rows must sum to 1"
+    return logp
 
 
-def heat_loss(logits: np.ndarray, y: np.ndarray) -> float:
-    """Mean over positions of -log softmax(logits[t])[y[t]], in nats."""
-    logp = _row_logp(logits)
-    y = np.asarray(y, dtype=np.int64)
+def _heat(logp: np.ndarray, y: np.ndarray) -> float:
     loss = float(-logp[np.arange(logp.shape[0]), y].mean())
     if _validation and np.isfinite(loss):
         assert loss >= 0.0, "heat loss must be non-negative"
     return loss
 
 
-def confidence_loss(logits: np.ndarray) -> float:
-    """Mean over positions of sum_v p_v log p_v (negative entropy, nats)."""
-    logp = _row_logp(logits)
+def _confidence(logp: np.ndarray) -> float:
     p = np.exp(logp)
     # p underflows to 0 only with logp finite, so p * logp is exactly 0 there.
     loss = float((p * logp).sum(axis=1).mean())
     if _validation and np.isfinite(loss):
-        V = logits.shape[1]
+        V = logp.shape[1]
         assert -math.log(V) - BOUNDS_TOL <= loss <= 0.0, "confidence out of [-log V, 0]"
     return loss
 
 
+def heat_loss(logits: np.ndarray, y: np.ndarray) -> float:
+    """Mean over positions of -log softmax(logits[t])[y[t]], in nats."""
+    return _heat(log_softmax(logits), np.asarray(y, dtype=np.int64))
+
+
+def confidence_loss(logits: np.ndarray) -> float:
+    """Mean over positions of sum_v p_v log p_v (negative entropy, nats)."""
+    return _confidence(log_softmax(logits))
+
+
+def _factors(instance: ProblemInstance, pert: Perturbations) -> tuple[np.ndarray, np.ndarray]:
+    """A = H + h and B = W with w folded in per w_mode."""
+    _check_shapes(instance, pert)
+    if instance.w_mode is WMode.SINGLE_ROW:
+        B = instance.W.copy()
+        B[instance.v_star] += pert.w
+    else:  # full_matrix adds row-wise, broadcast adds w to every row
+        B = instance.W + pert.w
+    return instance.H + pert.h, B
+
+
+def compute_logits(instance: ProblemInstance, pert: Perturbations) -> np.ndarray:
+    """logits[t, v] = (H[t] + h) . (W[v] + w_row(v)), shape (T, V)."""
+    A, B = _factors(instance, pert)
+    return A @ B.T
+
+
+def forward(instance: ProblemInstance, pert: Perturbations) -> Forward:
+    """The logits at (h, w) and both losses, from one log-softmax."""
+    A, B = _factors(instance, pert)
+    logp = log_softmax(A @ B.T)
+    return Forward(A, B, logp, ObjectivePair(_heat(logp, instance.y), _confidence(logp)))
+
+
 def objectives(instance: ProblemInstance, pert: Perturbations) -> ObjectivePair:
-    """Both losses from a single forward pass."""
-    logits = compute_logits(instance, pert)
-    return ObjectivePair(heat_loss(logits, instance.y), confidence_loss(logits))
+    """Both losses at (h, w)."""
+    return forward(instance, pert).objectives
 
 
-def grad_logits_heat(p: np.ndarray, y_t: int) -> np.ndarray:
-    """d(cross-entropy)/d(logits) for one position: p - onehot(y_t)."""
-    g = np.asarray(p, dtype=np.float64).copy()
-    g[y_t] -= 1.0
+def logit_gradients(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-position gradients of both losses w.r.t. the logits, stacked
+    (2, T, V): [0] heat, p - onehot(y_t); [1] confidence,
+    p_k (log p_k + E_t) with E_t the entropy of row t.  Each row sums
+    to 0.  Rejects non-finite input."""
+    logp = np.asarray(logp, dtype=np.float64)
+    if logp.ndim != 2:
+        raise ValueError("log-probabilities must be a (T, V) matrix")
+    if not np.isfinite(logp).all():
+        raise ValueError("log-probabilities must be finite")
+    p = np.exp(logp)
+    g = np.empty((2,) + p.shape)
+    g[0] = p
+    g[0, np.arange(p.shape[0]), np.asarray(y, dtype=np.int64)] -= 1.0
+    entropy = -(p * logp).sum(axis=1, keepdims=True)
+    g[1] = p * (logp + entropy)
     if _validation:
-        assert abs(g.sum()) < ZERO_SUM_TOL, "heat logit gradient must sum to 0"
+        assert (np.abs(g.sum(axis=2)) < ZERO_SUM_TOL).all(), "logit gradients must sum to 0"
     return g
 
 
-def grad_logits_conf(p: np.ndarray) -> np.ndarray:
-    """d(negative entropy)/d(logits) for one position: p_k (log p_k + E)."""
-    p = np.asarray(p, dtype=np.float64)
-    logp = np.log(np.where(p > 0, p, 1.0))
-    entropy = float(-(p * logp).sum())
-    g = p * (logp + entropy)
-    if _validation:
-        assert abs(g.sum()) < ZERO_SUM_TOL, "confidence logit gradient must sum to 0"
-    return g
+def pullback(
+    instance: ProblemInstance, fwd: Forward, g_logits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map K stacked logit-space gradients (K, T, V) to h and to w.
 
-
-def grad_h(instance: ProblemInstance, pert: Perturbations, g_logits: np.ndarray) -> np.ndarray:
-    """Pull a logit-space gradient back to h: (1/T) sum_tv g[t,v] (W[v]+w_row(v))."""
-    g = np.asarray(g_logits, dtype=np.float64)
-    if g.shape != (instance.T, instance.V):
-        raise ValueError(f"g_logits must have shape {(instance.T, instance.V)}, got {g.shape}")
-    return (g @ embed_matrix(instance, pert)).sum(axis=0) / instance.T
-
-
-def grad_w(instance: ProblemInstance, pert: Perturbations, g_logits: np.ndarray) -> np.ndarray:
-    """Pull a logit-space gradient back to w, shaped per w_mode.
-
-    In BROADCAST mode this is (1/T) sum_t (sum_v g[t,v]) (H[t]+h), which
-    vanishes for both objectives because their logit gradients are
-    zero-sum per position.
+    Returns (K, d) h-gradients, (1/T) sum_tv g[t,v] B[v], and w-gradients
+    shaped (K,) + w_shape: (1/T) g^T A for FULL_MATRIX, column v_star of
+    g against A for SINGLE_ROW, and row sums of g against A for
+    BROADCAST, which vanish for both objectives because their logit
+    gradients are zero-sum per position.
     """
     g = np.asarray(g_logits, dtype=np.float64)
-    if g.shape != (instance.T, instance.V):
-        raise ValueError(f"g_logits must have shape {(instance.T, instance.V)}, got {g.shape}")
-    A = hidden_matrix(instance, pert)
+    if g.ndim != 3 or g.shape[1:] != (instance.T, instance.V):
+        raise ValueError(
+            f"g_logits must have shape (K, {instance.T}, {instance.V}), got {g.shape}"
+        )
+    T = instance.T
+    grad_h = (g.sum(axis=1) @ fwd.B) / T
     if instance.w_mode is WMode.FULL_MATRIX:
-        return (g.T @ A) / instance.T
+        return grad_h, (g.transpose(0, 2, 1) @ fwd.A) / T
     if instance.w_mode is WMode.SINGLE_ROW:
-        return (g[:, instance.v_star] @ A) / instance.T
-    return (g.sum(axis=1) @ A) / instance.T
-
-
-def _loss_value(objective: ObjectiveKind, instance: ProblemInstance, pert: Perturbations) -> float:
-    logits = compute_logits(instance, pert)
-    if ObjectiveKind(objective) is ObjectiveKind.HEAT:
-        return heat_loss(logits, instance.y)
-    return confidence_loss(logits)
+        return grad_h, (g[:, :, instance.v_star] @ fwd.A) / T
+    return grad_h, (g.sum(axis=2) @ fwd.A) / T
 
 
 def fd_gradient(
@@ -307,8 +312,8 @@ def fd_gradient(
 ) -> np.ndarray:
     """Central finite differences of a loss w.r.t. h or w.
 
-    Independent oracle for grad_h/grad_w: touches only the forward pass,
-    never the analytic gradient code.
+    Independent oracle for the analytic blocks: shares the forward pass
+    and the losses, never ``logit_gradients`` or ``pullback``.
 
     Args:
         objective: which loss to differentiate.
@@ -319,15 +324,21 @@ def fd_gradient(
         raise ValueError("which must be 'h' or 'w'")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    heat = ObjectiveKind(objective) is ObjectiveKind.HEAT
+
+    def loss(p: Perturbations) -> float:
+        logits = compute_logits(instance, p)
+        return heat_loss(logits, instance.y) if heat else confidence_loss(logits)
+
     base = pert.copy()
     target = base.h if which == "h" else base.w
     grad = np.zeros_like(target)
     for idx in np.ndindex(target.shape):
         orig = target[idx]
         target[idx] = orig + eps
-        f_plus = _loss_value(objective, instance, base)
+        f_plus = loss(base)
         target[idx] = orig - eps
-        f_minus = _loss_value(objective, instance, base)
+        f_minus = loss(base)
         target[idx] = orig
         grad[idx] = (f_plus - f_minus) / (2.0 * eps)
     return grad

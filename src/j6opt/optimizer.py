@@ -1,9 +1,9 @@
 """Per-instance optimization loop with stopping rules and trace capture.
 
-One step: forward pass, gradient blocks, attribution scores, strategy
-decision, apply the deltas, record everything.  Plain gradient steps
-only (no momentum or adaptive scaling), so each trace row is exactly
-attributable to its score vector.
+One step: one forward pass, the gradient blocks and attribution scores
+read from it, strategy decision, apply the deltas, record everything.
+Plain gradient steps only (no momentum or adaptive scaling), so each
+trace row is exactly attributable to its score vector.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .model import (
     Perturbations,
     ProblemInstance,
     WMode,
+    forward,
     objectives,
     w_shape,
     zero_perturbations,
@@ -167,7 +168,7 @@ def _decide(
     if kind is StrategyKind.HARD_JPLUS:
         return hard_route_jplus(scores, gs, cfg)
     if kind is StrategyKind.SOFT:
-        return soft_update(soft_weights(scores, cfg), gs, cfg, scores=scores)
+        return soft_update(soft_weights(scores, cfg), gs, cfg)
     if kind is StrategyKind.STATIC:
         return static_baseline(gs, cfg)
     if kind is StrategyKind.SCALARIZED:
@@ -188,14 +189,15 @@ def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunR
     trace: list[TraceRecord] = []
     stop = StopReason.MAX_STEPS
     for step in range(rcfg.max_steps):
-        obs = objectives(instance, pert)
+        fwd = forward(instance, pert)
+        obs = fwd.objectives
         if not (np.isfinite(obs.ob1) and np.isfinite(obs.ob2)):
             raise NonFiniteLossError(step, obs.ob1, obs.ob2)
-        gs = compute_gradient_set(instance, pert)
+        gs = compute_gradient_set(instance, fwd)
         if cfg.kind is StrategyKind.HARD_JPLUS:
-            scores = score_jplus(gs, amode, instance, pert)
+            scores = score_jplus(gs, amode, instance, fwd)
         else:
-            scores = score_j6(gs, amode, instance, pert)
+            scores = score_j6(gs, amode, instance, fwd)
         decision = _decide(cfg.kind, scores, gs, cfg)
         pert = Perturbations(pert.h + decision.delta_h, pert.w + decision.delta_w)
         n11, n12, n21, n22 = gs.norms()

@@ -16,13 +16,11 @@ import numpy as np
 
 from .attribution import compute_gradient_set
 from .model import (
-    Perturbations,
     ProblemInstance,
     WMode,
     compute_logits,
-    grad_logits_conf,
-    grad_logits_heat,
-    softmax,
+    forward,
+    logit_gradients,
     zero_perturbations,
 )
 
@@ -69,24 +67,12 @@ class GeneratorSpec:
             raise ValueError("v_star must lie in [0, V)")
 
 
-def _logit_gradient_fields(
-    instance: ProblemInstance, pert: Perturbations
-) -> tuple[np.ndarray, np.ndarray]:
-    logits = compute_logits(instance, pert)
-    g_heat = np.empty_like(logits)
-    g_conf = np.empty_like(logits)
-    for t in range(instance.T):
-        p = softmax(logits[t])
-        g_heat[t] = grad_logits_heat(p, int(instance.y[t]))
-        g_conf[t] = grad_logits_conf(p)
-    return g_heat, g_conf
-
-
 def conflict_certificate(instance: ProblemInstance) -> float:
     """Inner product of the two logit-space objective gradients at zero
     perturbations; negative means the objectives pull logits apart."""
-    g_heat, g_conf = _logit_gradient_fields(instance, zero_perturbations(instance))
-    return float(g_heat.ravel() @ g_conf.ravel())
+    fwd = forward(instance, zero_perturbations(instance))
+    g_heat, g_conf = logit_gradients(fwd.logp, instance.y)
+    return float(np.vdot(g_heat, g_conf))
 
 
 def roleswap_certificate(instance: ProblemInstance) -> float:
@@ -116,7 +102,7 @@ def _accept(instance: ProblemInstance, family: Family) -> bool:
         # Sharpening must initially fight correctness: every target sits
         # below the current argmax, and the logit gradients oppose.
         logits = compute_logits(instance, zero_perturbations(instance))
-        if any(int(instance.y[t]) == int(np.argmax(logits[t])) for t in range(instance.T)):
+        if (logits.argmax(axis=1) == instance.y).any():
             return False
         return conflict_certificate(instance) < 0.0
     return roleswap_certificate(instance) < ROLESWAP_RATIO_MAX

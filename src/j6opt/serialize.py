@@ -51,6 +51,10 @@ def _atomic_write(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true/false are bools
+
+
 def save_instance(
     instance: ProblemInstance,
     path: str | Path,
@@ -108,6 +112,11 @@ def load_instance(path: str | Path) -> ProblemInstance:
         w_mode = WMode(doc["w_mode"])
     except ValueError:
         raise InstanceFormatError(f"{path}: unknown w_mode {doc['w_mode']!r}") from None
+    for key in ("V", "d", "T", "v_star"):
+        if not (_is_int(doc[key]) or (key == "v_star" and doc[key] is None)):
+            raise InstanceFormatError(f"{path}: {key!r} must be an integer, got {doc[key]!r}")
+    if not (isinstance(doc["y"], list) and all(map(_is_int, doc["y"]))):
+        raise InstanceFormatError(f"{path}: 'y' must be a list of integers")
     return ProblemInstance(
         V=doc["V"],
         d=doc["d"],

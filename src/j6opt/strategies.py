@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
-
 import numpy as np
 
 from .attribution import AlignmentMode, GradientSet
@@ -90,7 +88,6 @@ class UpdateDecision:
     delta_w: np.ndarray
     chosen_index: int | None = None
     alpha: np.ndarray | None = None
-    scores: np.ndarray | None = None
 
 
 def _deltas(
@@ -115,7 +112,7 @@ def hard_route_j6(s: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> Update
     idx = int(np.argmax(s))
     if np.all(s == 0.0):
         dh, dw = _deltas(gs, cfg, None, None)
-        return UpdateDecision(dh, dw, chosen_index=idx, scores=s)
+        return UpdateDecision(dh, dw, chosen_index=idx)
     actions: dict[int, tuple[np.ndarray | None, np.ndarray | None]] = {
         0: (gs.J11, None),
         1: (gs.J11, gs.J22),
@@ -125,7 +122,7 @@ def hard_route_j6(s: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> Update
         5: (gs.J21, gs.J12),
     }
     dh, dw = _deltas(gs, cfg, *actions[idx])
-    return UpdateDecision(dh, dw, chosen_index=idx, scores=s)
+    return UpdateDecision(dh, dw, chosen_index=idx)
 
 
 def hard_route_jplus(s: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:
@@ -140,7 +137,7 @@ def hard_route_jplus(s: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> Upd
     idx = int(np.argmax(s)) + 1
     if np.all(s == 0.0):
         dh, dw = _deltas(gs, cfg, None, None)
-        return UpdateDecision(dh, dw, chosen_index=idx, scores=s)
+        return UpdateDecision(dh, dw, chosen_index=idx)
     sum_h = gs.J11 + gs.J21
     sum_w = gs.J12 + gs.J22
     beta = cfg.beta_aux
@@ -162,7 +159,7 @@ def hard_route_jplus(s: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> Upd
         15: (None, sum_w),
     }
     dh, dw = _deltas(gs, cfg, *actions[idx])
-    return UpdateDecision(dh, dw, chosen_index=idx, scores=s)
+    return UpdateDecision(dh, dw, chosen_index=idx)
 
 
 def contrast_weights(alpha_tilde: np.ndarray, gamma: float, normalize: bool = True) -> np.ndarray:
@@ -190,33 +187,17 @@ def soft_weights(s: np.ndarray, cfg: StrategyConfig) -> np.ndarray:
     return contrast_weights(e / e.sum(), cfg.gamma)
 
 
-AuxUpdateHook = Callable[
-    [np.ndarray, GradientSet, "StrategyConfig"], tuple[np.ndarray, np.ndarray]
-]
-
-
-def soft_update(
-    alpha: np.ndarray,
-    gs: GradientSet,
-    cfg: StrategyConfig,
-    scores: np.ndarray | None = None,
-    aux: AuxUpdateHook | None = None,
-) -> UpdateDecision:
+def soft_update(alpha: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:
     """Blend the four blocks with the slot weights.
 
     delta_h = -eta_h (alpha_0 J11 + alpha_3 J21); delta_w = -eta_w
     (alpha_2 J12 + alpha_4 J22).  The alignment weights alpha_1 and
-    alpha_5 drive no direction by default; pass ``aux`` to turn them
-    into extra (delta_h, delta_w) contributions.
+    alpha_5 drive no direction.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     dh = -cfg.eta_h * (alpha[0] * gs.J11 + alpha[3] * gs.J21)
     dw = -cfg.eta_w * (alpha[2] * gs.J12 + alpha[4] * gs.J22)
-    if aux is not None:
-        extra_h, extra_w = aux(alpha, gs, cfg)
-        dh = dh + extra_h
-        dw = dw + extra_w
-    return UpdateDecision(dh, dw, alpha=alpha, scores=scores)
+    return UpdateDecision(dh, dw, alpha=alpha)
 
 
 def static_baseline(gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:

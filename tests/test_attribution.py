@@ -2,28 +2,86 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from j6opt import (
     AlignKind,
     AlignmentMode,
     AlignScale,
+    GeneratorSpec,
     GradientSet,
     ObjectiveKind,
     Perturbations,
     ProblemInstance,
     WMode,
-    align,
     compute_gradient_set,
     default_alignment,
     fd_gradient,
-    logit_field,
+    generate,
+    init_perturbations,
     score_j6,
     score_jplus,
     zero_perturbations,
 )
 
 DIRECT_RAW = AlignmentMode(AlignKind.DIRECT, AlignScale.RAW)
+DIRECT_COSINE = AlignmentMode(AlignKind.DIRECT, AlignScale.COSINE)
 PUSH_RAW = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.RAW)
+PUSH_COSINE = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.COSINE)
+
+
+def logit_field(g, group, instance, pert):
+    """Reference: the T x V logit-space change induced by moving parameter
+    group ``group`` ("h" or "w") along g, holding the other group fixed."""
+    T, V = instance.T, instance.V
+    if group == "h":
+        B = instance.W.copy()
+        if instance.w_mode is WMode.SINGLE_ROW:
+            B[instance.v_star] += pert.w
+        else:
+            B += pert.w
+        return np.broadcast_to(B @ g, (T, V)).copy()
+    A = instance.H + pert.h
+    if instance.w_mode is WMode.FULL_MATRIX:
+        return A @ g.T
+    col = A @ g
+    if instance.w_mode is WMode.SINGLE_ROW:
+        field = np.zeros((T, V))
+        field[:, instance.v_star] = col
+        return field
+    return np.repeat(col[:, None], V, axis=1)
+
+
+def reference_jplus(gs, mode, instance, pert):
+    """Reference: the 15 scores as explicit products, cross-group ones of
+    T x V logit fields under PUSHFORWARD, each scaled by its operands'
+    norms in the space the product is taken under COSINE."""
+
+    def dot(a, b, group_a=None, group_b=None):
+        if group_a is not None and mode.kind is AlignKind.PUSHFORWARD:
+            a = logit_field(a, group_a, instance, pert)
+            b = logit_field(b, group_b, instance, pert)
+        a, b = a.ravel(), b.ravel()
+        raw = float(a @ b)
+        if mode.scale is AlignScale.RAW:
+            return raw
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        return 0.0 if na == 0.0 or nb == 0.0 else raw / (na * nb)
+
+    def cross(a, b):
+        return dot(a, b, "h", "w")
+
+    def sq(a):
+        return float(a.ravel() @ a.ravel())
+
+    sum_h, sum_w = gs.J11 + gs.J21, gs.J12 + gs.J22
+    return np.array([
+        sq(gs.J11), sq(gs.J12), sq(gs.J21), sq(gs.J22),
+        cross(gs.J11, gs.J22), cross(gs.J21, gs.J12), dot(gs.J11, gs.J21), dot(gs.J12, gs.J22),
+        cross(sum_h, sum_w), cross(gs.J11, sum_w), cross(gs.J21, sum_w),
+        cross(sum_h, gs.J12), cross(sum_h, gs.J22), sq(sum_h), sq(sum_w),
+    ])
 
 
 @pytest.fixture
@@ -121,44 +179,98 @@ class TestLogitField:
 
 
 class TestAlign:
+    """The cross-group slots: <J11, J22> is j6 slot 1, <J21, J12> slot 5."""
+
     def test_direct_self_alignment_is_squared_norm(self, dummy_point):
         instance, pert = dummy_point
         g = np.array([3.0, -4.0])
-        assert align(g, g, DIRECT_RAW, instance, pert) == 25.0
+        gs = GradientSet(J11=g, J12=np.zeros(2), J21=np.zeros(2), J22=g)
+        assert score_j6(gs, DIRECT_RAW, instance, pert)[1] == 25.0
 
     def test_direct_orthogonal(self, dummy_point):
         instance, pert = dummy_point
-        assert align(np.array([1.0, 0.0]), np.array([0.0, 2.0]), DIRECT_RAW, instance, pert) == 0.0
+        gs = GradientSet(
+            J11=np.array([1.0, 0.0]), J12=np.zeros(2), J21=np.zeros(2), J22=np.array([0.0, 2.0])
+        )
+        assert score_j6(gs, DIRECT_RAW, instance, pert)[1] == 0.0
 
     def test_direct_shape_mismatch_raises(self, make_point):
         instance, pert = make_point(seed=0, w_mode=WMode.FULL_MATRIX)
         gs = compute_gradient_set(instance, pert)
         with pytest.raises(ValueError, match="matching shapes"):
-            align(gs.J11, gs.J22, DIRECT_RAW, instance, pert)
+            score_j6(gs, DIRECT_RAW, instance, pert)
+        with pytest.raises(ValueError, match="matching shapes"):
+            score_jplus(gs, DIRECT_RAW, instance, pert)
+
+    def test_pushforward_shape_mismatch_raises(self, make_point, handpicked):
+        instance, pert = make_point(seed=0, w_mode=WMode.FULL_MATRIX)
+        with pytest.raises(ValueError, match="shapes"):
+            score_j6(handpicked, PUSH_RAW, instance, pert)
 
     def test_pushforward_self_alignment_non_negative(self, make_point):
+        # raw / cosine recovers the product of the operands' logit-space
+        # norms, the square roots of their self-alignments
         for seed in range(20):
             instance, pert = make_point(seed=seed, w_mode=WMode.FULL_MATRIX)
             gs = compute_gradient_set(instance, pert)
-            assert align(gs.J11, gs.J11, PUSH_RAW, instance, pert, "h", "h") >= 0.0
-            assert align(gs.J22, gs.J22, PUSH_RAW, instance, pert, "w", "w") >= 0.0
+            raw = score_j6(gs, PUSH_RAW, instance, pert)
+            cos = score_j6(gs, PUSH_COSINE, instance, pert)
+            for slot, g_h, g_w in ((1, gs.J11, gs.J22), (5, gs.J21, gs.J12)):
+                norms = raw[slot] / cos[slot]
+                want = np.linalg.norm(logit_field(g_h, "h", instance, pert)) * np.linalg.norm(
+                    logit_field(g_w, "w", instance, pert)
+                )
+                assert norms > 0.0
+                assert norms == pytest.approx(want, rel=1e-9)
 
     def test_pushforward_matches_field_product(self, make_point):
         instance, pert = make_point(seed=9, w_mode=WMode.FULL_MATRIX)
         gs = compute_gradient_set(instance, pert)
-        got = align(gs.J11, gs.J22, PUSH_RAW, instance, pert)
+        got = score_j6(gs, PUSH_RAW, instance, pert)[1]
         fa = logit_field(gs.J11, "h", instance, pert).ravel()
         fb = logit_field(gs.J22, "w", instance, pert).ravel()
         assert got == pytest.approx(float(fa @ fb), rel=1e-13)
 
     def test_cosine_bounds_and_zero_norm(self, dummy_point):
         instance, pert = dummy_point
-        mode = AlignmentMode(AlignKind.DIRECT, AlignScale.COSINE)
         rng = np.random.default_rng(8)
+        zero = np.zeros(2)
         for _ in range(100):
             a, b = rng.normal(size=2), rng.normal(size=2)
-            assert -1.0 - 1e-12 <= align(a, b, mode, instance, pert) <= 1.0 + 1e-12
-        assert align(np.zeros(2), np.ones(2), mode, instance, pert) == 0.0
+            gs = GradientSet(J11=a, J12=zero, J21=zero, J22=b)
+            assert -1.0 - 1e-12 <= score_j6(gs, DIRECT_COSINE, instance, pert)[1] <= 1.0 + 1e-12
+        gs = GradientSet(J11=zero, J12=zero, J21=zero, J22=np.ones(2))
+        assert score_j6(gs, DIRECT_COSINE, instance, pert)[1] == 0.0
+
+
+class TestGramMatchesFieldProducts:
+    """The closed-form Gram scores against explicit T x V field products."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(2, 12),
+        d=st.integers(1, 6),
+        T=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        w_mode=st.sampled_from(list(WMode)),
+        kind=st.sampled_from(list(AlignKind)),
+        scale=st.sampled_from(list(AlignScale)),
+    )
+    def test_scores_match_reference(self, V, d, T, seed, w_mode, kind, scale):
+        if kind is AlignKind.DIRECT and w_mode is WMode.FULL_MATRIX:
+            kind = AlignKind.PUSHFORWARD  # h and w shapes differ there
+        mode = AlignmentMode(kind, scale)
+        instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
+        pert = init_perturbations(instance, init_scale=0.3, seed=seed)
+        gs = compute_gradient_set(instance, pert)
+        want = reference_jplus(gs, mode, instance, pert)
+        s15 = score_jplus(gs, mode, instance, pert)
+        s6 = score_j6(gs, mode, instance, pert)
+        # the two routes round differently, so entries agree to 1e-12 of
+        # the largest score rather than bit for bit
+        tol = 1e-12 * max(1.0, float(np.abs(want).max()))
+        np.testing.assert_allclose(s15, want, rtol=1e-9, atol=tol)
+        np.testing.assert_array_equal(s6, s15[[0, 4, 1, 2, 3, 5]])
 
 
 class TestScoreJ6:

@@ -11,23 +11,36 @@ import math
 import numpy as np
 import pytest
 
+import j6opt.attribution
+import j6opt.model
 from j6opt import (
     ObjectiveKind,
     Perturbations,
     ProblemInstance,
     WMode,
+    compute_gradient_set,
     compute_logits,
     confidence_loss,
     fd_gradient,
-    grad_h,
-    grad_logits_conf,
-    grad_logits_heat,
-    grad_w,
+    forward,
     heat_loss,
+    log_softmax,
+    logit_gradients,
     objectives,
-    softmax,
+    pullback,
     zero_perturbations,
 )
+
+
+def _probs(z):
+    """Probabilities of one logit vector, through the row-wise log-softmax."""
+    return np.exp(log_softmax(np.asarray(z, dtype=np.float64)[None, :]))[0]
+
+
+def _grad_logits(z, y_t):
+    """Heat and confidence logit gradients of one logit vector."""
+    g = logit_gradients(log_softmax(np.asarray(z, dtype=np.float64)[None, :]), [y_t])
+    return g[0, 0], g[1, 0]
 
 
 def scalar_loop_logits(instance, pert):
@@ -90,35 +103,36 @@ class TestComputeLogits:
 
 class TestSoftmax:
     def test_uniform(self):
-        np.testing.assert_allclose(softmax(np.zeros(4)), np.full(4, 0.25), rtol=0)
+        np.testing.assert_allclose(_probs(np.zeros(4)), np.full(4, 0.25), rtol=0)
 
     def test_known_point(self):
         # independent closed form: p = [1, e^-1, 1] / (2 + e^-1)
         z = 2.0 + math.exp(-1.0)
         expected = np.array([1.0 / z, math.exp(-1.0) / z, 1.0 / z])
-        np.testing.assert_allclose(softmax(np.array([1.0, 0.0, 1.0])), expected, rtol=1e-15)
+        np.testing.assert_allclose(_probs(np.array([1.0, 0.0, 1.0])), expected, rtol=1e-15)
 
     def test_shift_invariance_exact_for_representable_shift(self):
         z = np.array([1.0, 0.5, -2.0])
-        np.testing.assert_array_equal(softmax(z), softmax(z + 8.0))
+        np.testing.assert_array_equal(_probs(z), _probs(z + 8.0))
 
     def test_shift_invariance_general(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             z = rng.normal(size=6)
             k = rng.normal() * 100
-            np.testing.assert_allclose(softmax(z), softmax(z + k), atol=1e-10)
+            np.testing.assert_allclose(_probs(z), _probs(z + k), atol=1e-10)
 
     def test_sums_to_one_and_positive(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            p = softmax(rng.normal(size=8) * 5)
+            p = _probs(rng.normal(size=8) * 5)
             assert abs(p.sum() - 1.0) < 1e-12
             assert (p >= 0).all()
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            softmax(np.array([1.0, np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            _grad_logits(np.array([1.0, np.inf]), 0)
 
 
 class TestHeatLoss:
@@ -178,24 +192,26 @@ class TestShiftInvariance:
         y = [3, 1]
         assert abs(heat_loss(logits, y) - heat_loss(shifted, y)) < 1e-10
         assert abs(confidence_loss(logits) - confidence_loss(shifted)) < 1e-10
-        p0, p0s = softmax(logits[0]), softmax(shifted[0])
-        np.testing.assert_allclose(grad_logits_heat(p0, 3), grad_logits_heat(p0s, 3), atol=1e-10)
-        np.testing.assert_allclose(grad_logits_conf(p0), grad_logits_conf(p0s), atol=1e-10)
+        np.testing.assert_allclose(
+            logit_gradients(log_softmax(logits), y),
+            logit_gradients(log_softmax(shifted), y),
+            atol=1e-10,
+        )
 
 
 class TestGradLogitsHeat:
     def test_uniform(self):
-        p = np.full(4, 0.25)
-        np.testing.assert_allclose(grad_logits_heat(p, 1), [0.25, -0.75, 0.25, 0.25], rtol=0)
+        g_heat, _ = _grad_logits(np.zeros(4), 1)
+        np.testing.assert_allclose(g_heat, [0.25, -0.75, 0.25, 0.25], rtol=0)
 
     def test_perfect_prediction(self):
-        p = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(grad_logits_heat(p, 1), np.zeros(3))
+        # exp(-800) underflows, so the softmax is exactly one-hot
+        g_heat, _ = _grad_logits(np.array([0.0, 800.0, 0.0]), 1)
+        np.testing.assert_array_equal(g_heat, np.zeros(3))
 
     def test_matches_finite_differences(self):
         z = np.array([1.0, 0.0, 1.0])
-        p = softmax(z)
-        analytic = grad_logits_heat(p, 0)
+        analytic, _ = _grad_logits(z, 0)
         eps = 1e-6
         for k in range(3):
             zp, zm = z.copy(), z.copy()
@@ -207,20 +223,22 @@ class TestGradLogitsHeat:
     def test_zero_sum(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            p = softmax(rng.normal(size=6) * 4)
-            assert abs(grad_logits_heat(p, int(rng.integers(6))).sum()) < 1e-10
+            g_heat, _ = _grad_logits(rng.normal(size=6) * 4, int(rng.integers(6)))
+            assert abs(g_heat.sum()) < 1e-10
 
 
 class TestGradLogitsConf:
     def test_uniform_is_stationary(self):
-        np.testing.assert_allclose(grad_logits_conf(np.full(4, 0.25)), np.zeros(4), atol=1e-15)
+        _, g_conf = _grad_logits(np.zeros(4), 0)
+        np.testing.assert_allclose(g_conf, np.zeros(4), atol=1e-15)
 
     def test_exact_onehot_is_stationary(self):
-        np.testing.assert_array_equal(grad_logits_conf(np.array([1.0, 0.0, 0.0])), np.zeros(3))
+        _, g_conf = _grad_logits(np.array([800.0, 0.0, 0.0]), 0)
+        np.testing.assert_array_equal(g_conf, np.zeros(3))
 
     def test_matches_finite_differences(self):
         z = np.array([1.0, 0.0, 1.0])
-        analytic = grad_logits_conf(softmax(z))
+        _, analytic = _grad_logits(z, 0)
         eps = 1e-6
         for k in range(3):
             zp, zm = z.copy(), z.copy()
@@ -232,26 +250,39 @@ class TestGradLogitsConf:
     def test_zero_sum(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            p = softmax(rng.normal(size=5) * 4)
-            assert abs(grad_logits_conf(p).sum()) < 1e-10
+            _, g_conf = _grad_logits(rng.normal(size=5) * 4, 0)
+            assert abs(g_conf.sum()) < 1e-10
+
+
+def _fields(instance, pert):
+    """The forward pass and both logit-space gradients, (2, T, V)."""
+    fwd = forward(instance, pert)
+    return fwd, logit_gradients(fwd.logp, instance.y)
+
+
+def _pull_h(instance, pert, g):
+    """Pull one (T, V) logit-space gradient back to h."""
+    return pullback(instance, forward(instance, pert), g[None])[0][0]
+
+
+def _pull_w(instance, pert, g):
+    """Pull one (T, V) logit-space gradient back to w."""
+    return pullback(instance, forward(instance, pert), g[None])[1][0]
 
 
 def _heat_field(instance, pert):
-    logits = compute_logits(instance, pert)
-    return np.stack(
-        [grad_logits_heat(softmax(logits[t]), int(instance.y[t])) for t in range(instance.T)]
-    )
+    return _fields(instance, pert)[1][0]
 
 
 class TestGradH:
     def test_zero_gradient_field(self, make_point):
         instance, pert = make_point(seed=1)
         g = np.zeros((instance.T, instance.V))
-        np.testing.assert_array_equal(grad_h(instance, pert, g), np.zeros(instance.d))
+        np.testing.assert_array_equal(_pull_h(instance, pert, g), np.zeros(instance.d))
 
     def test_matches_fd_on_derived_instance(self, derived_instance):
         instance, pert = derived_instance
-        analytic = grad_h(instance, pert, _heat_field(instance, pert))
+        analytic = _pull_h(instance, pert, _heat_field(instance, pert))
         fd = fd_gradient(ObjectiveKind.HEAT, "h", instance, pert)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6)
 
@@ -263,44 +294,39 @@ class TestGradH:
         )
         pert = zero_perturbations(instance)
         g = _heat_field(instance, pert)
-        assert grad_h(instance, pert, g)[1] == 0.0
+        assert _pull_h(instance, pert, g)[1] == 0.0
 
     def test_shape_mismatch_raises(self, make_point):
         instance, pert = make_point(seed=2)
         with pytest.raises(ValueError, match="shape"):
-            grad_h(instance, pert, np.zeros((instance.T, instance.V + 1)))
+            _pull_h(instance, pert, np.zeros((instance.T, instance.V + 1)))
 
 
 class TestGradW:
     def test_broadcast_mode_is_gradient_dead(self, make_point):
         for seed in range(20):
             instance, pert = make_point(seed=seed, w_mode=WMode.BROADCAST)
+            _, g = _fields(instance, pert)
             for objective in ObjectiveKind:
-                logits = compute_logits(instance, pert)
-                if objective is ObjectiveKind.HEAT:
-                    g = _heat_field(instance, pert)
-                else:
-                    g = np.stack(
-                        [grad_logits_conf(softmax(logits[t])) for t in range(instance.T)]
-                    )
-                assert np.linalg.norm(grad_w(instance, pert, g)) < 1e-12
+                field = g[0] if objective is ObjectiveKind.HEAT else g[1]
+                assert np.linalg.norm(_pull_w(instance, pert, field)) < 1e-12
 
     def test_full_matrix_matches_fd(self, make_point):
         instance, pert = make_point(seed=3, w_mode=WMode.FULL_MATRIX)
-        analytic = grad_w(instance, pert, _heat_field(instance, pert))
+        analytic = _pull_w(instance, pert, _heat_field(instance, pert))
         fd = fd_gradient(ObjectiveKind.HEAT, "w", instance, pert)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5)
 
     def test_single_row_matches_fd(self, make_point):
         instance, pert = make_point(seed=4, w_mode=WMode.SINGLE_ROW)
-        analytic = grad_w(instance, pert, _heat_field(instance, pert))
+        analytic = _pull_w(instance, pert, _heat_field(instance, pert))
         fd = fd_gradient(ObjectiveKind.HEAT, "w", instance, pert)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5)
 
     def test_zero_gradient_field(self, make_point):
         instance, pert = make_point(seed=5)
         g = np.zeros((instance.T, instance.V))
-        np.testing.assert_array_equal(grad_w(instance, pert, g), np.zeros((instance.V, instance.d)))
+        np.testing.assert_array_equal(_pull_w(instance, pert, g), np.zeros((instance.V, instance.d)))
 
 
 class TestFdGradient:
@@ -308,7 +334,7 @@ class TestFdGradient:
         for seed in range(10):
             mode = WMode.SINGLE_ROW if seed % 2 else WMode.FULL_MATRIX
             instance, pert = make_point(seed=seed, w_mode=mode)
-            analytic = grad_h(instance, pert, _heat_field(instance, pert))
+            analytic = _pull_h(instance, pert, _heat_field(instance, pert))
             fd = fd_gradient(ObjectiveKind.HEAT, "h", instance, pert)
             rel = np.linalg.norm(analytic - fd) / (np.linalg.norm(fd) + 1e-12)
             assert rel < 1e-5
@@ -316,7 +342,7 @@ class TestFdGradient:
     def test_second_order_accuracy(self, derived_instance):
         # halving eps should shrink the error roughly 4x
         instance, pert = derived_instance
-        exact = grad_h(instance, pert, _heat_field(instance, pert))
+        exact = _pull_h(instance, pert, _heat_field(instance, pert))
         err = {
             eps: np.linalg.norm(fd_gradient(ObjectiveKind.HEAT, "h", instance, pert, eps) - exact)
             for eps in (2e-3, 1e-3)
@@ -331,6 +357,31 @@ class TestFdGradient:
         with pytest.raises(ValueError):
             fd_gradient(ObjectiveKind.HEAT, "h", instance, pert, eps=0.0)
 
+    def test_independent_of_the_gradient_code(self, make_point, monkeypatch):
+        # the oracle must run with every analytic gradient path disabled
+        instance, pert = make_point(seed=6, w_mode=WMode.FULL_MATRIX)
+        gs = compute_gradient_set(instance, pert)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fd_gradient reached the analytic gradient code")
+
+        for module, name in (
+            (j6opt.model, "logit_gradients"),
+            (j6opt.model, "pullback"),
+            (j6opt.attribution, "logit_gradients"),
+            (j6opt.attribution, "pullback"),
+            (j6opt.attribution, "compute_gradient_set"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        for block, objective, which in (
+            (gs.J11, ObjectiveKind.HEAT, "h"),
+            (gs.J12, ObjectiveKind.HEAT, "w"),
+            (gs.J21, ObjectiveKind.CONF, "h"),
+            (gs.J22, ObjectiveKind.CONF, "w"),
+        ):
+            fd = fd_gradient(objective, which, instance, pert)
+            assert np.linalg.norm(block - fd) / (np.linalg.norm(fd) + 1e-12) < 1e-5
+
 
 class TestDescent:
     def test_small_heat_step_decreases_heat(self, make_point):
@@ -338,7 +389,7 @@ class TestDescent:
         for seed in range(10):
             instance, pert = make_point(seed=seed)
             before = objectives(instance, pert).ob1
-            g = grad_h(instance, pert, _heat_field(instance, pert))
+            g = _pull_h(instance, pert, _heat_field(instance, pert))
             stepped = Perturbations(pert.h - eta * g, pert.w)
             assert objectives(instance, stepped).ob1 < before
 

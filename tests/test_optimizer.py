@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import j6opt.attribution
+import j6opt.model
+import j6opt.optimizer
 from j6opt import (
     AlignKind,
     AlignmentMode,
@@ -168,6 +171,24 @@ class TestRun:
             instance, StrategyConfig(kind=StrategyKind.HARD_JPLUS), RunConfig(max_steps=10)
         )
         assert all(1 <= r.chosen_index <= 15 for r in result.trace)
+
+    def test_one_forward_pass_per_step(self, make_instance, monkeypatch):
+        # one per step, plus one for the final objectives
+        calls = []
+        original = j6opt.model.forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (j6opt.model, j6opt.attribution, j6opt.optimizer):
+            monkeypatch.setattr(module, "forward", counting)
+        instance = make_instance(seed=13, w_mode=WMode.FULL_MATRIX)
+        for kind in StrategyKind:
+            calls.clear()
+            result = run(instance, StrategyConfig(kind=kind), RunConfig(max_steps=3, grad_tol=0.0))
+            assert len(result.trace) == 3
+            assert len(calls) == 4, kind
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_loss_aborts_with_step(self, make_instance):

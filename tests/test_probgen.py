@@ -11,10 +11,9 @@ from j6opt import (
     compute_logits,
     conflict_certificate,
     generate,
-    grad_logits_conf,
-    grad_logits_heat,
+    log_softmax,
+    logit_gradients,
     roleswap_certificate,
-    softmax,
     zero_perturbations,
 )
 from j6opt.probgen import ROLESWAP_RATIO_MAX
@@ -48,10 +47,8 @@ class TestConflictingFamily:
         logits = compute_logits(instance, zero_perturbations(instance))
         total = 0.0
         for t in range(instance.T):
-            p = softmax(logits[t])
-            total += float(
-                grad_logits_heat(p, int(instance.y[t])) @ grad_logits_conf(p)
-            )
+            g_heat, g_conf = logit_gradients(log_softmax(logits[t : t + 1]), instance.y[t : t + 1])
+            total += float(g_heat[0] @ g_conf[0])
         assert conflict_certificate(instance) == pytest.approx(total, rel=1e-13)
 
     def test_targets_sit_below_the_argmax(self):

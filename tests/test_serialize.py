@@ -125,6 +125,28 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="W must have shape"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("y", [1.7, 0]),
+            ("y", [True, 0]),
+            ("y", 1),
+            ("V", 4.9),
+            ("V", True),
+            ("V", 5.0),
+            ("d", "3"),
+            ("T", False),
+            ("v_star", 0.5),
+        ],
+    )
+    def test_non_integer_rejected(self, instance, tmp_path, key, value):
+        doc = self._doc(instance)
+        doc[key] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=f"'{key}'"):
+            load_instance(path)
+
     def test_unknown_w_mode(self, instance, tmp_path):
         doc = self._doc(instance)
         doc["w_mode"] = "diag"

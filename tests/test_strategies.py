@@ -218,26 +218,13 @@ class TestSoftUpdate:
         # strict max at slot 4 (w -> confidence)
         s = np.array([0.1, 0.0, 0.2, 0.15, 0.9, 0.05])
         c = cfg(StrategyKind.SOFT, tau=1e-3)
-        soft = soft_update(soft_weights(s, c), gs, c, scores=s)
+        soft = soft_update(soft_weights(s, c), gs, c)
         hard = hard_route_j6(s, gs, cfg())
         num = np.linalg.norm(soft.delta_h - hard.delta_h) + np.linalg.norm(
             soft.delta_w - hard.delta_w
         )
         den = np.linalg.norm(hard.delta_h) + np.linalg.norm(hard.delta_w)
         assert num / den < 1e-3
-
-    def test_aux_hook_receives_alignment_weights(self, gs):
-        seen = {}
-
-        def aux(alpha, gset, config):
-            seen["alpha"] = alpha
-            return 0.5 * np.ones(2), -0.5 * np.ones(2)
-
-        alpha = np.array([0.0, 0.5, 0.0, 0.0, 0.0, 0.5])
-        decision = soft_update(alpha, gs, cfg(StrategyKind.SOFT), aux=aux)
-        np.testing.assert_array_equal(seen["alpha"], alpha)
-        np.testing.assert_allclose(decision.delta_h, 0.5 * np.ones(2))
-        np.testing.assert_allclose(decision.delta_w, -0.5 * np.ones(2))
 
 
 class TestStaticBaseline:
