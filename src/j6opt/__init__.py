@@ -6,6 +6,7 @@ from .attribution import (
     AlignmentMode,
     AlignScale,
     GradientSet,
+    J6_FROM_JPLUS,
     J6_LABELS,
     JPLUS_LABELS,
     compute_gradient_set,
@@ -58,14 +59,8 @@ from .strategies import (
     StrategyKind,
     UpdateDecision,
     contrast_weights,
-    gradsurgery_baseline,
-    hard_route_j6,
-    hard_route_jplus,
-    project_conflicts,
-    scalarized_baseline,
-    soft_update,
+    decide,
     soft_weights,
-    static_baseline,
 )
 
 __version__ = "0.1.0"

@@ -48,6 +48,7 @@ __all__ = [
     "score_jplus",
     "J6_LABELS",
     "JPLUS_LABELS",
+    "J6_FROM_JPLUS",
 ]
 
 # Canonical slot order of the 6-score vector.  Slots 0..5 line up with the
@@ -82,6 +83,10 @@ JPLUS_LABELS = (
     "h_total_strength",    # 14: ||J11+J21||^2
     "w_total_strength",    # 15: ||J12+J22||^2
 )
+
+# Position in the 15-score vector (and in the action table) of each of
+# the 6 canonical slots: slot k is component J6_FROM_JPLUS[k] + 1.
+J6_FROM_JPLUS = (0, 4, 1, 2, 3, 5)
 
 
 class AlignKind(str, Enum):
@@ -193,6 +198,10 @@ def _pushforward(
     a = fwd.A.sum(axis=0)
     if instance.w_mode is WMode.FULL_MATRIX:
         cross = _dots(Bh, [G @ a for G in w])
+        if instance.T == 1:
+            # Symmetric in exact arithmetic (g_i^T B B^T g_j |a|^2); form
+            # it so, so that equal scores tie exactly.
+            cross[0][1] = cross[1][0] = (cross[0][1] + cross[1][0]) / 2
     else:
         ga = [float(g @ a) for g in w]
         single = instance.w_mode is WMode.SINGLE_ROW
@@ -265,5 +274,5 @@ def score_j6(
 ) -> np.ndarray:
     """The 6-score vector in canonical slot order (see J6_LABELS): four
     native squared norms and the two cross-objective alignment slots,
-    i.e. components (1, 5, 2, 3, 4, 6) of ``score_jplus``."""
-    return score_jplus(gs, mode, instance, at)[[0, 4, 1, 2, 3, 5]]
+    i.e. the components of ``score_jplus`` at J6_FROM_JPLUS."""
+    return score_jplus(gs, mode, instance, at)[list(J6_FROM_JPLUS)]

@@ -13,7 +13,6 @@ import dataclasses
 import io
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,11 +24,7 @@ from .attribution import (
     default_alignment,
 )
 from .probgen import Family, GeneratorSpec, conflict_certificate, generate, roleswap_certificate
-from .model import (
-    ObjectiveKind,
-    ProblemInstance,
-    fd_gradient,
-)
+from .model import ObjectiveKind, ProblemInstance, WMode, fd_gradient
 from .optimizer import NonFiniteLossError, RunConfig, init_perturbations, run
 from .serialize import (
     InstanceFormatError,
@@ -42,6 +37,14 @@ from .serialize import (
 from .strategies import PreNorm, StrategyConfig, StrategyKind
 
 GRADCHECK_TOL = 1e-5
+# Each checked block: its GradientSet attribute, and the loss and the
+# parameter group that fd_gradient differentiates.
+_GRADCHECK_BLOCKS = (
+    ("J11", ObjectiveKind.HEAT, "h"),
+    ("J12", ObjectiveKind.HEAT, "w"),
+    ("J21", ObjectiveKind.CONF, "h"),
+    ("J22", ObjectiveKind.CONF, "w"),
+)
 
 _STRATEGY_NAMES = [k.value for k in StrategyKind]
 _SWEEP_PARAMS = {
@@ -136,13 +139,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _map_in_order(fn, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = GeneratorSpec(
         V=args.V,
@@ -177,8 +173,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _gradcheck_battery() -> list[ProblemInstance]:
-    from .model import WMode
-
     sizes = [(4, 3, 1), (6, 4, 2), (8, 6, 3), (5, 2, 2)]
     instances = []
     for i, (V, d, T) in enumerate(sizes):
@@ -190,35 +184,28 @@ def _gradcheck_battery() -> list[ProblemInstance]:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     instances = [load_instance(args.instance)] if args.instance else _gradcheck_battery()
-    blocks = {"J11": 0.0, "J12": 0.0, "J21": 0.0, "J22": 0.0}
+    blocks = {name: 0.0 for name, _, _ in _GRADCHECK_BLOCKS}
     worst = {name: "" for name in blocks}
     for k, instance in enumerate(instances):
         pert = init_perturbations(instance, init_scale=0.3, seed=7 * k + 1)
         gs = compute_gradient_set(instance, pert)
-        analytic = {"J11": gs.J11, "J12": gs.J12, "J21": gs.J21, "J22": gs.J22}
-        if args.corrupt:
-            bad = analytic["J11"].copy()
-            bad.flat[0] += args.corrupt
-            analytic["J11"] = bad
-        pairs = {
-            "J11": (ObjectiveKind.HEAT, "h"),
-            "J12": (ObjectiveKind.HEAT, "w"),
-            "J21": (ObjectiveKind.CONF, "h"),
-            "J22": (ObjectiveKind.CONF, "w"),
-        }
-        for name, (objective, which) in pairs.items():
+        for name, objective, which in _GRADCHECK_BLOCKS:
+            analytic = getattr(gs, name)
+            if args.corrupt and name == "J11":
+                analytic = analytic.copy()
+                analytic.flat[0] += args.corrupt
             fd = fd_gradient(objective, which, instance, pert, eps=args.eps)
-            err = float(np.linalg.norm(analytic[name] - fd))
+            err = float(np.linalg.norm(analytic - fd))
             rel = err / (float(np.linalg.norm(fd)) + 1e-12)
             if rel > blocks[name]:
                 blocks[name] = rel
-                coord = np.unravel_index(np.argmax(np.abs(analytic[name] - fd)), fd.shape)
+                coord = np.unravel_index(np.argmax(np.abs(analytic - fd)), fd.shape)
                 worst[name] = (
                     f"instance {k}, coord {tuple(int(c) for c in coord)}: "
-                    f"analytic={analytic[name][coord]!r} fd={fd[coord]!r}"
+                    f"analytic={analytic[coord]!r} fd={fd[coord]!r}"
                 )
     ok = True
-    for name in ("J11", "J12", "J21", "J22"):
+    for name in blocks:
         status = "ok" if blocks[name] < GRADCHECK_TOL else "FAIL"
         print(f"{name}: max relative error {blocks[name]:.3e} [{status}]")
         if blocks[name] >= GRADCHECK_TOL:
@@ -237,7 +224,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown strategy {name!r} (choose from {_STRATEGY_NAMES})")
     rcfg = _run_config(args)
     cfgs = [_strategy_config(args, instance, name) for name in names]
-    results = _map_in_order(lambda cfg: run(instance, cfg, rcfg), cfgs, args.jobs)
+    results = [run(instance, cfg, rcfg) for cfg in cfgs]
     write_summary(list(zip(names, results)), args.out)
     for name, result in zip(names, results):
         print(
@@ -261,7 +248,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rcfg = _run_config(args)
     base = _strategy_config(args, instance, args.strategy)
     cfgs = [dataclasses.replace(base, **{attr: value}) for value in values]
-    results = _map_in_order(lambda cfg: run(instance, cfg, rcfg), cfgs, args.jobs)
+    results = [run(instance, cfg, rcfg) for cfg in cfgs]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["param", "value", "final_ob1", "final_ob2", "stop_reason", "steps", "alpha_max"])
@@ -324,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--strategies", default=",".join(_STRATEGY_NAMES),
                        help="comma-separated strategy names")
     p_cmp.add_argument("-o", "--out", required=True, help="summary JSON path")
-    p_cmp.add_argument("--jobs", type=int, default=1)
+    p_cmp.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; configurations always run serially")
     _add_strategy_flags(p_cmp, with_kind=False)
     _add_run_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
@@ -335,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--values", required=True, help="comma-separated numbers")
     p_sw.add_argument("--strategy", choices=_STRATEGY_NAMES, default="soft")
     p_sw.add_argument("-o", "--out", required=True, help="summary CSV path")
-    p_sw.add_argument("--jobs", type=int, default=1)
+    p_sw.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; configurations always run serially")
     _add_strategy_flags(p_sw, with_kind=False)
     _add_run_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)

@@ -162,9 +162,10 @@ class ObjectivePair:
 class Forward:
     """One forward pass at a point (h, w)."""
 
-    A: np.ndarray     # H + h, (T, d)
-    B: np.ndarray     # W with w folded in per w_mode, (V, d)
-    logp: np.ndarray  # row-wise log-softmax of the logits A B^T, (T, V)
+    A: np.ndarray       # H + h, (T, d)
+    B: np.ndarray       # W with w folded in per w_mode, (V, d)
+    logits: np.ndarray  # A B^T, (T, V)
+    logp: np.ndarray    # row-wise log-softmax of the logits, (T, V)
     objectives: ObjectivePair
 
 
@@ -248,8 +249,9 @@ def compute_logits(instance: ProblemInstance, pert: Perturbations) -> np.ndarray
 def forward(instance: ProblemInstance, pert: Perturbations) -> Forward:
     """The logits at (h, w) and both losses, from one log-softmax."""
     A, B = _factors(instance, pert)
-    logp = log_softmax(A @ B.T)
-    return Forward(A, B, logp, ObjectivePair(_heat(logp, instance.y), _confidence(logp)))
+    logits = A @ B.T
+    logp = log_softmax(logits)
+    return Forward(A, B, logits, logp, ObjectivePair(_heat(logp, instance.y), _confidence(logp)))
 
 
 def objectives(instance: ProblemInstance, pert: Perturbations) -> ObjectivePair:

@@ -31,18 +31,7 @@ from .model import (
     w_shape,
     zero_perturbations,
 )
-from .strategies import (
-    StrategyConfig,
-    StrategyKind,
-    UpdateDecision,
-    gradsurgery_baseline,
-    hard_route_j6,
-    hard_route_jplus,
-    scalarized_baseline,
-    soft_update,
-    soft_weights,
-    static_baseline,
-)
+from .strategies import StrategyConfig, StrategyKind, decide
 
 __all__ = [
     "StopReason",
@@ -157,25 +146,6 @@ def stop_check(trace: list[TraceRecord], rcfg: RunConfig) -> StopReason | None:
     return None
 
 
-def _decide(
-    kind: StrategyKind,
-    scores: np.ndarray,
-    gs,
-    cfg: StrategyConfig,
-) -> UpdateDecision:
-    if kind is StrategyKind.HARD_J6:
-        return hard_route_j6(scores, gs, cfg)
-    if kind is StrategyKind.HARD_JPLUS:
-        return hard_route_jplus(scores, gs, cfg)
-    if kind is StrategyKind.SOFT:
-        return soft_update(soft_weights(scores, cfg), gs, cfg)
-    if kind is StrategyKind.STATIC:
-        return static_baseline(gs, cfg)
-    if kind is StrategyKind.SCALARIZED:
-        return scalarized_baseline(gs, cfg)
-    return gradsurgery_baseline(gs, cfg)
-
-
 def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunResult:
     """Optimize one instance; bit-deterministic given (instance, cfg, rcfg).
 
@@ -198,7 +168,7 @@ def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunR
             scores = score_jplus(gs, amode, instance, fwd)
         else:
             scores = score_j6(gs, amode, instance, fwd)
-        decision = _decide(cfg.kind, scores, gs, cfg)
+        decision = decide(scores, gs, cfg)
         pert = Perturbations(pert.h + decision.delta_h, pert.w + decision.delta_w)
         n11, n12, n21, n22 = gs.norms()
         trace.append(

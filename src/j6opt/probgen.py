@@ -16,9 +16,9 @@ import numpy as np
 
 from .attribution import compute_gradient_set
 from .model import (
+    Forward,
     ProblemInstance,
     WMode,
-    compute_logits,
     forward,
     logit_gradients,
     zero_perturbations,
@@ -67,10 +67,12 @@ class GeneratorSpec:
             raise ValueError("v_star must lie in [0, V)")
 
 
-def conflict_certificate(instance: ProblemInstance) -> float:
+def conflict_certificate(instance: ProblemInstance, fwd: Forward | None = None) -> float:
     """Inner product of the two logit-space objective gradients at zero
-    perturbations; negative means the objectives pull logits apart."""
-    fwd = forward(instance, zero_perturbations(instance))
+    perturbations; negative means the objectives pull logits apart.
+    ``fwd`` is a forward pass already taken there, if any."""
+    if fwd is None:
+        fwd = forward(instance, zero_perturbations(instance))
     g_heat, g_conf = logit_gradients(fwd.logp, instance.y)
     return float(np.vdot(g_heat, g_conf))
 
@@ -101,10 +103,10 @@ def _accept(instance: ProblemInstance, family: Family) -> bool:
     if family is Family.CONFLICTING:
         # Sharpening must initially fight correctness: every target sits
         # below the current argmax, and the logit gradients oppose.
-        logits = compute_logits(instance, zero_perturbations(instance))
-        if (logits.argmax(axis=1) == instance.y).any():
+        fwd = forward(instance, zero_perturbations(instance))
+        if (fwd.logits.argmax(axis=1) == instance.y).any():
             return False
-        return conflict_certificate(instance) < 0.0
+        return conflict_certificate(instance, fwd) < 0.0
     return roleswap_certificate(instance) < ROLESWAP_RATIO_MAX
 
 

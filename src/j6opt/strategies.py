@@ -1,9 +1,12 @@
 """Update strategies: hard routing, soft weighting, and three baselines.
 
-Every strategy turns the current gradient blocks (plus, for the routed
-strategies, an attribution score vector) into a proposed (delta_h,
-delta_w) pair.  All updates are descent-shaped: -eta times a
-non-negative combination of the four blocks.
+Every strategy chooses a 2x2 coefficient matrix ``c`` and takes the step
+
+    delta_h = -eta_h (c[0][0] J11 + c[0][1] J21)
+    delta_w = -eta_w (c[1][0] J12 + c[1][1] J22)
+
+so they differ only in how ``c`` is picked (see ``decide``).  All
+coefficients are non-negative, so every update is descent-shaped.
 """
 
 from __future__ import annotations
@@ -12,22 +15,16 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .attribution import AlignmentMode, GradientSet
+from .attribution import J6_FROM_JPLUS, AlignmentMode, GradientSet
 
 __all__ = [
     "StrategyKind",
     "PreNorm",
     "StrategyConfig",
     "UpdateDecision",
-    "hard_route_j6",
-    "hard_route_jplus",
+    "decide",
     "contrast_weights",
     "soft_weights",
-    "soft_update",
-    "static_baseline",
-    "scalarized_baseline",
-    "project_conflicts",
-    "gradsurgery_baseline",
 ]
 
 
@@ -90,76 +87,33 @@ class UpdateDecision:
     alpha: np.ndarray | None = None
 
 
-def _deltas(
-    gs: GradientSet,
-    cfg: StrategyConfig,
-    h_dir: np.ndarray | None,
-    w_dir: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    dh = -cfg.eta_h * h_dir if h_dir is not None else np.zeros_like(gs.J11)
-    dw = -cfg.eta_w * w_dir if w_dir is not None else np.zeros_like(gs.J12)
-    return dh, dw
+_BETA = "beta_aux"  # stands for cfg.beta_aux in the action table
 
+# The 15 j+ actions in component order, as coefficient matrices
+# ((J11, J21), (J12, J22)).  Components 10-13 pair a primary direction
+# with the other group's summed direction scaled down by beta_aux; 14/15
+# duplicate 7/8.  The six j6 actions are the rows at J6_FROM_JPLUS:
+# slot 0 h along -J11, 1 the coupled pair (-J11, -J22), 2 w along -J12,
+# 3 h along -J21, 4 w along -J22, 5 the coupled pair (-J21, -J12).
+_JPLUS_ACTIONS = (
+    ((1.0, 0.0), (0.0, 0.0)),      # 1: h -> heat
+    ((0.0, 0.0), (1.0, 0.0)),      # 2: w -> heat
+    ((0.0, 1.0), (0.0, 0.0)),      # 3: h -> conf
+    ((0.0, 0.0), (0.0, 1.0)),      # 4: w -> conf
+    ((1.0, 0.0), (0.0, 1.0)),      # 5: h -> heat, w -> conf
+    ((0.0, 1.0), (1.0, 0.0)),      # 6: h -> conf, w -> heat
+    ((1.0, 1.0), (0.0, 0.0)),      # 7: h -> both
+    ((0.0, 0.0), (1.0, 1.0)),      # 8: w -> both
+    ((1.0, 1.0), (1.0, 1.0)),      # 9: both -> both
+    ((1.0, 0.0), (_BETA, _BETA)),  # 10
+    ((0.0, 1.0), (_BETA, _BETA)),  # 11
+    ((_BETA, _BETA), (1.0, 0.0)),  # 12
+    ((_BETA, _BETA), (0.0, 1.0)),  # 13
+    ((1.0, 1.0), (0.0, 0.0)),      # 14 = 7
+    ((0.0, 0.0), (1.0, 1.0)),      # 15 = 8
+)
 
-def hard_route_j6(s: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:
-    """Argmax over the 6 slots (ties break to the lowest index).
-
-    Slot actions: 0 -> step h along -J11; 1 -> the coupled pair (-J11,
-    -J22); 2 -> w along -J12; 3 -> h along -J21; 4 -> w along -J22;
-    5 -> the coupled pair (-J21, -J12).
-    """
-    s = np.asarray(s, dtype=np.float64)
-    idx = int(np.argmax(s))
-    if np.all(s == 0.0):
-        dh, dw = _deltas(gs, cfg, None, None)
-        return UpdateDecision(dh, dw, chosen_index=idx)
-    actions: dict[int, tuple[np.ndarray | None, np.ndarray | None]] = {
-        0: (gs.J11, None),
-        1: (gs.J11, gs.J22),
-        2: (None, gs.J12),
-        3: (gs.J21, None),
-        4: (None, gs.J22),
-        5: (gs.J21, gs.J12),
-    }
-    dh, dw = _deltas(gs, cfg, *actions[idx])
-    return UpdateDecision(dh, dw, chosen_index=idx)
-
-
-def hard_route_jplus(s: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:
-    """Argmax over the 15 components; chosen_index is 1-based to match
-    the action-table numbering.
-
-    Components 10-13 pair a primary direction with the other group's
-    summed direction scaled down by beta_aux.  14/15 duplicate 7/8 by
-    construction and share their actions.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    idx = int(np.argmax(s)) + 1
-    if np.all(s == 0.0):
-        dh, dw = _deltas(gs, cfg, None, None)
-        return UpdateDecision(dh, dw, chosen_index=idx)
-    sum_h = gs.J11 + gs.J21
-    sum_w = gs.J12 + gs.J22
-    beta = cfg.beta_aux
-    actions: dict[int, tuple[np.ndarray | None, np.ndarray | None]] = {
-        1: (gs.J11, None),
-        2: (None, gs.J12),
-        3: (gs.J21, None),
-        4: (None, gs.J22),
-        5: (gs.J11, gs.J22),
-        6: (gs.J21, gs.J12),
-        7: (sum_h, None),
-        8: (None, sum_w),
-        9: (sum_h, sum_w),
-        10: (gs.J11, beta * sum_w),
-        11: (gs.J21, beta * sum_w),
-        12: (beta * sum_h, gs.J12),
-        13: (beta * sum_h, gs.J22),
-        14: (sum_h, None),
-        15: (None, sum_w),
-    }
-    dh, dw = _deltas(gs, cfg, *actions[idx])
-    return UpdateDecision(dh, dw, chosen_index=idx)
+_ZERO = ((0.0, 0.0), (0.0, 0.0))
 
 
 def contrast_weights(alpha_tilde: np.ndarray, gamma: float, normalize: bool = True) -> np.ndarray:
@@ -187,49 +141,58 @@ def soft_weights(s: np.ndarray, cfg: StrategyConfig) -> np.ndarray:
     return contrast_weights(e / e.sum(), cfg.gamma)
 
 
-def soft_update(alpha: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:
-    """Blend the four blocks with the slot weights.
-
-    delta_h = -eta_h (alpha_0 J11 + alpha_3 J21); delta_w = -eta_w
-    (alpha_2 J12 + alpha_4 J22).  The alignment weights alpha_1 and
-    alpha_5 drive no direction.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    dh = -cfg.eta_h * (alpha[0] * gs.J11 + alpha[3] * gs.J21)
-    dw = -cfg.eta_w * (alpha[2] * gs.J12 + alpha[4] * gs.J22)
-    return UpdateDecision(dh, dw, alpha=alpha)
-
-
-def static_baseline(gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:
-    """Fixed roles: h always chases heat, w always chases confidence."""
-    dh, dw = _deltas(gs, cfg, gs.J11, gs.J22)
-    return UpdateDecision(dh, dw)
-
-
-def scalarized_baseline(gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:
-    """Fixed-weight blend of the two objectives on both groups."""
-    l1, l2 = cfg.lam
-    dh, dw = _deltas(gs, cfg, l1 * gs.J11 + l2 * gs.J21, l1 * gs.J12 + l2 * gs.J22)
-    return UpdateDecision(dh, dw)
-
-
-def project_conflicts(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mutual conflict projection of two same-shape gradients.
-
-    Each gradient is projected off the *original* other one, only when
-    their inner product is negative (which implies both norms are
+def _projection(gram: list[list[float]]) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Mutual conflict projection of two same-shape gradients (g1, g2),
+    from their 2x2 Gram: row i gives the projected g_i as a combination
+    of (g1, g2).  Each is projected off the *original* other one, only
+    when their inner product is negative (which implies both norms are
     nonzero, so the divisions are safe)."""
-    f1, f2 = g1.ravel(), g2.ravel()
-    dot = float(f1 @ f2)
+    (n1, dot), (_, n2) = gram
     if dot >= 0.0:
-        return g1, g2
-    g1p = g1 - (dot / float(f2 @ f2)) * g2
-    g2p = g2 - (dot / float(f1 @ f1)) * g1
-    return g1p, g2p
+        return (1.0, 0.0), (0.0, 1.0)
+    return (1.0, -dot / n2), (-dot / n1, 1.0)
 
 
-def gradsurgery_baseline(gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:
-    """Conflict-projected descent, applied per parameter group."""
-    h1, h2 = project_conflicts(gs.J11, gs.J21)
-    w1, w2 = project_conflicts(gs.J12, gs.J22)
-    return UpdateDecision(-cfg.eta_h * (h1 + h2), -cfg.eta_w * (w1 + w2))
+def decide(scores: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> UpdateDecision:
+    """One step of the strategy ``cfg.kind``: its coefficient matrix c
+    applied to the blocks (see the module docstring).
+
+    - hard-j6 / hard-jplus: the action of the argmax score (ties break
+      to the lowest index; all scores zero gives a zero step).
+      ``chosen_index`` is 0-based for j6 and 1-based for j+, matching
+      the slot and action-table numbering.
+    - soft: c = ((alpha_0, alpha_3), (alpha_2, alpha_4)) with alpha the
+      soft weights; the alignment weights alpha_1, alpha_5 drive no
+      direction.
+    - static: fixed roles, h chases heat and w confidence (identity).
+    - scalarized: the fixed blend (lam_1, lam_2) on both groups.
+    - grad-surgery: the sum of the two conflict-projected gradients per
+      group, c = (1 - dot/|g1|^2, 1 - dot/|g2|^2) when dot < 0, else
+      (1, 1), read from the cached Grams.
+
+    The baselines ignore ``scores``.
+    """
+    kind = cfg.kind
+    chosen = alpha = None
+    if kind is StrategyKind.HARD_J6 or kind is StrategyKind.HARD_JPLUS:
+        s = np.asarray(scores, dtype=np.float64)
+        chosen = int(s.argmax())
+        if s[chosen] == 0.0 and not s.any():
+            c = _ZERO
+        else:
+            row = J6_FROM_JPLUS[chosen] if kind is StrategyKind.HARD_J6 else chosen
+            c = [[cfg.beta_aux if x is _BETA else x for x in pair] for pair in _JPLUS_ACTIONS[row]]
+        if kind is StrategyKind.HARD_JPLUS:
+            chosen += 1
+    elif kind is StrategyKind.SOFT:
+        alpha = soft_weights(scores, cfg)
+        c = ((alpha[0], alpha[3]), (alpha[2], alpha[4]))
+    elif kind is StrategyKind.STATIC:
+        c = ((1.0, 0.0), (0.0, 1.0))
+    elif kind is StrategyKind.SCALARIZED:
+        c = (cfg.lam, cfg.lam)
+    else:  # per group, the sum of the two projected gradients: column sums
+        c = [[r0 + r1 for r0, r1 in zip(*_projection(gram))] for gram in gs.grams]
+    delta_h = -cfg.eta_h * (c[0][0] * gs.J11 + c[0][1] * gs.J21)
+    delta_w = -cfg.eta_w * (c[1][0] * gs.J12 + c[1][1] * gs.J22)
+    return UpdateDecision(delta_h, delta_w, chosen_index=chosen, alpha=alpha)

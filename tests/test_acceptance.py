@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import j6opt.model as model_mod
+import j6opt.strategies as strategies_mod
 from j6opt import (
     AlignKind,
     AlignmentMode,
@@ -29,18 +30,15 @@ from j6opt import (
     compute_gradient_set,
     confidence_loss,
     contrast_weights,
+    decide,
     fd_gradient,
     generate,
-    hard_route_j6,
     heat_loss,
     init_perturbations,
     log_softmax,
     logit_gradients,
-    project_conflicts,
     run,
     score_j6,
-    soft_update,
-    soft_weights,
     zero_perturbations,
 )
 from j6opt.cli import main
@@ -167,8 +165,8 @@ def test_criterion_05_soft_hard_limit():
         if top not in (0, 2, 3, 4) or not all(s[top] > s[j] for j in range(6) if j != top):
             continue
         found += 1
-        soft = soft_update(soft_weights(s, soft_cfg), gs, soft_cfg)
-        hard = hard_route_j6(s, gs, hard_cfg)
+        soft = decide(s, gs, soft_cfg)
+        hard = decide(s, gs, hard_cfg)
         num = np.linalg.norm(soft.delta_h - hard.delta_h) + np.linalg.norm(
             soft.delta_w - hard.delta_w
         )
@@ -194,12 +192,19 @@ def test_criterion_06_cauchy_schwarz_routing():
             rng.normal(size=d), rng.normal(size=d), rng.normal(size=d), rng.normal(size=d)
         )
         s = score_j6(gs, DIRECT_RAW, instance, pert)
-        chosen = hard_route_j6(s, gs, cfg).chosen_index
+        chosen = decide(s, gs, cfg).chosen_index
         ok &= chosen not in (1, 5)
         for c in (0.5, 2.0, 4.0):
             s_scaled = score_j6(gs.scaled(c), DIRECT_RAW, instance, pert)
-            ok &= hard_route_j6(s_scaled, gs.scaled(c), cfg).chosen_index == chosen
+            ok &= decide(s_scaled, gs.scaled(c), cfg).chosen_index == chosen
     _report(6, ok, "no alignment slot selected and argmax scale-invariant on 1000 draws")
+
+
+def _projected(g1, g2):
+    """Both conflict-projected gradients, formed from the projection
+    rows the grad-surgery strategy reads off the blocks' Gram."""
+    (a, b), (c, d) = strategies_mod._projection(GradientSet(g1, g1, g2, g2).grams[0])
+    return a * g1 + b * g2, c * g1 + d * g2
 
 
 def test_criterion_07_gradient_surgery_invariant():
@@ -211,10 +216,13 @@ def test_criterion_07_gradient_surgery_invariant():
     for _ in range(1000):
         dim = int(rng.integers(2, 9))
         g1, g2 = rng.normal(size=dim), rng.normal(size=dim)
-        g1p, g2p = project_conflicts(g1, g2)
+        g1p, g2p = _projected(g1, g2)
         worst = min(worst, float(g1p @ g2), float(g2p @ g1))
-    g1p, g2p = project_conflicts(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-    anti_zero = not g1p.any() and not g2p.any()
+    g1, g2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+    g1p, g2p = _projected(g1, g2)
+    step = decide(np.zeros(6), GradientSet(g1, g1, g2, g2),
+                  StrategyConfig(kind=StrategyKind.GRAD_SURGERY))
+    anti_zero = not (g1p.any() or g2p.any() or step.delta_h.any() or step.delta_w.any())
     _report(
         7,
         worst >= -1e-10 and anti_zero,

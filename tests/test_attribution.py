@@ -11,6 +11,9 @@ from j6opt import (
     AlignScale,
     GeneratorSpec,
     GradientSet,
+    J6_FROM_JPLUS,
+    J6_LABELS,
+    JPLUS_LABELS,
     ObjectiveKind,
     Perturbations,
     ProblemInstance,
@@ -354,6 +357,37 @@ class TestScoreJPlus:
         np.testing.assert_array_equal(
             score_jplus(gs.scaled(2.0), PUSH_RAW, instance, pert), 4.0 * s
         )
+
+
+class TestSingleTokenTies:
+    """With T=1 under pushforward on FULL_MATRIX the cross matrix is
+    symmetric in exact arithmetic, so these score pairs must tie exactly
+    and the lowest-index rule, not rounding, decides between them."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(2, 12),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_symmetric_pairs_bit_equal(self, V, d, seed, scale):
+        instance = generate(GeneratorSpec(V=V, d=d, T=1, seed=seed))
+        pert = init_perturbations(instance, init_scale=scale, seed=seed)
+        gs = compute_gradient_set(instance, pert)
+        s15 = score_jplus(gs, PUSH_RAW, instance, pert)
+        for a, b in ((5, 6), (10, 12), (11, 13)):
+            assert s15[a - 1] == s15[b - 1], (a, b)
+        s6 = score_j6(gs, PUSH_RAW, instance, pert)
+        assert s6[1] == s6[5]
+
+    def test_slot_map_reads_j6_from_jplus(self, make_point):
+        assert [JPLUS_LABELS[i] for i in J6_FROM_JPLUS] == list(J6_LABELS)
+        instance, pert = make_point(seed=4, w_mode=WMode.SINGLE_ROW)
+        gs = compute_gradient_set(instance, pert)
+        s15 = score_jplus(gs, DIRECT_RAW, instance, pert)
+        s6 = score_j6(gs, DIRECT_RAW, instance, pert)
+        np.testing.assert_array_equal(s6, s15[list(J6_FROM_JPLUS)])
 
 
 class TestGradientSetValidation:

@@ -9,6 +9,7 @@ import j6opt.optimizer
 from j6opt import (
     AlignKind,
     AlignmentMode,
+    GeneratorSpec,
     NonFiniteLossError,
     ProblemInstance,
     RunConfig,
@@ -16,6 +17,7 @@ from j6opt import (
     StrategyConfig,
     StrategyKind,
     WMode,
+    generate,
     init_perturbations,
     run,
     stop_check,
@@ -189,6 +191,16 @@ class TestRun:
             result = run(instance, StrategyConfig(kind=kind), RunConfig(max_steps=3, grad_tol=0.0))
             assert len(result.trace) == 3
             assert len(calls) == 4, kind
+
+    def test_single_token_tie_goes_to_lowest_component(self):
+        # Components 10 and 12 tie exactly at step 1 of this run (T=1,
+        # pushforward, full_matrix); the lowest index wins.
+        instance = generate(GeneratorSpec(V=6, d=4, T=1, seed=3))
+        cfg = StrategyConfig(kind=StrategyKind.HARD_JPLUS, eta_h=0.05, eta_w=0.05)
+        result = run(instance, cfg, RunConfig(max_steps=100))
+        s = result.trace[1].scores
+        assert s[9] == s[11] == s.max()
+        assert result.trace[1].chosen_index == 10
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_loss_aborts_with_step(self, make_instance):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import j6opt.model
+import j6opt.probgen as probgen
 from j6opt import (
     Family,
     GeneratorSpec,
@@ -59,6 +61,30 @@ class TestConflictingFamily:
             logits = compute_logits(instance, zero_perturbations(instance))
             for t in range(instance.T):
                 assert int(instance.y[t]) != int(np.argmax(logits[t]))
+
+
+    def test_one_forward_pass_per_draw(self, monkeypatch):
+        # the argmax test and the certificate share one forward pass
+        draws, passes = [], []
+
+        def counting(fn, calls):
+            def wrapped(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(probgen, "_draw", counting(probgen._draw, draws))
+        for name in ("forward", "compute_logits"):
+            monkeypatch.setattr(
+                probgen, name, counting(getattr(j6opt.model, name), passes), raising=False
+            )
+        for seed in range(5):
+            draws.clear()
+            passes.clear()
+            generate(GeneratorSpec(V=6, d=4, T=2, seed=seed, family=Family.CONFLICTING))
+            assert len(draws) > 1
+            assert len(passes) == len(draws)
 
 
 class TestRoleSwapFamily:

@@ -1,22 +1,21 @@
-"""Hard routing, soft weighting, the contrast step, and the baselines."""
+"""Hard routing, soft weighting, the contrast step, and the baselines,
+all through the one step function ``decide``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import j6opt.strategies as strategies_mod
 from j6opt import (
+    J6_FROM_JPLUS,
     GradientSet,
     PreNorm,
     StrategyConfig,
     StrategyKind,
     contrast_weights,
-    gradsurgery_baseline,
-    hard_route_j6,
-    hard_route_jplus,
-    project_conflicts,
-    scalarized_baseline,
-    soft_update,
+    decide,
     soft_weights,
-    static_baseline,
 )
 
 ETA = 0.1
@@ -36,6 +35,19 @@ def cfg(kind=StrategyKind.HARD_J6, **kw):
     kw.setdefault("eta_h", ETA)
     kw.setdefault("eta_w", ETA)
     return StrategyConfig(kind=kind, **kw)
+
+
+def one_hot(n, index):
+    s = np.zeros(n)
+    s[index] = 1.0
+    return s
+
+
+def projected(g1, g2):
+    """The two conflict-projected gradients, through the projection the
+    grad-surgery strategy runs (rows over (g1, g2), from their Gram)."""
+    (a, b), (c, d) = strategies_mod._projection(GradientSet(g1, g1, g2, g2).grams[0])
+    return a * g1 + b * g2, c * g1 + d * g2
 
 
 class TestStrategyConfigValidation:
@@ -59,18 +71,18 @@ class TestStrategyConfigValidation:
 
 class TestHardRouteJ6:
     def test_handpicked_scores(self, gs):
-        decision = hard_route_j6(np.array([1.0, 0.0, 2.0, 4.0, 4.0, 2.0]), gs, cfg())
+        decision = decide(np.array([1.0, 0.0, 2.0, 4.0, 4.0, 2.0]), gs, cfg())
         assert decision.chosen_index == 3
         np.testing.assert_allclose(decision.delta_h, -ETA * np.array([2.0, 0.0]))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_tie_breaks_to_lowest_index(self, gs):
-        decision = hard_route_j6(np.array([5.0, 0.0, 5.0, 1.0, 1.0, 0.0]), gs, cfg())
+        decision = decide(np.array([5.0, 0.0, 5.0, 1.0, 1.0, 0.0]), gs, cfg())
         assert decision.chosen_index == 0
 
     def test_zero_gradients_give_zero_deltas(self):
         zeros = GradientSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
-        decision = hard_route_j6(np.zeros(6), zeros, cfg())
+        decision = decide(np.zeros(6), zeros, cfg())
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
@@ -86,9 +98,7 @@ class TestHardRouteJ6:
         ],
     )
     def test_action_map(self, gs, index, h_block, w_block):
-        scores = np.zeros(6)
-        scores[index] = 1.0
-        decision = hard_route_j6(scores, gs, cfg())
+        decision = decide(one_hot(6, index), gs, cfg())
         expected_h = -ETA * getattr(gs, h_block) if h_block else np.zeros(2)
         expected_w = -ETA * getattr(gs, w_block) if w_block else np.zeros(2)
         np.testing.assert_allclose(decision.delta_h, expected_h)
@@ -96,38 +106,45 @@ class TestHardRouteJ6:
 
     def test_deterministic(self, gs):
         scores = np.array([0.3, 0.3, 0.3, 0.1, 0.1, 0.3])
-        picks = {hard_route_j6(scores, gs, cfg()).chosen_index for _ in range(5)}
+        picks = {decide(scores, gs, cfg()).chosen_index for _ in range(5)}
         assert picks == {0}
+
+    def test_actions_are_jplus_actions_at_the_slot_map(self, gs):
+        """Slot k routes exactly like j+ component J6_FROM_JPLUS[k] + 1."""
+        assert sorted(J6_FROM_JPLUS) == list(range(6))
+        for slot, row in enumerate(J6_FROM_JPLUS):
+            j6 = decide(one_hot(6, slot), gs, cfg())
+            jplus = decide(one_hot(15, row), gs, cfg(StrategyKind.HARD_JPLUS))
+            assert jplus.chosen_index == row + 1
+            np.testing.assert_array_equal(j6.delta_h, jplus.delta_h)
+            np.testing.assert_array_equal(j6.delta_w, jplus.delta_w)
 
 
 class TestHardRouteJPlus:
     def test_zero_gradients(self):
         zeros = GradientSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
-        decision = hard_route_jplus(np.zeros(15), zeros, cfg(StrategyKind.HARD_JPLUS))
+        decision = decide(np.zeros(15), zeros, cfg(StrategyKind.HARD_JPLUS))
         assert decision.chosen_index == 1
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_cross_alignment_action_updates_both(self, gs):
-        scores = np.zeros(15)
-        scores[4] = 1.0  # component 5: the (h->heat, w->conf) coupling
-        decision = hard_route_jplus(scores, gs, cfg(StrategyKind.HARD_JPLUS))
+        # component 5: the (h->heat, w->conf) coupling
+        decision = decide(one_hot(15, 4), gs, cfg(StrategyKind.HARD_JPLUS))
         assert decision.chosen_index == 5
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_allclose(decision.delta_w, -ETA * gs.J22)
 
     def test_prioritize_with_auxiliary_group(self, gs):
-        scores = np.zeros(15)
-        scores[9] = 1.0  # component 10: h leads on heat, w assists at beta
-        decision = hard_route_jplus(scores, gs, cfg(StrategyKind.HARD_JPLUS, beta_aux=0.5))
+        # component 10: h leads on heat, w assists at beta
+        decision = decide(one_hot(15, 9), gs, cfg(StrategyKind.HARD_JPLUS, beta_aux=0.5))
         assert decision.chosen_index == 10
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_allclose(decision.delta_w, -ETA * 0.5 * (gs.J12 + gs.J22))
 
     def test_auxiliary_h_side(self, gs):
-        scores = np.zeros(15)
-        scores[12] = 1.0  # component 13: w leads on conf, h assists at beta
-        decision = hard_route_jplus(scores, gs, cfg(StrategyKind.HARD_JPLUS, beta_aux=0.25))
+        # component 13: w leads on conf, h assists at beta
+        decision = decide(one_hot(15, 12), gs, cfg(StrategyKind.HARD_JPLUS, beta_aux=0.25))
         assert decision.chosen_index == 13
         np.testing.assert_allclose(decision.delta_h, -ETA * 0.25 * (gs.J11 + gs.J21))
         np.testing.assert_allclose(decision.delta_w, -ETA * gs.J22)
@@ -135,11 +152,8 @@ class TestHardRouteJPlus:
     def test_duplicate_components_share_actions(self, gs):
         # 14 duplicates 7 and 15 duplicates 8 by construction
         for a, b in ((7, 14), (8, 15)):
-            sa, sb = np.zeros(15), np.zeros(15)
-            sa[a - 1] = 1.0
-            sb[b - 1] = 1.0
-            da = hard_route_jplus(sa, gs, cfg(StrategyKind.HARD_JPLUS))
-            db = hard_route_jplus(sb, gs, cfg(StrategyKind.HARD_JPLUS))
+            da = decide(one_hot(15, a - 1), gs, cfg(StrategyKind.HARD_JPLUS))
+            db = decide(one_hot(15, b - 1), gs, cfg(StrategyKind.HARD_JPLUS))
             np.testing.assert_array_equal(da.delta_h, db.delta_h)
             np.testing.assert_array_equal(da.delta_w, db.delta_w)
 
@@ -205,21 +219,23 @@ class TestSoftWeights:
 
 class TestSoftUpdate:
     def test_degenerate_weights_recover_single_direction(self, gs):
-        decision = soft_update(np.array([1.0, 0, 0, 0, 0, 0]), gs, cfg(StrategyKind.SOFT))
+        # at tau=1e-3 a unit score gap underflows the other weights to 0
+        decision = decide(one_hot(6, 0), gs, cfg(StrategyKind.SOFT, tau=1e-3))
+        np.testing.assert_array_equal(decision.alpha, one_hot(6, 0))
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_uniform_weights_blend_linearly(self, gs):
-        decision = soft_update(np.full(6, 1.0 / 6.0), gs, cfg(StrategyKind.SOFT))
+        decision = decide(np.full(6, 0.7), gs, cfg(StrategyKind.SOFT))
+        np.testing.assert_allclose(decision.alpha, np.full(6, 1.0 / 6.0), rtol=1e-14)
         np.testing.assert_allclose(decision.delta_h, -ETA * (gs.J11 + gs.J21) / 6.0)
         np.testing.assert_allclose(decision.delta_w, -ETA * (gs.J12 + gs.J22) / 6.0)
 
     def test_cold_limit_matches_hard_action(self, gs):
         # strict max at slot 4 (w -> confidence)
         s = np.array([0.1, 0.0, 0.2, 0.15, 0.9, 0.05])
-        c = cfg(StrategyKind.SOFT, tau=1e-3)
-        soft = soft_update(soft_weights(s, c), gs, c)
-        hard = hard_route_j6(s, gs, cfg())
+        soft = decide(s, gs, cfg(StrategyKind.SOFT, tau=1e-3))
+        hard = decide(s, gs, cfg())
         num = np.linalg.norm(soft.delta_h - hard.delta_h) + np.linalg.norm(
             soft.delta_w - hard.delta_w
         )
@@ -229,7 +245,8 @@ class TestSoftUpdate:
 
 class TestStaticBaseline:
     def test_fixed_roles(self, gs):
-        decision = static_baseline(gs, cfg(StrategyKind.STATIC))
+        decision = decide(np.zeros(6), gs, cfg(StrategyKind.STATIC))
+        assert decision.chosen_index is None and decision.alpha is None
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_allclose(decision.delta_w, -ETA * gs.J22)
 
@@ -237,47 +254,55 @@ class TestStaticBaseline:
         gs = GradientSet(
             J11=np.zeros(2), J12=np.array([5.0, 5.0]), J21=np.zeros(2), J22=np.zeros(2)
         )
-        decision = static_baseline(gs, cfg(StrategyKind.STATIC))
+        decision = decide(np.ones(6), gs, cfg(StrategyKind.STATIC))
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_equals_hard_route_when_coupling_slot_wins(self, gs):
-        hard = hard_route_j6(np.array([0.0, 9.0, 0.0, 0.0, 0.0, 0.0]), gs, cfg())
-        static = static_baseline(gs, cfg(StrategyKind.STATIC))
+        s = np.array([0.0, 9.0, 0.0, 0.0, 0.0, 0.0])
+        hard = decide(s, gs, cfg())
+        static = decide(s, gs, cfg(StrategyKind.STATIC))
         np.testing.assert_array_equal(hard.delta_h, static.delta_h)
         np.testing.assert_array_equal(hard.delta_w, static.delta_w)
 
 
 class TestScalarizedBaseline:
     def test_pure_heat(self, gs):
-        decision = scalarized_baseline(gs, cfg(StrategyKind.SCALARIZED, lam=(1.0, 0.0)))
+        decision = decide(np.zeros(6), gs, cfg(StrategyKind.SCALARIZED, lam=(1.0, 0.0)))
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_allclose(decision.delta_w, -ETA * gs.J12)
 
     def test_even_blend_matches_uniform_soft_up_to_scale(self, gs):
-        scal = scalarized_baseline(gs, cfg(StrategyKind.SCALARIZED, lam=(0.5, 0.5)))
-        soft = soft_update(np.full(6, 1.0 / 6.0), gs, cfg(StrategyKind.SOFT))
+        scal = decide(np.zeros(6), gs, cfg(StrategyKind.SCALARIZED, lam=(0.5, 0.5)))
+        soft = decide(np.full(6, 0.7), gs, cfg(StrategyKind.SOFT))
         np.testing.assert_allclose(scal.delta_h, 3.0 * soft.delta_h)
         np.testing.assert_allclose(scal.delta_w, 3.0 * soft.delta_w)
 
     def test_zero_gradients(self):
         zeros = GradientSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
-        decision = scalarized_baseline(zeros, cfg(StrategyKind.SCALARIZED))
+        decision = decide(np.zeros(6), zeros, cfg(StrategyKind.SCALARIZED))
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
 
 class TestGradSurgery:
     def test_antiparallel_gradients_cancel(self):
-        g1p, g2p = project_conflicts(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+        g1p, g2p = projected(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         np.testing.assert_array_equal(g1p, np.zeros(2))
         np.testing.assert_array_equal(g2p, np.zeros(2))
+        anti = GradientSet(
+            J11=np.array([1.0, 0.0]), J12=np.array([0.0, 3.0]),
+            J21=np.array([-1.0, 0.0]), J22=np.array([0.0, -3.0]),
+        )
+        decision = decide(np.zeros(6), anti, cfg(StrategyKind.GRAD_SURGERY))
+        np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
+        np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_no_conflict_is_scalarized_at_double_scale(self, gs):
         # every group pair here has a non-negative inner product
         assert float(gs.J11 @ gs.J21) >= 0 and float(gs.J12 @ gs.J22) >= 0
-        surgery = gradsurgery_baseline(gs, cfg(StrategyKind.GRAD_SURGERY))
-        scal = scalarized_baseline(gs, cfg(StrategyKind.SCALARIZED, lam=(0.5, 0.5)))
+        surgery = decide(np.zeros(6), gs, cfg(StrategyKind.GRAD_SURGERY))
+        scal = decide(np.zeros(6), gs, cfg(StrategyKind.SCALARIZED, lam=(0.5, 0.5)))
         np.testing.assert_allclose(surgery.delta_h, 2.0 * scal.delta_h)
         np.testing.assert_allclose(surgery.delta_w, 2.0 * scal.delta_w)
 
@@ -286,12 +311,146 @@ class TestGradSurgery:
         for _ in range(1000):
             dim = int(rng.integers(2, 8))
             g1, g2 = rng.normal(size=dim), rng.normal(size=dim)
-            g1p, g2p = project_conflicts(g1, g2)
+            g1p, g2p = projected(g1, g2)
             assert float(g1p @ g2) >= -1e-10
             assert float(g2p @ g1) >= -1e-10
+            # the step is the sum of the two projected gradients
+            decision = decide(np.zeros(6), GradientSet(g1, g1, g2, g2),
+                              cfg(StrategyKind.GRAD_SURGERY))
+            np.testing.assert_allclose(decision.delta_h, -ETA * (g1p + g2p),
+                                       rtol=1e-12, atol=1e-15)
 
     def test_zero_co_gradient_passes_through(self):
         g1, g2 = np.array([3.0, 1.0]), np.zeros(2)
-        g1p, g2p = project_conflicts(g1, g2)
+        g1p, g2p = projected(g1, g2)
         np.testing.assert_array_equal(g1p, g1)
         np.testing.assert_array_equal(g2p, g2)
+
+
+# -- decide against the per-strategy formulas it replaced ---------------------
+
+
+def _reference(scores, gs, c):
+    """The per-strategy step functions ``decide`` replaced, written out:
+    hand-written action dicts, block sums, and the explicit mutual
+    projection.  Returns (delta_h, delta_w, chosen_index, alpha)."""
+
+    def deltas(h_dir, w_dir):
+        dh = -c.eta_h * h_dir if h_dir is not None else np.zeros_like(gs.J11)
+        dw = -c.eta_w * w_dir if w_dir is not None else np.zeros_like(gs.J12)
+        return dh, dw
+
+    def project(g1, g2):
+        f1, f2 = g1.ravel(), g2.ravel()
+        dot = float(f1 @ f2)
+        if dot >= 0.0:
+            return g1, g2
+        return g1 - (dot / float(f2 @ f2)) * g2, g2 - (dot / float(f1 @ f1)) * g1
+
+    kind = c.kind
+    if kind in (StrategyKind.HARD_J6, StrategyKind.HARD_JPLUS):
+        s = np.asarray(scores, dtype=np.float64)
+        jplus = kind is StrategyKind.HARD_JPLUS
+        idx = int(np.argmax(s)) + jplus
+        if np.all(s == 0.0):
+            return (*deltas(None, None), idx, None)
+        if not jplus:
+            actions = {
+                0: (gs.J11, None), 1: (gs.J11, gs.J22), 2: (None, gs.J12),
+                3: (gs.J21, None), 4: (None, gs.J22), 5: (gs.J21, gs.J12),
+            }
+        else:
+            sum_h, sum_w, beta = gs.J11 + gs.J21, gs.J12 + gs.J22, c.beta_aux
+            actions = {
+                1: (gs.J11, None), 2: (None, gs.J12), 3: (gs.J21, None), 4: (None, gs.J22),
+                5: (gs.J11, gs.J22), 6: (gs.J21, gs.J12), 7: (sum_h, None),
+                8: (None, sum_w), 9: (sum_h, sum_w), 10: (gs.J11, beta * sum_w),
+                11: (gs.J21, beta * sum_w), 12: (beta * sum_h, gs.J12),
+                13: (beta * sum_h, gs.J22), 14: (sum_h, None), 15: (None, sum_w),
+            }
+        return (*deltas(*actions[idx]), idx, None)
+    if kind is StrategyKind.SOFT:
+        a = soft_weights(scores, c)
+        dh = -c.eta_h * (a[0] * gs.J11 + a[3] * gs.J21)
+        dw = -c.eta_w * (a[2] * gs.J12 + a[4] * gs.J22)
+        return dh, dw, None, a
+    if kind is StrategyKind.STATIC:
+        return (*deltas(gs.J11, gs.J22), None, None)
+    if kind is StrategyKind.SCALARIZED:
+        l1, l2 = c.lam
+        return (*deltas(l1 * gs.J11 + l2 * gs.J21, l1 * gs.J12 + l2 * gs.J22), None, None)
+    h1, h2 = project(gs.J11, gs.J21)
+    w1, w2 = project(gs.J12, gs.J22)
+    return -c.eta_h * (h1 + h2), -c.eta_w * (w1 + w2), None, None
+
+
+_DYADIC_BETAS = (0.0, 0.125, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def _decision_cases(draw):
+    kind = draw(st.sampled_from(list(StrategyKind)))
+    d = draw(st.integers(1, 6))
+    V = draw(st.integers(2, 6))
+    w_shape = draw(st.sampled_from([(d,), (V, d)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for shape in ((d,), w_shape, (d,), w_shape):
+        zero = draw(st.booleans()) and draw(st.booleans())
+        blocks.append(np.zeros(shape) if zero else rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3))
+    # The second h and w blocks are sometimes a multiple of the first,
+    # so exactly (anti)parallel pairs are covered too.
+    if draw(st.booleans()):
+        blocks[2] = draw(st.sampled_from([-2.0, -1.0, 0.5])) * blocks[0]
+    n = 15 if kind is StrategyKind.HARD_JPLUS else 6
+    # all zero (the hard routes' zero step), small integers (ties), or spread
+    score_kind = draw(st.sampled_from(["zero", "ties", "spread"]))
+    if score_kind == "zero":
+        scores = np.zeros(n)
+    elif score_kind == "ties":
+        scores = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
+    else:
+        scores = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    dyadic = draw(st.booleans())
+    beta = draw(st.sampled_from(_DYADIC_BETAS)) if dyadic else draw(st.floats(0.0, 1.0))
+    l1 = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3, 0.7]))
+    c = StrategyConfig(
+        kind=kind,
+        tau=draw(st.floats(1e-3, 10.0)),
+        gamma=draw(st.floats(1.5, 5.0)),
+        eta_h=draw(st.floats(1e-3, 1.0)),
+        eta_w=draw(st.floats(1e-3, 1.0)),
+        beta_aux=beta,
+        lam=(l1, 1.0 - l1),
+        pre_norm=draw(st.sampled_from(list(PreNorm))),
+    )
+    return scores, GradientSet(blocks[0], blocks[1], blocks[2], blocks[3]), c
+
+
+class TestDecideMatchesPerStrategyFormulas:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_decision_cases())
+    def test_matches_reference(self, case):
+        """Bit-equal wherever every coefficient is 0/1, a soft weight, a
+        lam entry or a power-of-two beta; within rtol 1e-14 of the terms
+        summed for grad-surgery and for any other beta."""
+        scores, gs, c = case
+        got = decide(scores, gs, c)
+        dh, dw, chosen, alpha = _reference(scores, gs, c)
+        assert got.chosen_index == chosen
+        if alpha is None:
+            assert got.alpha is None
+        else:
+            np.testing.assert_array_equal(got.alpha, alpha)
+        exact = c.kind is not StrategyKind.GRAD_SURGERY and (
+            c.kind is not StrategyKind.HARD_JPLUS or c.beta_aux in _DYADIC_BETAS
+        )
+        for new, ref, eta, pair in (
+            (got.delta_h, dh, c.eta_h, (gs.J11, gs.J21)),
+            (got.delta_w, dw, c.eta_w, (gs.J12, gs.J22)),
+        ):
+            if exact:
+                np.testing.assert_array_equal(new, ref)
+            else:
+                scale = eta * float(np.abs(pair[0]).max() + np.abs(pair[1]).max())
+                np.testing.assert_allclose(new, ref, rtol=1e-14, atol=1e-14 * scale)
