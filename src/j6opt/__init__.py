@@ -10,26 +10,22 @@ from .attribution import (
     J6_LABELS,
     JPLUS_LABELS,
     compute_gradient_set,
-    default_alignment,
+    resolve_alignment,
     score_j6,
     score_jplus,
 )
 from .probgen import Family, GeneratorSpec, conflict_certificate, generate, roleswap_certificate
 from .model import (
     Forward,
-    ObjectiveKind,
     ObjectivePair,
     Perturbations,
     ProblemInstance,
     WMode,
-    compute_logits,
-    confidence_loss,
     fd_gradient,
     forward,
-    heat_loss,
     log_softmax,
     logit_gradients,
-    objectives,
+    losses,
     pullback,
     set_validation,
     zero_perturbations,

@@ -42,7 +42,7 @@ __all__ = [
     "AlignScale",
     "AlignmentMode",
     "GradientSet",
-    "default_alignment",
+    "resolve_alignment",
     "compute_gradient_set",
     "score_j6",
     "score_jplus",
@@ -90,6 +90,7 @@ J6_FROM_JPLUS = (0, 4, 1, 2, 3, 5)
 
 
 class AlignKind(str, Enum):
+    AUTO = "auto"  # per w_mode, see resolve_alignment
     DIRECT = "direct"
     PUSHFORWARD = "pushforward"
 
@@ -103,16 +104,24 @@ class AlignScale(str, Enum):
 class AlignmentMode:
     """How cross-shape inner products are taken and scaled."""
 
-    kind: AlignKind = AlignKind.DIRECT
+    kind: AlignKind = AlignKind.AUTO
     scale: AlignScale = AlignScale.RAW
 
 
-def default_alignment(w_mode: WMode) -> AlignmentMode:
-    """Pushforward for FULL_MATRIX (h and w shapes differ there), direct
-    otherwise (w is h-shaped in SINGLE_ROW and BROADCAST modes)."""
-    if WMode(w_mode) is WMode.FULL_MATRIX:
-        return AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.RAW)
-    return AlignmentMode(AlignKind.DIRECT, AlignScale.RAW)
+def resolve_alignment(mode: AlignmentMode, w_mode: WMode) -> AlignmentMode:
+    """The alignment that runs on a w_mode.  AUTO becomes pushforward for
+    FULL_MATRIX (h and w shapes differ there) and direct otherwise (w is
+    h-shaped in SINGLE_ROW and BROADCAST modes); direct on FULL_MATRIX
+    is rejected."""
+    full = WMode(w_mode) is WMode.FULL_MATRIX
+    if mode.kind is AlignKind.AUTO:
+        return AlignmentMode(AlignKind.PUSHFORWARD if full else AlignKind.DIRECT, mode.scale)
+    if mode.kind is AlignKind.DIRECT and full:
+        raise ValueError(
+            "direct alignment is incompatible with full_matrix instances "
+            "(h and w shapes differ); use pushforward"
+        )
+    return mode
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +145,6 @@ class GradientSet:
         for block in (self.J11, self.J12, self.J21, self.J22):
             if not np.isfinite(block).all():
                 raise ValueError("gradient blocks must be finite")
-
-    def scaled(self, c: float) -> "GradientSet":
-        return GradientSet(self.J11 * c, self.J12 * c, self.J21 * c, self.J22 * c)
 
     @cached_property
     def grams(self) -> tuple[list[list[float]], list[list[float]]]:
@@ -231,9 +237,12 @@ def score_jplus(
     are always native and never scaled.  Under COSINE the consistency
     products (7, 8) divide by native norms and the cross products
     (5, 6, 9-13) by the operand norms in alignment space; a zero norm
-    gives 0.  ``at`` is the point's perturbations, or a forward pass
-    already taken there; only PUSHFORWARD reads it.
+    gives 0.  AUTO is resolved per the instance (``resolve_alignment``).
+    ``at`` is the point's perturbations, or a forward pass already taken
+    there; only PUSHFORWARD reads it.
     """
+    if mode.kind is AlignKind.AUTO:
+        mode = resolve_alignment(mode, instance.w_mode)
     h, w = (gs.J11, gs.J21), (gs.J12, gs.J22)
     cosine = mode.scale is AlignScale.COSINE
     gram_h, gram_w = gs.grams

@@ -2,7 +2,8 @@
 
 Every command is deterministic given its flags; the seed falls back to
 the J6_SEED environment variable, then to 0.  Exit codes: 0 success,
-1 check failure, 2 usage or config error, 3 non-finite loss abort.
+1 check failure, 2 usage or config error, 3 non-finite abort (a loss,
+or the perturbations a diverging update produced).
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ import sys
 
 import numpy as np
 
-from .attribution import (
-    AlignKind,
-    AlignScale,
-    AlignmentMode,
-    compute_gradient_set,
-    default_alignment,
-)
+from .attribution import AlignKind, AlignScale, AlignmentMode, compute_gradient_set
 from .probgen import Family, GeneratorSpec, conflict_certificate, generate, roleswap_certificate
-from .model import ObjectiveKind, ProblemInstance, WMode, fd_gradient
+from .model import ProblemInstance, WMode, fd_gradient
 from .optimizer import NonFiniteLossError, RunConfig, init_perturbations, run
 from .serialize import (
     InstanceFormatError,
@@ -37,14 +32,9 @@ from .serialize import (
 from .strategies import PreNorm, StrategyConfig, StrategyKind
 
 GRADCHECK_TOL = 1e-5
-# Each checked block: its GradientSet attribute, and the loss and the
-# parameter group that fd_gradient differentiates.
-_GRADCHECK_BLOCKS = (
-    ("J11", ObjectiveKind.HEAT, "h"),
-    ("J12", ObjectiveKind.HEAT, "w"),
-    ("J21", ObjectiveKind.CONF, "h"),
-    ("J22", ObjectiveKind.CONF, "w"),
-)
+# Each checked block: its GradientSet attribute, the parameter group
+# fd_gradient differentiates, and the loss's index in its stacked result.
+_GRADCHECK_BLOCKS = (("J11", "h", 0), ("J12", "w", 0), ("J21", "h", 1), ("J22", "w", 1))
 
 _STRATEGY_NAMES = [k.value for k in StrategyKind]
 _SWEEP_PARAMS = {
@@ -90,7 +80,7 @@ def _add_strategy_flags(parser: argparse.ArgumentParser, with_kind: bool) -> Non
     group.add_argument("--pre-norm", choices=[p.value for p in PreNorm], default="none")
     group.add_argument(
         "--align",
-        choices=["auto", "direct", "pushforward"],
+        choices=[k.value for k in AlignKind],
         default="auto",
         help="cross-shape inner product mode (auto: per instance w_mode)",
     )
@@ -106,16 +96,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--init-scale", type=float, default=0.0)
 
 
-def _alignment_from_args(args: argparse.Namespace, instance: ProblemInstance) -> AlignmentMode:
-    scale = AlignScale(args.scale)
-    if args.align == "auto":
-        return AlignmentMode(default_alignment(instance.w_mode).kind, scale)
-    return AlignmentMode(AlignKind(args.align), scale)
-
-
-def _strategy_config(
-    args: argparse.Namespace, instance: ProblemInstance, kind: str | StrategyKind
-) -> StrategyConfig:
+def _strategy_config(args: argparse.Namespace, kind: str | StrategyKind) -> StrategyConfig:
     return StrategyConfig(
         kind=StrategyKind(kind),
         tau=args.tau,
@@ -125,7 +106,7 @@ def _strategy_config(
         beta_aux=args.beta_aux,
         lam=tuple(args.lam),
         pre_norm=PreNorm(args.pre_norm),
-        alignment=_alignment_from_args(args, instance),
+        alignment=AlignmentMode(AlignKind(args.align), AlignScale(args.scale)),
     )
 
 
@@ -161,7 +142,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    cfg = _strategy_config(args, instance, args.strategy)
+    cfg = _strategy_config(args, args.strategy)
     result = run(instance, cfg, _run_config(args))
     if args.trace:
         write_trace(result, args.trace, cfg.kind)
@@ -189,12 +170,13 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for k, instance in enumerate(instances):
         pert = init_perturbations(instance, init_scale=0.3, seed=7 * k + 1)
         gs = compute_gradient_set(instance, pert)
-        for name, objective, which in _GRADCHECK_BLOCKS:
+        stacked = {which: fd_gradient(which, instance, pert, eps=args.eps) for which in "hw"}
+        for name, which, objective in _GRADCHECK_BLOCKS:
             analytic = getattr(gs, name)
             if args.corrupt and name == "J11":
                 analytic = analytic.copy()
                 analytic.flat[0] += args.corrupt
-            fd = fd_gradient(objective, which, instance, pert, eps=args.eps)
+            fd = stacked[which][objective]
             err = float(np.linalg.norm(analytic - fd))
             rel = err / (float(np.linalg.norm(fd)) + 1e-12)
             if rel > blocks[name]:
@@ -223,7 +205,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if name not in _STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {name!r} (choose from {_STRATEGY_NAMES})")
     rcfg = _run_config(args)
-    cfgs = [_strategy_config(args, instance, name) for name in names]
+    cfgs = [_strategy_config(args, name) for name in names]
     results = [run(instance, cfg, rcfg) for cfg in cfgs]
     write_summary(list(zip(names, results)), args.out)
     for name, result in zip(names, results):
@@ -246,7 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--values must be numeric, got {args.values!r}") from None
     attr = _SWEEP_PARAMS[args.param]
     rcfg = _run_config(args)
-    base = _strategy_config(args, instance, args.strategy)
+    base = _strategy_config(args, args.strategy)
     cfgs = [dataclasses.replace(base, **{attr: value}) for value in values]
     results = [run(instance, cfg, rcfg) for cfg in cfgs]
     buf = io.StringIO()

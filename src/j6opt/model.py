@@ -11,12 +11,13 @@ driven down for fidelity) and ``confidence`` (mean negative entropy of
 the softmax, to be driven down for certainty).
 
 One forward pass (``forward``) forms A, B, the logits and one row-wise
-log-softmax, and reads both losses from it.  ``logit_gradients`` turns
-that log-softmax into both losses' logit-space gradients, stacked as
-(2, T, V); ``pullback`` maps stacked logit-space gradients to h and to
-w in one batched product per group.  A central-difference oracle
+log-softmax, and reads both losses from it through ``losses``, the only
+place they are computed.  ``logit_gradients`` turns that log-softmax
+into both losses' logit-space gradients, stacked as (2, T, V);
+``pullback`` maps stacked logit-space gradients to h and to w in one
+batched product per group.  A central-difference oracle
 (``fd_gradient``) checks every analytic gradient through the forward
-pass alone.
+pass alone, both losses stacked like the analytic ones.
 
 All numerics are float64.  Every public function is pure.
 """
@@ -31,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "WMode",
-    "ObjectiveKind",
     "ProblemInstance",
     "Perturbations",
     "ObjectivePair",
@@ -39,12 +39,9 @@ __all__ = [
     "set_validation",
     "w_shape",
     "zero_perturbations",
-    "compute_logits",
     "forward",
     "log_softmax",
-    "heat_loss",
-    "confidence_loss",
-    "objectives",
+    "losses",
     "logit_gradients",
     "pullback",
     "fd_gradient",
@@ -70,11 +67,6 @@ class WMode(str, Enum):
     FULL_MATRIX = "full_matrix"  # w is V x d, added row-wise to W
     SINGLE_ROW = "single_row"    # w is length d, added to row v_star only
     BROADCAST = "broadcast"      # w is length d, added to every row (gradient-dead)
-
-
-class ObjectiveKind(str, Enum):
-    HEAT = "heat"
-    CONF = "conf"
 
 
 def w_shape(V: int, d: int, w_mode: WMode) -> tuple[int, ...]:
@@ -202,31 +194,21 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return logp
 
 
-def _heat(logp: np.ndarray, y: np.ndarray) -> float:
-    loss = float(-logp[np.arange(logp.shape[0]), y].mean())
-    if _validation and np.isfinite(loss):
-        assert loss >= 0.0, "heat loss must be non-negative"
-    return loss
-
-
-def _confidence(logp: np.ndarray) -> float:
+def losses(logp: np.ndarray, y: np.ndarray) -> ObjectivePair:
+    """Both losses from a row-wise log-softmax (T, V), in nats: heat, the
+    mean over positions of -logp[t, y[t]], and confidence, the mean over
+    positions of sum_v p_v log p_v (negative entropy)."""
+    heat = float(-logp[np.arange(logp.shape[0]), y].mean())
     p = np.exp(logp)
     # p underflows to 0 only with logp finite, so p * logp is exactly 0 there.
-    loss = float((p * logp).sum(axis=1).mean())
-    if _validation and np.isfinite(loss):
-        V = logp.shape[1]
-        assert -math.log(V) - BOUNDS_TOL <= loss <= 0.0, "confidence out of [-log V, 0]"
-    return loss
-
-
-def heat_loss(logits: np.ndarray, y: np.ndarray) -> float:
-    """Mean over positions of -log softmax(logits[t])[y[t]], in nats."""
-    return _heat(log_softmax(logits), np.asarray(y, dtype=np.int64))
-
-
-def confidence_loss(logits: np.ndarray) -> float:
-    """Mean over positions of sum_v p_v log p_v (negative entropy, nats)."""
-    return _confidence(log_softmax(logits))
+    conf = float((p * logp).sum(axis=1).mean())
+    if _validation:
+        if np.isfinite(heat):
+            assert heat >= 0.0, "heat loss must be non-negative"
+        if np.isfinite(conf):
+            V = logp.shape[1]
+            assert -math.log(V) - BOUNDS_TOL <= conf <= 0.0, "confidence out of [-log V, 0]"
+    return ObjectivePair(heat, conf)
 
 
 def _factors(instance: ProblemInstance, pert: Perturbations) -> tuple[np.ndarray, np.ndarray]:
@@ -240,23 +222,12 @@ def _factors(instance: ProblemInstance, pert: Perturbations) -> tuple[np.ndarray
     return instance.H + pert.h, B
 
 
-def compute_logits(instance: ProblemInstance, pert: Perturbations) -> np.ndarray:
-    """logits[t, v] = (H[t] + h) . (W[v] + w_row(v)), shape (T, V)."""
-    A, B = _factors(instance, pert)
-    return A @ B.T
-
-
 def forward(instance: ProblemInstance, pert: Perturbations) -> Forward:
     """The logits at (h, w) and both losses, from one log-softmax."""
     A, B = _factors(instance, pert)
     logits = A @ B.T
     logp = log_softmax(logits)
-    return Forward(A, B, logits, logp, ObjectivePair(_heat(logp, instance.y), _confidence(logp)))
-
-
-def objectives(instance: ProblemInstance, pert: Perturbations) -> ObjectivePair:
-    """Both losses at (h, w)."""
-    return forward(instance, pert).objectives
+    return Forward(A, B, logits, logp, losses(logp, instance.y))
 
 
 def logit_gradients(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -306,19 +277,18 @@ def pullback(
 
 
 def fd_gradient(
-    objective: ObjectiveKind,
     which: str,
     instance: ProblemInstance,
     pert: Perturbations,
     eps: float = 1e-5,
 ) -> np.ndarray:
-    """Central finite differences of a loss w.r.t. h or w.
+    """Central finite differences of both losses w.r.t. h or w, stacked
+    (2,) + shape(which): [0] heat, [1] confidence.
 
-    Independent oracle for the analytic blocks: shares the forward pass
-    and the losses, never ``logit_gradients`` or ``pullback``.
+    Independent oracle for the analytic blocks: one ``forward`` per
+    evaluated point, never ``logit_gradients`` or ``pullback``.
 
     Args:
-        objective: which loss to differentiate.
         which: "h" or "w".
         eps: step size; error is O(eps^2) at smooth points.
     """
@@ -326,21 +296,16 @@ def fd_gradient(
         raise ValueError("which must be 'h' or 'w'")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    heat = ObjectiveKind(objective) is ObjectiveKind.HEAT
-
-    def loss(p: Perturbations) -> float:
-        logits = compute_logits(instance, p)
-        return heat_loss(logits, instance.y) if heat else confidence_loss(logits)
-
     base = pert.copy()
     target = base.h if which == "h" else base.w
-    grad = np.zeros_like(target)
+    grad = np.zeros((2,) + target.shape)
     for idx in np.ndindex(target.shape):
         orig = target[idx]
         target[idx] = orig + eps
-        f_plus = loss(base)
+        plus = forward(instance, base).objectives
         target[idx] = orig - eps
-        f_minus = loss(base)
+        minus = forward(instance, base).objectives
         target[idx] = orig
-        grad[idx] = (f_plus - f_minus) / (2.0 * eps)
+        grad[(0,) + idx] = (plus.ob1 - minus.ob1) / (2.0 * eps)
+        grad[(1,) + idx] = (plus.ob2 - minus.ob2) / (2.0 * eps)
     return grad

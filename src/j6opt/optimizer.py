@@ -13,21 +13,12 @@ from enum import Enum
 
 import numpy as np
 
-from .attribution import (
-    AlignKind,
-    AlignmentMode,
-    compute_gradient_set,
-    default_alignment,
-    score_j6,
-    score_jplus,
-)
+from .attribution import compute_gradient_set, resolve_alignment, score_j6, score_jplus
 from .model import (
     ObjectivePair,
     Perturbations,
     ProblemInstance,
-    WMode,
     forward,
-    objectives,
     w_shape,
     zero_perturbations,
 )
@@ -40,7 +31,6 @@ __all__ = [
     "RunResult",
     "NonFiniteLossError",
     "init_perturbations",
-    "resolve_alignment",
     "stop_check",
     "run",
 ]
@@ -53,11 +43,20 @@ class StopReason(str, Enum):
 
 
 class NonFiniteLossError(RuntimeError):
-    """A loss left the finite range mid-run (step index is 0-based)."""
+    """The run left the finite range: a loss, or the perturbations an
+    update produced (step index is 0-based)."""
 
-    def __init__(self, step: int, ob1: float, ob2: float):
-        super().__init__(f"non-finite loss at step {step}: ob1={ob1!r} ob2={ob2!r}")
+    def __init__(self, step: int, message: str):
+        super().__init__(message)
         self.step = step
+
+
+def _finite(obs: ObjectivePair, step: int) -> ObjectivePair:
+    if not (np.isfinite(obs.ob1) and np.isfinite(obs.ob2)):
+        raise NonFiniteLossError(
+            step, f"non-finite loss at step {step}: ob1={obs.ob1!r} ob2={obs.ob2!r}"
+        )
+    return obs
 
 
 @dataclass(frozen=True)
@@ -119,18 +118,6 @@ def init_perturbations(
     return Perturbations(h, w)
 
 
-def resolve_alignment(cfg: StrategyConfig, instance: ProblemInstance) -> AlignmentMode:
-    """Pick the effective alignment; reject direct mode when h and w
-    shapes cannot match (FULL_MATRIX instances)."""
-    amode = cfg.alignment if cfg.alignment is not None else default_alignment(instance.w_mode)
-    if amode.kind is AlignKind.DIRECT and instance.w_mode is WMode.FULL_MATRIX:
-        raise ValueError(
-            "direct alignment is incompatible with full_matrix instances "
-            "(h and w shapes differ); use pushforward"
-        )
-    return amode
-
-
 def stop_check(trace: list[TraceRecord], rcfg: RunConfig) -> StopReason | None:
     """Evaluated after each applied step; precedence GRAD_TOL > LOSS_TOL
     > MAX_STEPS."""
@@ -154,22 +141,25 @@ def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunR
     carry the 6-score vector in their rows for diagnosis even though
     their decisions ignore it.
     """
-    amode = resolve_alignment(cfg, instance)
+    amode = resolve_alignment(cfg.alignment, instance.w_mode)
     pert = init_perturbations(instance, rcfg.init_scale, rcfg.seed)
     trace: list[TraceRecord] = []
     stop = StopReason.MAX_STEPS
     for step in range(rcfg.max_steps):
         fwd = forward(instance, pert)
-        obs = fwd.objectives
-        if not (np.isfinite(obs.ob1) and np.isfinite(obs.ob2)):
-            raise NonFiniteLossError(step, obs.ob1, obs.ob2)
+        obs = _finite(fwd.objectives, step)
         gs = compute_gradient_set(instance, fwd)
         if cfg.kind is StrategyKind.HARD_JPLUS:
             scores = score_jplus(gs, amode, instance, fwd)
         else:
             scores = score_j6(gs, amode, instance, fwd)
         decision = decide(scores, gs, cfg)
-        pert = Perturbations(pert.h + decision.delta_h, pert.w + decision.delta_w)
+        try:
+            pert = Perturbations(pert.h + decision.delta_h, pert.w + decision.delta_w)
+        except ValueError as e:
+            raise NonFiniteLossError(
+                step, f"update at step {step} left the finite range: {e}"
+            ) from None
         n11, n12, n21, n22 = gs.norms()
         trace.append(
             TraceRecord(
@@ -192,7 +182,5 @@ def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunR
         if reason is not None:
             stop = reason
             break
-    final = objectives(instance, pert)
-    if not (np.isfinite(final.ob1) and np.isfinite(final.ob2)):
-        raise NonFiniteLossError(len(trace), final.ob1, final.ob2)
+    final = _finite(forward(instance, pert).objectives, len(trace))
     return RunResult(perturbations=pert, objectives=final, trace=trace, stop_reason=stop)

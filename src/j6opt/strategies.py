@@ -45,10 +45,7 @@ class PreNorm(str, Enum):
 @dataclass(frozen=True)
 class StrategyConfig:
     """Knobs for all strategies; each strategy reads the subset it uses.
-
-    alignment=None means: pick per instance (pushforward for FULL_MATRIX,
-    direct otherwise).
-    """
+    The default alignment kind, AUTO, is resolved per instance."""
 
     kind: StrategyKind
     tau: float = 1.0
@@ -58,7 +55,7 @@ class StrategyConfig:
     beta_aux: float = 0.5
     lam: tuple[float, float] = (0.5, 0.5)
     pre_norm: PreNorm = PreNorm.NONE
-    alignment: AlignmentMode | None = None
+    alignment: AlignmentMode = AlignmentMode()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", StrategyKind(self.kind))
@@ -116,13 +113,11 @@ _JPLUS_ACTIONS = (
 _ZERO = ((0.0, 0.0), (0.0, 0.0))
 
 
-def contrast_weights(alpha_tilde: np.ndarray, gamma: float, normalize: bool = True) -> np.ndarray:
+def contrast_weights(alpha_tilde: np.ndarray, gamma: float) -> np.ndarray:
     """Competitive contrast step: raise each weight to gamma, then
     renormalize (e.g. gamma=2 maps (0.5, 0.3, 0.1, 0.1) to the squares
     (0.25, 0.09, 0.01, 0.01) before the final division by their sum)."""
     powered = np.asarray(alpha_tilde, dtype=np.float64) ** gamma
-    if not normalize:
-        return powered
     return powered / powered.sum()
 
 

@@ -21,22 +21,20 @@ from j6opt import (
     Family,
     GeneratorSpec,
     GradientSet,
-    ObjectiveKind,
     ProblemInstance,
     RunConfig,
     StrategyConfig,
     StrategyKind,
     WMode,
     compute_gradient_set,
-    confidence_loss,
     contrast_weights,
     decide,
     fd_gradient,
     generate,
-    heat_loss,
     init_perturbations,
     log_softmax,
     logit_gradients,
+    losses,
     run,
     score_j6,
     zero_perturbations,
@@ -64,13 +62,9 @@ def test_criterion_01_gradient_oracle_suite():
         instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=1000 + k, w_mode=mode))
         pert = init_perturbations(instance, init_scale=0.3, seed=k)
         gs = compute_gradient_set(instance, pert)
-        for block, objective, which in (
-            (gs.J11, ObjectiveKind.HEAT, "h"),
-            (gs.J12, ObjectiveKind.HEAT, "w"),
-            (gs.J21, ObjectiveKind.CONF, "h"),
-            (gs.J22, ObjectiveKind.CONF, "w"),
-        ):
-            fd = fd_gradient(objective, which, instance, pert, eps=1e-5)
+        fd_h = fd_gradient("h", instance, pert, eps=1e-5)
+        fd_w = fd_gradient("w", instance, pert, eps=1e-5)
+        for block, fd in ((gs.J11, fd_h[0]), (gs.J12, fd_w[0]), (gs.J21, fd_h[1]), (gs.J22, fd_w[1])):
             rel = np.linalg.norm(block - fd) / (np.linalg.norm(fd) + 1e-12)
             worst = max(worst, rel)
     elapsed = time.monotonic() - t0
@@ -107,13 +101,14 @@ def test_criterion_03_zero_sum_and_bounds():
         V = int(rng.integers(2, 9))
         logits = rng.normal(size=(2, V)) * float(rng.uniform(0.5, 6.0))
         y = rng.integers(0, V, size=2)
-        g = logit_gradients(log_softmax(logits), y)
+        logp = log_softmax(logits)
+        g = logit_gradients(logp, y)
         worst_sum = max(worst_sum, float(np.abs(g.sum(axis=2)).max()))
-        ob2 = confidence_loss(logits)
-        entropy = -ob2
+        obs = losses(logp, y)
+        entropy = -obs.ob2
         bounds_ok &= 0.0 <= entropy <= math.log(V) + 1e-12
-        bounds_ok &= -math.log(V) - 1e-12 <= ob2 <= 0.0
-        bounds_ok &= heat_loss(logits, y) >= 0.0
+        bounds_ok &= -math.log(V) - 1e-12 <= obs.ob2 <= 0.0
+        bounds_ok &= obs.ob1 >= 0.0
     _report(
         3,
         worst_sum < 1e-10 and bounds_ok,
@@ -126,20 +121,24 @@ def test_criterion_04_contrast_example():
     0.01, 0.01) and normalizes to (0.69444.., 0.25, 0.02777..,
     0.02777..) within 1e-12.
 
-    The squares are exact except the 0.01 entries, which are off by one
-    ulp (~1.7e-18) because 0.1**2 is not representable as the float64
-    nearest to decimal 0.01; the decimal identity itself is exact.
+    The step's output is bit-equal to those squares divided by their
+    sum, formed here in two steps.  The squares are exact except the
+    0.01 entries, which are off by one ulp (~1.7e-18) because 0.1**2 is
+    not representable as the float64 nearest to decimal 0.01; the
+    decimal identity itself is exact.
     """
     weights = np.array([0.5, 0.3, 0.1, 0.1])
-    powered = contrast_weights(weights, 2.0, normalize=False)
+    powered = weights**2.0
+    alpha = contrast_weights(weights, 2.0)
+    two_step = bool(np.array_equal(alpha, powered / powered.sum()))
     squares_exact = bool(powered[0] == 0.25 and powered[1] == 0.09)
     squares_close = bool(np.max(np.abs(powered - [0.25, 0.09, 0.01, 0.01])) <= 5e-18)
-    alpha = contrast_weights(weights, 2.0)
     expected = np.array([0.25, 0.09, 0.01, 0.01]) / 0.36
     normalized_ok = bool(np.max(np.abs(alpha - expected)) < 1e-12)
     _report(
         4,
-        squares_exact and squares_close and normalized_ok,
+        two_step and squares_exact and squares_close and normalized_ok,
+        f"output is the normalized squares: {two_step}, "
         f"squares within {np.max(np.abs(powered - [0.25, 0.09, 0.01, 0.01])):.1e}, "
         f"normalized within {np.max(np.abs(alpha - expected)):.1e}",
     )
@@ -195,8 +194,9 @@ def test_criterion_06_cauchy_schwarz_routing():
         chosen = decide(s, gs, cfg).chosen_index
         ok &= chosen not in (1, 5)
         for c in (0.5, 2.0, 4.0):
-            s_scaled = score_j6(gs.scaled(c), DIRECT_RAW, instance, pert)
-            ok &= decide(s_scaled, gs.scaled(c), cfg).chosen_index == chosen
+            scaled = GradientSet(gs.J11 * c, gs.J12 * c, gs.J21 * c, gs.J22 * c)
+            s_scaled = score_j6(scaled, DIRECT_RAW, instance, pert)
+            ok &= decide(s_scaled, scaled, cfg).chosen_index == chosen
     _report(6, ok, "no alignment slot selected and argmax scale-invariant on 1000 draws")
 
 

@@ -14,15 +14,14 @@ from j6opt import (
     J6_FROM_JPLUS,
     J6_LABELS,
     JPLUS_LABELS,
-    ObjectiveKind,
     Perturbations,
     ProblemInstance,
     WMode,
     compute_gradient_set,
-    default_alignment,
     fd_gradient,
     generate,
     init_perturbations,
+    resolve_alignment,
     score_j6,
     score_jplus,
     zero_perturbations,
@@ -32,6 +31,11 @@ DIRECT_RAW = AlignmentMode(AlignKind.DIRECT, AlignScale.RAW)
 DIRECT_COSINE = AlignmentMode(AlignKind.DIRECT, AlignScale.COSINE)
 PUSH_RAW = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.RAW)
 PUSH_COSINE = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.COSINE)
+
+
+def doubled(gs):
+    """The gradient set with every block scaled by 2."""
+    return GradientSet(gs.J11 * 2.0, gs.J12 * 2.0, gs.J21 * 2.0, gs.J22 * 2.0)
 
 
 def logit_field(g, group, instance, pert):
@@ -132,13 +136,8 @@ class TestComputeGradientSet:
     def test_blocks_match_fd_oracle(self, derived_instance):
         instance, pert = derived_instance
         gs = compute_gradient_set(instance, pert)
-        for block, objective, which in (
-            (gs.J11, ObjectiveKind.HEAT, "h"),
-            (gs.J12, ObjectiveKind.HEAT, "w"),
-            (gs.J21, ObjectiveKind.CONF, "h"),
-            (gs.J22, ObjectiveKind.CONF, "w"),
-        ):
-            fd = fd_gradient(objective, which, instance, pert)
+        fd_h, fd_w = fd_gradient("h", instance, pert), fd_gradient("w", instance, pert)
+        for block, fd in ((gs.J11, fd_h[0]), (gs.J12, fd_w[0]), (gs.J21, fd_h[1]), (gs.J22, fd_w[1])):
             rel = np.linalg.norm(block - fd) / (np.linalg.norm(fd) + 1e-12)
             assert rel < 1e-5
 
@@ -256,7 +255,7 @@ class TestGramMatchesFieldProducts:
         T=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
         w_mode=st.sampled_from(list(WMode)),
-        kind=st.sampled_from(list(AlignKind)),
+        kind=st.sampled_from([AlignKind.DIRECT, AlignKind.PUSHFORWARD]),
         scale=st.sampled_from(list(AlignScale)),
     )
     def test_scores_match_reference(self, V, d, T, seed, w_mode, kind, scale):
@@ -302,14 +301,14 @@ class TestScoreJ6:
             instance, pert = make_point(seed=12, w_mode=mode)
             gs = compute_gradient_set(instance, pert)
             s = score_j6(gs, amode, instance, pert)
-            s_scaled = score_j6(gs.scaled(2.0), amode, instance, pert)
+            s_scaled = score_j6(doubled(gs), amode, instance, pert)
             np.testing.assert_array_equal(s_scaled, 4.0 * s)
             assert np.argmax(s_scaled) == np.argmax(s)
 
     def test_pushforward_default_for_full_matrix(self):
-        assert default_alignment(WMode.FULL_MATRIX).kind is AlignKind.PUSHFORWARD
-        assert default_alignment(WMode.SINGLE_ROW).kind is AlignKind.DIRECT
-        assert default_alignment(WMode.BROADCAST).kind is AlignKind.DIRECT
+        assert resolve_alignment(AlignmentMode(), WMode.FULL_MATRIX).kind is AlignKind.PUSHFORWARD
+        assert resolve_alignment(AlignmentMode(), WMode.SINGLE_ROW).kind is AlignKind.DIRECT
+        assert resolve_alignment(AlignmentMode(), WMode.BROADCAST).kind is AlignKind.DIRECT
 
 
 class TestScoreJPlus:
@@ -355,8 +354,41 @@ class TestScoreJPlus:
         gs = compute_gradient_set(instance, pert)
         s = score_jplus(gs, PUSH_RAW, instance, pert)
         np.testing.assert_array_equal(
-            score_jplus(gs.scaled(2.0), PUSH_RAW, instance, pert), 4.0 * s
+            score_jplus(doubled(gs), PUSH_RAW, instance, pert), 4.0 * s
         )
+
+
+class TestResolveAlignment:
+    def test_auto_keeps_the_scale(self):
+        for scale in AlignScale:
+            assert resolve_alignment(AlignmentMode(AlignKind.AUTO, scale), WMode.FULL_MATRIX) == (
+                AlignmentMode(AlignKind.PUSHFORWARD, scale)
+            )
+            assert resolve_alignment(AlignmentMode(AlignKind.AUTO, scale), WMode.SINGLE_ROW) == (
+                AlignmentMode(AlignKind.DIRECT, scale)
+            )
+
+    def test_explicit_kinds_pass_through(self):
+        for w_mode in WMode:
+            assert resolve_alignment(PUSH_COSINE, w_mode) is PUSH_COSINE
+        for w_mode in (WMode.SINGLE_ROW, WMode.BROADCAST):
+            assert resolve_alignment(DIRECT_RAW, w_mode) is DIRECT_RAW
+
+    def test_direct_rejected_on_full_matrix(self):
+        with pytest.raises(ValueError, match="full_matrix"):
+            resolve_alignment(DIRECT_COSINE, WMode.FULL_MATRIX)
+
+    def test_scores_resolve_auto_per_instance(self, make_point):
+        for w_mode in WMode:
+            instance, pert = make_point(seed=31, w_mode=w_mode)
+            gs = compute_gradient_set(instance, pert)
+            for scale in AlignScale:
+                auto = AlignmentMode(AlignKind.AUTO, scale)
+                resolved = resolve_alignment(auto, w_mode)
+                np.testing.assert_array_equal(
+                    score_jplus(gs, auto, instance, pert),
+                    score_jplus(gs, resolved, instance, pert),
+                )
 
 
 class TestSingleTokenTies:

@@ -96,6 +96,26 @@ class TestRun:
         assert code == 3
         assert "step" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverging_update_exits_3(self, tmp_path, capsys):
+        # the losses stay finite while the update overflows the perturbations
+        path = tmp_path / "x.json"
+        assert main(["gen", "--V", "6", "--d", "4", "--T", "2", "--seed", "0", "-o", str(path)]) == 0
+        code = main(["run", "-i", str(path), "--strategy", "soft", "--eta-h", "1e8",
+                     "--eta-w", "1e8", "--init-scale", "0.3", "--steps", "30"])
+        assert code == 3
+        assert "update at step 20 left the finite range" in capsys.readouterr().err
+
+    def test_auto_alignment_resolves_per_instance(self, inst, inst_single, tmp_path):
+        for path, kind in ((inst, "pushforward"), (inst_single, "direct")):
+            traces = []
+            for align in ("auto", kind):
+                trace = tmp_path / f"{align}.csv"
+                assert main(["run", "-i", str(path), "--strategy", "hard-jplus", "--steps", "5",
+                             "--align", align, "--scale", "cosine", "--trace", str(trace)]) == 0
+                traces.append(trace.read_bytes())
+            assert traces[0] == traces[1]
+
     def test_unknown_strategy_exits_2(self, inst):
         assert main(["run", "-i", str(inst), "--strategy", "magic"]) == 2
 

@@ -10,23 +10,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import j6opt.attribution
 import j6opt.model
 from j6opt import (
-    ObjectiveKind,
+    GeneratorSpec,
     Perturbations,
     ProblemInstance,
     WMode,
     compute_gradient_set,
-    compute_logits,
-    confidence_loss,
     fd_gradient,
     forward,
-    heat_loss,
+    generate,
+    init_perturbations,
     log_softmax,
     logit_gradients,
-    objectives,
+    losses,
     pullback,
     zero_perturbations,
 )
@@ -35,6 +36,13 @@ from j6opt import (
 def _probs(z):
     """Probabilities of one logit vector, through the row-wise log-softmax."""
     return np.exp(log_softmax(np.asarray(z, dtype=np.float64)[None, :]))[0]
+
+
+def _losses(z, y=None):
+    """Both losses of a (T, V) logit matrix; y defaults to token 0 at
+    every position (the confidence loss ignores it)."""
+    z = np.asarray(z, dtype=np.float64)
+    return losses(log_softmax(z), np.zeros(z.shape[0], dtype=np.int64) if y is None else y)
 
 
 def _grad_logits(z, y_t):
@@ -70,19 +78,19 @@ class TestComputeLogits:
         W = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         for mode in WMode:
             instance = ProblemInstance(V=3, d=2, T=1, H=H, W=W, y=[0], w_mode=mode)
-            logits = compute_logits(instance, zero_perturbations(instance))
+            logits = forward(instance, zero_perturbations(instance)).logits
             np.testing.assert_array_equal(logits, [[1.0, 0.0, 1.0]])
 
     def test_zero_hidden_states_annihilate(self):
         instance = ProblemInstance(
             V=3, d=2, T=2, H=np.zeros((2, 2)), W=np.ones((3, 2)), y=[0, 1]
         )
-        logits = compute_logits(instance, zero_perturbations(instance))
+        logits = forward(instance, zero_perturbations(instance)).logits
         np.testing.assert_array_equal(logits, np.zeros((2, 3)))
 
     def test_single_row_example(self, derived_instance):
         instance, pert = derived_instance
-        logits = compute_logits(instance, pert)
+        logits = forward(instance, pert).logits
         np.testing.assert_allclose(logits, [[1.43, 0.2, 1.3]], rtol=0, atol=1e-15)
         np.testing.assert_allclose(logits, scalar_loop_logits(instance, pert), rtol=1e-15)
 
@@ -90,7 +98,7 @@ class TestComputeLogits:
         for seed, mode in enumerate(WMode):
             instance, pert = make_point(seed=seed, w_mode=mode)
             np.testing.assert_allclose(
-                compute_logits(instance, pert),
+                forward(instance, pert).logits,
                 scalar_loop_logits(instance, pert),
                 rtol=1e-13,
             )
@@ -98,7 +106,7 @@ class TestComputeLogits:
     def test_wrong_w_shape_raises(self):
         instance = ProblemInstance(V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=[0])
         with pytest.raises(ValueError, match="shape"):
-            compute_logits(instance, Perturbations([0.0, 0.0], [0.0, 0.0]))
+            forward(instance, Perturbations([0.0, 0.0], [0.0, 0.0]))
 
 
 class TestSoftmax:
@@ -137,48 +145,66 @@ class TestSoftmax:
 
 class TestHeatLoss:
     def test_uniform_logits(self):
-        assert heat_loss(np.zeros((1, 4)), [2]) == pytest.approx(math.log(4.0), rel=1e-15)
+        assert _losses(np.zeros((1, 4)), [2]).ob1 == pytest.approx(math.log(4.0), rel=1e-15)
 
     def test_known_point(self):
         expected = math.log(2.0 + math.exp(-1.0))  # -log p_0 at logits [1, 0, 1]
-        assert heat_loss(np.array([[1.0, 0.0, 1.0]]), [0]) == pytest.approx(expected, rel=1e-15)
+        assert _losses(np.array([[1.0, 0.0, 1.0]]), [0]).ob1 == pytest.approx(expected, rel=1e-15)
 
     def test_confident_correct_limit(self):
-        losses = [heat_loss(np.array([[m, 0.0, 0.0]]), [0]) for m in (5.0, 15.0, 40.0)]
-        assert losses[0] > losses[1] > losses[2] >= 0.0
-        assert losses[2] < 1e-15
+        values = [_losses(np.array([[m, 0.0, 0.0]]), [0]).ob1 for m in (5.0, 15.0, 40.0)]
+        assert values[0] > values[1] > values[2] >= 0.0
+        assert values[2] < 1e-15
 
     def test_mean_over_positions(self):
-        single_a = heat_loss(np.array([[1.0, 0.0, 1.0]]), [0])
-        single_b = heat_loss(np.array([[0.0, 0.0, 0.0]]), [2])
-        both = heat_loss(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), [0, 2])
+        single_a = _losses(np.array([[1.0, 0.0, 1.0]]), [0]).ob1
+        single_b = _losses(np.array([[0.0, 0.0, 0.0]]), [2]).ob1
+        both = _losses(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), [0, 2]).ob1
         assert both == pytest.approx((single_a + single_b) / 2.0, rel=1e-15)
 
     def test_target_out_of_range_raises(self):
         with pytest.raises(IndexError):
-            heat_loss(np.zeros((1, 3)), [5])
+            _losses(np.zeros((1, 3)), [5])
 
 
 class TestConfidenceLoss:
     def test_uniform_is_max_entropy(self):
-        assert confidence_loss(np.zeros((1, 4))) == pytest.approx(-math.log(4.0), rel=1e-15)
+        assert _losses(np.zeros((1, 4))).ob2 == pytest.approx(-math.log(4.0), rel=1e-15)
 
     def test_one_hot_limit(self):
-        value = confidence_loss(np.array([[30.0, 0.0, 0.0]]))
+        value = _losses(np.array([[30.0, 0.0, 0.0]])).ob2
         assert -1e-10 < value <= 0.0
 
     def test_known_point(self):
         z = 2.0 + math.exp(-1.0)
         p = [1.0 / z, math.exp(-1.0) / z, 1.0 / z]
         expected = sum(pi * math.log(pi) for pi in p)
-        assert confidence_loss(np.array([[1.0, 0.0, 1.0]])) == pytest.approx(expected, rel=1e-14)
+        assert _losses(np.array([[1.0, 0.0, 1.0]])).ob2 == pytest.approx(expected, rel=1e-14)
 
     def test_bounds_on_random_logits(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             V = int(rng.integers(2, 9))
-            value = confidence_loss(rng.normal(size=(2, V)) * 3)
+            value = _losses(rng.normal(size=(2, V)) * 3).ob2
             assert -math.log(V) - 1e-12 <= value <= 0.0
+
+
+class TestLossValidation:
+    """Under validation mode the loss bounds are asserted, each only when
+    the loss is finite."""
+
+    def test_negative_heat_caught(self):
+        # a corrupt log-probability above 0 gives a negative heat loss
+        with pytest.raises(AssertionError, match="heat"):
+            losses(np.array([[0.5, -3.0]]), [0])
+
+    def test_confidence_out_of_bounds_caught(self):
+        with pytest.raises(AssertionError, match="confidence"):
+            losses(np.array([[-5.0, 0.5]]), [0])
+
+    def test_non_finite_losses_pass_through(self):
+        value = losses(np.array([[np.nan, 0.0]]), [0])
+        assert np.isnan(value.ob1) and np.isnan(value.ob2)
 
 
 class TestShiftInvariance:
@@ -190,8 +216,8 @@ class TestShiftInvariance:
         shifted = logits.copy()
         shifted[0] += 37.5
         y = [3, 1]
-        assert abs(heat_loss(logits, y) - heat_loss(shifted, y)) < 1e-10
-        assert abs(confidence_loss(logits) - confidence_loss(shifted)) < 1e-10
+        assert abs(_losses(logits, y).ob1 - _losses(shifted, y).ob1) < 1e-10
+        assert abs(_losses(logits).ob2 - _losses(shifted).ob2) < 1e-10
         np.testing.assert_allclose(
             logit_gradients(log_softmax(logits), y),
             logit_gradients(log_softmax(shifted), y),
@@ -217,7 +243,7 @@ class TestGradLogitsHeat:
             zp, zm = z.copy(), z.copy()
             zp[k] += eps
             zm[k] -= eps
-            fd = (heat_loss(zp[None, :], [0]) - heat_loss(zm[None, :], [0])) / (2 * eps)
+            fd = (_losses(zp[None, :], [0]).ob1 - _losses(zm[None, :], [0]).ob1) / (2 * eps)
             assert analytic[k] == pytest.approx(fd, abs=1e-6)
 
     def test_zero_sum(self):
@@ -244,7 +270,7 @@ class TestGradLogitsConf:
             zp, zm = z.copy(), z.copy()
             zp[k] += eps
             zm[k] -= eps
-            fd = (confidence_loss(zp[None, :]) - confidence_loss(zm[None, :])) / (2 * eps)
+            fd = (_losses(zp[None, :]).ob2 - _losses(zm[None, :]).ob2) / (2 * eps)
             assert analytic[k] == pytest.approx(fd, abs=1e-6)
 
     def test_zero_sum(self):
@@ -283,7 +309,7 @@ class TestGradH:
     def test_matches_fd_on_derived_instance(self, derived_instance):
         instance, pert = derived_instance
         analytic = _pull_h(instance, pert, _heat_field(instance, pert))
-        fd = fd_gradient(ObjectiveKind.HEAT, "h", instance, pert)
+        fd = fd_gradient("h", instance, pert)[0]
         np.testing.assert_allclose(analytic, fd, rtol=1e-6)
 
     def test_components_vanish_under_orthogonality(self):
@@ -307,20 +333,19 @@ class TestGradW:
         for seed in range(20):
             instance, pert = make_point(seed=seed, w_mode=WMode.BROADCAST)
             _, g = _fields(instance, pert)
-            for objective in ObjectiveKind:
-                field = g[0] if objective is ObjectiveKind.HEAT else g[1]
+            for field in g:  # heat, confidence
                 assert np.linalg.norm(_pull_w(instance, pert, field)) < 1e-12
 
     def test_full_matrix_matches_fd(self, make_point):
         instance, pert = make_point(seed=3, w_mode=WMode.FULL_MATRIX)
         analytic = _pull_w(instance, pert, _heat_field(instance, pert))
-        fd = fd_gradient(ObjectiveKind.HEAT, "w", instance, pert)
+        fd = fd_gradient("w", instance, pert)[0]
         np.testing.assert_allclose(analytic, fd, rtol=1e-5)
 
     def test_single_row_matches_fd(self, make_point):
         instance, pert = make_point(seed=4, w_mode=WMode.SINGLE_ROW)
         analytic = _pull_w(instance, pert, _heat_field(instance, pert))
-        fd = fd_gradient(ObjectiveKind.HEAT, "w", instance, pert)
+        fd = fd_gradient("w", instance, pert)[0]
         np.testing.assert_allclose(analytic, fd, rtol=1e-5)
 
     def test_zero_gradient_field(self, make_point):
@@ -335,7 +360,7 @@ class TestFdGradient:
             mode = WMode.SINGLE_ROW if seed % 2 else WMode.FULL_MATRIX
             instance, pert = make_point(seed=seed, w_mode=mode)
             analytic = _pull_h(instance, pert, _heat_field(instance, pert))
-            fd = fd_gradient(ObjectiveKind.HEAT, "h", instance, pert)
+            fd = fd_gradient("h", instance, pert)[0]
             rel = np.linalg.norm(analytic - fd) / (np.linalg.norm(fd) + 1e-12)
             assert rel < 1e-5
 
@@ -344,7 +369,7 @@ class TestFdGradient:
         instance, pert = derived_instance
         exact = _pull_h(instance, pert, _heat_field(instance, pert))
         err = {
-            eps: np.linalg.norm(fd_gradient(ObjectiveKind.HEAT, "h", instance, pert, eps) - exact)
+            eps: np.linalg.norm(fd_gradient("h", instance, pert, eps)[0] - exact)
             for eps in (2e-3, 1e-3)
         }
         ratio = err[2e-3] / err[1e-3]
@@ -353,9 +378,9 @@ class TestFdGradient:
     def test_invalid_arguments(self, derived_instance):
         instance, pert = derived_instance
         with pytest.raises(ValueError):
-            fd_gradient(ObjectiveKind.HEAT, "q", instance, pert)
+            fd_gradient("q", instance, pert)
         with pytest.raises(ValueError):
-            fd_gradient(ObjectiveKind.HEAT, "h", instance, pert, eps=0.0)
+            fd_gradient("h", instance, pert, eps=0.0)
 
     def test_independent_of_the_gradient_code(self, make_point, monkeypatch):
         # the oracle must run with every analytic gradient path disabled
@@ -373,14 +398,89 @@ class TestFdGradient:
             (j6opt.attribution, "compute_gradient_set"),
         ):
             monkeypatch.setattr(module, name, refuse)
-        for block, objective, which in (
-            (gs.J11, ObjectiveKind.HEAT, "h"),
-            (gs.J12, ObjectiveKind.HEAT, "w"),
-            (gs.J21, ObjectiveKind.CONF, "h"),
-            (gs.J22, ObjectiveKind.CONF, "w"),
-        ):
-            fd = fd_gradient(objective, which, instance, pert)
+        fd_h, fd_w = fd_gradient("h", instance, pert), fd_gradient("w", instance, pert)
+        for block, fd in ((gs.J11, fd_h[0]), (gs.J12, fd_w[0]), (gs.J21, fd_h[1]), (gs.J22, fd_w[1])):
             assert np.linalg.norm(block - fd) / (np.linalg.norm(fd) + 1e-12) < 1e-5
+
+
+def reference_fd(objective, which, instance, pert, eps=1e-5):
+    """Reference: the per-objective central-difference oracle that the
+    stacked one replaced.  A and B are formed per w_mode by hand, then
+    A @ B.T, the log-softmax, and one of the two loss formulas
+    (objective 0 heat, 1 confidence)."""
+
+    def loss(h, w):
+        A = instance.H + h
+        if instance.w_mode is WMode.SINGLE_ROW:
+            B = instance.W.copy()
+            B[instance.v_star] += w
+        else:
+            B = instance.W + w
+        logp = log_softmax(A @ B.T)
+        if objective == 0:
+            return float(-logp[np.arange(logp.shape[0]), instance.y].mean())
+        p = np.exp(logp)
+        return float((p * logp).sum(axis=1).mean())
+
+    h, w = pert.h.copy(), pert.w.copy()
+    target = h if which == "h" else w
+    grad = np.zeros_like(target)
+    for idx in np.ndindex(target.shape):
+        orig = target[idx]
+        target[idx] = orig + eps
+        f_plus = loss(h, w)
+        target[idx] = orig - eps
+        f_minus = loss(h, w)
+        target[idx] = orig
+        grad[idx] = (f_plus - f_minus) / (2.0 * eps)
+    return grad
+
+
+class TestStackedFdGradient:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(2, 8),
+        d=st.integers(1, 5),
+        T=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        w_mode=st.sampled_from(list(WMode)),
+        scale=st.sampled_from([0.0, 0.3, 2.0]),
+        eps=st.sampled_from([1e-5, 1e-3]),
+    )
+    def test_bit_equal_to_per_objective_reference(self, V, d, T, seed, w_mode, scale, eps):
+        instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
+        pert = init_perturbations(instance, init_scale=scale, seed=seed)
+        for which, shape in (("h", pert.h.shape), ("w", pert.w.shape)):
+            fd = fd_gradient(which, instance, pert, eps)
+            assert fd.shape == (2,) + shape
+            for objective in (0, 1):
+                np.testing.assert_array_equal(
+                    fd[objective], reference_fd(objective, which, instance, pert, eps)
+                )
+
+    def test_one_forward_pass_per_evaluated_point(self, make_point, monkeypatch):
+        calls = []
+        original = j6opt.model.forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(j6opt.model, "forward", counting)
+        for w_mode in WMode:
+            instance, pert = make_point(seed=8, w_mode=w_mode)
+            for which, size in (("h", pert.h.size), ("w", pert.w.size)):
+                calls.clear()
+                fd_gradient(which, instance, pert)
+                assert len(calls) == 2 * size
+
+    def test_leaves_the_point_unchanged(self, make_point):
+        instance, pert = make_point(seed=9)
+        h, w = pert.h.copy(), pert.w.copy()
+        fd_gradient("h", instance, pert)
+        fd_gradient("w", instance, pert)
+        np.testing.assert_array_equal(pert.h, h)
+        np.testing.assert_array_equal(pert.w, w)
 
 
 class TestDescent:
@@ -388,10 +488,10 @@ class TestDescent:
         eta = 1e-4
         for seed in range(10):
             instance, pert = make_point(seed=seed)
-            before = objectives(instance, pert).ob1
+            before = forward(instance, pert).objectives.ob1
             g = _pull_h(instance, pert, _heat_field(instance, pert))
             stepped = Perturbations(pert.h - eta * g, pert.w)
-            assert objectives(instance, stepped).ob1 < before
+            assert forward(instance, stepped).objectives.ob1 < before
 
 
 class TestProblemInstanceValidation:

@@ -209,6 +209,19 @@ class TestRun:
         with pytest.raises(NonFiniteLossError, match=r"step \d+"):
             run(instance, cfg, RunConfig(max_steps=200))
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverging_update_aborts_with_step(self):
+        # every loss is finite; the update of step 20 overflows
+        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=0))
+        cfg = StrategyConfig(kind=StrategyKind.SOFT, eta_h=1e8, eta_w=1e8)
+        assert len(run(instance, cfg, RunConfig(max_steps=20, init_scale=0.3)).trace) == 20
+        with pytest.raises(NonFiniteLossError, match="update at step 20") as info:
+            run(instance, cfg, RunConfig(max_steps=30, init_scale=0.3))
+        assert info.value.step == 20
+
+    def test_default_alignment_is_auto(self):
+        assert StrategyConfig(kind=StrategyKind.SOFT).alignment == AlignmentMode(AlignKind.AUTO)
+
     def test_direct_alignment_rejected_on_full_matrix(self, make_instance):
         instance = make_instance(seed=11, w_mode=WMode.FULL_MATRIX)
         cfg = StrategyConfig(

@@ -10,8 +10,8 @@ from j6opt import (
     GeneratorSpec,
     WMode,
     compute_gradient_set,
-    compute_logits,
     conflict_certificate,
+    forward,
     generate,
     log_softmax,
     logit_gradients,
@@ -46,7 +46,7 @@ class TestConflictingFamily:
 
     def test_certificate_matches_manual_recomputation(self):
         instance = generate(GeneratorSpec(V=5, d=3, T=2, seed=3, family=Family.CONFLICTING))
-        logits = compute_logits(instance, zero_perturbations(instance))
+        logits = forward(instance, zero_perturbations(instance)).logits
         total = 0.0
         for t in range(instance.T):
             g_heat, g_conf = logit_gradients(log_softmax(logits[t : t + 1]), instance.y[t : t + 1])
@@ -58,7 +58,7 @@ class TestConflictingFamily:
             instance = generate(
                 GeneratorSpec(V=6, d=4, T=2, seed=seed, family=Family.CONFLICTING)
             )
-            logits = compute_logits(instance, zero_perturbations(instance))
+            logits = forward(instance, zero_perturbations(instance)).logits
             for t in range(instance.T):
                 assert int(instance.y[t]) != int(np.argmax(logits[t]))
 
@@ -75,10 +75,7 @@ class TestConflictingFamily:
             return wrapped
 
         monkeypatch.setattr(probgen, "_draw", counting(probgen._draw, draws))
-        for name in ("forward", "compute_logits"):
-            monkeypatch.setattr(
-                probgen, name, counting(getattr(j6opt.model, name), passes), raising=False
-            )
+        monkeypatch.setattr(probgen, "forward", counting(j6opt.model.forward, passes))
         for seed in range(5):
             draws.clear()
             passes.clear()

@@ -159,14 +159,6 @@ class TestHardRouteJPlus:
 
 
 class TestContrastWeights:
-    def test_squares_match_worked_example(self):
-        # gamma=2 squares (0.5, 0.3, 0.1, 0.1); 0.25 and 0.09 are exact
-        # in float64, the 0.01 entries land within one ulp of the decimal
-        powered = contrast_weights(np.array([0.5, 0.3, 0.1, 0.1]), 2.0, normalize=False)
-        assert powered[0] == 0.25
-        assert powered[1] == 0.09
-        np.testing.assert_allclose(powered, [0.25, 0.09, 0.01, 0.01], rtol=0, atol=5e-18)
-
     def test_normalized_worked_example(self):
         alpha = contrast_weights(np.array([0.5, 0.3, 0.1, 0.1]), 2.0)
         expected = np.array([0.25, 0.09, 0.01, 0.01]) / 0.36
