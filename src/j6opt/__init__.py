@@ -8,7 +8,7 @@ from .attribution import (
     GradientSet,
     J6_FROM_JPLUS,
     J6_LABELS,
-    JPLUS_LABELS,
+    JPLUS_COMPONENTS,
     compute_gradient_set,
     resolve_alignment,
     score_j6,

@@ -20,6 +20,7 @@ SINGLE_ROW and its sum over v under BROADCAST.  No T x V field is built.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -47,46 +48,49 @@ __all__ = [
     "score_j6",
     "score_jplus",
     "J6_LABELS",
-    "JPLUS_LABELS",
+    "JPLUS_COMPONENTS",
     "J6_FROM_JPLUS",
 ]
 
-# Canonical slot order of the 6-score vector.  Slots 0..5 line up with the
-# soft-strategy weights: alpha_0 scales the h->heat direction, alpha_2 the
-# w->heat direction, alpha_3 h->conf, alpha_4 w->conf; 1 and 5 are the two
-# cross-objective alignment slots.
-J6_LABELS = (
-    "h_heat_strength",    # ||J11||^2
-    "align_hheat_wconf",  # <J11, J22>
-    "w_heat_strength",    # ||J12||^2
-    "h_conf_strength",    # ||J21||^2
-    "w_conf_strength",    # ||J22||^2
-    "align_hconf_wheat",  # <J21, J12>
-)
+BETA_AUX = "beta_aux"  # stands for StrategyConfig.beta_aux in an action
+_Component = namedtuple("_Component", "label a b action")
 
-# 1-based action-table order of the 15-score vector (position i holds
-# component i+1).
-JPLUS_LABELS = (
-    "h_heat_strength",     # 1:  ||J11||^2
-    "w_heat_strength",     # 2:  ||J12||^2
-    "h_conf_strength",     # 3:  ||J21||^2
-    "w_conf_strength",     # 4:  ||J22||^2
-    "align_hheat_wconf",   # 5:  <J11, J22>
-    "align_hconf_wheat",   # 6:  <J21, J12>
-    "h_consistency",       # 7:  <J11, J21>
-    "w_consistency",       # 8:  <J12, J22>
-    "joint_alignment",     # 9:  <J11+J21, J12+J22>
-    "hheat_vs_total_w",    # 10: <J11, J12+J22>
-    "hconf_vs_total_w",    # 11: <J21, J12+J22>
-    "wheat_vs_total_h",    # 12: <J11+J21, J12>
-    "wconf_vs_total_h",    # 13: <J11+J21, J22>
-    "h_total_strength",    # 14: ||J11+J21||^2
-    "w_total_strength",    # 15: ||J12+J22||^2
-)
+# The 15 J+ components; row k is component k+1.  Each holds its label,
+# the two operands of its inner product <a, b> (a squared norm when
+# a == b), and its action: the coefficients ((J11, J21), (J12, J22)) of
+# the step a hard route takes when it wins.  Components 10-13 pair a
+# primary direction with the other group's summed direction scaled down
+# by beta_aux; 14/15 act as 7/8.
+JPLUS_COMPONENTS = tuple(_Component(*row) for row in (
+    ("h_heat_strength", "J11", "J11", ((1.0, 0.0), (0.0, 0.0))),
+    ("w_heat_strength", "J12", "J12", ((0.0, 0.0), (1.0, 0.0))),
+    ("h_conf_strength", "J21", "J21", ((0.0, 1.0), (0.0, 0.0))),
+    ("w_conf_strength", "J22", "J22", ((0.0, 0.0), (0.0, 1.0))),
+    ("align_hheat_wconf", "J11", "J22", ((1.0, 0.0), (0.0, 1.0))),
+    ("align_hconf_wheat", "J21", "J12", ((0.0, 1.0), (1.0, 0.0))),
+    ("h_consistency", "J11", "J21", ((1.0, 1.0), (0.0, 0.0))),
+    ("w_consistency", "J12", "J22", ((0.0, 0.0), (1.0, 1.0))),
+    ("joint_alignment", "J11+J21", "J12+J22", ((1.0, 1.0), (1.0, 1.0))),
+    ("hheat_vs_total_w", "J11", "J12+J22", ((1.0, 0.0), (BETA_AUX, BETA_AUX))),
+    ("hconf_vs_total_w", "J21", "J12+J22", ((0.0, 1.0), (BETA_AUX, BETA_AUX))),
+    ("wheat_vs_total_h", "J11+J21", "J12", ((BETA_AUX, BETA_AUX), (1.0, 0.0))),
+    ("wconf_vs_total_h", "J11+J21", "J22", ((BETA_AUX, BETA_AUX), (0.0, 1.0))),
+    ("h_total_strength", "J11+J21", "J11+J21", ((1.0, 1.0), (0.0, 0.0))),
+    ("w_total_strength", "J12+J22", "J12+J22", ((0.0, 0.0), (1.0, 1.0))),
+))
 
-# Position in the 15-score vector (and in the action table) of each of
-# the 6 canonical slots: slot k is component J6_FROM_JPLUS[k] + 1.
+# The operands by group (0 = h, 1 = w), each in the order of ``_combos``;
+# _PRODUCTS holds each component's (group, index) of a, then of b.
+_OPERANDS = ("J11", "J21", "J11+J21", "J12", "J22", "J12+J22")
+_PRODUCTS = tuple(divmod(_OPERANDS.index(c.a), 3) + divmod(_OPERANDS.index(c.b), 3)
+                  for c in JPLUS_COMPONENTS)
+
+# Component index of each of the 6 canonical j6 slots.  Slots 0..5 line
+# up with the soft-strategy weights: alpha_0 scales the h->heat
+# direction, alpha_2 w->heat, alpha_3 h->conf, alpha_4 w->conf; 1 and 5
+# are the two cross-objective alignment slots.
 J6_FROM_JPLUS = (0, 4, 1, 2, 3, 5)
+J6_LABELS = tuple(JPLUS_COMPONENTS[k].label for k in J6_FROM_JPLUS)
 
 
 class AlignKind(str, Enum):
@@ -126,31 +130,30 @@ def resolve_alignment(mode: AlignmentMode, w_mode: WMode) -> AlignmentMode:
 
 @dataclass(frozen=True, eq=False)
 class GradientSet:
-    """The four Jacobian blocks at the current point.
+    """The four Jacobian blocks, stacked by objective as ``pullback``
+    returns them: h = (J11, J21) is (2, d) and w = (J12, J22) is
+    (2,) + w_shape.  J11 = grad_h heat, J12 = grad_w heat,
+    J21 = grad_h conf, J22 = grad_w conf, each a read-only view."""
 
-    J11 = grad_h heat, J12 = grad_w heat, J21 = grad_h conf,
-    J22 = grad_w conf.  J11/J21 share the h shape, J12/J22 the w shape.
-    """
-
-    J11: np.ndarray
-    J12: np.ndarray
-    J21: np.ndarray
-    J22: np.ndarray
+    h: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.J11.shape != self.J21.shape:
-            raise ValueError("J11 and J21 must share the h shape")
-        if self.J12.shape != self.J22.shape:
-            raise ValueError("J12 and J22 must share the w shape")
-        for block in (self.J11, self.J12, self.J21, self.J22):
-            if not np.isfinite(block).all():
-                raise ValueError("gradient blocks must be finite")
+        for name, blocks in (("h", self.h), ("w", self.w)):
+            if blocks.ndim < 2 or len(blocks) != 2:
+                raise ValueError(f"{name} blocks must be stacked (2, ...) by objective")
+        if not (np.isfinite(self.h).all() and np.isfinite(self.w).all()):
+            raise ValueError("gradient blocks must be finite")
+
+    J11 = property(lambda self: self.h[0])
+    J12 = property(lambda self: self.w[0])
+    J21 = property(lambda self: self.h[1])
+    J22 = property(lambda self: self.w[1])
 
     @cached_property
     def grams(self) -> tuple[list[list[float]], list[list[float]]]:
         """Native 2x2 Grams of the h blocks (J11, J21) and the w blocks (J12, J22)."""
-        h, w = (self.J11, self.J21), (self.J12, self.J22)
-        return _dots(h, h), _dots(w, w)
+        return _gram(self.h), _gram(self.w)
 
     def norms(self) -> tuple[float, float, float, float]:
         """Euclidean norms (n11, n12, n21, n22), from the Gram diagonals."""
@@ -165,11 +168,17 @@ def compute_gradient_set(instance: ProblemInstance, at: Perturbations | Forward)
     product each.  ``at`` is the point's perturbations, or a forward
     pass already taken there."""
     fwd = at if isinstance(at, Forward) else forward(instance, at)
-    grad_h, grad_w = pullback(instance, fwd, logit_gradients(fwd.logp, instance.y))
-    return GradientSet(J11=grad_h[0], J12=grad_w[0], J21=grad_h[1], J22=grad_w[1])
+    return GradientSet(*pullback(instance, fwd, logit_gradients(fwd.logp, instance.y)))
 
 
-def _dots(xs: tuple[np.ndarray, ...], ys: tuple[np.ndarray, ...]) -> list[list[float]]:
+def _gram(x) -> list[list[float]]:
+    """2x2 Gram of the two rows of x, each flattened."""
+    a, b = x
+    ab = float(np.vdot(a, b))
+    return [[float(np.vdot(a, a)), ab], [ab, float(np.vdot(b, b))]]
+
+
+def _dots(xs, ys) -> list[list[float]]:
     """2x2 inner products x_i . y_j of flattened arrays."""
     return [[float(np.vdot(x, y)) for y in ys] for x in xs]
 
@@ -190,34 +199,30 @@ def _cos(raw: float, sq_a: float, sq_b: float) -> float:
 
 
 def _pushforward(
-    h: tuple[np.ndarray, ...],
-    w: tuple[np.ndarray, ...],
-    instance: ProblemInstance,
-    fwd: Forward,
-    with_grams: bool,
+    gs: GradientSet, instance: ProblemInstance, fwd: Forward, with_grams: bool
 ) -> tuple[list[list[float]], list[list[float]] | None, list[list[float]] | None]:
     """Products of the blocks' logit-space fields, by the closed forms in
     the module docstring: the 2x2 cross matrix and, when ``with_grams``,
     the field Grams of the h and of the w blocks, T (B g_i).(B g_j) and
     sum((G_i A^T A) * G_j) (times V under BROADCAST)."""
-    Bh = [fwd.B @ g for g in h]
+    Bh = [fwd.B @ g for g in gs.h]
     a = fwd.A.sum(axis=0)
     if instance.w_mode is WMode.FULL_MATRIX:
-        cross = _dots(Bh, [G @ a for G in w])
+        cross = _dots(Bh, [G @ a for G in gs.w])
         if instance.T == 1:
             # Symmetric in exact arithmetic (g_i^T B B^T g_j |a|^2); form
             # it so, so that equal scores tie exactly.
             cross[0][1] = cross[1][0] = (cross[0][1] + cross[1][0]) / 2
     else:
-        ga = [float(g @ a) for g in w]
+        ga = [float(g @ a) for g in gs.w]
         single = instance.w_mode is WMode.SINGLE_ROW
         col = [float(u[instance.v_star] if single else u.sum()) for u in Bh]
         cross = [[c * x for x in ga] for c in col]
     if not with_grams:
         return cross, None, None
-    field_h = [[instance.T * x for x in row] for row in _dots(Bh, Bh)]
+    field_h = [[instance.T * x for x in row] for row in _gram(Bh)]
     AtA = fwd.A.T @ fwd.A
-    field_w = _dots([G @ AtA for G in w], w)
+    field_w = _dots([G @ AtA for G in gs.w], gs.w)
     if instance.w_mode is WMode.BROADCAST:
         field_w = [[instance.V * x for x in row] for row in field_w]
     return cross, field_h, field_w
@@ -229,50 +234,47 @@ def score_jplus(
     instance: ProblemInstance,
     at: Perturbations | Forward,
 ) -> np.ndarray:
-    """The 15-score vector in action-table order (see JPLUS_LABELS).
+    """The 15-score vector, component k+1 at position k: the inner
+    products of JPLUS_COMPONENTS.
 
     Every score is an entry, or a fixed sum of entries, of three 2x2
     matrices: the native Grams of (J11, J21) and of (J12, J22), and
-    their cross matrix in alignment space.  Squared norms (1-4, 14, 15)
-    are always native and never scaled.  Under COSINE the consistency
-    products (7, 8) divide by native norms and the cross products
-    (5, 6, 9-13) by the operand norms in alignment space; a zero norm
-    gives 0.  AUTO is resolved per the instance (``resolve_alignment``).
-    ``at`` is the point's perturbations, or a forward pass already taken
-    there; only PUSHFORWARD reads it.
+    their cross matrix in alignment space.  Under COSINE a product of
+    two different operands is divided by their norms in the space it was
+    taken in (native within a group, alignment space across groups); a
+    zero norm gives 0.  Squared norms are never scaled.  AUTO is
+    resolved per the instance (``resolve_alignment``).  ``at`` is the
+    point's perturbations, or a forward pass already taken there; only
+    PUSHFORWARD reads it.
     """
     if mode.kind is AlignKind.AUTO:
         mode = resolve_alignment(mode, instance.w_mode)
-    h, w = (gs.J11, gs.J21), (gs.J12, gs.J22)
     cosine = mode.scale is AlignScale.COSINE
     gram_h, gram_w = gs.grams
     if mode.kind is AlignKind.DIRECT:
-        if gs.J11.shape != gs.J12.shape:
+        if gs.h.shape != gs.w.shape:
             raise ValueError(
                 "direct alignment requires matching shapes, "
-                f"got {gs.J11.shape} vs {gs.J12.shape}"
+                f"got {gs.h.shape[1:]} vs {gs.w.shape[1:]}"
             )
-        cross, field_h, field_w = _dots(h, w), gram_h, gram_w
+        cross, field_h, field_w = _dots(gs.h, gs.w), gram_h, gram_w
     else:
-        shapes = ((instance.d,), w_shape(instance.V, instance.d, instance.w_mode))
-        if (gs.J11.shape, gs.J12.shape) != shapes:
+        shapes = ((2, instance.d), (2,) + w_shape(instance.V, instance.d, instance.w_mode))
+        if (gs.h.shape, gs.w.shape) != shapes:
             raise ValueError(f"pushforward alignment requires h and w shapes {shapes}")
         fwd = at if isinstance(at, Forward) else forward(instance, at)
-        cross, field_h, field_w = _pushforward(h, w, instance, fwd, cosine)
-    nh, nw, x = _combos(gram_h), _combos(gram_w), _combos(cross)
-    consistency_h, consistency_w = gram_h[0][1], gram_w[0][1]
+        cross, field_h, field_w = _pushforward(gs, instance, fwd, cosine)
+    products = {(0, 0): _combos(gram_h), (1, 1): _combos(gram_w), (0, 1): _combos(cross)}
+    scores = [products[ga, gb][i][j] for ga, i, gb, j in _PRODUCTS]
     if cosine:
-        consistency_h = _cos(consistency_h, gram_h[0][0], gram_h[1][1])
-        consistency_w = _cos(consistency_w, gram_w[0][0], gram_w[1][1])
-        sq_h = [row[i] for i, row in enumerate(_combos(field_h))]
-        sq_w = [row[i] for i, row in enumerate(_combos(field_w))]
-        x = [[_cos(x[i][j], sq_h[i], sq_w[j]) for j in range(3)] for i in range(3)]
-    return np.array([
-        nh[0][0], nw[0][0], nh[1][1], nw[1][1],
-        x[0][1], x[1][0], consistency_h, consistency_w,
-        x[2][2], x[0][2], x[1][2], x[2][0], x[2][1],
-        nh[2][2], nw[2][2],
-    ])
+        # The two Grams whose diagonals hold the operands' squared norms.
+        spaces = {(0, 0): (products[0, 0],) * 2, (1, 1): (products[1, 1],) * 2,
+                  (0, 1): (_combos(field_h), _combos(field_w))}
+        scores = [
+            s if (ga, i) == (gb, j) else _cos(s, spaces[ga, gb][0][i][i], spaces[ga, gb][1][j][j])
+            for s, (ga, i, gb, j) in zip(scores, _PRODUCTS)
+        ]
+    return np.array(scores)
 
 
 def score_j6(

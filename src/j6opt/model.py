@@ -61,6 +61,13 @@ def set_validation(enabled: bool) -> None:
     _validation = bool(enabled)
 
 
+def require_int(name: str, value: object) -> int:
+    """``value`` as an int; bools and non-integers raise ValueError (numpy integers pass)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 class WMode(str, Enum):
     """Shape semantics of the embedding perturbation w."""
 
@@ -94,14 +101,15 @@ class ProblemInstance:
 
     def __post_init__(self) -> None:
         for name in ("V", "d", "T"):
-            if int(getattr(self, name)) < 1:
+            value = require_int(name, getattr(self, name))
+            if value < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        object.__setattr__(self, "V", int(self.V))
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "T", int(self.T))
+            object.__setattr__(self, name, value)
         H = np.asarray(self.H, dtype=np.float64)
         W = np.asarray(self.W, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
+        if y.dtype.kind not in "iu":
+            raise ValueError(f"'y' must have an integer dtype, got {y.dtype}")
         if H.shape != (self.T, self.d):
             raise ValueError(f"H must have shape {(self.T, self.d)}, got {H.shape}")
         if W.shape != (self.V, self.d):
@@ -114,12 +122,12 @@ class ProblemInstance:
             raise ValueError("y entries must lie in [0, V)")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "W", W)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", y.astype(np.int64, copy=False))
         object.__setattr__(self, "w_mode", WMode(self.w_mode))
         v_star = self.v_star
         if v_star is None:
             v_star = int(y[-1]) if self.w_mode is WMode.SINGLE_ROW else 0
-        v_star = int(v_star)
+        v_star = require_int("v_star", v_star)
         if not 0 <= v_star < self.V:
             raise ValueError("v_star must lie in [0, V)")
         object.__setattr__(self, "v_star", v_star)

@@ -19,6 +19,7 @@ from .model import (
     Perturbations,
     ProblemInstance,
     forward,
+    require_int,
     w_shape,
     zero_perturbations,
 )
@@ -43,8 +44,8 @@ class StopReason(str, Enum):
 
 
 class NonFiniteLossError(RuntimeError):
-    """The run left the finite range: a loss, or the perturbations an
-    update produced (step index is 0-based)."""
+    """The run left the finite range: a loss, the gradient blocks, or the
+    perturbations an update produced (step index is 0-based)."""
 
     def __init__(self, step: int, message: str):
         super().__init__(message)
@@ -68,11 +69,11 @@ class RunConfig:
     init_scale: float = 0.0   # 0 = zero init, else uniform in [-scale, scale]
 
     def __post_init__(self) -> None:
-        if self.max_steps < 0:
+        if require_int("max_steps", self.max_steps) < 0:
             raise ValueError("max_steps must be non-negative")
         if self.grad_tol < 0 or self.loss_tol < 0:
             raise ValueError("tolerances must be non-negative")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= require_int("seed", self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.init_scale < 0:
             raise ValueError("init_scale must be non-negative")
@@ -148,7 +149,10 @@ def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunR
     for step in range(rcfg.max_steps):
         fwd = forward(instance, pert)
         obs = _finite(fwd.objectives, step)
-        gs = compute_gradient_set(instance, fwd)
+        try:
+            gs = compute_gradient_set(instance, fwd)
+        except ValueError as e:  # finite losses, but the blocks overflowed
+            raise NonFiniteLossError(step, f"at step {step}: {e}") from None
         if cfg.kind is StrategyKind.HARD_JPLUS:
             scores = score_jplus(gs, amode, instance, fwd)
         else:

@@ -21,6 +21,7 @@ from .model import (
     WMode,
     forward,
     logit_gradients,
+    require_int,
     zero_perturbations,
 )
 
@@ -55,15 +56,15 @@ class GeneratorSpec:
     v_star: int | None = None  # None -> target token of the last position
 
     def __post_init__(self) -> None:
-        if self.V < 2:
+        if require_int("V", self.V) < 2:
             raise ValueError("V must be at least 2")
-        if self.d < 1 or self.T < 1:
+        if require_int("d", self.d) < 1 or require_int("T", self.T) < 1:
             raise ValueError("d and T must be positive")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= require_int("seed", self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "w_mode", WMode(self.w_mode))
-        if self.v_star is not None and not 0 <= int(self.v_star) < self.V:
+        if self.v_star is not None and not 0 <= require_int("v_star", self.v_star) < self.V:
             raise ValueError("v_star must lie in [0, V)")
 
 
@@ -80,9 +81,8 @@ def conflict_certificate(instance: ProblemInstance, fwd: Forward | None = None) 
 def roleswap_certificate(instance: ProblemInstance) -> float:
     """||grad_h heat||^2 / ||grad_w heat||^2 at zero perturbations; small
     means the h route to heat is suppressed while the w route is live."""
-    gs = compute_gradient_set(instance, zero_perturbations(instance))
-    n11 = float(gs.J11.ravel() @ gs.J11.ravel())
-    n12 = float(gs.J12.ravel() @ gs.J12.ravel())
+    gram_h, gram_w = compute_gradient_set(instance, zero_perturbations(instance)).grams
+    n11, n12 = gram_h[0][0], gram_w[0][0]
     if n12 == 0.0:
         return np.inf
     return n11 / n12

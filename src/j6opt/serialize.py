@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ProblemInstance, WMode
+from .model import ProblemInstance, WMode, require_int
 from .optimizer import RunResult, TraceRecord
 from .strategies import StrategyKind
 
@@ -49,10 +49,6 @@ def _atomic_write(path: str | Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8", newline="")
     os.replace(tmp, path)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true/false are bools
 
 
 def save_instance(
@@ -112,21 +108,22 @@ def load_instance(path: str | Path) -> ProblemInstance:
         w_mode = WMode(doc["w_mode"])
     except ValueError:
         raise InstanceFormatError(f"{path}: unknown w_mode {doc['w_mode']!r}") from None
-    for key in ("V", "d", "T", "v_star"):
-        if not (_is_int(doc[key]) or (key == "v_star" and doc[key] is None)):
-            raise InstanceFormatError(f"{path}: {key!r} must be an integer, got {doc[key]!r}")
-    if not (isinstance(doc["y"], list) and all(map(_is_int, doc["y"]))):
-        raise InstanceFormatError(f"{path}: 'y' must be a list of integers")
-    return ProblemInstance(
-        V=doc["V"],
-        d=doc["d"],
-        T=doc["T"],
-        H=np.asarray(doc["H"], dtype=np.float64),
-        W=np.asarray(doc["W"], dtype=np.float64),
-        y=np.asarray(doc["y"], dtype=np.int64),
-        w_mode=w_mode,
-        v_star=doc["v_star"],
-    )
+    try:
+        if not isinstance(doc["y"], list):
+            raise ValueError("'y' must be a list of integers")
+        return ProblemInstance(
+            V=doc["V"],
+            d=doc["d"],
+            T=doc["T"],
+            H=np.asarray(doc["H"], dtype=np.float64),
+            W=np.asarray(doc["W"], dtype=np.float64),
+            # Each entry checked here: numpy would read [1, true] as [1, 1].
+            y=np.asarray([require_int("y", v) for v in doc["y"]], dtype=np.int64),
+            w_mode=w_mode,
+            v_star=doc["v_star"],
+        )
+    except (OverflowError, TypeError, ValueError) as e:  # e.g. "H": {}, "y": [2**70]
+        raise InstanceFormatError(f"{path}: {e}") from None
 
 
 def _fmt(x: float) -> str:

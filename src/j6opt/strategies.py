@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .attribution import J6_FROM_JPLUS, AlignmentMode, GradientSet
+from .attribution import BETA_AUX, J6_FROM_JPLUS, JPLUS_COMPONENTS, AlignmentMode, GradientSet
 
 __all__ = [
     "StrategyKind",
@@ -84,35 +84,6 @@ class UpdateDecision:
     alpha: np.ndarray | None = None
 
 
-_BETA = "beta_aux"  # stands for cfg.beta_aux in the action table
-
-# The 15 j+ actions in component order, as coefficient matrices
-# ((J11, J21), (J12, J22)).  Components 10-13 pair a primary direction
-# with the other group's summed direction scaled down by beta_aux; 14/15
-# duplicate 7/8.  The six j6 actions are the rows at J6_FROM_JPLUS:
-# slot 0 h along -J11, 1 the coupled pair (-J11, -J22), 2 w along -J12,
-# 3 h along -J21, 4 w along -J22, 5 the coupled pair (-J21, -J12).
-_JPLUS_ACTIONS = (
-    ((1.0, 0.0), (0.0, 0.0)),      # 1: h -> heat
-    ((0.0, 0.0), (1.0, 0.0)),      # 2: w -> heat
-    ((0.0, 1.0), (0.0, 0.0)),      # 3: h -> conf
-    ((0.0, 0.0), (0.0, 1.0)),      # 4: w -> conf
-    ((1.0, 0.0), (0.0, 1.0)),      # 5: h -> heat, w -> conf
-    ((0.0, 1.0), (1.0, 0.0)),      # 6: h -> conf, w -> heat
-    ((1.0, 1.0), (0.0, 0.0)),      # 7: h -> both
-    ((0.0, 0.0), (1.0, 1.0)),      # 8: w -> both
-    ((1.0, 1.0), (1.0, 1.0)),      # 9: both -> both
-    ((1.0, 0.0), (_BETA, _BETA)),  # 10
-    ((0.0, 1.0), (_BETA, _BETA)),  # 11
-    ((_BETA, _BETA), (1.0, 0.0)),  # 12
-    ((_BETA, _BETA), (0.0, 1.0)),  # 13
-    ((1.0, 1.0), (0.0, 0.0)),      # 14 = 7
-    ((0.0, 0.0), (1.0, 1.0)),      # 15 = 8
-)
-
-_ZERO = ((0.0, 0.0), (0.0, 0.0))
-
-
 def contrast_weights(alpha_tilde: np.ndarray, gamma: float) -> np.ndarray:
     """Competitive contrast step: raise each weight to gamma, then
     renormalize (e.g. gamma=2 maps (0.5, 0.3, 0.1, 0.1) to the squares
@@ -152,10 +123,11 @@ def decide(scores: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> UpdateDe
     """One step of the strategy ``cfg.kind``: its coefficient matrix c
     applied to the blocks (see the module docstring).
 
-    - hard-j6 / hard-jplus: the action of the argmax score (ties break
+    - hard-j6 / hard-jplus: the action of the argmax score's row of
+      JPLUS_COMPONENTS, read through J6_FROM_JPLUS for j6 (ties break
       to the lowest index; all scores zero gives a zero step).
       ``chosen_index`` is 0-based for j6 and 1-based for j+, matching
-      the slot and action-table numbering.
+      the slot and component numbering.
     - soft: c = ((alpha_0, alpha_3), (alpha_2, alpha_4)) with alpha the
       soft weights; the alignment weights alpha_1, alpha_5 drive no
       direction.
@@ -173,10 +145,10 @@ def decide(scores: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> UpdateDe
         s = np.asarray(scores, dtype=np.float64)
         chosen = int(s.argmax())
         if s[chosen] == 0.0 and not s.any():
-            c = _ZERO
+            c = ((0.0, 0.0), (0.0, 0.0))
         else:
-            row = J6_FROM_JPLUS[chosen] if kind is StrategyKind.HARD_J6 else chosen
-            c = [[cfg.beta_aux if x is _BETA else x for x in pair] for pair in _JPLUS_ACTIONS[row]]
+            row = JPLUS_COMPONENTS[J6_FROM_JPLUS[chosen] if kind is StrategyKind.HARD_J6 else chosen]
+            c = [[cfg.beta_aux if x is BETA_AUX else x for x in pair] for pair in row.action]
         if kind is StrategyKind.HARD_JPLUS:
             chosen += 1
     elif kind is StrategyKind.SOFT:
@@ -188,6 +160,6 @@ def decide(scores: np.ndarray, gs: GradientSet, cfg: StrategyConfig) -> UpdateDe
         c = (cfg.lam, cfg.lam)
     else:  # per group, the sum of the two projected gradients: column sums
         c = [[r0 + r1 for r0, r1 in zip(*_projection(gram))] for gram in gs.grams]
-    delta_h = -cfg.eta_h * (c[0][0] * gs.J11 + c[0][1] * gs.J21)
-    delta_w = -cfg.eta_w * (c[1][0] * gs.J12 + c[1][1] * gs.J22)
+    delta_h = -cfg.eta_h * (c[0][0] * gs.h[0] + c[0][1] * gs.h[1])
+    delta_w = -cfg.eta_w * (c[1][0] * gs.w[0] + c[1][1] * gs.w[1])
     return UpdateDecision(delta_h, delta_w, chosen_index=chosen, alpha=alpha)

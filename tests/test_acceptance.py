@@ -187,14 +187,13 @@ def test_criterion_06_cauchy_schwarz_routing():
     ok = True
     for _ in range(1000):
         d = int(rng.integers(2, 7))
-        gs = GradientSet(
-            rng.normal(size=d), rng.normal(size=d), rng.normal(size=d), rng.normal(size=d)
-        )
+        J11, J12, J21, J22 = rng.normal(size=(4, d))
+        gs = GradientSet(np.array([J11, J21]), np.array([J12, J22]))
         s = score_j6(gs, DIRECT_RAW, instance, pert)
         chosen = decide(s, gs, cfg).chosen_index
         ok &= chosen not in (1, 5)
         for c in (0.5, 2.0, 4.0):
-            scaled = GradientSet(gs.J11 * c, gs.J12 * c, gs.J21 * c, gs.J22 * c)
+            scaled = GradientSet(gs.h * c, gs.w * c)
             s_scaled = score_j6(scaled, DIRECT_RAW, instance, pert)
             ok &= decide(s_scaled, scaled, cfg).chosen_index == chosen
     _report(6, ok, "no alignment slot selected and argmax scale-invariant on 1000 draws")
@@ -203,7 +202,7 @@ def test_criterion_06_cauchy_schwarz_routing():
 def _projected(g1, g2):
     """Both conflict-projected gradients, formed from the projection
     rows the grad-surgery strategy reads off the blocks' Gram."""
-    (a, b), (c, d) = strategies_mod._projection(GradientSet(g1, g1, g2, g2).grams[0])
+    (a, b), (c, d) = strategies_mod._projection(GradientSet(np.array([g1, g2]), np.array([g1, g2])).grams[0])
     return a * g1 + b * g2, c * g1 + d * g2
 
 
@@ -220,7 +219,7 @@ def test_criterion_07_gradient_surgery_invariant():
         worst = min(worst, float(g1p @ g2), float(g2p @ g1))
     g1, g2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
     g1p, g2p = _projected(g1, g2)
-    step = decide(np.zeros(6), GradientSet(g1, g1, g2, g2),
+    step = decide(np.zeros(6), GradientSet(np.array([g1, g2]), np.array([g1, g2])),
                   StrategyConfig(kind=StrategyKind.GRAD_SURGERY))
     anti_zero = not (g1p.any() or g2p.any() or step.delta_h.any() or step.delta_w.any())
     _report(

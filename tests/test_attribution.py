@@ -13,7 +13,7 @@ from j6opt import (
     GradientSet,
     J6_FROM_JPLUS,
     J6_LABELS,
-    JPLUS_LABELS,
+    JPLUS_COMPONENTS,
     Perturbations,
     ProblemInstance,
     WMode,
@@ -26,6 +26,7 @@ from j6opt import (
     score_jplus,
     zero_perturbations,
 )
+from j6opt.attribution import BETA_AUX
 
 DIRECT_RAW = AlignmentMode(AlignKind.DIRECT, AlignScale.RAW)
 DIRECT_COSINE = AlignmentMode(AlignKind.DIRECT, AlignScale.COSINE)
@@ -35,7 +36,7 @@ PUSH_COSINE = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.COSINE)
 
 def doubled(gs):
     """The gradient set with every block scaled by 2."""
-    return GradientSet(gs.J11 * 2.0, gs.J12 * 2.0, gs.J21 * 2.0, gs.J22 * 2.0)
+    return GradientSet(gs.h * 2.0, gs.w * 2.0)
 
 
 def logit_field(g, group, instance, pert):
@@ -104,20 +105,14 @@ def dummy_point():
 @pytest.fixture
 def handpicked():
     return GradientSet(
-        J11=np.array([1.0, 0.0]),
-        J12=np.array([1.0, 1.0]),
-        J21=np.array([2.0, 0.0]),
-        J22=np.array([0.0, 2.0]),
+        h=np.array([[1.0, 0.0], [2.0, 0.0]]),  # J11, J21
+        w=np.array([[1.0, 1.0], [0.0, 2.0]]),  # J12, J22
     )
 
 
 def random_same_shape_set(rng, d):
-    return GradientSet(
-        J11=rng.normal(size=d),
-        J12=rng.normal(size=d),
-        J21=rng.normal(size=d),
-        J22=rng.normal(size=d),
-    )
+    J11, J12, J21, J22 = rng.normal(size=(4, d))
+    return GradientSet(h=np.array([J11, J21]), w=np.array([J12, J22]))
 
 
 class TestComputeGradientSet:
@@ -186,14 +181,12 @@ class TestAlign:
     def test_direct_self_alignment_is_squared_norm(self, dummy_point):
         instance, pert = dummy_point
         g = np.array([3.0, -4.0])
-        gs = GradientSet(J11=g, J12=np.zeros(2), J21=np.zeros(2), J22=g)
+        gs = GradientSet(h=np.array([g, np.zeros(2)]), w=np.array([np.zeros(2), g]))
         assert score_j6(gs, DIRECT_RAW, instance, pert)[1] == 25.0
 
     def test_direct_orthogonal(self, dummy_point):
         instance, pert = dummy_point
-        gs = GradientSet(
-            J11=np.array([1.0, 0.0]), J12=np.zeros(2), J21=np.zeros(2), J22=np.array([0.0, 2.0])
-        )
+        gs = GradientSet(h=np.array([[1.0, 0.0], [0.0, 0.0]]), w=np.array([[0.0, 0.0], [0.0, 2.0]]))
         assert score_j6(gs, DIRECT_RAW, instance, pert)[1] == 0.0
 
     def test_direct_shape_mismatch_raises(self, make_point):
@@ -239,9 +232,9 @@ class TestAlign:
         zero = np.zeros(2)
         for _ in range(100):
             a, b = rng.normal(size=2), rng.normal(size=2)
-            gs = GradientSet(J11=a, J12=zero, J21=zero, J22=b)
+            gs = GradientSet(h=np.array([a, zero]), w=np.array([zero, b]))
             assert -1.0 - 1e-12 <= score_j6(gs, DIRECT_COSINE, instance, pert)[1] <= 1.0 + 1e-12
-        gs = GradientSet(J11=zero, J12=zero, J21=zero, J22=np.ones(2))
+        gs = GradientSet(h=np.array([zero, zero]), w=np.array([zero, np.ones(2)]))
         assert score_j6(gs, DIRECT_COSINE, instance, pert)[1] == 0.0
 
 
@@ -283,7 +276,7 @@ class TestScoreJ6:
 
     def test_zero_set(self, dummy_point):
         instance, pert = dummy_point
-        zeros = GradientSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
         np.testing.assert_array_equal(score_j6(zeros, DIRECT_RAW, instance, pert), np.zeros(6))
 
     def test_cauchy_schwarz_over_random_draws(self, dummy_point):
@@ -321,7 +314,7 @@ class TestScoreJPlus:
 
     def test_zero_set(self, dummy_point):
         instance, pert = dummy_point
-        zeros = GradientSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
         np.testing.assert_array_equal(score_jplus(zeros, DIRECT_RAW, instance, pert), np.zeros(15))
 
     def test_contains_j6_bit_equal(self, make_point):
@@ -340,14 +333,26 @@ class TestScoreJPlus:
             s = score_jplus(gs, PUSH_RAW, instance, pert)
             assert (s[[0, 1, 2, 3, 13, 14]] >= 0.0).all()
 
-    def test_cosine_inner_products_bounded(self, make_point):
-        inner = [4, 5, 6, 7, 8, 9, 10, 11, 12]
-        mode = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.COSINE)
-        for seed in range(10):
-            instance, pert = make_point(seed=seed, w_mode=WMode.FULL_MATRIX)
-            gs = compute_gradient_set(instance, pert)
-            s = score_jplus(gs, mode, instance, pert)
-            assert (np.abs(s[inner]) <= 1.0 + 1e-12).all()
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(2, 12),
+        d=st.integers(1, 6),
+        T=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        w_mode=st.sampled_from(list(WMode)),
+        kind=st.sampled_from([AlignKind.DIRECT, AlignKind.PUSHFORWARD]),
+    )
+    def test_cosine_inner_products_bounded(self, V, d, T, seed, w_mode, kind):
+        # Cauchy-Schwarz on every slot whose two operands differ
+        if kind is AlignKind.DIRECT and w_mode is WMode.FULL_MATRIX:
+            kind = AlignKind.PUSHFORWARD  # h and w shapes differ there
+        inner = [k for k, c in enumerate(JPLUS_COMPONENTS) if c.a != c.b]
+        assert inner == [4, 5, 6, 7, 8, 9, 10, 11, 12]
+        instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
+        pert = init_perturbations(instance, init_scale=0.3, seed=seed)
+        gs = compute_gradient_set(instance, pert)
+        s = score_jplus(gs, AlignmentMode(kind, AlignScale.COSINE), instance, pert)
+        assert (np.abs(s[inner]) <= 1.0 + 1e-12).all()
 
     def test_scale_equivariance(self, make_point):
         instance, pert = make_point(seed=30, w_mode=WMode.FULL_MATRIX)
@@ -414,7 +419,6 @@ class TestSingleTokenTies:
         assert s6[1] == s6[5]
 
     def test_slot_map_reads_j6_from_jplus(self, make_point):
-        assert [JPLUS_LABELS[i] for i in J6_FROM_JPLUS] == list(J6_LABELS)
         instance, pert = make_point(seed=4, w_mode=WMode.SINGLE_ROW)
         gs = compute_gradient_set(instance, pert)
         s15 = score_jplus(gs, DIRECT_RAW, instance, pert)
@@ -423,10 +427,75 @@ class TestSingleTokenTies:
 
 
 class TestGradientSetValidation:
-    def test_mismatched_block_shapes(self):
-        with pytest.raises(ValueError, match="share"):
-            GradientSet(np.zeros(2), np.zeros(3), np.zeros(4), np.zeros(3))
+    def test_unstacked_blocks_rejected(self):
+        for h, w in (
+            (np.zeros(2), np.zeros((2, 2))),       # a single h block
+            (np.zeros((2, 3)), np.zeros((3, 3))),  # three w blocks
+            (np.zeros((2, 3)), np.zeros((1, 4, 3))),
+        ):
+            with pytest.raises(ValueError, match="stacked"):
+                GradientSet(h, w)
 
     def test_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            GradientSet(np.array([np.inf, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
+        for h, w in (
+            (np.array([[np.inf, 0.0], [0.0, 0.0]]), np.zeros((2, 2))),
+            (np.zeros((2, 2)), np.array([[0.0, 0.0], [0.0, np.nan]])),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                GradientSet(h, w)
+
+    def test_named_blocks_are_views_of_the_stacks(self, make_point):
+        instance, pert = make_point(seed=5, w_mode=WMode.FULL_MATRIX)
+        gs = compute_gradient_set(instance, pert)
+        assert gs.h.shape == (2, instance.d) and gs.w.shape == (2, instance.V, instance.d)
+        named = ((gs.J11, gs.h, 0), (gs.J12, gs.w, 0), (gs.J21, gs.h, 1), (gs.J22, gs.w, 1))
+        for block, stack, k in named:
+            assert np.shares_memory(block, stack)
+            np.testing.assert_array_equal(block, stack[k])
+        with pytest.raises(AttributeError):
+            gs.J11 = np.zeros(instance.d)
+
+
+# The component table as first written out by hand: labels in component
+# order, the six j6 slot labels, and each component's action
+# ((J11, J21), (J12, J22)) with "b" standing for beta_aux.
+PINNED_JPLUS_LABELS = (
+    "h_heat_strength", "w_heat_strength", "h_conf_strength", "w_conf_strength",
+    "align_hheat_wconf", "align_hconf_wheat", "h_consistency", "w_consistency",
+    "joint_alignment", "hheat_vs_total_w", "hconf_vs_total_w", "wheat_vs_total_h",
+    "wconf_vs_total_h", "h_total_strength", "w_total_strength",
+)
+PINNED_J6_LABELS = (
+    "h_heat_strength", "align_hheat_wconf", "w_heat_strength",
+    "h_conf_strength", "w_conf_strength", "align_hconf_wheat",
+)
+PINNED_ACTIONS = (
+    ((1.0, 0.0), (0.0, 0.0)),
+    ((0.0, 0.0), (1.0, 0.0)),
+    ((0.0, 1.0), (0.0, 0.0)),
+    ((0.0, 0.0), (0.0, 1.0)),
+    ((1.0, 0.0), (0.0, 1.0)),
+    ((0.0, 1.0), (1.0, 0.0)),
+    ((1.0, 1.0), (0.0, 0.0)),
+    ((0.0, 0.0), (1.0, 1.0)),
+    ((1.0, 1.0), (1.0, 1.0)),
+    ((1.0, 0.0), ("b", "b")),
+    ((0.0, 1.0), ("b", "b")),
+    (("b", "b"), (1.0, 0.0)),
+    (("b", "b"), (0.0, 1.0)),
+    ((1.0, 1.0), (0.0, 0.0)),
+    ((0.0, 0.0), (1.0, 1.0)),
+)
+
+
+class TestComponentTable:
+    def test_labels_pinned(self):
+        assert tuple(c.label for c in JPLUS_COMPONENTS) == PINNED_JPLUS_LABELS
+        assert J6_LABELS == PINNED_J6_LABELS
+
+    def test_actions_pinned(self):
+        got = tuple(
+            tuple(tuple("b" if x is BETA_AUX else x for x in pair) for pair in c.action)
+            for c in JPLUS_COMPONENTS
+        )
+        assert got == PINNED_ACTIONS

@@ -106,6 +106,18 @@ class TestRun:
         assert code == 3
         assert "update at step 20 left the finite range" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_blocks_exit_3(self, tmp_path, capsys):
+        # a valid instance with finite losses whose h gradient overflows
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "V": 2, "d": 1, "T": 1, "H": [[1e-300]], "W": [[1e308], [-1e308]], "y": [1],
+            "w_mode": "full_matrix", "v_star": None,
+            "metadata": {"seed": None, "family": None, "format_version": "1"},
+        }))
+        assert main(["run", "-i", str(path), "--strategy", "hard-j6", "--steps", "3"]) == 3
+        assert "at step 0: gradient blocks must be finite" in capsys.readouterr().err
+
     def test_auto_alignment_resolves_per_instance(self, inst, inst_single, tmp_path):
         for path, kind in ((inst, "pushforward"), (inst_single, "direct")):
             traces = []
@@ -137,6 +149,23 @@ class TestGradcheck:
 
     def test_single_instance_mode(self, inst):
         assert main(["gradcheck", "-i", str(inst)]) == 0
+
+    def test_broadcast_instances_pass(self, tmp_path, capsys):
+        # J12 and J22 are analytically zero under broadcast; the rounding
+        # noise of the central differences must not read as an error
+        for seed in range(1, 6):
+            path = tmp_path / f"b{seed}.json"
+            assert main(["gen", "--V", "6", "--d", "4", "--T", "2", "--w-mode", "broadcast",
+                         "--seed", str(seed), "-o", str(path)]) == 0
+            assert main(["gradcheck", "-i", str(path)]) == 0, capsys.readouterr().out
+
+    def test_small_corruption_fails_only_j11(self, capsys):
+        assert main(["gradcheck", "--corrupt", "1e-3"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("J11: ") and out.count("[FAIL]") == 1
+
+    def test_coarse_eps_fails(self, capsys):
+        assert main(["gradcheck", "--eps", "1e-2"]) == 1
 
     def test_reported_error_shrinks_with_eps(self, inst, capsys):
         def worst(eps):

@@ -513,3 +513,23 @@ class TestProblemInstanceValidation:
         assert ProblemInstance(w_mode=WMode.FULL_MATRIX, **base).v_star == 0
         with pytest.raises(ValueError, match="v_star"):
             ProblemInstance(w_mode=WMode.SINGLE_ROW, v_star=9, **base)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("V", 4.9), ("V", 3.0), ("V", True), ("d", np.float64(2.0)), ("T", "1"),
+         ("y", [1.7]), ("y", [True]), ("y", ["1"]), ("v_star", 2.7), ("v_star", False)],
+    )
+    def test_non_integer_rejected(self, field, value):
+        fields = dict(V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=[1])
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"'{field}' must"):
+            ProblemInstance(**fields)
+
+    def test_numpy_integers_accepted(self):
+        instance = ProblemInstance(
+            V=np.int32(3), d=np.int64(2), T=np.uint8(1), H=[[1.0, 0.0]], W=np.eye(3, 2),
+            y=np.array([2], dtype=np.uint16), v_star=np.int64(1),
+        )
+        assert (instance.V, instance.d, instance.T, instance.v_star) == (3, 2, 1, 1)
+        assert all(type(x) is int for x in (instance.V, instance.d, instance.T, instance.v_star))
+        assert instance.y.dtype == np.int64 and instance.y.tolist() == [2]

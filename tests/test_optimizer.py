@@ -219,6 +219,17 @@ class TestRun:
             run(instance, cfg, RunConfig(max_steps=30, init_scale=0.3))
         assert info.value.step == 20
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_blocks_abort_with_step(self):
+        # finite losses (logits +-1e8) while grad_h = 1e308 - (-1e308) overflows
+        instance = ProblemInstance(
+            V=2, d=1, T=1, H=[[1e-300]], W=[[1e308], [-1e308]], y=[1]
+        )
+        cfg = StrategyConfig(kind=StrategyKind.HARD_J6)
+        with pytest.raises(NonFiniteLossError, match="gradient blocks must be finite") as info:
+            run(instance, cfg, RunConfig(max_steps=3))
+        assert info.value.step == 0
+
     def test_default_alignment_is_auto(self):
         assert StrategyConfig(kind=StrategyKind.SOFT).alignment == AlignmentMode(AlignKind.AUTO)
 
@@ -274,3 +285,13 @@ class TestRunConfigValidation:
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
             RunConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "field, value", [("max_steps", 2.5), ("max_steps", 3.0), ("max_steps", True), ("seed", 1.5)]
+    )
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}' must be an integer"):
+            RunConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert RunConfig(max_steps=np.int64(3), seed=np.uint64(5)).max_steps == 3

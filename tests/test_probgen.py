@@ -114,6 +114,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GeneratorSpec(**bad)
 
+    @pytest.mark.parametrize(
+        "field, value", [("V", 4.5), ("V", 4.0), ("d", True), ("T", 1.5), ("seed", 0.5),
+                         ("v_star", 1.0)],
+    )
+    def test_non_integer_rejected(self, field, value):
+        spec = {"V": 4, "d": 2, "T": 1, field: value}
+        with pytest.raises(ValueError, match=f"'{field}' must be an integer"):
+            GeneratorSpec(**spec)
+
     def test_single_row_v_star_defaults_to_last_target(self):
         instance = generate(
             GeneratorSpec(V=6, d=3, T=3, seed=2, w_mode=WMode.SINGLE_ROW)

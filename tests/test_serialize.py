@@ -147,6 +147,17 @@ class TestInstanceValidation:
         with pytest.raises(InstanceFormatError, match=f"'{key}'"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("H", {"a": 1}), ("W", [["a", "b"]]), ("H", None), ("y", [2**70])]
+    )
+    def test_unreadable_values_rejected(self, instance, tmp_path, key, value):
+        doc = self._doc(instance)
+        doc[key] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match="inst.json"):
+            load_instance(path)
+
     def test_unknown_w_mode(self, instance, tmp_path):
         doc = self._doc(instance)
         doc["w_mode"] = "diag"

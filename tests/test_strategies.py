@@ -24,10 +24,8 @@ ETA = 0.1
 @pytest.fixture
 def gs():
     return GradientSet(
-        J11=np.array([1.0, 0.0]),
-        J12=np.array([1.0, 1.0]),
-        J21=np.array([2.0, 0.0]),
-        J22=np.array([0.0, 2.0]),
+        h=np.array([[1.0, 0.0], [2.0, 0.0]]),  # J11, J21
+        w=np.array([[1.0, 1.0], [0.0, 2.0]]),  # J12, J22
     )
 
 
@@ -46,7 +44,7 @@ def one_hot(n, index):
 def projected(g1, g2):
     """The two conflict-projected gradients, through the projection the
     grad-surgery strategy runs (rows over (g1, g2), from their Gram)."""
-    (a, b), (c, d) = strategies_mod._projection(GradientSet(g1, g1, g2, g2).grams[0])
+    (a, b), (c, d) = strategies_mod._projection(GradientSet(np.array([g1, g2]), np.array([g1, g2])).grams[0])
     return a * g1 + b * g2, c * g1 + d * g2
 
 
@@ -81,7 +79,7 @@ class TestHardRouteJ6:
         assert decision.chosen_index == 0
 
     def test_zero_gradients_give_zero_deltas(self):
-        zeros = GradientSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
         decision = decide(np.zeros(6), zeros, cfg())
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
@@ -122,7 +120,7 @@ class TestHardRouteJ6:
 
 class TestHardRouteJPlus:
     def test_zero_gradients(self):
-        zeros = GradientSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
         decision = decide(np.zeros(15), zeros, cfg(StrategyKind.HARD_JPLUS))
         assert decision.chosen_index == 1
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
@@ -243,9 +241,7 @@ class TestStaticBaseline:
         np.testing.assert_allclose(decision.delta_w, -ETA * gs.J22)
 
     def test_stalls_when_its_route_is_dead(self):
-        gs = GradientSet(
-            J11=np.zeros(2), J12=np.array([5.0, 5.0]), J21=np.zeros(2), J22=np.zeros(2)
-        )
+        gs = GradientSet(h=np.zeros((2, 2)), w=np.array([[5.0, 5.0], [0.0, 0.0]]))
         decision = decide(np.ones(6), gs, cfg(StrategyKind.STATIC))
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
@@ -271,7 +267,7 @@ class TestScalarizedBaseline:
         np.testing.assert_allclose(scal.delta_w, 3.0 * soft.delta_w)
 
     def test_zero_gradients(self):
-        zeros = GradientSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
         decision = decide(np.zeros(6), zeros, cfg(StrategyKind.SCALARIZED))
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
@@ -283,8 +279,8 @@ class TestGradSurgery:
         np.testing.assert_array_equal(g1p, np.zeros(2))
         np.testing.assert_array_equal(g2p, np.zeros(2))
         anti = GradientSet(
-            J11=np.array([1.0, 0.0]), J12=np.array([0.0, 3.0]),
-            J21=np.array([-1.0, 0.0]), J22=np.array([0.0, -3.0]),
+            h=np.array([[1.0, 0.0], [-1.0, 0.0]]),  # J11, J21
+            w=np.array([[0.0, 3.0], [0.0, -3.0]]),  # J12, J22
         )
         decision = decide(np.zeros(6), anti, cfg(StrategyKind.GRAD_SURGERY))
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
@@ -307,7 +303,7 @@ class TestGradSurgery:
             assert float(g1p @ g2) >= -1e-10
             assert float(g2p @ g1) >= -1e-10
             # the step is the sum of the two projected gradients
-            decision = decide(np.zeros(6), GradientSet(g1, g1, g2, g2),
+            decision = decide(np.zeros(6), GradientSet(np.array([g1, g2]), np.array([g1, g2])),
                               cfg(StrategyKind.GRAD_SURGERY))
             np.testing.assert_allclose(decision.delta_h, -ETA * (g1p + g2p),
                                        rtol=1e-12, atol=1e-15)
@@ -416,7 +412,8 @@ def _decision_cases(draw):
         lam=(l1, 1.0 - l1),
         pre_norm=draw(st.sampled_from(list(PreNorm))),
     )
-    return scores, GradientSet(blocks[0], blocks[1], blocks[2], blocks[3]), c
+    gs = GradientSet(np.array([blocks[0], blocks[2]]), np.array([blocks[1], blocks[3]]))
+    return scores, gs, c
 
 
 class TestDecideMatchesPerStrategyFormulas:
