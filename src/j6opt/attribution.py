@@ -1,27 +1,36 @@
 """Jacobian blocks and the 6- and 15-component attribution score vectors.
 
 The four blocks are the gradients of the two objectives with respect to
-the two parameter groups, computed together from one forward pass.
-Every score is a squared norm or an inner product of blocks or block
-sums, so all 15 are read from three 2x2 Gram matrices: the native Grams
-within the h blocks (J11, J21) and within the w blocks (J12, J22), and
-the cross matrix between the groups.
+the two parameter groups.  Every score is a squared norm or an inner
+product of blocks or block sums, so all 15 are read from three 2x2
+matrices: the native Grams of the h blocks (J11, J21) and of the w
+blocks (J12, J22), and the cross matrix between the groups.
+
+None of them needs the w blocks.  With g_i the (T, V) logit-space
+gradient of objective i, A = H + h and B = W with w folded in, the w
+block is J_i2 = r_i^T A / T with r_i = w_columns(g_i), so with the
+T x T matrix K = A A^T and a = sum_t A_t
+
+    <J_i2, J_j2> = <r_i, K r_j> / T^2  (the per-example gradient-norm identity)
+    J_j2 a = sum_t (K r_j)_t / T
 
 An inner product between an h-shaped and a w-shaped gradient is only
 directly defined when the shapes match (SINGLE_ROW / BROADCAST), so a
 ``pushforward`` alignment compares the logit-space changes the two
-gradients induce under the model's local linearization (exact here, the
-model being bilinear).  Those products have closed forms in A = H + h
-and B = W with w folded in: <field_h(g), field_w(G)> = (B g) . (G a)
-with a = sum_t A_t for FULL_MATRIX, with column v_star of B g under
-SINGLE_ROW and its sum over v under BROADCAST.  No T x V field is built.
+gradients induce (exact here, the model being bilinear): J_i1 moves
+every logit row by B J_i1 and J_j2 moves the columns w_columns picks by
+K r_j / T.  So the cross product is w_columns(B J_i1) . (J_j2 a), and
+the field Grams are T (B J_i1).(B J_j1) and <K r_i, K r_j> / T^2 (times
+V under BROADCAST, where every column moves).  No T x V field is built,
+and the w blocks only on request (``GradientSet.w``): under direct
+alignment, where they are d-vectors.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -35,7 +44,7 @@ from .model import (
     forward,
     logit_gradients,
     pullback,
-    w_shape,
+    w_columns,
 )
 
 __all__ = [
@@ -122,38 +131,58 @@ def resolve_alignment(mode: AlignmentMode, w_mode: WMode) -> AlignmentMode:
         return AlignmentMode(AlignKind.PUSHFORWARD if full else AlignKind.DIRECT, mode.scale)
     if mode.kind is AlignKind.DIRECT and full:
         raise ValueError(
-            "direct alignment is incompatible with full_matrix instances "
-            "(h and w shapes differ); use pushforward"
+            "direct alignment requires matching shapes, and h and w shapes "
+            "differ on full_matrix instances; use pushforward"
         )
     return mode
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class GradientSet:
-    """The four Jacobian blocks, stacked by objective as ``pullback``
-    returns them: h = (J11, J21) is (2, d) and w = (J12, J22) is
-    (2,) + w_shape.  J11 = grad_h heat, J12 = grad_w heat,
-    J21 = grad_h conf, J22 = grad_w conf, each a read-only view."""
+    """The gradient blocks at one point, the w side kept in logit space.
 
+    ``g`` holds both objectives' logit-space gradients (2, T, V), heat
+    first, ``h`` the h blocks (J11, J21) as (2, d), and ``fwd`` the
+    forward pass they come from.  r = w_columns(g) and Kr = K r carry the
+    w side (module docstring); its blocks (J12, J22) = pullback(g) are
+    formed only on request (``w``).  ``grams`` holds the native 2x2
+    Grams of the h and of the w blocks; a non-finite entry raises
+    ValueError.
+    """
+
+    instance: ProblemInstance
+    fwd: Forward
+    g: np.ndarray
     h: np.ndarray
-    w: np.ndarray
+    r: np.ndarray = field(init=False, repr=False)
+    Kr: np.ndarray = field(init=False, repr=False)
+    grams: tuple[list[list[float]], list[list[float]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name, blocks in (("h", self.h), ("w", self.w)):
-            if blocks.ndim < 2 or len(blocks) != 2:
-                raise ValueError(f"{name} blocks must be stacked (2, ...) by objective")
-        if not (np.isfinite(self.h).all() and np.isfinite(self.w).all()):
-            raise ValueError("gradient blocks must be finite")
+        T, V, d = self.instance.T, self.instance.V, self.instance.d
+        if self.g.shape != (2, T, V) or self.h.shape != (2, d):
+            raise ValueError(
+                f"g and h must be stacked (2, {T}, {V}) and (2, {d}) by objective, "
+                f"got {self.g.shape} and {self.h.shape}"
+            )
+        A = self.fwd.A
+        K = A @ A.T
+        self.r = w_columns(self.instance, self.g)
+        self.Kr = K @ self.r if self.r.ndim == 3 else self.r @ K
+        gram_h, gram_w = self.grams = _gram(self.h, self.h, 1.0), _gram(self.r, self.Kr, 1 / (T * T))
+        # a nan or inf entry makes the sum non-finite
+        if not math.isfinite(sum(gram_h[0] + gram_h[1] + gram_w[0] + gram_w[1])):
+            raise ValueError("gradient blocks must be finite, with finite Grams")
 
     J11 = property(lambda self: self.h[0])
-    J12 = property(lambda self: self.w[0])
     J21 = property(lambda self: self.h[1])
+    J12 = property(lambda self: self.w[0])
     J22 = property(lambda self: self.w[1])
 
     @cached_property
-    def grams(self) -> tuple[list[list[float]], list[list[float]]]:
-        """Native 2x2 Grams of the h blocks (J11, J21) and the w blocks (J12, J22)."""
-        return _gram(self.h), _gram(self.w)
+    def w(self) -> np.ndarray:
+        """The explicit w blocks (J12, J22), (2,) + w_shape."""
+        return pullback(self.instance, self.fwd, self.g)
 
     def norms(self) -> tuple[float, float, float, float]:
         """Euclidean norms (n11, n12, n21, n22), from the Gram diagonals."""
@@ -163,24 +192,25 @@ class GradientSet:
 
 
 def compute_gradient_set(instance: ProblemInstance, at: Perturbations | Forward) -> GradientSet:
-    """All four blocks at a point: both objectives' logit-space gradients
-    from one log-softmax, pulled back to h and to w in one batched
-    product each.  ``at`` is the point's perturbations, or a forward
-    pass already taken there."""
+    """The gradient set at a point: both objectives' logit-space
+    gradients from one log-softmax, and the h blocks pulled back from
+    them in one batched product.  ``at`` is the point's perturbations,
+    or a forward pass already taken there."""
     fwd = at if isinstance(at, Forward) else forward(instance, at)
-    return GradientSet(*pullback(instance, fwd, logit_gradients(fwd.logp, instance.y)))
+    g = logit_gradients(fwd.logp, instance.y)
+    # Every logit of row t moves by B.h, so grad_h = (1/T) sum_tv g[t, v] B[v].
+    return GradientSet(instance, fwd, g, (g.sum(axis=1) @ fwd.B) / instance.T)
 
 
-def _gram(x) -> list[list[float]]:
-    """2x2 Gram of the two rows of x, each flattened."""
-    a, b = x
-    ab = float(np.vdot(a, b))
-    return [[float(np.vdot(a, a)), ab], [ab, float(np.vdot(b, b))]]
-
-
-def _dots(xs, ys) -> list[list[float]]:
-    """2x2 inner products x_i . y_j of flattened arrays."""
-    return [[float(np.vdot(x, y)) for y in ys] for x in xs]
+def _gram(x, y, scale: float) -> list[list[float]]:
+    """2x2 Gram scale <x_i, y_j> of two stacked operands with y = M x for
+    a symmetric M (y = x for a plain Gram), from one off-diagonal
+    product so that it is exactly symmetric.  A diagonal entry is a
+    squared norm; one that rounds below 0 is 0."""
+    (a, b), (ya, yb) = x, y
+    aa, ab, bb = (float(np.vdot(a, ya)) * scale, float(np.vdot(a, yb)) * scale,
+                  float(np.vdot(b, yb)) * scale)
+    return [[0.0 if aa < 0.0 else aa, ab], [ab, 0.0 if bb < 0.0 else bb]]
 
 
 def _combos(m: list[list[float]]) -> list[list[float]]:
@@ -199,41 +229,27 @@ def _cos(raw: float, sq_a: float, sq_b: float) -> float:
 
 
 def _pushforward(
-    gs: GradientSet, instance: ProblemInstance, fwd: Forward, with_grams: bool
+    gs: GradientSet, with_grams: bool
 ) -> tuple[list[list[float]], list[list[float]] | None, list[list[float]] | None]:
     """Products of the blocks' logit-space fields, by the closed forms in
     the module docstring: the 2x2 cross matrix and, when ``with_grams``,
-    the field Grams of the h and of the w blocks, T (B g_i).(B g_j) and
-    sum((G_i A^T A) * G_j) (times V under BROADCAST)."""
-    Bh = [fwd.B @ g for g in gs.h]
-    a = fwd.A.sum(axis=0)
-    if instance.w_mode is WMode.FULL_MATRIX:
-        cross = _dots(Bh, [G @ a for G in gs.w])
-        if instance.T == 1:
-            # Symmetric in exact arithmetic (g_i^T B B^T g_j |a|^2); form
-            # it so, so that equal scores tie exactly.
-            cross[0][1] = cross[1][0] = (cross[0][1] + cross[1][0]) / 2
-    else:
-        ga = [float(g @ a) for g in gs.w]
-        single = instance.w_mode is WMode.SINGLE_ROW
-        col = [float(u[instance.v_star] if single else u.sum()) for u in Bh]
-        cross = [[c * x for x in ga] for c in col]
+    the field Grams of the h blocks, T (B J_i1).(B J_j1), and of the w
+    blocks, <K r_i, K r_j> / T^2 (times V under BROADCAST)."""
+    instance, T = gs.instance, gs.instance.T
+    Bh = gs.h @ gs.fwd.B.T          # B J_i1, stacked (2, V)
+    Ja = gs.Kr.sum(axis=1) / T      # J_j2 a, stacked (2, V) under FULL_MATRIX, else (2,)
+    cross = (w_columns(instance, Bh).reshape(2, -1) @ Ja.reshape(2, -1).T).tolist()
+    if T == 1 and instance.w_mode is WMode.FULL_MATRIX:
+        # Symmetric in exact arithmetic (g_i^T B B^T g_j |a|^2); form
+        # it so, so that equal scores tie exactly.
+        cross[0][1] = cross[1][0] = (cross[0][1] + cross[1][0]) / 2
     if not with_grams:
         return cross, None, None
-    field_h = [[instance.T * x for x in row] for row in _gram(Bh)]
-    AtA = fwd.A.T @ fwd.A
-    field_w = _dots([G @ AtA for G in gs.w], gs.w)
-    if instance.w_mode is WMode.BROADCAST:
-        field_w = [[instance.V * x for x in row] for row in field_w]
-    return cross, field_h, field_w
+    copies = instance.V if instance.w_mode is WMode.BROADCAST else 1
+    return cross, _gram(Bh, Bh, T), _gram(gs.Kr, gs.Kr, copies / (T * T))
 
 
-def score_jplus(
-    gs: GradientSet,
-    mode: AlignmentMode,
-    instance: ProblemInstance,
-    at: Perturbations | Forward,
-) -> np.ndarray:
+def score_jplus(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
     """The 15-score vector, component k+1 at position k: the inner
     products of JPLUS_COMPONENTS.
 
@@ -242,28 +258,17 @@ def score_jplus(
     their cross matrix in alignment space.  Under COSINE a product of
     two different operands is divided by their norms in the space it was
     taken in (native within a group, alignment space across groups); a
-    zero norm gives 0.  Squared norms are never scaled.  AUTO is
-    resolved per the instance (``resolve_alignment``).  ``at`` is the
-    point's perturbations, or a forward pass already taken there; only
-    PUSHFORWARD reads it.
+    zero norm gives 0.  Squared norms are never scaled.  The mode is
+    resolved per the instance (``resolve_alignment``).
     """
-    if mode.kind is AlignKind.AUTO:
-        mode = resolve_alignment(mode, instance.w_mode)
+    mode = resolve_alignment(mode, gs.instance.w_mode)
     cosine = mode.scale is AlignScale.COSINE
     gram_h, gram_w = gs.grams
     if mode.kind is AlignKind.DIRECT:
-        if gs.h.shape != gs.w.shape:
-            raise ValueError(
-                "direct alignment requires matching shapes, "
-                f"got {gs.h.shape[1:]} vs {gs.w.shape[1:]}"
-            )
-        cross, field_h, field_w = _dots(gs.h, gs.w), gram_h, gram_w
+        cross = (gs.h @ gs.w.T).tolist()  # w is a d-vector here
+        field_h, field_w = gram_h, gram_w
     else:
-        shapes = ((2, instance.d), (2,) + w_shape(instance.V, instance.d, instance.w_mode))
-        if (gs.h.shape, gs.w.shape) != shapes:
-            raise ValueError(f"pushforward alignment requires h and w shapes {shapes}")
-        fwd = at if isinstance(at, Forward) else forward(instance, at)
-        cross, field_h, field_w = _pushforward(gs, instance, fwd, cosine)
+        cross, field_h, field_w = _pushforward(gs, cosine)
     products = {(0, 0): _combos(gram_h), (1, 1): _combos(gram_w), (0, 1): _combos(cross)}
     scores = [products[ga, gb][i][j] for ga, i, gb, j in _PRODUCTS]
     if cosine:
@@ -277,13 +282,8 @@ def score_jplus(
     return np.array(scores)
 
 
-def score_j6(
-    gs: GradientSet,
-    mode: AlignmentMode,
-    instance: ProblemInstance,
-    at: Perturbations | Forward,
-) -> np.ndarray:
+def score_j6(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
     """The 6-score vector in canonical slot order (see J6_LABELS): four
     native squared norms and the two cross-objective alignment slots,
     i.e. the components of ``score_jplus`` at J6_FROM_JPLUS."""
-    return score_jplus(gs, mode, instance, at)[list(J6_FROM_JPLUS)]
+    return score_jplus(gs, mode)[list(J6_FROM_JPLUS)]

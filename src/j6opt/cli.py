@@ -38,13 +38,8 @@ GRADCHECK_TOL = 1e-5
 _GRADCHECK_BLOCKS = (("J11", "h", 0), ("J12", "w", 0), ("J21", "h", 1), ("J22", "w", 1))
 
 _STRATEGY_NAMES = [k.value for k in StrategyKind]
-_SWEEP_PARAMS = {
-    "tau": "tau",
-    "gamma": "gamma",
-    "eta-h": "eta_h",
-    "eta-w": "eta_w",
-    "beta-aux": "beta_aux",
-}
+# --param value: the StrategyConfig field it sets
+_SWEEP_PARAMS = {p: p.replace("-", "_") for p in ("tau", "gamma", "eta-h", "eta-w", "beta-aux")}
 
 
 def _default_seed(value: int | None) -> int:

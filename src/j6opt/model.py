@@ -13,9 +13,10 @@ the softmax, to be driven down for certainty).
 One forward pass (``forward``) forms A, B, the logits and one row-wise
 log-softmax, and reads both losses from it through ``losses``, the only
 place they are computed.  ``logit_gradients`` turns that log-softmax
-into both losses' logit-space gradients, stacked as (2, T, V);
-``pullback`` maps stacked logit-space gradients to h and to w in one
-batched product per group.  A central-difference oracle
+into both losses' logit-space gradients, stacked as (2, T, V).
+``w_columns`` picks the logit columns w moves per w_mode, and
+``pullback`` maps stacked logit-space gradients to w through them in
+one batched product.  A central-difference oracle
 (``fd_gradient``) checks every analytic gradient through the forward
 pass alone, both losses stacked like the analytic ones.
 
@@ -25,6 +26,7 @@ All numerics are float64.  Every public function is pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +45,7 @@ __all__ = [
     "log_softmax",
     "losses",
     "logit_gradients",
+    "w_columns",
     "pullback",
     "fd_gradient",
 ]
@@ -66,6 +69,19 @@ def require_int(name: str, value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_float(name: str, value: object) -> float:
+    """``value`` as a float; bools, non-real numbers, nan and +-inf raise
+    ValueError naming the field (ints and numpy reals pass)."""
+    if not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{name!r} must be a finite real number, got {value!r}")
 
 
 class WMode(str, Enum):
@@ -259,29 +275,31 @@ def logit_gradients(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g
 
 
-def pullback(
-    instance: ProblemInstance, fwd: Forward, g_logits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map K stacked logit-space gradients (K, T, V) to h and to w.
+def w_columns(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
+    """The logit columns that w moves, along the last (V) axis of x: all
+    of them for FULL_MATRIX, column v_star for SINGLE_ROW, and their sum
+    for BROADCAST (which drops the axis in the last two modes)."""
+    if instance.w_mode is WMode.FULL_MATRIX:
+        return x
+    if instance.w_mode is WMode.SINGLE_ROW:
+        return x[..., instance.v_star]
+    return x.sum(axis=-1)
 
-    Returns (K, d) h-gradients, (1/T) sum_tv g[t,v] B[v], and w-gradients
-    shaped (K,) + w_shape: (1/T) g^T A for FULL_MATRIX, column v_star of
-    g against A for SINGLE_ROW, and row sums of g against A for
-    BROADCAST, which vanish for both objectives because their logit
-    gradients are zero-sum per position.
+
+def pullback(instance: ProblemInstance, fwd: Forward, g_logits: np.ndarray) -> np.ndarray:
+    """Map K stacked logit-space gradients (K, T, V) to w-gradients shaped
+    (K,) + w_shape: (1/T) r^T A with r = w_columns(g), i.e. g^T A / T for
+    FULL_MATRIX, column v_star of g against A for SINGLE_ROW, and row
+    sums of g against A for BROADCAST, which vanish for both objectives
+    because their logit gradients are zero-sum per position.
     """
     g = np.asarray(g_logits, dtype=np.float64)
     if g.ndim != 3 or g.shape[1:] != (instance.T, instance.V):
         raise ValueError(
             f"g_logits must have shape (K, {instance.T}, {instance.V}), got {g.shape}"
         )
-    T = instance.T
-    grad_h = (g.sum(axis=1) @ fwd.B) / T
-    if instance.w_mode is WMode.FULL_MATRIX:
-        return grad_h, (g.transpose(0, 2, 1) @ fwd.A) / T
-    if instance.w_mode is WMode.SINGLE_ROW:
-        return grad_h, (g[:, :, instance.v_star] @ fwd.A) / T
-    return grad_h, (g.sum(axis=2) @ fwd.A) / T
+    # (K, V, T) under FULL_MATRIX; the (K, T) column stays as it is
+    return (w_columns(instance, g).swapaxes(1, -1) @ fwd.A) / instance.T
 
 
 def fd_gradient(
@@ -302,7 +320,7 @@ def fd_gradient(
     """
     if which not in ("h", "w"):
         raise ValueError("which must be 'h' or 'w'")
-    if eps <= 0:
+    if require_float("eps", eps) <= 0:
         raise ValueError("eps must be positive")
     base = pert.copy()
     target = base.h if which == "h" else base.w

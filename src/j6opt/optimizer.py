@@ -1,13 +1,16 @@
 """Per-instance optimization loop with stopping rules and trace capture.
 
-One step: one forward pass, the gradient blocks and attribution scores
-read from it, strategy decision, apply the deltas, record everything.
+One step: one forward pass, the gradient set and attribution scores
+read from it, the strategy's coefficient matrix c, then the update
+delta_h = -eta_h (c00 J11 + c01 J21), delta_w = -eta_w (c10 J12 + c11 J22)
+with w pulled back once, and everything recorded.
 Plain gradient steps only (no momentum or adaptive scaling), so each
 trace row is exactly attributable to its score vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +21,10 @@ from .model import (
     ObjectivePair,
     Perturbations,
     ProblemInstance,
+    WMode,
     forward,
+    pullback,
+    require_float,
     require_int,
     w_shape,
     zero_perturbations,
@@ -71,11 +77,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if require_int("max_steps", self.max_steps) < 0:
             raise ValueError("max_steps must be non-negative")
-        if self.grad_tol < 0 or self.loss_tol < 0:
+        if (require_float("grad_tol", self.grad_tol) < 0
+                or require_float("loss_tol", self.loss_tol) < 0):
             raise ValueError("tolerances must be non-negative")
         if not 0 <= require_int("seed", self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.init_scale < 0:
+        if require_float("init_scale", self.init_scale) < 0:
             raise ValueError("init_scale must be non-negative")
 
 
@@ -143,6 +150,7 @@ def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunR
     their decisions ignore it.
     """
     amode = resolve_alignment(cfg.alignment, instance.w_mode)
+    score = score_jplus if cfg.kind is StrategyKind.HARD_JPLUS else score_j6
     pert = init_perturbations(instance, rcfg.init_scale, rcfg.seed)
     trace: list[TraceRecord] = []
     stop = StopReason.MAX_STEPS
@@ -153,13 +161,16 @@ def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunR
             gs = compute_gradient_set(instance, fwd)
         except ValueError as e:  # finite losses, but the blocks overflowed
             raise NonFiniteLossError(step, f"at step {step}: {e}") from None
-        if cfg.kind is StrategyKind.HARD_JPLUS:
-            scores = score_jplus(gs, amode, instance, fwd)
-        else:
-            scores = score_j6(gs, amode, instance, fwd)
-        decision = decide(scores, gs, cfg)
+        scores = score(gs, amode)
+        decision = decide(scores, gs.grams, cfg)
+        (c00, c01), (c10, c11) = decision.c
+        delta_h = -cfg.eta_h * (c00 * gs.h[0] + c01 * gs.h[1])
+        if instance.w_mode is WMode.FULL_MATRIX:  # pull back the combination, no V x d block
+            delta_w = -cfg.eta_w * pullback(instance, fwd, (c10 * gs.g[0] + c11 * gs.g[1])[None])[0]
+        else:  # w is a d-vector: pulling back both blocks costs no more
+            delta_w = -cfg.eta_w * (c10 * gs.w[0] + c11 * gs.w[1])
         try:
-            pert = Perturbations(pert.h + decision.delta_h, pert.w + decision.delta_w)
+            pert = Perturbations(pert.h + delta_h, pert.w + delta_w)
         except ValueError as e:
             raise NonFiniteLossError(
                 step, f"update at step {step} left the finite range: {e}"
@@ -178,8 +189,8 @@ def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunR
                 scores=scores,
                 chosen_index=decision.chosen_index,
                 alpha=decision.alpha,
-                dh_norm=float(np.linalg.norm(decision.delta_h)),
-                dw_norm=float(np.linalg.norm(decision.delta_w)),
+                dh_norm=math.sqrt(np.vdot(delta_h, delta_h)),
+                dw_norm=math.sqrt(np.vdot(delta_w, delta_w)),
             )
         )
         reason = stop_check(trace, rcfg)

@@ -83,9 +83,7 @@ def roleswap_certificate(instance: ProblemInstance) -> float:
     means the h route to heat is suppressed while the w route is live."""
     gram_h, gram_w = compute_gradient_set(instance, zero_perturbations(instance)).grams
     n11, n12 = gram_h[0][0], gram_w[0][0]
-    if n12 == 0.0:
-        return np.inf
-    return n11 / n12
+    return n11 / n12 if n12 > 0.0 else np.inf
 
 
 def _draw(rng: np.random.Generator, spec: GeneratorSpec) -> ProblemInstance:

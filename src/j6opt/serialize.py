@@ -24,7 +24,6 @@ from .optimizer import RunResult, TraceRecord
 from .strategies import StrategyKind
 
 __all__ = [
-    "FORMAT_VERSION",
     "InstanceFormatError",
     "save_instance",
     "load_instance",
@@ -76,6 +75,19 @@ def save_instance(
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
+def _reals(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float64 matrix.  numpy reads a JSON true/false as
+    1.0/0.0, so the entries that load as exactly 0 or 1, and only those,
+    are checked for a bool in the parsed lists."""
+    rows = doc[key]
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim == 2:
+        for i, j in np.argwhere((x == 0.0) | (x == 1.0)):
+            if isinstance(rows[i][j], bool):
+                raise ValueError(f"{key!r} entries must be numbers, got a boolean at [{i}, {j}]")
+    return x
+
+
 def load_instance(path: str | Path) -> ProblemInstance:
     """Parse and validate an instance file (strict: unknown keys rejected)."""
     raw = Path(path).read_text(encoding="utf-8")
@@ -115,8 +127,8 @@ def load_instance(path: str | Path) -> ProblemInstance:
             V=doc["V"],
             d=doc["d"],
             T=doc["T"],
-            H=np.asarray(doc["H"], dtype=np.float64),
-            W=np.asarray(doc["W"], dtype=np.float64),
+            H=_reals(doc, "H"),
+            W=_reals(doc, "W"),
             # Each entry checked here: numpy would read [1, true] as [1, 1].
             y=np.asarray([require_int("y", v) for v in doc["y"]], dtype=np.int64),
             w_mode=w_mode,

@@ -4,12 +4,15 @@ import pytest
 from j6opt import (
     Family,
     GeneratorSpec,
+    GradientSet,
     Perturbations,
     ProblemInstance,
     WMode,
+    forward,
     generate,
     init_perturbations,
     set_validation,
+    zero_perturbations,
 )
 
 
@@ -69,3 +72,26 @@ def derived_instance():
     )
     pert = Perturbations([0.1, 0.2], [0.3, 0.0])
     return instance, pert
+
+
+@pytest.fixture
+def from_blocks():
+    """Factory for the gradient set with given d-vector blocks, h =
+    (J11, J21) and w = (J12, J22): a single-row point with T = d and
+    A = T I whose logit gradients carry (J12, J22) in column v_star and
+    zeros elsewhere, so that ``pullback`` returns them (bit for bit when
+    T is a power of 2).  For score and step arithmetic, where only the
+    blocks matter."""
+
+    def _make(h, w):
+        h, w = np.asarray(h, dtype=np.float64), np.asarray(w, dtype=np.float64)
+        d = h.shape[1]
+        instance = ProblemInstance(
+            V=3, d=d, T=d, H=d * np.eye(d), W=np.eye(3, d), y=np.zeros(d, dtype=np.int64),
+            w_mode=WMode.SINGLE_ROW, v_star=0,
+        )
+        g = np.zeros((2, d, 3))
+        g[:, :, 0] = w
+        return GradientSet(instance, forward(instance, zero_perturbations(instance)), g, h)
+
+    return _make

@@ -21,7 +21,6 @@ from j6opt import (
     Family,
     GeneratorSpec,
     GradientSet,
-    ProblemInstance,
     RunConfig,
     StrategyConfig,
     StrategyKind,
@@ -42,6 +41,15 @@ from j6opt import (
 from j6opt.cli import main
 
 DIRECT_RAW = AlignmentMode(AlignKind.DIRECT, AlignScale.RAW)
+
+
+def _step(scores, h, w, cfg):
+    """The update of ``decide``'s coefficient matrix c on explicit blocks
+    h = (J11, J21), w = (J12, J22): (-eta_h (c00 J11 + c01 J21),
+    -eta_w (c10 J12 + c11 J22)), the way ``run`` applies it."""
+    grams = [[[float(np.vdot(a, b)) for b in x] for a in x] for x in (h, w)]
+    (c00, c01), (c10, c11) = decide(scores, grams, cfg).c
+    return -cfg.eta_h * (c00 * h[0] + c01 * h[1]), -cfg.eta_w * (c10 * w[0] + c11 * w[1])
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -159,50 +167,45 @@ def test_criterion_05_soft_hard_limit():
         seed += 1
         pert = zero_perturbations(instance)
         gs = compute_gradient_set(instance, pert)
-        s = score_j6(gs, DIRECT_RAW, instance, pert)
+        s = score_j6(gs, DIRECT_RAW)
         top = int(np.argmax(s))
         if top not in (0, 2, 3, 4) or not all(s[top] > s[j] for j in range(6) if j != top):
             continue
         found += 1
-        soft = decide(s, gs, soft_cfg)
-        hard = decide(s, gs, hard_cfg)
-        num = np.linalg.norm(soft.delta_h - hard.delta_h) + np.linalg.norm(
-            soft.delta_w - hard.delta_w
-        )
-        den = np.linalg.norm(hard.delta_h) + np.linalg.norm(hard.delta_w)
+        soft_h, soft_w = _step(s, gs.h, gs.w, soft_cfg)
+        hard_h, hard_w = _step(s, gs.h, gs.w, hard_cfg)
+        num = np.linalg.norm(soft_h - hard_h) + np.linalg.norm(soft_w - hard_w)
+        den = np.linalg.norm(hard_h) + np.linalg.norm(hard_w)
         worst = max(worst, num / den)
     _report(5, worst < 1e-3, f"worst relative delta difference {worst:.3e} over 50 instances")
 
 
-def test_criterion_06_cauchy_schwarz_routing():
+def test_criterion_06_cauchy_schwarz_routing(from_blocks):
     """Direct/raw hard routing never selects an alignment slot (1 or 5)
     across 1000 seeded gradient sets, and scaling all blocks by c > 0
     never changes the chosen index."""
-    instance = ProblemInstance(
-        V=3, d=4, T=1, H=[[1.0, 0, 0, 0]], W=np.eye(3, 4), y=[0], w_mode=WMode.SINGLE_ROW
-    )
-    pert = zero_perturbations(instance)
     cfg = StrategyConfig(kind=StrategyKind.HARD_J6)
     rng = np.random.default_rng(606)
     ok = True
     for _ in range(1000):
         d = int(rng.integers(2, 7))
         J11, J12, J21, J22 = rng.normal(size=(4, d))
-        gs = GradientSet(np.array([J11, J21]), np.array([J12, J22]))
-        s = score_j6(gs, DIRECT_RAW, instance, pert)
-        chosen = decide(s, gs, cfg).chosen_index
+        gs = from_blocks([J11, J21], [J12, J22])
+        s = score_j6(gs, DIRECT_RAW)
+        chosen = decide(s, gs.grams, cfg).chosen_index
         ok &= chosen not in (1, 5)
         for c in (0.5, 2.0, 4.0):
-            scaled = GradientSet(gs.h * c, gs.w * c)
-            s_scaled = score_j6(scaled, DIRECT_RAW, instance, pert)
-            ok &= decide(s_scaled, scaled, cfg).chosen_index == chosen
+            scaled = GradientSet(gs.instance, gs.fwd, gs.g * c, gs.h * c)
+            s_scaled = score_j6(scaled, DIRECT_RAW)
+            ok &= decide(s_scaled, scaled.grams, cfg).chosen_index == chosen
     _report(6, ok, "no alignment slot selected and argmax scale-invariant on 1000 draws")
 
 
 def _projected(g1, g2):
     """Both conflict-projected gradients, formed from the projection
     rows the grad-surgery strategy reads off the blocks' Gram."""
-    (a, b), (c, d) = strategies_mod._projection(GradientSet(np.array([g1, g2]), np.array([g1, g2])).grams[0])
+    gram = [[float(np.vdot(a, b)) for b in (g1, g2)] for a in (g1, g2)]
+    (a, b), (c, d) = strategies_mod._projection(gram)
     return a * g1 + b * g2, c * g1 + d * g2
 
 
@@ -219,9 +222,9 @@ def test_criterion_07_gradient_surgery_invariant():
         worst = min(worst, float(g1p @ g2), float(g2p @ g1))
     g1, g2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
     g1p, g2p = _projected(g1, g2)
-    step = decide(np.zeros(6), GradientSet(np.array([g1, g2]), np.array([g1, g2])),
-                  StrategyConfig(kind=StrategyKind.GRAD_SURGERY))
-    anti_zero = not (g1p.any() or g2p.any() or step.delta_h.any() or step.delta_w.any())
+    delta_h, delta_w = _step(np.zeros(6), np.array([g1, g2]), np.array([g1, g2]),
+                             StrategyConfig(kind=StrategyKind.GRAD_SURGERY))
+    anti_zero = not (g1p.any() or g2p.any() or delta_h.any() or delta_w.any())
     _report(
         7,
         worst >= -1e-10 and anti_zero,

@@ -19,13 +19,16 @@ from j6opt import (
     WMode,
     compute_gradient_set,
     fd_gradient,
+    forward,
     generate,
     init_perturbations,
+    pullback,
     resolve_alignment,
     score_j6,
     score_jplus,
     zero_perturbations,
 )
+import j6opt.attribution as attribution_mod
 from j6opt.attribution import BETA_AUX
 
 DIRECT_RAW = AlignmentMode(AlignKind.DIRECT, AlignScale.RAW)
@@ -36,7 +39,7 @@ PUSH_COSINE = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.COSINE)
 
 def doubled(gs):
     """The gradient set with every block scaled by 2."""
-    return GradientSet(gs.h * 2.0, gs.w * 2.0)
+    return GradientSet(gs.instance, gs.fwd, gs.g * 2.0, gs.h * 2.0)
 
 
 def logit_field(g, group, instance, pert):
@@ -93,26 +96,16 @@ def reference_jplus(gs, mode, instance, pert):
 
 
 @pytest.fixture
-def dummy_point():
-    """Single-row d=2 instance whose content is irrelevant for direct-mode
-    score arithmetic (only shapes matter there)."""
-    instance = ProblemInstance(
-        V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=[0], w_mode=WMode.SINGLE_ROW
-    )
-    return instance, zero_perturbations(instance)
-
-
-@pytest.fixture
-def handpicked():
-    return GradientSet(
-        h=np.array([[1.0, 0.0], [2.0, 0.0]]),  # J11, J21
-        w=np.array([[1.0, 1.0], [0.0, 2.0]]),  # J12, J22
+def handpicked(from_blocks):
+    return from_blocks(
+        h=[[1.0, 0.0], [2.0, 0.0]],  # J11, J21
+        w=[[1.0, 1.0], [0.0, 2.0]],  # J12, J22
     )
 
 
-def random_same_shape_set(rng, d):
+def random_same_shape_set(from_blocks, rng, d):
     J11, J12, J21, J22 = rng.normal(size=(4, d))
-    return GradientSet(h=np.array([J11, J21]), w=np.array([J12, J22]))
+    return from_blocks(h=[J11, J21], w=[J12, J22])
 
 
 class TestComputeGradientSet:
@@ -178,29 +171,29 @@ class TestLogitField:
 class TestAlign:
     """The cross-group slots: <J11, J22> is j6 slot 1, <J21, J12> slot 5."""
 
-    def test_direct_self_alignment_is_squared_norm(self, dummy_point):
-        instance, pert = dummy_point
+    def test_direct_self_alignment_is_squared_norm(self, from_blocks):
         g = np.array([3.0, -4.0])
-        gs = GradientSet(h=np.array([g, np.zeros(2)]), w=np.array([np.zeros(2), g]))
-        assert score_j6(gs, DIRECT_RAW, instance, pert)[1] == 25.0
+        gs = from_blocks(h=[g, np.zeros(2)], w=[np.zeros(2), g])
+        assert score_j6(gs, DIRECT_RAW)[1] == 25.0
 
-    def test_direct_orthogonal(self, dummy_point):
-        instance, pert = dummy_point
-        gs = GradientSet(h=np.array([[1.0, 0.0], [0.0, 0.0]]), w=np.array([[0.0, 0.0], [0.0, 2.0]]))
-        assert score_j6(gs, DIRECT_RAW, instance, pert)[1] == 0.0
+    def test_direct_orthogonal(self, from_blocks):
+        gs = from_blocks(h=[[1.0, 0.0], [0.0, 0.0]], w=[[0.0, 0.0], [0.0, 2.0]])
+        assert score_j6(gs, DIRECT_RAW)[1] == 0.0
 
     def test_direct_shape_mismatch_raises(self, make_point):
         instance, pert = make_point(seed=0, w_mode=WMode.FULL_MATRIX)
         gs = compute_gradient_set(instance, pert)
         with pytest.raises(ValueError, match="matching shapes"):
-            score_j6(gs, DIRECT_RAW, instance, pert)
+            score_j6(gs, DIRECT_RAW)
         with pytest.raises(ValueError, match="matching shapes"):
-            score_jplus(gs, DIRECT_RAW, instance, pert)
+            score_jplus(gs, DIRECT_RAW)
 
     def test_pushforward_shape_mismatch_raises(self, make_point, handpicked):
+        # a gradient set carries its point, so blocks shaped for another
+        # instance are rejected before any score is taken
         instance, pert = make_point(seed=0, w_mode=WMode.FULL_MATRIX)
-        with pytest.raises(ValueError, match="shapes"):
-            score_j6(handpicked, PUSH_RAW, instance, pert)
+        with pytest.raises(ValueError, match="stacked"):
+            GradientSet(instance, forward(instance, pert), handpicked.g, handpicked.h)
 
     def test_pushforward_self_alignment_non_negative(self, make_point):
         # raw / cosine recovers the product of the operands' logit-space
@@ -208,8 +201,8 @@ class TestAlign:
         for seed in range(20):
             instance, pert = make_point(seed=seed, w_mode=WMode.FULL_MATRIX)
             gs = compute_gradient_set(instance, pert)
-            raw = score_j6(gs, PUSH_RAW, instance, pert)
-            cos = score_j6(gs, PUSH_COSINE, instance, pert)
+            raw = score_j6(gs, PUSH_RAW)
+            cos = score_j6(gs, PUSH_COSINE)
             for slot, g_h, g_w in ((1, gs.J11, gs.J22), (5, gs.J21, gs.J12)):
                 norms = raw[slot] / cos[slot]
                 want = np.linalg.norm(logit_field(g_h, "h", instance, pert)) * np.linalg.norm(
@@ -221,31 +214,31 @@ class TestAlign:
     def test_pushforward_matches_field_product(self, make_point):
         instance, pert = make_point(seed=9, w_mode=WMode.FULL_MATRIX)
         gs = compute_gradient_set(instance, pert)
-        got = score_j6(gs, PUSH_RAW, instance, pert)[1]
+        got = score_j6(gs, PUSH_RAW)[1]
         fa = logit_field(gs.J11, "h", instance, pert).ravel()
         fb = logit_field(gs.J22, "w", instance, pert).ravel()
         assert got == pytest.approx(float(fa @ fb), rel=1e-13)
 
-    def test_cosine_bounds_and_zero_norm(self, dummy_point):
-        instance, pert = dummy_point
+    def test_cosine_bounds_and_zero_norm(self, from_blocks):
         rng = np.random.default_rng(8)
         zero = np.zeros(2)
         for _ in range(100):
             a, b = rng.normal(size=2), rng.normal(size=2)
-            gs = GradientSet(h=np.array([a, zero]), w=np.array([zero, b]))
-            assert -1.0 - 1e-12 <= score_j6(gs, DIRECT_COSINE, instance, pert)[1] <= 1.0 + 1e-12
-        gs = GradientSet(h=np.array([zero, zero]), w=np.array([zero, np.ones(2)]))
-        assert score_j6(gs, DIRECT_COSINE, instance, pert)[1] == 0.0
+            gs = from_blocks(h=[a, zero], w=[zero, b])
+            assert -1.0 - 1e-12 <= score_j6(gs, DIRECT_COSINE)[1] <= 1.0 + 1e-12
+        gs = from_blocks(h=[zero, zero], w=[zero, np.ones(2)])
+        assert score_j6(gs, DIRECT_COSINE)[1] == 0.0
 
 
 class TestGramMatchesFieldProducts:
-    """The closed-form Gram scores against explicit T x V field products."""
+    """The closed-form Gram scores against explicit T x V field products.
+    T ranges past d, where K = A A^T is singular."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         V=st.integers(2, 12),
         d=st.integers(1, 6),
-        T=st.integers(1, 4),
+        T=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
         w_mode=st.sampled_from(list(WMode)),
         kind=st.sampled_from([AlignKind.DIRECT, AlignKind.PUSHFORWARD]),
@@ -259,32 +252,63 @@ class TestGramMatchesFieldProducts:
         pert = init_perturbations(instance, init_scale=0.3, seed=seed)
         gs = compute_gradient_set(instance, pert)
         want = reference_jplus(gs, mode, instance, pert)
-        s15 = score_jplus(gs, mode, instance, pert)
-        s6 = score_j6(gs, mode, instance, pert)
+        s15 = score_jplus(gs, mode)
+        s6 = score_j6(gs, mode)
         # the two routes round differently, so entries agree to 1e-12 of
         # the largest score rather than bit for bit
         tol = 1e-12 * max(1.0, float(np.abs(want).max()))
         np.testing.assert_allclose(s15, want, rtol=1e-9, atol=tol)
         np.testing.assert_array_equal(s6, s15[[0, 4, 1, 2, 3, 5]])
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(2, 12),
+        d=st.integers(1, 6),
+        T=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        w_mode=st.sampled_from(list(WMode)),
+    )
+    def test_logit_space_forms_match_blocks(self, V, d, T, seed, w_mode):
+        # the T x T forms against np.vdot of pullback's blocks and of
+        # their explicit T x V fields
+        instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
+        pert = init_perturbations(instance, init_scale=0.3, seed=seed)
+        gs = compute_gradient_set(instance, pert)
+        blocks = {"h": gs.h, "w": pullback(instance, gs.fwd, gs.g)}
+        fields = {k: [logit_field(b, k, instance, pert) for b in v] for k, v in blocks.items()}
+
+        def vdots(xs, ys):
+            return np.array([[np.vdot(x, y) for y in ys] for x in xs])
+
+        cross, field_h, field_w = attribution_mod._pushforward(gs, with_grams=True)
+        for got, want in (
+            (gs.grams[0], vdots(blocks["h"], blocks["h"])),
+            (gs.grams[1], vdots(blocks["w"], blocks["w"])),
+            (cross, vdots(fields["h"], fields["w"])),
+            (field_h, vdots(fields["h"], fields["h"])),
+            (field_w, vdots(fields["w"], fields["w"])),
+        ):
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * scale)
+        for gram in gs.grams + (field_h, field_w):
+            assert gram[0][1] == gram[1][0]  # one off-diagonal product
+            assert gram[0][0] >= 0.0 and gram[1][1] >= 0.0
+
 
 class TestScoreJ6:
-    def test_handpicked_vectors(self, handpicked, dummy_point):
-        instance, pert = dummy_point
-        s = score_j6(handpicked, DIRECT_RAW, instance, pert)
+    def test_handpicked_vectors(self, handpicked):
+        s = score_j6(handpicked, DIRECT_RAW)
         np.testing.assert_array_equal(s, [1.0, 0.0, 2.0, 4.0, 4.0, 2.0])
 
-    def test_zero_set(self, dummy_point):
-        instance, pert = dummy_point
-        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
-        np.testing.assert_array_equal(score_j6(zeros, DIRECT_RAW, instance, pert), np.zeros(6))
+    def test_zero_set(self, from_blocks):
+        zeros = from_blocks(np.zeros((2, 2)), np.zeros((2, 2)))
+        np.testing.assert_array_equal(score_j6(zeros, DIRECT_RAW), np.zeros(6))
 
-    def test_cauchy_schwarz_over_random_draws(self, dummy_point):
-        instance, pert = dummy_point
+    def test_cauchy_schwarz_over_random_draws(self, from_blocks):
         rng = np.random.default_rng(1000)
         for _ in range(1000):
-            gs = random_same_shape_set(rng, int(rng.integers(2, 7)))
-            s = score_j6(gs, DIRECT_RAW, instance, pert)
+            gs = random_same_shape_set(from_blocks, rng, int(rng.integers(2, 7)))
+            s = score_j6(gs, DIRECT_RAW)
             assert s[1] <= np.sqrt(s[0] * s[4]) + 1e-12
             assert s[5] <= np.sqrt(s[3] * s[2]) + 1e-12
 
@@ -293,8 +317,8 @@ class TestScoreJ6:
         for mode, amode in ((WMode.SINGLE_ROW, DIRECT_RAW), (WMode.FULL_MATRIX, PUSH_RAW)):
             instance, pert = make_point(seed=12, w_mode=mode)
             gs = compute_gradient_set(instance, pert)
-            s = score_j6(gs, amode, instance, pert)
-            s_scaled = score_j6(doubled(gs), amode, instance, pert)
+            s = score_j6(gs, amode)
+            s_scaled = score_j6(doubled(gs), amode)
             np.testing.assert_array_equal(s_scaled, 4.0 * s)
             assert np.argmax(s_scaled) == np.argmax(s)
 
@@ -305,32 +329,30 @@ class TestScoreJ6:
 
 
 class TestScoreJPlus:
-    def test_handpicked_vectors(self, handpicked, dummy_point):
-        instance, pert = dummy_point
-        s = score_jplus(handpicked, DIRECT_RAW, instance, pert)
+    def test_handpicked_vectors(self, handpicked):
+        s = score_jplus(handpicked, DIRECT_RAW)
         # components 1..15 worked out by hand from the four vectors
         expected = [1.0, 2.0, 4.0, 4.0, 0.0, 2.0, 2.0, 2.0, 3.0, 1.0, 2.0, 3.0, 0.0, 9.0, 10.0]
         np.testing.assert_array_equal(s, expected)
 
-    def test_zero_set(self, dummy_point):
-        instance, pert = dummy_point
-        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
-        np.testing.assert_array_equal(score_jplus(zeros, DIRECT_RAW, instance, pert), np.zeros(15))
+    def test_zero_set(self, from_blocks):
+        zeros = from_blocks(np.zeros((2, 2)), np.zeros((2, 2)))
+        np.testing.assert_array_equal(score_jplus(zeros, DIRECT_RAW), np.zeros(15))
 
     def test_contains_j6_bit_equal(self, make_point):
         # components {1,2,3,4,5,6} equal slots {0,2,3,4,1,5} of the 6-vector
         for mode, amode in ((WMode.SINGLE_ROW, DIRECT_RAW), (WMode.FULL_MATRIX, PUSH_RAW)):
             instance, pert = make_point(seed=21, w_mode=mode)
             gs = compute_gradient_set(instance, pert)
-            s6 = score_j6(gs, amode, instance, pert)
-            s15 = score_jplus(gs, amode, instance, pert)
+            s6 = score_j6(gs, amode)
+            s15 = score_jplus(gs, amode)
             np.testing.assert_array_equal(s15[:6], s6[[0, 2, 3, 4, 1, 5]])
 
     def test_norm_entries_non_negative(self, make_point):
         for seed in range(10):
             instance, pert = make_point(seed=seed, w_mode=WMode.FULL_MATRIX)
             gs = compute_gradient_set(instance, pert)
-            s = score_jplus(gs, PUSH_RAW, instance, pert)
+            s = score_jplus(gs, PUSH_RAW)
             assert (s[[0, 1, 2, 3, 13, 14]] >= 0.0).all()
 
     @settings(max_examples=120, deadline=None, derandomize=True)
@@ -351,15 +373,15 @@ class TestScoreJPlus:
         instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
         pert = init_perturbations(instance, init_scale=0.3, seed=seed)
         gs = compute_gradient_set(instance, pert)
-        s = score_jplus(gs, AlignmentMode(kind, AlignScale.COSINE), instance, pert)
+        s = score_jplus(gs, AlignmentMode(kind, AlignScale.COSINE))
         assert (np.abs(s[inner]) <= 1.0 + 1e-12).all()
 
     def test_scale_equivariance(self, make_point):
         instance, pert = make_point(seed=30, w_mode=WMode.FULL_MATRIX)
         gs = compute_gradient_set(instance, pert)
-        s = score_jplus(gs, PUSH_RAW, instance, pert)
+        s = score_jplus(gs, PUSH_RAW)
         np.testing.assert_array_equal(
-            score_jplus(doubled(gs), PUSH_RAW, instance, pert), 4.0 * s
+            score_jplus(doubled(gs), PUSH_RAW), 4.0 * s
         )
 
 
@@ -391,8 +413,8 @@ class TestResolveAlignment:
                 auto = AlignmentMode(AlignKind.AUTO, scale)
                 resolved = resolve_alignment(auto, w_mode)
                 np.testing.assert_array_equal(
-                    score_jplus(gs, auto, instance, pert),
-                    score_jplus(gs, resolved, instance, pert),
+                    score_jplus(gs, auto),
+                    score_jplus(gs, resolved),
                 )
 
 
@@ -412,41 +434,49 @@ class TestSingleTokenTies:
         instance = generate(GeneratorSpec(V=V, d=d, T=1, seed=seed))
         pert = init_perturbations(instance, init_scale=scale, seed=seed)
         gs = compute_gradient_set(instance, pert)
-        s15 = score_jplus(gs, PUSH_RAW, instance, pert)
+        s15 = score_jplus(gs, PUSH_RAW)
         for a, b in ((5, 6), (10, 12), (11, 13)):
             assert s15[a - 1] == s15[b - 1], (a, b)
-        s6 = score_j6(gs, PUSH_RAW, instance, pert)
+        s6 = score_j6(gs, PUSH_RAW)
         assert s6[1] == s6[5]
 
     def test_slot_map_reads_j6_from_jplus(self, make_point):
         instance, pert = make_point(seed=4, w_mode=WMode.SINGLE_ROW)
         gs = compute_gradient_set(instance, pert)
-        s15 = score_jplus(gs, DIRECT_RAW, instance, pert)
-        s6 = score_j6(gs, DIRECT_RAW, instance, pert)
+        s15 = score_jplus(gs, DIRECT_RAW)
+        s6 = score_j6(gs, DIRECT_RAW)
         np.testing.assert_array_equal(s6, s15[list(J6_FROM_JPLUS)])
 
 
 class TestGradientSetValidation:
-    def test_unstacked_blocks_rejected(self):
-        for h, w in (
-            (np.zeros(2), np.zeros((2, 2))),       # a single h block
-            (np.zeros((2, 3)), np.zeros((3, 3))),  # three w blocks
-            (np.zeros((2, 3)), np.zeros((1, 4, 3))),
+    def test_unstacked_blocks_rejected(self, make_point):
+        instance, pert = make_point(seed=5, w_mode=WMode.FULL_MATRIX)  # V=6, d=4, T=2
+        fwd = forward(instance, pert)
+        for g, h in (
+            (np.zeros((2, 2, 6)), np.zeros(4)),        # a single h block
+            (np.zeros((3, 2, 6)), np.zeros((2, 4))),   # three logit gradients
+            (np.zeros((2, 6)), np.zeros((2, 4))),      # one position, unstacked
+            (np.zeros((2, 2, 6)), np.zeros((1, 4))),
         ):
             with pytest.raises(ValueError, match="stacked"):
-                GradientSet(h, w)
+                GradientSet(instance, fwd, g, h)
 
-    def test_non_finite(self):
-        for h, w in (
-            (np.array([[np.inf, 0.0], [0.0, 0.0]]), np.zeros((2, 2))),
-            (np.zeros((2, 2)), np.array([[0.0, 0.0], [0.0, np.nan]])),
-        ):
+    def test_non_finite(self, make_point):
+        instance, pert = make_point(seed=5, w_mode=WMode.FULL_MATRIX)
+        fwd = forward(instance, pert)
+        inf_h = np.zeros((2, 4))
+        inf_h[0, 1] = np.inf
+        nan_g = np.zeros((2, 2, 6))
+        nan_g[1, 0, 3] = np.nan
+        for g, h in ((np.zeros((2, 2, 6)), inf_h), (nan_g, np.zeros((2, 4)))):
             with pytest.raises(ValueError, match="finite"):
-                GradientSet(h, w)
+                GradientSet(instance, fwd, g, h)
 
     def test_named_blocks_are_views_of_the_stacks(self, make_point):
         instance, pert = make_point(seed=5, w_mode=WMode.FULL_MATRIX)
         gs = compute_gradient_set(instance, pert)
+        assert "w" not in vars(gs)  # the w blocks are formed on request only
+        np.testing.assert_array_equal(gs.w, pullback(instance, gs.fwd, gs.g))
         assert gs.h.shape == (2, instance.d) and gs.w.shape == (2, instance.V, instance.d)
         named = ((gs.J11, gs.h, 0), (gs.J12, gs.w, 0), (gs.J21, gs.h, 1), (gs.J22, gs.w, 1))
         for block, stack, k in named:

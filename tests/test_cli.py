@@ -104,7 +104,20 @@ class TestRun:
         code = main(["run", "-i", str(path), "--strategy", "soft", "--eta-h", "1e8",
                      "--eta-w", "1e8", "--init-scale", "0.3", "--steps", "30"])
         assert code == 3
-        assert "update at step 20 left the finite range" in capsys.readouterr().err
+        # the Grams of step 20 overflow before its update is formed
+        assert "at step 20: gradient blocks must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_update_exits_3(self, tmp_path, capsys):
+        # finite losses and Grams (J11 = 8); the update -1e308 J11 overflows
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({
+            "V": 2, "d": 1, "T": 1, "H": [[1.0]], "W": [[4.0], [-4.0]], "y": [1],
+            "w_mode": "full_matrix", "v_star": None,
+            "metadata": {"seed": None, "family": None, "format_version": "1"},
+        }))
+        assert main(["run", "-i", str(path), "--strategy", "static", "--eta-h", "1e308"]) == 3
+        assert "update at step 0 left the finite range" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_blocks_exit_3(self, tmp_path, capsys):
@@ -131,8 +144,28 @@ class TestRun:
     def test_unknown_strategy_exits_2(self, inst):
         assert main(["run", "-i", str(inst), "--strategy", "magic"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--tau", "nan"], "tau"), (["--gamma", "inf"], "gamma"), (["--eta-w=-inf"], "eta_w"),
+         (["--grad-tol", "nan"], "grad_tol"), (["--loss-tol", "nan"], "loss_tol"),
+         (["--init-scale", "inf"], "init_scale"), (["--lam", "nan", "nan"], "lam[0]")],
+    )
+    def test_non_finite_config_floats_exit_2(self, inst, capsys, flags, field):
+        # a config error, reported before any step is taken
+        assert main(["run", "-i", str(inst), "--strategy", "soft"] + flags) == 2
+        assert f"'{field}' must be a finite real number" in capsys.readouterr().err
+
+    def test_non_finite_sweep_value_exits_2(self, inst, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "-i", str(inst), "--param", "tau", "--values", "1,nan", "-o", str(out)]) == 2
+        assert "'tau' must be a finite real number" in capsys.readouterr().err
+
 
 class TestGradcheck:
+    def test_non_finite_eps_exits_2(self, capsys):
+        assert main(["gradcheck", "--eps", "nan"]) == 2
+        assert "'eps' must be a finite real number" in capsys.readouterr().err
+
     def test_default_battery_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -29,6 +29,8 @@ from j6opt import (
     logit_gradients,
     losses,
     pullback,
+    w_columns,
+    w_shape,
     zero_perturbations,
 )
 
@@ -286,14 +288,15 @@ def _fields(instance, pert):
     return fwd, logit_gradients(fwd.logp, instance.y)
 
 
-def _pull_h(instance, pert, g):
-    """Pull one (T, V) logit-space gradient back to h."""
-    return pullback(instance, forward(instance, pert), g[None])[0][0]
+def _grad_h_heat(instance, pert):
+    """grad_h of heat: J11, which the gradient set pulls back from the
+    logit-space gradients."""
+    return compute_gradient_set(instance, pert).J11
 
 
 def _pull_w(instance, pert, g):
     """Pull one (T, V) logit-space gradient back to w."""
-    return pullback(instance, forward(instance, pert), g[None])[1][0]
+    return pullback(instance, forward(instance, pert), g[None])[0]
 
 
 def _heat_field(instance, pert):
@@ -301,14 +304,16 @@ def _heat_field(instance, pert):
 
 
 class TestGradH:
-    def test_zero_gradient_field(self, make_point):
-        instance, pert = make_point(seed=1)
-        g = np.zeros((instance.T, instance.V))
-        np.testing.assert_array_equal(_pull_h(instance, pert, g), np.zeros(instance.d))
+    def test_zero_gradient_field(self):
+        # a softmax exactly one-hot on the target zeroes the heat field
+        instance = ProblemInstance(V=3, d=1, T=1, H=[[800.0]], W=[[1.0], [0.0], [-1.0]], y=[0])
+        pert = zero_perturbations(instance)
+        np.testing.assert_array_equal(_heat_field(instance, pert), np.zeros((1, 3)))
+        np.testing.assert_array_equal(_grad_h_heat(instance, pert), np.zeros(instance.d))
 
     def test_matches_fd_on_derived_instance(self, derived_instance):
         instance, pert = derived_instance
-        analytic = _pull_h(instance, pert, _heat_field(instance, pert))
+        analytic = _grad_h_heat(instance, pert)
         fd = fd_gradient("h", instance, pert)[0]
         np.testing.assert_allclose(analytic, fd, rtol=1e-6)
 
@@ -319,13 +324,12 @@ class TestGradH:
             V=3, d=2, T=1, H=[[0.5, -1.0]], W=[[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]], y=[0]
         )
         pert = zero_perturbations(instance)
-        g = _heat_field(instance, pert)
-        assert _pull_h(instance, pert, g)[1] == 0.0
+        assert _grad_h_heat(instance, pert)[1] == 0.0
 
     def test_shape_mismatch_raises(self, make_point):
         instance, pert = make_point(seed=2)
         with pytest.raises(ValueError, match="shape"):
-            _pull_h(instance, pert, np.zeros((instance.T, instance.V + 1)))
+            _pull_w(instance, pert, np.zeros((instance.T, instance.V + 1)))
 
 
 class TestGradW:
@@ -354,12 +358,56 @@ class TestGradW:
         np.testing.assert_array_equal(_pull_w(instance, pert, g), np.zeros((instance.V, instance.d)))
 
 
+def reference_pullback(instance, fwd, g):
+    """Reference: the three per-mode w formulas the one ``w_columns``
+    route replaced."""
+    T = instance.T
+    if instance.w_mode is WMode.FULL_MATRIX:
+        return (g.transpose(0, 2, 1) @ fwd.A) / T
+    if instance.w_mode is WMode.SINGLE_ROW:
+        return (g[:, :, instance.v_star] @ fwd.A) / T
+    return (g.sum(axis=2) @ fwd.A) / T
+
+
+class TestPullback:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(2, 12),
+        d=st.integers(1, 6),
+        T=st.integers(1, 6),
+        K=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        w_mode=st.sampled_from(list(WMode)),
+    )
+    def test_bit_equal_to_per_mode_formulas(self, V, d, T, K, seed, w_mode):
+        instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
+        fwd = forward(instance, init_perturbations(instance, init_scale=0.3, seed=seed))
+        g = np.random.default_rng(seed).normal(size=(K, T, V))
+        got = pullback(instance, fwd, g)
+        assert got.shape == (K,) + w_shape(V, d, w_mode)
+        np.testing.assert_array_equal(got, reference_pullback(instance, fwd, g))
+
+    def test_w_columns_per_mode(self):
+        x = np.arange(2 * 3 * 6, dtype=np.float64).reshape(2, 3, 6)
+        for w_mode, want in (
+            (WMode.FULL_MATRIX, x),
+            (WMode.SINGLE_ROW, x[:, :, 4]),
+            (WMode.BROADCAST, x.sum(axis=2)),
+        ):
+            instance = ProblemInstance(
+                V=6, d=2, T=3, H=np.ones((3, 2)), W=np.ones((6, 2)), y=[0, 1, 2],
+                w_mode=w_mode, v_star=4,
+            )
+            np.testing.assert_array_equal(w_columns(instance, x), want)
+            np.testing.assert_array_equal(w_columns(instance, x[0, 0]), want[0, 0])
+
+
 class TestFdGradient:
     def test_agrees_with_analytic_on_random_instances(self, make_point):
         for seed in range(10):
             mode = WMode.SINGLE_ROW if seed % 2 else WMode.FULL_MATRIX
             instance, pert = make_point(seed=seed, w_mode=mode)
-            analytic = _pull_h(instance, pert, _heat_field(instance, pert))
+            analytic = _grad_h_heat(instance, pert)
             fd = fd_gradient("h", instance, pert)[0]
             rel = np.linalg.norm(analytic - fd) / (np.linalg.norm(fd) + 1e-12)
             assert rel < 1e-5
@@ -367,7 +415,7 @@ class TestFdGradient:
     def test_second_order_accuracy(self, derived_instance):
         # halving eps should shrink the error roughly 4x
         instance, pert = derived_instance
-        exact = _pull_h(instance, pert, _heat_field(instance, pert))
+        exact = _grad_h_heat(instance, pert)
         err = {
             eps: np.linalg.norm(fd_gradient("h", instance, pert, eps)[0] - exact)
             for eps in (2e-3, 1e-3)
@@ -386,6 +434,7 @@ class TestFdGradient:
         # the oracle must run with every analytic gradient path disabled
         instance, pert = make_point(seed=6, w_mode=WMode.FULL_MATRIX)
         gs = compute_gradient_set(instance, pert)
+        blocks = (gs.J11, gs.J12, gs.J21, gs.J22)  # the w blocks are formed on request
 
         def refuse(*args, **kwargs):
             raise AssertionError("fd_gradient reached the analytic gradient code")
@@ -399,7 +448,7 @@ class TestFdGradient:
         ):
             monkeypatch.setattr(module, name, refuse)
         fd_h, fd_w = fd_gradient("h", instance, pert), fd_gradient("w", instance, pert)
-        for block, fd in ((gs.J11, fd_h[0]), (gs.J12, fd_w[0]), (gs.J21, fd_h[1]), (gs.J22, fd_w[1])):
+        for block, fd in zip(blocks, (fd_h[0], fd_w[0], fd_h[1], fd_w[1])):
             assert np.linalg.norm(block - fd) / (np.linalg.norm(fd) + 1e-12) < 1e-5
 
 
@@ -489,7 +538,7 @@ class TestDescent:
         for seed in range(10):
             instance, pert = make_point(seed=seed)
             before = forward(instance, pert).objectives.ob1
-            g = _pull_h(instance, pert, _heat_field(instance, pert))
+            g = _grad_h_heat(instance, pert)
             stepped = Perturbations(pert.h - eta * g, pert.w)
             assert forward(instance, stepped).objectives.ob1 < before
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import j6opt.attribution
 import j6opt.model
@@ -9,6 +11,7 @@ import j6opt.optimizer
 from j6opt import (
     AlignKind,
     AlignmentMode,
+    AlignScale,
     GeneratorSpec,
     NonFiniteLossError,
     ProblemInstance,
@@ -17,9 +20,16 @@ from j6opt import (
     StrategyConfig,
     StrategyKind,
     WMode,
+    compute_gradient_set,
+    decide,
+    fd_gradient,
+    forward,
     generate,
     init_perturbations,
+    resolve_alignment,
     run,
+    score_j6,
+    score_jplus,
     stop_check,
 )
 from j6opt.optimizer import TraceRecord
@@ -192,6 +202,51 @@ class TestRun:
             assert len(result.trace) == 3
             assert len(calls) == 4, kind
 
+    def test_one_w_pullback_per_step(self, make_instance, monkeypatch):
+        # the w group is pulled back once per step: the combined logit
+        # gradients under full_matrix, both d-vector blocks otherwise
+        calls = []
+        original = j6opt.model.pullback
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (j6opt.model, j6opt.attribution, j6opt.optimizer):
+            monkeypatch.setattr(module, "pullback", counting)
+        cosine = AlignmentMode(scale=AlignScale.COSINE)
+        for w_mode in WMode:
+            instance = make_instance(seed=14, w_mode=w_mode)
+            for kind in StrategyKind:
+                for alignment in (AlignmentMode(), cosine):
+                    calls.clear()
+                    cfg = StrategyConfig(kind=kind, alignment=alignment)
+                    result = run(instance, cfg, RunConfig(max_steps=3, grad_tol=0.0))
+                    assert len(result.trace) == 3
+                    assert len(calls) == 3, (w_mode, kind, alignment)
+
+    def test_update_is_c_applied_to_explicit_blocks(self, make_instance):
+        # the step run takes equals decide's c applied to pullback's
+        # blocks: bit for bit where w is a d-vector, and to rounding
+        # under full_matrix, where the combined gradient is pulled back
+        for w_mode in WMode:
+            instance = make_instance(seed=15, w_mode=w_mode)
+            start = init_perturbations(instance, init_scale=0.3, seed=2)
+            for kind in StrategyKind:
+                cfg = StrategyConfig(kind=kind, eta_h=0.05, eta_w=0.03, beta_aux=0.3)
+                amode = resolve_alignment(cfg.alignment, w_mode)
+                gs = compute_gradient_set(instance, start)
+                score = score_jplus if kind is StrategyKind.HARD_JPLUS else score_j6
+                (c00, c01), (c10, c11) = decide(score(gs, amode), gs.grams, cfg).c
+                want_h = start.h - cfg.eta_h * (c00 * gs.J11 + c01 * gs.J21)
+                want_w = start.w - cfg.eta_w * (c10 * gs.J12 + c11 * gs.J22)
+                got = run(instance, cfg, RunConfig(max_steps=1, grad_tol=0.0, init_scale=0.3, seed=2))
+                np.testing.assert_array_equal(got.perturbations.h, want_h)
+                if w_mode is WMode.FULL_MATRIX:
+                    np.testing.assert_allclose(got.perturbations.w, want_w, rtol=1e-14, atol=1e-16)
+                else:
+                    np.testing.assert_array_equal(got.perturbations.w, want_w)
+
     def test_single_token_tie_goes_to_lowest_component(self):
         # Components 10 and 12 tie exactly at step 1 of this run (T=1,
         # pushforward, full_matrix); the lowest index wins.
@@ -211,13 +266,23 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_update_aborts_with_step(self):
-        # every loss is finite; the update of step 20 overflows
+        # every loss is finite; after the update of step 19, A = H + h is
+        # so large that the Grams of step 20 (through K = A A^T) overflow
         instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=0))
         cfg = StrategyConfig(kind=StrategyKind.SOFT, eta_h=1e8, eta_w=1e8)
         assert len(run(instance, cfg, RunConfig(max_steps=20, init_scale=0.3)).trace) == 20
-        with pytest.raises(NonFiniteLossError, match="update at step 20") as info:
+        with pytest.raises(NonFiniteLossError, match="at step 20") as info:
             run(instance, cfg, RunConfig(max_steps=30, init_scale=0.3))
         assert info.value.step == 20
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_update_aborts_with_step(self):
+        # finite losses and Grams (J11 = 8); eta_h J11 overflows
+        instance = ProblemInstance(V=2, d=1, T=1, H=[[1.0]], W=[[4.0], [-4.0]], y=[1])
+        cfg = StrategyConfig(kind=StrategyKind.STATIC, eta_h=1e308)
+        with pytest.raises(NonFiniteLossError, match="update at step 0 left the finite range") as info:
+            run(instance, cfg, RunConfig(max_steps=3))
+        assert info.value.step == 0
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_blocks_abort_with_step(self):
@@ -270,6 +335,37 @@ class TestRun:
         assert checked > 50
 
 
+class TestDescent:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(2, 8),
+        d=st.integers(1, 5),
+        T=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        w_mode=st.sampled_from(list(WMode)),
+        lam=st.floats(0.0, 1.0),
+    )
+    def test_small_scalarized_step_descends_along_the_gradient(self, V, d, T, seed, w_mode, lam):
+        # f = lam ob1 + (1 - lam) ob2 drops by eta |grad f|^2 (1 + O(eta)),
+        # with grad f from central differences
+        instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
+        start = init_perturbations(instance, init_scale=0.3, seed=seed)
+        fd = [fd_gradient(which, instance, start) for which in "hw"]
+        grad_sq = sum(float(np.vdot(lam * g[0] + (1 - lam) * g[1], lam * g[0] + (1 - lam) * g[1]))
+                      for g in fd)
+        assume(grad_sq > 1e-6)
+
+        def f(obs):
+            return lam * obs.ob1 + (1 - lam) * obs.ob2
+
+        before = f(forward(instance, start).objectives)
+        for eta in (1e-3, 1e-4):
+            cfg = StrategyConfig(kind=StrategyKind.SCALARIZED, eta_h=eta, eta_w=eta, lam=(lam, 1 - lam))
+            result = run(instance, cfg, RunConfig(max_steps=1, grad_tol=0.0, init_scale=0.3, seed=seed))
+            drop = before - f(result.objectives)
+            assert abs(drop / (eta * grad_sq) - 1.0) <= 10 * eta
+
+
 class TestRunConfigValidation:
     @pytest.mark.parametrize(
         "bad",
@@ -295,3 +391,12 @@ class TestRunConfigValidation:
 
     def test_numpy_integers_accepted(self):
         assert RunConfig(max_steps=np.int64(3), seed=np.uint64(5)).max_steps == 3
+
+    @pytest.mark.parametrize("field", ["grad_tol", "loss_tol", "init_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, False, "0.1", None, 1j, 10**400])
+    def test_float_fields_strict(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}' must be a finite real number"):
+            RunConfig(**{field: value})
+
+    def test_real_numbers_accepted(self):
+        assert RunConfig(grad_tol=np.float32(1e-3), loss_tol=1, init_scale=np.int64(0)).loss_tol == 1

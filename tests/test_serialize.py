@@ -1,14 +1,19 @@
 """Instance JSON round-trips, trace CSV schema, and summary accounting."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from j6opt import (
     Family,
     GeneratorSpec,
     InstanceFormatError,
+    ProblemInstance,
     RunConfig,
     StrategyConfig,
     StrategyKind,
@@ -51,6 +56,31 @@ class TestInstanceRoundTrip:
         save_instance(instance, a, seed=42, family="gaussian")
         save_instance(instance, b, seed=42, family="gaussian")
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(1, 9),
+        d=st.integers(1, 5),
+        T=st.integers(1, 4),
+        w_mode=st.sampled_from(list(WMode)),
+        data=st.data(),
+    )
+    def test_save_load_save_is_byte_exact(self, V, d, T, w_mode, data):
+        # any finite float64 survives, -0.0 and subnormals included
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        H = np.array(data.draw(st.lists(values, min_size=T * d, max_size=T * d))).reshape(T, d)
+        W = np.array(data.draw(st.lists(values, min_size=V * d, max_size=V * d))).reshape(V, d)
+        y = data.draw(st.lists(st.integers(0, V - 1), min_size=T, max_size=T))
+        v_star = data.draw(st.none() | st.integers(0, V - 1))
+        instance = ProblemInstance(V=V, d=d, T=T, H=H, W=W, y=y, w_mode=w_mode, v_star=v_star)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            save_instance(instance, a, seed=data.draw(st.none() | st.integers(0, 2**64 - 1)))
+            loaded = load_instance(a)
+            save_instance(loaded, b, seed=json.loads(a.read_text())["metadata"]["seed"])
+            assert a.read_bytes() == b.read_bytes()
+        np.testing.assert_array_equal(np.signbit(loaded.H), np.signbit(H))
+        assert (loaded.v_star, loaded.w_mode) == (instance.v_star, instance.w_mode)
 
     def test_loaded_instance_runs_identically(self, instance, tmp_path):
         path = tmp_path / "inst.json"
@@ -157,6 +187,24 @@ class TestInstanceValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(InstanceFormatError, match="inst.json"):
             load_instance(path)
+
+    @pytest.mark.parametrize("key, at, value", [("H", (0, 1), True), ("W", (3, 2), False), ("W", (0, 0), True)])
+    def test_json_booleans_in_matrices_rejected(self, instance, tmp_path, key, at, value):
+        # numpy would read true/false as 1.0/0.0
+        doc = self._doc(instance)
+        doc[key][at[0]][at[1]] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=f"inst.json: '{key}' entries must be numbers"):
+            load_instance(path)
+
+    def test_exact_zeros_and_ones_in_matrices_load(self, instance, tmp_path):
+        doc = self._doc(instance)
+        doc["H"][0][:2], doc["W"][1][:2] = [0, 1.0], [1, -0.0]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_instance(path)
+        assert loaded.H[0][:2].tolist() == [0.0, 1.0] and loaded.W[1][:2].tolist() == [1.0, 0.0]
 
     def test_unknown_w_mode(self, instance, tmp_path):
         doc = self._doc(instance)

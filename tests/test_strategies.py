@@ -1,5 +1,10 @@
 """Hard routing, soft weighting, the contrast step, and the baselines,
-all through the one step function ``decide``."""
+all through the one step function ``decide``, whose coefficient matrix
+is applied here to explicit blocks as ``run`` applies it."""
+
+import re
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,7 +14,6 @@ from hypothesis import strategies as st
 import j6opt.strategies as strategies_mod
 from j6opt import (
     J6_FROM_JPLUS,
-    GradientSet,
     PreNorm,
     StrategyConfig,
     StrategyKind,
@@ -21,9 +25,39 @@ from j6opt import (
 ETA = 0.1
 
 
+class Blocks(NamedTuple):
+    """The four blocks, stacked by objective: h = (J11, J21), w = (J12, J22)."""
+
+    h: np.ndarray
+    w: np.ndarray
+
+    J11 = property(lambda self: self.h[0])
+    J12 = property(lambda self: self.w[0])
+    J21 = property(lambda self: self.h[1])
+    J22 = property(lambda self: self.w[1])
+
+
+def grams(h, w):
+    """The native 2x2 Grams of the h and the w blocks, by np.vdot."""
+    return [[[float(np.vdot(a, b)) for b in x] for a in x] for x in (h, w)]
+
+
+def step(scores, gs, c):
+    """``decide``'s coefficient matrix applied to the blocks of gs:
+    delta_h = -eta_h (c00 J11 + c01 J21), delta_w = -eta_w (c10 J12 + c11 J22)."""
+    decision = decide(scores, grams(gs.h, gs.w), c)
+    (c00, c01), (c10, c11) = decision.c
+    return SimpleNamespace(
+        delta_h=-c.eta_h * (c00 * gs.h[0] + c01 * gs.h[1]),
+        delta_w=-c.eta_w * (c10 * gs.w[0] + c11 * gs.w[1]),
+        chosen_index=decision.chosen_index,
+        alpha=decision.alpha,
+    )
+
+
 @pytest.fixture
 def gs():
-    return GradientSet(
+    return Blocks(
         h=np.array([[1.0, 0.0], [2.0, 0.0]]),  # J11, J21
         w=np.array([[1.0, 1.0], [0.0, 2.0]]),  # J12, J22
     )
@@ -44,7 +78,7 @@ def one_hot(n, index):
 def projected(g1, g2):
     """The two conflict-projected gradients, through the projection the
     grad-surgery strategy runs (rows over (g1, g2), from their Gram)."""
-    (a, b), (c, d) = strategies_mod._projection(GradientSet(np.array([g1, g2]), np.array([g1, g2])).grams[0])
+    (a, b), (c, d) = strategies_mod._projection(grams(np.array([g1, g2]), np.array([g1, g2]))[0])
     return a * g1 + b * g2, c * g1 + d * g2
 
 
@@ -66,21 +100,40 @@ class TestStrategyConfigValidation:
         with pytest.raises(ValueError):
             StrategyConfig(kind=StrategyKind.SOFT, **bad)
 
+    @pytest.mark.parametrize("field", ["tau", "gamma", "eta_h", "eta_w", "beta_aux"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, np.True_, "1.5", None, 1j])
+    def test_float_fields_strict(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}' must be a finite real number"):
+            StrategyConfig(kind=StrategyKind.SOFT, **{field: value})
+
+    @pytest.mark.parametrize(
+        "lam, field",
+        [((np.nan, np.nan), "lam[0]"), ((True, False), "lam[0]"), ((0.5, np.inf), "lam[1]"),
+         ((1, "0"), "lam[1]")],
+    )
+    def test_lam_entries_strict(self, lam, field):
+        with pytest.raises(ValueError, match=f"'{re.escape(field)}' must be a finite real number"):
+            StrategyConfig(kind=StrategyKind.SCALARIZED, lam=lam)
+
+    def test_real_numbers_accepted(self):
+        c = StrategyConfig(kind=StrategyKind.SOFT, tau=2, gamma=np.float32(3.0), lam=(1, 0))
+        assert c.tau == 2 and c.lam == (1.0, 0.0)
+
 
 class TestHardRouteJ6:
     def test_handpicked_scores(self, gs):
-        decision = decide(np.array([1.0, 0.0, 2.0, 4.0, 4.0, 2.0]), gs, cfg())
+        decision = step(np.array([1.0, 0.0, 2.0, 4.0, 4.0, 2.0]), gs, cfg())
         assert decision.chosen_index == 3
         np.testing.assert_allclose(decision.delta_h, -ETA * np.array([2.0, 0.0]))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_tie_breaks_to_lowest_index(self, gs):
-        decision = decide(np.array([5.0, 0.0, 5.0, 1.0, 1.0, 0.0]), gs, cfg())
+        decision = step(np.array([5.0, 0.0, 5.0, 1.0, 1.0, 0.0]), gs, cfg())
         assert decision.chosen_index == 0
 
     def test_zero_gradients_give_zero_deltas(self):
-        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
-        decision = decide(np.zeros(6), zeros, cfg())
+        zeros = Blocks(np.zeros((2, 2)), np.zeros((2, 2)))
+        decision = step(np.zeros(6), zeros, cfg())
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
@@ -96,7 +149,7 @@ class TestHardRouteJ6:
         ],
     )
     def test_action_map(self, gs, index, h_block, w_block):
-        decision = decide(one_hot(6, index), gs, cfg())
+        decision = step(one_hot(6, index), gs, cfg())
         expected_h = -ETA * getattr(gs, h_block) if h_block else np.zeros(2)
         expected_w = -ETA * getattr(gs, w_block) if w_block else np.zeros(2)
         np.testing.assert_allclose(decision.delta_h, expected_h)
@@ -104,15 +157,15 @@ class TestHardRouteJ6:
 
     def test_deterministic(self, gs):
         scores = np.array([0.3, 0.3, 0.3, 0.1, 0.1, 0.3])
-        picks = {decide(scores, gs, cfg()).chosen_index for _ in range(5)}
+        picks = {step(scores, gs, cfg()).chosen_index for _ in range(5)}
         assert picks == {0}
 
     def test_actions_are_jplus_actions_at_the_slot_map(self, gs):
         """Slot k routes exactly like j+ component J6_FROM_JPLUS[k] + 1."""
         assert sorted(J6_FROM_JPLUS) == list(range(6))
         for slot, row in enumerate(J6_FROM_JPLUS):
-            j6 = decide(one_hot(6, slot), gs, cfg())
-            jplus = decide(one_hot(15, row), gs, cfg(StrategyKind.HARD_JPLUS))
+            j6 = step(one_hot(6, slot), gs, cfg())
+            jplus = step(one_hot(15, row), gs, cfg(StrategyKind.HARD_JPLUS))
             assert jplus.chosen_index == row + 1
             np.testing.assert_array_equal(j6.delta_h, jplus.delta_h)
             np.testing.assert_array_equal(j6.delta_w, jplus.delta_w)
@@ -120,29 +173,29 @@ class TestHardRouteJ6:
 
 class TestHardRouteJPlus:
     def test_zero_gradients(self):
-        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
-        decision = decide(np.zeros(15), zeros, cfg(StrategyKind.HARD_JPLUS))
+        zeros = Blocks(np.zeros((2, 2)), np.zeros((2, 2)))
+        decision = step(np.zeros(15), zeros, cfg(StrategyKind.HARD_JPLUS))
         assert decision.chosen_index == 1
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_cross_alignment_action_updates_both(self, gs):
         # component 5: the (h->heat, w->conf) coupling
-        decision = decide(one_hot(15, 4), gs, cfg(StrategyKind.HARD_JPLUS))
+        decision = step(one_hot(15, 4), gs, cfg(StrategyKind.HARD_JPLUS))
         assert decision.chosen_index == 5
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_allclose(decision.delta_w, -ETA * gs.J22)
 
     def test_prioritize_with_auxiliary_group(self, gs):
         # component 10: h leads on heat, w assists at beta
-        decision = decide(one_hot(15, 9), gs, cfg(StrategyKind.HARD_JPLUS, beta_aux=0.5))
+        decision = step(one_hot(15, 9), gs, cfg(StrategyKind.HARD_JPLUS, beta_aux=0.5))
         assert decision.chosen_index == 10
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_allclose(decision.delta_w, -ETA * 0.5 * (gs.J12 + gs.J22))
 
     def test_auxiliary_h_side(self, gs):
         # component 13: w leads on conf, h assists at beta
-        decision = decide(one_hot(15, 12), gs, cfg(StrategyKind.HARD_JPLUS, beta_aux=0.25))
+        decision = step(one_hot(15, 12), gs, cfg(StrategyKind.HARD_JPLUS, beta_aux=0.25))
         assert decision.chosen_index == 13
         np.testing.assert_allclose(decision.delta_h, -ETA * 0.25 * (gs.J11 + gs.J21))
         np.testing.assert_allclose(decision.delta_w, -ETA * gs.J22)
@@ -150,8 +203,8 @@ class TestHardRouteJPlus:
     def test_duplicate_components_share_actions(self, gs):
         # 14 duplicates 7 and 15 duplicates 8 by construction
         for a, b in ((7, 14), (8, 15)):
-            da = decide(one_hot(15, a - 1), gs, cfg(StrategyKind.HARD_JPLUS))
-            db = decide(one_hot(15, b - 1), gs, cfg(StrategyKind.HARD_JPLUS))
+            da = step(one_hot(15, a - 1), gs, cfg(StrategyKind.HARD_JPLUS))
+            db = step(one_hot(15, b - 1), gs, cfg(StrategyKind.HARD_JPLUS))
             np.testing.assert_array_equal(da.delta_h, db.delta_h)
             np.testing.assert_array_equal(da.delta_w, db.delta_w)
 
@@ -176,6 +229,21 @@ class TestSoftWeights:
             alpha = soft_weights(s, cfg(StrategyKind.SOFT, tau=float(rng.uniform(0.01, 10))))
             assert (alpha >= 0.0).all()
             assert abs(alpha.sum() - 1.0) < 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        s=st.lists(st.floats(-50.0, 50.0), min_size=6, max_size=6),
+        shift=st.floats(-100.0, 100.0),
+        tau=st.floats(0.05, 10.0),
+        gamma=st.floats(1.01, 5.0),
+    )
+    def test_shift_invariance_property(self, s, shift, tau, gamma):
+        # softmax(s / tau) is invariant to adding a constant to s; only the
+        # rounding of s + shift and of the exponentials differs
+        c = cfg(StrategyKind.SOFT, tau=tau, gamma=gamma)
+        s = np.array(s)
+        np.testing.assert_allclose(soft_weights(s + shift, c), soft_weights(s, c),
+                                   rtol=1e-9, atol=1e-12)
 
     def test_invariant_to_constant_shift(self):
         rng = np.random.default_rng(19)
@@ -210,13 +278,13 @@ class TestSoftWeights:
 class TestSoftUpdate:
     def test_degenerate_weights_recover_single_direction(self, gs):
         # at tau=1e-3 a unit score gap underflows the other weights to 0
-        decision = decide(one_hot(6, 0), gs, cfg(StrategyKind.SOFT, tau=1e-3))
+        decision = step(one_hot(6, 0), gs, cfg(StrategyKind.SOFT, tau=1e-3))
         np.testing.assert_array_equal(decision.alpha, one_hot(6, 0))
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_uniform_weights_blend_linearly(self, gs):
-        decision = decide(np.full(6, 0.7), gs, cfg(StrategyKind.SOFT))
+        decision = step(np.full(6, 0.7), gs, cfg(StrategyKind.SOFT))
         np.testing.assert_allclose(decision.alpha, np.full(6, 1.0 / 6.0), rtol=1e-14)
         np.testing.assert_allclose(decision.delta_h, -ETA * (gs.J11 + gs.J21) / 6.0)
         np.testing.assert_allclose(decision.delta_w, -ETA * (gs.J12 + gs.J22) / 6.0)
@@ -224,8 +292,8 @@ class TestSoftUpdate:
     def test_cold_limit_matches_hard_action(self, gs):
         # strict max at slot 4 (w -> confidence)
         s = np.array([0.1, 0.0, 0.2, 0.15, 0.9, 0.05])
-        soft = decide(s, gs, cfg(StrategyKind.SOFT, tau=1e-3))
-        hard = decide(s, gs, cfg())
+        soft = step(s, gs, cfg(StrategyKind.SOFT, tau=1e-3))
+        hard = step(s, gs, cfg())
         num = np.linalg.norm(soft.delta_h - hard.delta_h) + np.linalg.norm(
             soft.delta_w - hard.delta_w
         )
@@ -235,40 +303,40 @@ class TestSoftUpdate:
 
 class TestStaticBaseline:
     def test_fixed_roles(self, gs):
-        decision = decide(np.zeros(6), gs, cfg(StrategyKind.STATIC))
+        decision = step(np.zeros(6), gs, cfg(StrategyKind.STATIC))
         assert decision.chosen_index is None and decision.alpha is None
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_allclose(decision.delta_w, -ETA * gs.J22)
 
     def test_stalls_when_its_route_is_dead(self):
-        gs = GradientSet(h=np.zeros((2, 2)), w=np.array([[5.0, 5.0], [0.0, 0.0]]))
-        decision = decide(np.ones(6), gs, cfg(StrategyKind.STATIC))
+        gs = Blocks(h=np.zeros((2, 2)), w=np.array([[5.0, 5.0], [0.0, 0.0]]))
+        decision = step(np.ones(6), gs, cfg(StrategyKind.STATIC))
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_equals_hard_route_when_coupling_slot_wins(self, gs):
         s = np.array([0.0, 9.0, 0.0, 0.0, 0.0, 0.0])
-        hard = decide(s, gs, cfg())
-        static = decide(s, gs, cfg(StrategyKind.STATIC))
+        hard = step(s, gs, cfg())
+        static = step(s, gs, cfg(StrategyKind.STATIC))
         np.testing.assert_array_equal(hard.delta_h, static.delta_h)
         np.testing.assert_array_equal(hard.delta_w, static.delta_w)
 
 
 class TestScalarizedBaseline:
     def test_pure_heat(self, gs):
-        decision = decide(np.zeros(6), gs, cfg(StrategyKind.SCALARIZED, lam=(1.0, 0.0)))
+        decision = step(np.zeros(6), gs, cfg(StrategyKind.SCALARIZED, lam=(1.0, 0.0)))
         np.testing.assert_allclose(decision.delta_h, -ETA * gs.J11)
         np.testing.assert_allclose(decision.delta_w, -ETA * gs.J12)
 
     def test_even_blend_matches_uniform_soft_up_to_scale(self, gs):
-        scal = decide(np.zeros(6), gs, cfg(StrategyKind.SCALARIZED, lam=(0.5, 0.5)))
-        soft = decide(np.full(6, 0.7), gs, cfg(StrategyKind.SOFT))
+        scal = step(np.zeros(6), gs, cfg(StrategyKind.SCALARIZED, lam=(0.5, 0.5)))
+        soft = step(np.full(6, 0.7), gs, cfg(StrategyKind.SOFT))
         np.testing.assert_allclose(scal.delta_h, 3.0 * soft.delta_h)
         np.testing.assert_allclose(scal.delta_w, 3.0 * soft.delta_w)
 
     def test_zero_gradients(self):
-        zeros = GradientSet(np.zeros((2, 2)), np.zeros((2, 2)))
-        decision = decide(np.zeros(6), zeros, cfg(StrategyKind.SCALARIZED))
+        zeros = Blocks(np.zeros((2, 2)), np.zeros((2, 2)))
+        decision = step(np.zeros(6), zeros, cfg(StrategyKind.SCALARIZED))
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
@@ -278,19 +346,19 @@ class TestGradSurgery:
         g1p, g2p = projected(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         np.testing.assert_array_equal(g1p, np.zeros(2))
         np.testing.assert_array_equal(g2p, np.zeros(2))
-        anti = GradientSet(
+        anti = Blocks(
             h=np.array([[1.0, 0.0], [-1.0, 0.0]]),  # J11, J21
             w=np.array([[0.0, 3.0], [0.0, -3.0]]),  # J12, J22
         )
-        decision = decide(np.zeros(6), anti, cfg(StrategyKind.GRAD_SURGERY))
+        decision = step(np.zeros(6), anti, cfg(StrategyKind.GRAD_SURGERY))
         np.testing.assert_array_equal(decision.delta_h, np.zeros(2))
         np.testing.assert_array_equal(decision.delta_w, np.zeros(2))
 
     def test_no_conflict_is_scalarized_at_double_scale(self, gs):
         # every group pair here has a non-negative inner product
         assert float(gs.J11 @ gs.J21) >= 0 and float(gs.J12 @ gs.J22) >= 0
-        surgery = decide(np.zeros(6), gs, cfg(StrategyKind.GRAD_SURGERY))
-        scal = decide(np.zeros(6), gs, cfg(StrategyKind.SCALARIZED, lam=(0.5, 0.5)))
+        surgery = step(np.zeros(6), gs, cfg(StrategyKind.GRAD_SURGERY))
+        scal = step(np.zeros(6), gs, cfg(StrategyKind.SCALARIZED, lam=(0.5, 0.5)))
         np.testing.assert_allclose(surgery.delta_h, 2.0 * scal.delta_h)
         np.testing.assert_allclose(surgery.delta_w, 2.0 * scal.delta_w)
 
@@ -303,10 +371,17 @@ class TestGradSurgery:
             assert float(g1p @ g2) >= -1e-10
             assert float(g2p @ g1) >= -1e-10
             # the step is the sum of the two projected gradients
-            decision = decide(np.zeros(6), GradientSet(np.array([g1, g2]), np.array([g1, g2])),
+            decision = step(np.zeros(6), Blocks(np.array([g1, g2]), np.array([g1, g2])),
                               cfg(StrategyKind.GRAD_SURGERY))
             np.testing.assert_allclose(decision.delta_h, -ETA * (g1p + g2p),
                                        rtol=1e-12, atol=1e-15)
+
+    def test_underflowing_norm_is_not_projected(self):
+        # |J11|^2 rounds to 0 while <J11, J21> < 0: nothing to project
+        # off, and no division by the zero norm
+        gs = Blocks(h=np.array([[1e-170], [-1e10]]), w=np.zeros((2, 1)))
+        decision = step(np.zeros(6), gs, cfg(StrategyKind.GRAD_SURGERY))
+        np.testing.assert_array_equal(decision.delta_h, -ETA * (gs.J11 + gs.J21))
 
     def test_zero_co_gradient_passes_through(self):
         g1, g2 = np.array([3.0, 1.0]), np.zeros(2)
@@ -412,7 +487,7 @@ def _decision_cases(draw):
         lam=(l1, 1.0 - l1),
         pre_norm=draw(st.sampled_from(list(PreNorm))),
     )
-    gs = GradientSet(np.array([blocks[0], blocks[2]]), np.array([blocks[1], blocks[3]]))
+    gs = Blocks(np.array([blocks[0], blocks[2]]), np.array([blocks[1], blocks[3]]))
     return scores, gs, c
 
 
@@ -424,7 +499,7 @@ class TestDecideMatchesPerStrategyFormulas:
         lam entry or a power-of-two beta; within rtol 1e-14 of the terms
         summed for grad-surgery and for any other beta."""
         scores, gs, c = case
-        got = decide(scores, gs, c)
+        got = step(scores, gs, c)
         dh, dw, chosen, alpha = _reference(scores, gs, c)
         assert got.chosen_index == chosen
         if alpha is None:
