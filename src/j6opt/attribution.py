@@ -115,10 +115,15 @@ class AlignScale(str, Enum):
 
 @dataclass(frozen=True)
 class AlignmentMode:
-    """How cross-shape inner products are taken and scaled."""
+    """How cross-shape inner products are taken and scaled; both fields
+    accept their enum's string values."""
 
     kind: AlignKind = AlignKind.AUTO
     scale: AlignScale = AlignScale.RAW
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", AlignKind(self.kind))
+        object.__setattr__(self, "scale", AlignScale(self.scale))
 
 
 def resolve_alignment(mode: AlignmentMode, w_mode: WMode) -> AlignmentMode:

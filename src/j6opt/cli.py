@@ -1,9 +1,9 @@
 """Command-line interface: generate, run, gradcheck, compare, sweep.
 
-Every command is deterministic given its flags; the seed falls back to
-the J6_SEED environment variable, then to 0.  Exit codes: 0 success,
-1 check failure, 2 usage or config error, 3 non-finite abort (a loss,
-or the perturbations a diverging update produced).
+Every command is deterministic given its flags.  A flag left out keeps
+its config dataclass's default; the seed falls back to $J6_SEED first.
+Exit codes: 0 success, 1 check failure, 2 usage or config error, 3
+non-finite abort (a loss, or the perturbations a diverging update produced).
 """
 
 from __future__ import annotations
@@ -42,90 +42,38 @@ _STRATEGY_NAMES = [k.value for k in StrategyKind]
 _SWEEP_PARAMS = {p: p.replace("-", "_") for p in ("tau", "gamma", "eta-h", "eta-w", "beta-aux")}
 
 
-def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
+def _config(cls: type, args: argparse.Namespace, prefix: str = "", **fields: object):
+    """A ``cls`` from ``fields`` plus each field whose flag (dest ``prefix``
+    + its name) was given; the rest keep the dataclass defaults."""
+    given = vars(args)
+    for f in dataclasses.fields(cls):
+        if prefix + f.name in given:
+            fields.setdefault(f.name, given[prefix + f.name])
+    return cls(**fields)
+
+
+def _seed(args: argparse.Namespace) -> dict[str, int]:
+    """Without ``--seed``, the seed field is $J6_SEED if set."""
     env = os.environ.get("J6_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"J6_SEED must be an integer, got {env!r}") from None
-    return 0
+    if "seed" in args or env is None:
+        return {}
+    try:
+        return {"seed": int(env)}
+    except ValueError:
+        raise ValueError(f"J6_SEED must be an integer, got {env!r}") from None
 
 
-def _add_strategy_flags(parser: argparse.ArgumentParser, with_kind: bool) -> None:
-    group = parser.add_argument_group("strategy")
-    if with_kind:
-        group.add_argument("--strategy", choices=_STRATEGY_NAMES, required=True)
-    group.add_argument("--tau", type=float, default=1.0, help="softmax temperature (soft)")
-    group.add_argument("--gamma", type=float, default=2.0, help="contrast exponent (soft)")
-    group.add_argument("--eta-h", type=float, default=0.01, help="learning rate for h")
-    group.add_argument("--eta-w", type=float, default=0.01, help="learning rate for w")
-    group.add_argument(
-        "--beta-aux", type=float, default=0.5, help="auxiliary-group scale (hard-jplus)"
-    )
-    group.add_argument(
-        "--lam",
-        type=float,
-        nargs=2,
-        default=(0.5, 0.5),
-        metavar=("L1", "L2"),
-        help="scalarization weights, must sum to 1",
-    )
-    group.add_argument("--pre-norm", choices=[p.value for p in PreNorm], default="none")
-    group.add_argument(
-        "--align",
-        choices=[k.value for k in AlignKind],
-        default="auto",
-        help="cross-shape inner product mode (auto: per instance w_mode)",
-    )
-    group.add_argument("--scale", choices=[s.value for s in AlignScale], default="raw")
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("run")
-    group.add_argument("--steps", type=int, default=200, help="max optimization steps")
-    group.add_argument("--grad-tol", type=float, default=1e-8)
-    group.add_argument("--loss-tol", type=float, default=0.0)
-    group.add_argument("--seed", type=int, default=None, help="default: $J6_SEED, then 0")
-    group.add_argument("--init-scale", type=float, default=0.0)
-
-
-def _strategy_config(args: argparse.Namespace, kind: str | StrategyKind) -> StrategyConfig:
-    return StrategyConfig(
-        kind=StrategyKind(kind),
-        tau=args.tau,
-        gamma=args.gamma,
-        eta_h=args.eta_h,
-        eta_w=args.eta_w,
-        beta_aux=args.beta_aux,
-        lam=tuple(args.lam),
-        pre_norm=PreNorm(args.pre_norm),
-        alignment=AlignmentMode(AlignKind(args.align), AlignScale(args.scale)),
-    )
+def _strategy_config(args: argparse.Namespace, kind: str) -> StrategyConfig:
+    alignment = _config(AlignmentMode, args, "align_")
+    return _config(StrategyConfig, args, kind=kind, alignment=alignment)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        max_steps=args.steps,
-        grad_tol=args.grad_tol,
-        loss_tol=args.loss_tol,
-        seed=_default_seed(args.seed),
-        init_scale=args.init_scale,
-    )
+    return _config(RunConfig, args, **_seed(args))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = GeneratorSpec(
-        V=args.V,
-        d=args.d,
-        T=args.T,
-        seed=_default_seed(args.seed),
-        family=Family(args.family),
-        w_mode=args.w_mode,
-        v_star=args.v_star,
-    )
+    spec = _config(GeneratorSpec, args, **_seed(args))
     instance = generate(spec)
     save_instance(instance, args.out, seed=spec.seed, family=spec.family.value)
     print(f"wrote {args.out} (V={spec.V} d={spec.d} T={spec.T} family={spec.family.value})")
@@ -191,6 +139,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     instance = load_instance(args.instance)
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
     if not names:
@@ -212,6 +162,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     instance = load_instance(args.instance)
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
@@ -248,6 +200,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _config_flags() -> argparse.ArgumentParser:
+    """``-i`` and the StrategyConfig/RunConfig flags of run, compare and
+    sweep; a flag left out is absent from the namespace (``_config``)."""
+    parser = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    parser.add_argument("-i", "--instance", required=True)
+    group = parser.add_argument_group("strategy")
+    group.add_argument("--tau", type=float, help="softmax temperature (soft)")
+    group.add_argument("--gamma", type=float, help="contrast exponent (soft)")
+    group.add_argument("--eta-h", type=float, help="learning rate for h")
+    group.add_argument("--eta-w", type=float, help="learning rate for w")
+    group.add_argument("--beta-aux", type=float, help="auxiliary-group scale (hard-jplus)")
+    group.add_argument("--lam", type=float, nargs=2, metavar=("L1", "L2"),
+                       help="scalarization weights, must sum to 1")
+    group.add_argument("--pre-norm", choices=[p.value for p in PreNorm])
+    group.add_argument("--align", dest="align_kind", choices=[k.value for k in AlignKind],
+                       help="cross-shape inner product mode (auto: per instance w_mode)")
+    group.add_argument("--scale", dest="align_scale", choices=[s.value for s in AlignScale])
+    group = parser.add_argument_group("run")
+    group.add_argument("--steps", dest="max_steps", type=int, metavar="STEPS",
+                       help="max optimization steps")
+    group.add_argument("--grad-tol", type=float)
+    group.add_argument("--loss-tol", type=float)
+    group.add_argument("--seed", type=int, help="default: $J6_SEED, then 0")
+    group.add_argument("--init-scale", type=float)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="j6opt",
@@ -255,24 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
         "on a bilinear logit model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_config_flags()]
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic instance file")
+    p_gen = sub.add_parser("gen", help="generate a synthetic instance file",
+                           argument_default=argparse.SUPPRESS)
     p_gen.add_argument("--V", type=int, required=True, help="vocabulary size (>= 2)")
     p_gen.add_argument("--d", type=int, required=True, help="hidden dimension")
-    p_gen.add_argument("--T", type=int, default=1, help="number of positions")
-    p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--family", choices=[f.value for f in Family], default="gaussian")
-    p_gen.add_argument("--w-mode", choices=["full_matrix", "single_row", "broadcast"],
-                       default="full_matrix")
-    p_gen.add_argument("--v-star", type=int, default=None)
+    p_gen.add_argument("--T", type=int, help="number of positions")
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--family", choices=[f.value for f in Family])
+    p_gen.add_argument("--w-mode", choices=[m.value for m in WMode])
+    p_gen.add_argument("--v-star", type=int)
     p_gen.add_argument("-o", "--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_run = sub.add_parser("run", help="optimize one instance and trace every step")
-    p_run.add_argument("-i", "--instance", required=True)
+    p_run = sub.add_parser("run", parents=common, help="optimize one instance and trace every step")
+    p_run.add_argument("--strategy", choices=_STRATEGY_NAMES, required=True)
     p_run.add_argument("--trace", default=None, help="write per-step CSV here")
-    _add_strategy_flags(p_run, with_kind=True)
-    _add_run_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_gc = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
@@ -282,27 +260,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--corrupt", type=float, default=0.0, help=argparse.SUPPRESS)
     p_gc.set_defaults(func=cmd_gradcheck)
 
-    p_cmp = sub.add_parser("compare", help="run several strategies from the same start")
-    p_cmp.add_argument("-i", "--instance", required=True)
+    p_cmp = sub.add_parser("compare", parents=common,
+                           help="run several strategies from the same start")
     p_cmp.add_argument("--strategies", default=",".join(_STRATEGY_NAMES),
                        help="comma-separated strategy names")
     p_cmp.add_argument("-o", "--out", required=True, help="summary JSON path")
     p_cmp.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; configurations always run serially")
-    _add_strategy_flags(p_cmp, with_kind=False)
-    _add_run_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_sw = sub.add_parser("sweep", help="vary one strategy parameter over a value list")
-    p_sw.add_argument("-i", "--instance", required=True)
+    p_sw = sub.add_parser("sweep", parents=common,
+                          help="vary one strategy parameter over a value list")
     p_sw.add_argument("--param", choices=sorted(_SWEEP_PARAMS), required=True)
     p_sw.add_argument("--values", required=True, help="comma-separated numbers")
     p_sw.add_argument("--strategy", choices=_STRATEGY_NAMES, default="soft")
     p_sw.add_argument("-o", "--out", required=True, help="summary CSV path")
     p_sw.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; configurations always run serially")
-    _add_strategy_flags(p_sw, with_kind=False)
-    _add_run_flags(p_sw)
+                      help="accepted for compatibility; configurations always run serially")
     p_sw.set_defaults(func=cmd_sweep)
 
     return parser

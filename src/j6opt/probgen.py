@@ -49,7 +49,7 @@ class Family(str, Enum):
 class GeneratorSpec:
     V: int
     d: int
-    T: int
+    T: int = 1
     seed: int = 0
     family: Family = Family.GAUSSIAN
     w_mode: WMode = WMode.FULL_MATRIX
@@ -115,6 +115,5 @@ def generate(spec: GeneratorSpec) -> ProblemInstance:
         instance = _draw(rng, spec)
         if _accept(instance, spec.family):
             return instance
-    raise RuntimeError(
-        f"no {spec.family.value} instance found in {_MAX_DRAWS} draws for {spec}"
-    )
+    # a config error: the spec may be infeasible (e.g. conflicting with V = 2)
+    raise ValueError(f"no {spec.family.value} instance found in {_MAX_DRAWS} draws for {spec}")

@@ -64,6 +64,8 @@ class StrategyConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", StrategyKind(self.kind))
         object.__setattr__(self, "pre_norm", PreNorm(self.pre_norm))
+        if not isinstance(self.alignment, AlignmentMode):
+            raise ValueError(f"'alignment' must be an AlignmentMode, got {self.alignment!r}")
         if require_float("tau", self.tau) <= 0:
             raise ValueError("tau must be positive")
         if require_float("gamma", self.gamma) <= 1:
@@ -101,14 +103,15 @@ def soft_weights(s: np.ndarray, cfg: StrategyConfig) -> np.ndarray:
 
     alpha~_i = softmax(s / tau)_i, alpha_i = alpha~_i^gamma normalized.
     MAXABS pre-normalization divides the scores by max|s| + 1e-12 first,
-    making tau scale-free across instances.
+    making tau scale-free across instances.  The contrast step gets the
+    unnormalized exp((s - max s) / tau), whose largest entry is exactly
+    1, so no tau or gamma can underflow every weight to 0 (NaN).
     """
     s = np.asarray(s, dtype=np.float64)
     if cfg.pre_norm is PreNorm.MAXABS:
         s = s / (np.abs(s).max() + 1e-12)
-    t = s / cfg.tau
-    e = np.exp(t - t.max())
-    return contrast_weights(e / e.sum(), cfg.gamma)
+    with np.errstate(over="ignore"):
+        return contrast_weights(np.exp((s - s.max()) / cfg.tau), cfg.gamma)
 
 
 def _projection(gram: list[list[float]]) -> tuple[tuple[float, float], tuple[float, float]]:

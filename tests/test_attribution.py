@@ -385,6 +385,28 @@ class TestScoreJPlus:
         )
 
 
+class TestAlignmentMode:
+    def test_strings_are_coerced(self):
+        # the enums compare equal to their strings, so check identity
+        mode = AlignmentMode("direct", "cosine")
+        assert mode.kind is AlignKind.DIRECT and mode.scale is AlignScale.COSINE
+        mode = AlignmentMode(scale="cosine")
+        assert mode.kind is AlignKind.AUTO and mode.scale is AlignScale.COSINE
+
+    @pytest.mark.parametrize("kind, scale", [("bogus", "raw"), ("auto", "nonsense"), (None, "raw")])
+    def test_unknown_values_rejected(self, kind, scale):
+        with pytest.raises(ValueError):
+            AlignmentMode(kind, scale)
+
+    def test_string_form_runs_as_the_enum_form(self):
+        # uncoerced, "direct" is neither DIRECT nor AUTO and ran as pushforward-raw
+        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=1, w_mode=WMode.SINGLE_ROW))
+        pert = init_perturbations(instance, init_scale=0.3, seed=1)
+        gs = compute_gradient_set(instance, pert)
+        np.testing.assert_array_equal(score_j6(gs, AlignmentMode("direct", "cosine")),
+                                      score_j6(gs, DIRECT_COSINE))
+
+
 class TestResolveAlignment:
     def test_auto_keeps_the_scale(self):
         for scale in AlignScale:

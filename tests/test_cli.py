@@ -1,11 +1,27 @@
 """End-to-end CLI behavior: flags, outputs, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 import re
 
 import pytest
 
-from j6opt import read_trace
+import j6opt.cli as cli
+import j6opt.probgen as probgen
+from j6opt import (
+    AlignKind,
+    AlignmentMode,
+    AlignScale,
+    Family,
+    GeneratorSpec,
+    PreNorm,
+    RunConfig,
+    StrategyConfig,
+    StrategyKind,
+    WMode,
+    read_trace,
+)
 from j6opt.cli import main
 
 
@@ -53,6 +69,16 @@ class TestGen:
     def test_invalid_vocab_size_exits_2(self, tmp_path, capsys):
         assert main(["gen", "--V", "1", "--d", "2", "-o", str(tmp_path / "x.json")]) == 2
         assert "V must be at least 2" in capsys.readouterr().err
+
+    def test_exhausted_draws_exit_2(self, tmp_path, capsys, monkeypatch):
+        # V = 2 can never be conflicting: a config error, not a traceback (exit 1)
+        monkeypatch.setattr(probgen, "_MAX_DRAWS", 5)
+        out = tmp_path / "g.json"
+        assert main(["gen", "--V", "2", "--d", "1", "--family", "conflicting", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no conflicting instance found in 5 draws for "
+                              "GeneratorSpec(V=2, d=1, T=1, seed=0")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         explicit, fallback = tmp_path / "e.json", tmp_path / "f.json"
@@ -130,6 +156,20 @@ class TestRun:
         }))
         assert main(["run", "-i", str(path), "--strategy", "hard-j6", "--steps", "3"]) == 3
         assert "at step 0: gradient blocks must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["2", "500"])
+    def test_saturated_soft_weights_stay_finite(self, tmp_path, capsys, gamma):
+        # saturated: the losses are 0 to rounding, so the run stops after one step;
+        # at gamma 500 every normalized softmax weight underflows to 0 under the
+        # contrast step, and NaN weights would abort the first update (exit 3)
+        path = tmp_path / "sat.json"
+        path.write_text(json.dumps({
+            "V": 2, "d": 1, "T": 1, "H": [[1.0]], "W": [[1000.0], [-1000.0]], "y": [0],
+            "w_mode": "full_matrix", "v_star": None,
+            "metadata": {"seed": None, "family": None, "format_version": "1"},
+        }))
+        assert main(["run", "-i", str(path), "--strategy", "soft", "--gamma", gamma]) == 0
+        assert "stop_reason=grad_tol steps=1" in capsys.readouterr().out
 
     def test_auto_alignment_resolves_per_instance(self, inst, inst_single, tmp_path):
         for path, kind in ((inst, "pushforward"), (inst_single, "direct")):
@@ -286,6 +326,158 @@ class TestSweep:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.fixture
+def configs(monkeypatch):
+    """The (StrategyConfig, RunConfig) pair of each run the CLI starts;
+    the runs themselves take one step.  J6_SEED is unset."""
+    seen, real_run = [], cli.run
+
+    def spy(instance, cfg, rcfg):
+        seen.append((cfg, rcfg))
+        return real_run(instance, cfg, dataclasses.replace(rcfg, max_steps=1))
+
+    monkeypatch.setattr(cli, "run", spy)
+    monkeypatch.delenv("J6_SEED", raising=False)
+    return seen
+
+
+@pytest.fixture
+def specs(monkeypatch):
+    """The GeneratorSpec of each instance ``gen`` draws; J6_SEED is unset."""
+    seen, real_generate = [], cli.generate
+    monkeypatch.setattr(cli, "generate", lambda spec: seen.append(spec) or real_generate(spec))
+    monkeypatch.delenv("J6_SEED", raising=False)
+    return seen
+
+
+def _command_flags(command, tmp_path, tau=1.0):
+    """The required flags of a command besides -i, running the soft strategy once."""
+    out = str(tmp_path / "out")
+    return {
+        "run": ["--strategy", "soft"],
+        "compare": ["--strategies", "soft", "-o", out],
+        "sweep": ["--param", "tau", "--values", repr(tau), "-o", out],
+    }[command]
+
+
+def _subcommands():
+    """Each subcommand's parser, by name."""
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# Each flag that sets a config field: its argv, the field, the value it sets.
+CONFIG_FLAGS = [
+    (["--tau", "0.25"], "tau", 0.25),
+    (["--gamma", "3"], "gamma", 3.0),
+    (["--eta-h", "0.2"], "eta_h", 0.2),
+    (["--eta-w", "0.3"], "eta_w", 0.3),
+    (["--beta-aux", "0.75"], "beta_aux", 0.75),
+    (["--lam", "0.25", "0.75"], "lam", (0.25, 0.75)),
+    (["--pre-norm", "maxabs"], "pre_norm", PreNorm.MAXABS),
+    (["--align", "pushforward"], "alignment", AlignmentMode(AlignKind.PUSHFORWARD)),
+    (["--scale", "cosine"], "alignment", AlignmentMode(scale=AlignScale.COSINE)),
+    (["--align", "pushforward", "--scale", "cosine"], "alignment",
+     AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.COSINE)),
+    (["--steps", "7"], "max_steps", 7),
+    (["--grad-tol", "1e-3"], "grad_tol", 1e-3),
+    (["--loss-tol", "1e-4"], "loss_tol", 1e-4),
+    (["--seed", "11"], "seed", 11),
+    (["--init-scale", "0.2"], "init_scale", 0.2),
+]
+GEN_FLAGS = [
+    (["--T", "3"], "T", 3),
+    (["--seed", "4"], "seed", 4),
+    (["--family", "role-swap"], "family", Family.ROLE_SWAP),
+    (["--w-mode", "single_row"], "w_mode", WMode.SINGLE_ROW),
+    (["--v-star", "2"], "v_star", 2),
+]
+RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+class TestConfigFlags:
+    """Every flag default is its config dataclass's own default."""
+
+    def test_run_defaults(self, inst, configs):
+        assert main(["run", "-i", str(inst), "--strategy", "hard-jplus"]) == 0
+        assert configs == [(StrategyConfig(kind=StrategyKind.HARD_JPLUS), RunConfig())]
+
+    def test_compare_defaults(self, inst, tmp_path, configs):
+        assert main(["compare", "-i", str(inst), "-o", str(tmp_path / "c.json")]) == 0
+        assert configs == [(StrategyConfig(kind=kind), RunConfig()) for kind in StrategyKind]
+
+    def test_sweep_defaults(self, inst, tmp_path, configs):
+        assert main(["sweep", "-i", str(inst), "--param", "gamma", "--values", "2",
+                     "-o", str(tmp_path / "s.csv")]) == 0
+        assert configs == [(StrategyConfig(kind=StrategyKind.SOFT), RunConfig())]
+
+    def test_gen_defaults(self, tmp_path, specs):
+        assert main(["gen", "--V", "5", "--d", "3", "-o", str(tmp_path / "g.json")]) == 0
+        assert specs == [GeneratorSpec(V=5, d=3)]
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    @pytest.mark.parametrize("flags, field, value", CONFIG_FLAGS)
+    def test_flag_sets_exactly_its_field(self, inst, tmp_path, configs, command, flags, field,
+                                         value):
+        cfg, rcfg = StrategyConfig(kind=StrategyKind.SOFT), RunConfig()
+        if field in RUN_FIELDS:
+            rcfg = dataclasses.replace(rcfg, **{field: value})
+        else:
+            cfg = dataclasses.replace(cfg, **{field: value})
+        argv = [command, "-i", str(inst), *_command_flags(command, tmp_path, cfg.tau), *flags]
+        assert main(argv) == 0
+        assert configs == [(cfg, rcfg)]
+
+    @pytest.mark.parametrize("flags, field, value", GEN_FLAGS)
+    def test_gen_flag_sets_exactly_its_field(self, tmp_path, specs, flags, field, value):
+        assert main(["gen", "--V", "5", "--d", "3", *flags, "-o", str(tmp_path / "g.json")]) == 0
+        assert specs == [GeneratorSpec(V=5, d=3, **{field: value})]
+
+    def test_seed_falls_back_to_env(self, inst, tmp_path, configs, specs, monkeypatch, capsys):
+        monkeypatch.setenv("J6_SEED", "9")
+        assert main(["run", "-i", str(inst), "--strategy", "soft"]) == 0
+        assert main(["run", "-i", str(inst), "--strategy", "soft", "--seed", "2"]) == 0
+        assert [rcfg.seed for _, rcfg in configs] == [9, 2]
+        assert main(["gen", "--V", "5", "--d", "3", "-o", str(tmp_path / "g.json")]) == 0
+        assert specs == [GeneratorSpec(V=5, d=3, seed=9)]
+        monkeypatch.setenv("J6_SEED", "x")
+        assert main(["run", "-i", str(inst), "--strategy", "soft"]) == 2
+        assert "J6_SEED must be an integer, got 'x'" in capsys.readouterr().err
+
+    def test_commands_share_the_config_flags(self):
+        """run, compare and sweep accept exactly the shared flags, each
+        with the same type, choices, nargs and destination, besides
+        their own command-level flags."""
+        def shape(action):
+            return (action.dest, action.type, action.choices, action.nargs, action.default,
+                    action.required, action.metavar)
+
+        shared = {tuple(a.option_strings): shape(a) for a in cli._config_flags()._actions}
+        own = {
+            "run": {("-h", "--help"), ("--strategy",), ("--trace",)},
+            "compare": {("-h", "--help"), ("--strategies",), ("-o", "--out"), ("--jobs",)},
+            "sweep": {("-h", "--help"), ("--param",), ("--values",), ("--strategy",),
+                      ("-o", "--out"), ("--jobs",)},
+        }
+        subcommands = _subcommands()
+        for command, own_flags in own.items():
+            flags = {tuple(a.option_strings): shape(a) for a in subcommands[command]._actions}
+            assert {k: v for k, v in flags.items() if k in shared} == shared
+            assert set(flags) - set(shared) == own_flags
+
+    def test_no_config_field_has_an_argparse_default(self):
+        fields = {f.name for cls in (StrategyConfig, RunConfig, GeneratorSpec)
+                  for f in dataclasses.fields(cls)} | {"align_kind", "align_scale"}
+        counts = {}
+        for command, parser in _subcommands().items():
+            for action in parser._actions:
+                if action.dest in fields:
+                    assert action.default is argparse.SUPPRESS, (command, action.dest)
+                    counts[command] = counts.get(command, 0) + 1
+        assert counts == {"gen": 7, "run": 14, "compare": 14, "sweep": 14}
+
+
 class TestUsage:
     def test_help_available_everywhere(self):
         assert main(["--help"]) == 0
@@ -294,3 +486,12 @@ class TestUsage:
 
     def test_no_command_exits_2(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("compare", []), ("sweep", ["--param", "tau", "--values", "1"])])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, inst, tmp_path, capsys, command, flags, jobs):
+        out = tmp_path / "out"
+        assert main([command, "-i", str(inst), *flags, "--jobs", jobs, "-o", str(out)]) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()

@@ -99,6 +99,28 @@ class TestRoleSwapFamily:
         assert roleswap_certificate(instance) == pytest.approx(ratio, rel=1e-13)
 
 
+class TestInfeasibleSpec:
+    def test_two_token_conflicting_spec_cannot_hold(self):
+        # with V = 2 and target probability q < 1/2 (the target below the
+        # argmax), <g_heat, g_conf> = 2 q (1 - q)^2 log((1 - q) / q) > 0
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            H, W = rng.standard_normal((1, 1)), rng.standard_normal((2, 1))
+            y = np.array([int(np.argmin(W @ H[0]))])
+            instance = j6opt.model.ProblemInstance(V=2, d=1, T=1, H=H, W=W, y=y)
+            q = float(np.exp(log_softmax(H @ W.T)[0, y[0]]))
+            expected = 2 * q * (1 - q) ** 2 * np.log((1 - q) / q)
+            assert conflict_certificate(instance) == pytest.approx(expected, rel=1e-12)
+            assert expected > 0
+
+    def test_exhausted_draws_are_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(probgen, "_MAX_DRAWS", 7)
+        spec = GeneratorSpec(V=2, d=1, family=Family.CONFLICTING)
+        with pytest.raises(ValueError, match=r"no conflicting instance found in 7 draws for "
+                                             r"GeneratorSpec\(V=2, d=1, T=1"):
+            generate(spec)
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize(
         "bad",
@@ -128,6 +150,9 @@ class TestSpecValidation:
             GeneratorSpec(V=6, d=3, T=3, seed=2, w_mode=WMode.SINGLE_ROW)
         )
         assert instance.v_star == int(instance.y[-1])
+
+    def test_one_position_by_default(self):
+        assert GeneratorSpec(V=4, d=2) == GeneratorSpec(V=4, d=2, T=1)
 
     def test_w_mode_is_carried(self):
         instance = generate(GeneratorSpec(V=4, d=2, T=1, seed=0, w_mode=WMode.BROADCAST))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import j6opt.strategies as strategies_mod
 from j6opt import (
     J6_FROM_JPLUS,
+    AlignKind,
     PreNorm,
     StrategyConfig,
     StrategyKind,
@@ -118,6 +119,12 @@ class TestStrategyConfigValidation:
     def test_real_numbers_accepted(self):
         c = StrategyConfig(kind=StrategyKind.SOFT, tau=2, gamma=np.float32(3.0), lam=(1, 0))
         assert c.tau == 2 and c.lam == (1.0, 0.0)
+
+    @pytest.mark.parametrize("alignment", ["direct", ("direct", "cosine"), None, AlignKind.DIRECT])
+    def test_alignment_must_be_a_mode(self, alignment):
+        # rejected here, not later inside run as an AttributeError
+        with pytest.raises(ValueError, match="'alignment' must be an AlignmentMode"):
+            StrategyConfig(kind=StrategyKind.SOFT, alignment=alignment)
 
 
 class TestHardRouteJ6:
@@ -273,6 +280,32 @@ class TestSoftWeights:
         s = np.array([0.1, 0.2, 0.9, 0.3, 0.4, 0.2])
         alpha = soft_weights(s, cfg(StrategyKind.SOFT, tau=1e-3))
         assert alpha[2] > 1.0 - 1e-9
+
+    def test_huge_gamma_on_equal_scores_stays_uniform(self):
+        # (1/6)**500 underflows in every entry, so the contrast step must
+        # not be given the normalized softmax (0/0 = NaN)
+        alpha = soft_weights(np.zeros(6), cfg(StrategyKind.SOFT, gamma=500.0))
+        np.testing.assert_array_equal(alpha, np.full(6, 1.0 / 6.0))
+
+    def test_tiny_tau_is_the_argmax(self):
+        # s / 1e-310 overflows; the max must stay at exp(0), not exp(inf - inf)
+        s = np.array([0.1, 0.2, 0.9, 0.3, 0.4, 0.2])
+        alpha = soft_weights(s, cfg(StrategyKind.SOFT, tau=1e-310))
+        np.testing.assert_array_equal(alpha, np.eye(6)[2])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        s=st.lists(st.floats(-1e300, 1e300), min_size=6, max_size=6),
+        tau=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-300, 1e300)),
+        gamma=st.one_of(st.floats(1.0, 1e308, exclude_min=True), st.just(1e308)),
+        maxabs=st.booleans(),
+    )
+    def test_weights_finite_for_any_valid_knobs(self, s, tau, gamma, maxabs):
+        c = cfg(StrategyKind.SOFT, tau=tau, gamma=gamma,
+                pre_norm=PreNorm.MAXABS if maxabs else PreNorm.NONE)
+        alpha = soft_weights(np.array(s), c)
+        assert np.isfinite(alpha).all() and (alpha >= 0.0).all()
+        assert abs(alpha.sum() - 1.0) <= 1e-12
 
 
 class TestSoftUpdate:
