@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -227,7 +228,11 @@ def _config_flags() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  It holds no per-call state: every
+    parse fills a fresh namespace, and a config flag left out stays out
+    of it."""
     parser = argparse.ArgumentParser(
         prog="j6opt",
         description="Jacobian-routed multi-objective perturbation optimization "
@@ -246,19 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--w-mode", choices=[m.value for m in WMode])
     p_gen.add_argument("--v-star", type=int)
     p_gen.add_argument("-o", "--out", required=True)
-    p_gen.set_defaults(func=cmd_gen)
 
     p_run = sub.add_parser("run", parents=common, help="optimize one instance and trace every step")
     p_run.add_argument("--strategy", choices=_STRATEGY_NAMES, required=True)
     p_run.add_argument("--trace", default=None, help="write per-step CSV here")
-    p_run.set_defaults(func=cmd_run)
 
     p_gc = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p_gc.add_argument("-i", "--instance", default=None,
                       help="instance file (default: built-in seeded battery)")
     p_gc.add_argument("--eps", type=float, default=1e-5)
     p_gc.add_argument("--corrupt", type=float, default=0.0, help=argparse.SUPPRESS)
-    p_gc.set_defaults(func=cmd_gradcheck)
 
     p_cmp = sub.add_parser("compare", parents=common,
                            help="run several strategies from the same start")
@@ -267,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("-o", "--out", required=True, help="summary JSON path")
     p_cmp.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; configurations always run serially")
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_sw = sub.add_parser("sweep", parents=common,
                           help="vary one strategy parameter over a value list")
@@ -277,19 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("-o", "--out", required=True, help="summary CSV path")
     p_sw.add_argument("--jobs", type=int, default=1,
                       help="accepted for compatibility; configurations always run serially")
-    p_sw.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        # looked up per call, so that a replaced cmd_* takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except NonFiniteLossError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

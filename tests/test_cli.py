@@ -71,14 +71,28 @@ class TestGen:
         assert "V must be at least 2" in capsys.readouterr().err
 
     def test_exhausted_draws_exit_2(self, tmp_path, capsys, monkeypatch):
-        # V = 2 can never be conflicting: a config error, not a traceback (exit 1)
+        # a config error, not a traceback (exit 1)
         monkeypatch.setattr(probgen, "_MAX_DRAWS", 5)
         out = tmp_path / "g.json"
-        assert main(["gen", "--V", "2", "--d", "1", "--family", "conflicting", "-o", str(out)]) == 2
+        assert main(["gen", "--V", "20", "--d", "4", "--T", "2", "--family", "conflicting",
+                     "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: no conflicting instance found in 5 draws for "
-                              "GeneratorSpec(V=2, d=1, T=1, seed=0")
+                              "GeneratorSpec(V=20, d=4, T=2, seed=0")
+        assert re.search(r"; 0 passed the screen, best certificate 0\.\d+ "
+                         r"\(accepted below 0\.0\)\n$", err)
         assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--V", "2", "--d", "1", "--family", "conflicting"], "conflicting needs V >= 3"),
+        (["--V", "6", "--d", "4", "--family", "role-swap", "--w-mode", "broadcast"],
+         "role-swap cannot hold on broadcast"),
+    ])
+    def test_infeasible_spec_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch, flags,
+                                                    reason):
+        monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail(f"drew for {spec}"))
+        assert main(["gen", *flags, "-o", str(tmp_path / "g.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {reason}")
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         explicit, fallback = tmp_path / "e.json", tmp_path / "f.json"
@@ -495,3 +509,33 @@ class TestUsage:
         assert main([command, "-i", str(inst), *flags, "--jobs", jobs, "-o", str(out)]) == 2
         assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserCache:
+    """``main`` parses with one parser per process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_flag_does_not_outlive_its_call(self, inst, configs):
+        assert main(["run", "-i", str(inst), "--strategy", "soft", "--tau", "3"]) == 0
+        assert main(["run", "-i", str(inst), "--strategy", "soft"]) == 0
+        assert [cfg.tau for cfg, _ in configs] == [3.0, 1.0]
+
+    def test_each_command_parses_cleanly_after_another(self, monkeypatch):
+        seen = []
+        for name in ("gen", "sweep"):
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(vars(args)) or 0)
+        assert main(["gen", "--V", "5", "--d", "3", "--seed", "4", "-o", "g.json"]) == 0
+        assert main(["sweep", "-i", "g.json", "--param", "tau", "--values", "1",
+                     "-o", "s.csv"]) == 0
+        assert seen == [
+            {"command": "gen", "V": 5, "d": 3, "seed": 4, "out": "g.json"},
+            {"command": "sweep", "instance": "g.json", "param": "tau", "values": "1",
+             "strategy": "soft", "out": "s.csv", "jobs": 1},
+        ]
+
+    def test_replaced_command_takes_effect(self, inst, monkeypatch):
+        assert main(["run", "-i", str(inst), "--strategy", "soft", "--steps", "1"]) == 0
+        monkeypatch.setattr(cli, "cmd_run", lambda args: 7)
+        assert main(["run", "-i", str(inst), "--strategy", "soft"]) == 7
