@@ -22,7 +22,7 @@ import numpy as np
 from .attribution import AlignKind, AlignScale, AlignmentMode, compute_gradient_set
 from .probgen import Family, GeneratorSpec, conflict_certificate, generate, roleswap_certificate
 from .model import ProblemInstance, WMode, fd_gradient, forward
-from .optimizer import NonFiniteLossError, RunConfig, init_perturbations, run
+from .optimizer import NonFiniteLossError, RunConfig, RunResult, init_perturbations, run
 from .serialize import (
     InstanceFormatError,
     _atomic_write,
@@ -139,19 +139,24 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def _run_each(args: argparse.Namespace, cfgs: list[StrategyConfig]) -> list[RunResult]:
+    """``compare`` and ``sweep``: check ``--jobs``, load the instance, then
+    run each configuration in turn from the same start."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     instance = load_instance(args.instance)
+    rcfg = _run_config(args)
+    return [run(instance, cfg, rcfg) for cfg in cfgs]
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
     if not names:
         raise ValueError("--strategies must name at least one strategy")
     for name in names:
         if name not in _STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {name!r} (choose from {_STRATEGY_NAMES})")
-    rcfg = _run_config(args)
-    cfgs = [_strategy_config(args, name) for name in names]
-    results = [run(instance, cfg, rcfg) for cfg in cfgs]
+    results = _run_each(args, [_strategy_config(args, name) for name in names])
     write_summary(list(zip(names, results)), args.out)
     for name, result in zip(names, results):
         print(
@@ -163,9 +168,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    instance = load_instance(args.instance)
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise ValueError("--values must list at least one number")
@@ -173,11 +175,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = [float(v) for v in raw_values]
     except ValueError:
         raise ValueError(f"--values must be numeric, got {args.values!r}") from None
-    attr = _SWEEP_PARAMS[args.param]
-    rcfg = _run_config(args)
     base = _strategy_config(args, args.strategy)
-    cfgs = [dataclasses.replace(base, **{attr: value}) for value in values]
-    results = [run(instance, cfg, rcfg) for cfg in cfgs]
+    cfgs = [dataclasses.replace(base, **{_SWEEP_PARAMS[args.param]: value}) for value in values]
+    results = _run_each(args, cfgs)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["param", "value", "final_ob1", "final_ob2", "stop_reason", "steps", "alpha_max"])

@@ -21,6 +21,7 @@ import numpy as np
 
 from .model import ProblemInstance, WMode, require_int
 from .optimizer import RunResult, TraceRecord
+from .probgen import Family
 from .strategies import StrategyKind
 
 __all__ = [
@@ -76,16 +77,19 @@ def save_instance(
 
 
 def _reals(doc: dict, key: str) -> np.ndarray:
-    """doc[key] as a float64 matrix.  numpy reads a JSON true/false as
-    1.0/0.0, so the entries that load as exactly 0 or 1, and only those,
-    are checked for a bool in the parsed lists."""
+    """doc[key] as a float64 array of JSON numbers.  numpy would read a
+    string such as "7.5" as 7.5 and true/false as 1.0/0.0, so each entry
+    it may have read that way (every entry of a matrix that is not
+    numeric, else those equal to 0 or 1) is checked in the parsed lists."""
     rows = doc[key]
-    x = np.asarray(rows, dtype=np.float64)
+    x = np.asarray(rows)
     if x.ndim == 2:
-        for i, j in np.argwhere((x == 0.0) | (x == 1.0)):
-            if isinstance(rows[i][j], bool):
-                raise ValueError(f"{key!r} entries must be numbers, got a boolean at [{i}, {j}]")
-    return x
+        numeric = x.dtype.kind in "if"
+        for i, j in np.argwhere((x == 0) | (x == 1)) if numeric else np.ndindex(x.shape):
+            v = rows[i][j]
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{key!r} entries must be numbers, got {v!r} at [{i}, {j}]")
+    return np.asarray(x, dtype=np.float64)
 
 
 def load_instance(path: str | Path) -> ProblemInstance:
@@ -115,6 +119,17 @@ def load_instance(path: str | Path) -> ProblemInstance:
     if version != FORMAT_VERSION:
         raise InstanceFormatError(
             f"{path}: unsupported format_version {version!r} (expected {FORMAT_VERSION!r})"
+        )
+    seed, family = meta.get("seed"), meta.get("family")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                             or not 0 <= seed < 2**64):
+        raise InstanceFormatError(
+            f"{path}: metadata seed must be null or an integer in [0, 2**64), got {seed!r}"
+        )
+    families = [f.value for f in Family]
+    if family is not None and family not in families:
+        raise InstanceFormatError(
+            f"{path}: metadata family must be null or one of {families}, got {family!r}"
         )
     try:
         w_mode = WMode(doc["w_mode"])

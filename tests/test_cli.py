@@ -79,8 +79,7 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: no conflicting instance found in 5 draws for "
                               "GeneratorSpec(V=20, d=4, T=2, seed=0")
-        assert re.search(r"; 0 passed the screen, best certificate 0\.\d+ "
-                         r"\(accepted below 0\.0\)\n$", err)
+        assert re.search(r"\); best certificate 0\.\d+ \(accepted below 0\.0\)\n$", err)
         assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("flags, reason", [
@@ -125,6 +124,14 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert "direct" in err and "full_matrix" in err
+
+    def test_string_matrix_entry_exits_2(self, inst, capsys):
+        doc = json.loads(inst.read_text())
+        doc["W"][2][1] = "0.5"
+        inst.write_text(json.dumps(doc))
+        assert main(["run", "-i", str(inst), "--strategy", "soft", "--steps", "3"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "'W' entries must be numbers, got '0.5' at [2, 1]\n")
 
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["run", "-i", str(tmp_path / "nope.json"), "--strategy", "soft"]) == 2

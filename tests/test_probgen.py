@@ -75,38 +75,20 @@ class TestConflictingFamily:
                 assert int(instance.y[t]) != int(np.argmax(logits[t]))
 
 
-    def test_one_forward_pass_per_draw(self, monkeypatch):
-        # One exact forward pass (shared by the argmax test and the
-        # certificate) per candidate the screen passes, in draw order, and
-        # none for a candidate it rules out.
-        screened, kept, built, passes = [], [], [], []
-        real_screen, real_instance = probgen._screen, probgen.ProblemInstance
-
-        def screen(spec, H, W, y):
-            keep, values = real_screen(spec, H, W, y)
-            screened.append(len(keep))
-            kept.extend(H[k].copy() for k in np.flatnonzero(keep))
-            return keep, values
-
-        def building(**fields):
-            built.append(real_instance(**fields))
-            return built[-1]
-
-        def counting(instance, pert):
-            passes.append(instance)
-            return j6opt.model.forward(instance, pert)
-
-        monkeypatch.setattr(probgen, "_screen", screen)
-        monkeypatch.setattr(probgen, "ProblemInstance", building)
-        monkeypatch.setattr(probgen, "forward", counting)
-        for seed in range(5):
-            for calls in (screened, kept, built, passes):
-                calls.clear()
-            generate(GeneratorSpec(V=6, d=4, T=2, seed=seed, family=Family.CONFLICTING))
-            assert sum(screened) > len(kept) >= len(built) >= 1
-            assert passes == built
-            for instance, H in zip(built, kept):
-                np.testing.assert_array_equal(instance.H, H)
+    def test_one_instance_built_per_generate(self, monkeypatch):
+        # Candidates are judged on stacked arrays: the winner is the only
+        # ProblemInstance built, and no forward pass is taken.
+        built = []
+        real_instance = probgen.ProblemInstance
+        monkeypatch.setattr(probgen, "ProblemInstance",
+                            lambda **fields: built.append(real_instance(**fields)) or built[-1])
+        monkeypatch.setattr(j6opt.model, "forward", lambda *args: pytest.fail("forward called"))
+        assert not hasattr(probgen, "forward") and not hasattr(probgen, "compute_gradient_set")
+        for family in (Family.CONFLICTING, Family.ROLE_SWAP):
+            for seed in range(5):
+                built.clear()
+                instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=seed, family=family))
+                assert len(built) == 1 and built[0] is instance
 
 
 class TestRoleSwapFamily:
@@ -156,61 +138,59 @@ class TestInfeasibleSpec:
         monkeypatch.setattr(probgen, "_MAX_DRAWS", 7)
         spec = GeneratorSpec(V=20, d=4, T=2, family=Family.CONFLICTING)
         with pytest.raises(ValueError, match=r"no conflicting instance found in 7 draws for "
-                                             r"GeneratorSpec\(V=20, d=4, T=2.*\); 0 passed the "
-                                             r"screen, best certificate 0\.\d+ \(accepted below "
-                                             r"0\.0\)$"):
+                                             r"GeneratorSpec\(V=20, d=4, T=2.*\); best "
+                                             r"certificate 0\.\d+ \(accepted below 0\.0\)$"):
             generate(spec)
+
+    def test_exhaustion_without_a_target_below_the_argmax_reports_inf(self, monkeypatch):
+        # seed 1 draws a first candidate whose target is its argmax
+        monkeypatch.setattr(probgen, "_MAX_DRAWS", 1)
+        with pytest.raises(ValueError, match=r"; best certificate inf \(accepted below 0\.0\)$"):
+            generate(GeneratorSpec(V=3, d=2, seed=1, family=Family.CONFLICTING))
 
 
 class TestScreen:
-    """The batched screen in front of the exact check (``probgen._accept``)."""
+    """The stacked certificates each block of candidates is judged by
+    (``probgen._certificates``)."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
         V=st.integers(2, 12),
         d=st.integers(1, 5),
         T=st.integers(1, 4),
+        K=st.integers(1, 64),
         family=st.sampled_from([Family.CONFLICTING, Family.ROLE_SWAP]),
-        w_mode=st.sampled_from(list(WMode)),
+        w_mode=st.sampled_from([WMode.FULL_MATRIX, WMode.SINGLE_ROW]),
         data=st.data(),
     )
-    def test_screen_rules_out_only_what_accept_rejects(self, V, d, T, family, w_mode, data):
-        if family is Family.CONFLICTING:
-            V = max(V, 3)
-        elif w_mode is WMode.BROADCAST:
-            w_mode = WMode.SINGLE_ROW
-        v_star = None
-        if w_mode is WMode.SINGLE_ROW:
-            v_star = data.draw(st.none() | st.integers(0, V - 1))
-        spec = GeneratorSpec(V=V, d=d, T=T, family=family, w_mode=w_mode, v_star=v_star)
+    def test_stacked_value_is_the_public_certificate(self, V, d, T, K, family, w_mode, data):
+        v_star = data.draw(st.none() | st.integers(0, V - 1))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        K = 32
         H, W = rng.standard_normal((K, T, d)), rng.standard_normal((K, V, d))
         y = rng.integers(0, V, size=(K, T))
-        keep, values = probgen._screen(spec, H, W, y)
+        logits, values = probgen._certificates(family, w_mode, v_star, H, W, y)
+        certificate = conflict_certificate if family is Family.CONFLICTING else roleswap_certificate
         for k in range(K):
             instance = j6opt.model.ProblemInstance(V=V, d=d, T=T, H=H[k], W=W[k], y=y[k],
                                                    w_mode=w_mode, v_star=v_star)
-            assert keep[k] or not probgen._accept(instance, family)
-            if family is Family.ROLE_SWAP:
-                assert values[k] == pytest.approx(roleswap_certificate(instance), rel=1e-9)
-            elif np.isfinite(values[k]):
-                assert values[k] == pytest.approx(conflict_certificate(instance), rel=1e-9,
-                                                  abs=1e-12)
+            assert values[k] == certificate(instance)  # bit for bit (inf == inf)
+            np.testing.assert_array_equal(
+                logits[k], forward(instance, zero_perturbations(instance)).logits)
 
     def test_gaussian_passes_everything(self):
-        spec = GeneratorSpec(V=5, d=3, T=2)
         H, W, y = np.ones((4, 2, 3)), np.ones((4, 5, 3)), np.zeros((4, 2), dtype=np.int64)
-        assert probgen._screen(spec, H, W, y)[0].all()
+        values = probgen._certificates(Family.GAUSSIAN, WMode.FULL_MATRIX, None, H, W, y)[1]
+        assert (values == -np.inf).all()
 
     def test_block_bytes_stay_capped_at_the_largest_size(self, monkeypatch):
         # Without the cap the blocks of 60 draws would reach 32 candidates,
         # about 60 MB at this size.
         monkeypatch.setattr(probgen, "_MAX_DRAWS", 60)
         sizes = []
-        real_screen = probgen._screen
-        monkeypatch.setattr(probgen, "_screen",
-                            lambda spec, H, W, y: sizes.append(len(H)) or real_screen(spec, H, W, y))
+        real = probgen._certificates
+        monkeypatch.setattr(probgen, "_certificates",
+                            lambda family, w_mode, v_star, H, W, y:
+                            sizes.append(len(H)) or real(family, w_mode, v_star, H, W, y))
         spec = GeneratorSpec(V=1000, d=64, T=16, family=Family.ROLE_SWAP)
         tracemalloc.start()
         try:
@@ -221,7 +201,7 @@ class TestScreen:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert sizes[:2] == [1, 2] and max(sizes) < 4
-        assert peak < 2 * probgen._SCREEN_BYTES
+        assert peak < 2 * probgen._BLOCK_BYTES
 
 
 class TestGoldenBytes:
@@ -231,8 +211,13 @@ class TestGoldenBytes:
         path = tmp_path / "g.json"
         for row in GOLDEN:
             spec = GeneratorSpec(**{k: v for k, v in row.items() if k != "sha256"})
-            save_instance(generate(spec), path, seed=spec.seed, family=spec.family.value)
+            instance = generate(spec)
+            save_instance(instance, path, seed=spec.seed, family=spec.family.value)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == row["sha256"], spec
+            if spec.family is Family.CONFLICTING:
+                assert conflict_certificate(instance) < 0.0, spec
+            elif spec.family is Family.ROLE_SWAP:
+                assert roleswap_certificate(instance) < ROLESWAP_RATIO_MAX, spec
 
 
 class TestSpecValidation:

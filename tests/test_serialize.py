@@ -198,6 +198,44 @@ class TestInstanceValidation:
         with pytest.raises(InstanceFormatError, match=f"inst.json: '{key}' entries must be numbers"):
             load_instance(path)
 
+    @pytest.mark.parametrize("key, at, value", [("H", (0, 1), "  7.5 "), ("W", (3, 2), "1"),
+                                                ("W", (1, 0), None), ("H", (1, 2), {"x": 1.0})])
+    def test_non_numbers_in_matrices_rejected(self, instance, tmp_path, key, at, value):
+        # numpy would parse the strings as floats
+        doc = self._doc(instance)
+        doc[key][at[0]][at[1]] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError,
+                           match=rf"inst.json: '{key}' entries must be numbers, got "
+                                 rf".* at \[{at[0]}, {at[1]}\]$"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 3.0, True, "3", [3]])
+    def test_bad_metadata_seed_rejected(self, instance, tmp_path, seed):
+        doc = self._doc(instance)
+        doc["metadata"]["seed"] = seed
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match="metadata seed must be null or an integer"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("family", ["bogus", "GAUSSIAN", 3, ["gaussian"], True])
+    def test_bad_metadata_family_rejected(self, instance, tmp_path, family):
+        doc = self._doc(instance)
+        doc["metadata"]["family"] = family
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match="metadata family must be null or one of"):
+            load_instance(path)
+
+    def test_metadata_edges_load(self, instance, tmp_path):
+        path = tmp_path / "inst.json"
+        for seed, family in [(0, None), (2**64 - 1, "role-swap"), (None, "gaussian"),
+                             (7, "conflicting")]:
+            save_instance(instance, path, seed=seed, family=family)
+            np.testing.assert_array_equal(load_instance(path).H, instance.H)
+
     def test_exact_zeros_and_ones_in_matrices_load(self, instance, tmp_path):
         doc = self._doc(instance)
         doc["H"][0][:2], doc["W"][1][:2] = [0, 1.0], [1, -0.0]
