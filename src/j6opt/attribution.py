@@ -24,6 +24,14 @@ the field Grams are T (B J_i1).(B J_j1) and <K r_i, K r_j> / T^2 (times
 V under BROADCAST, where every column moves).  No T x V field is built,
 and the w blocks only on request (``GradientSet.w``): under direct
 alignment, where they are d-vectors.
+
+The optimizer computes all of this for K points at once, on a leading
+K axis (``_Blocks``, ``_scores``): the h blocks (K, 2, d), each
+slice's native Grams and cross matrix (K, 2, 2) from stacked matmuls
+and per-slice dots, and the scores as one fixed gather-and-add over
+each slice's 2x2 entries (``_TERMS``) plus the cosine division.  No
+product runs across K, so slice k is bit for bit what point k gives
+alone; ``GradientSet`` and the score functions are the K = 1 slice.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ from .model import (
     Perturbations,
     ProblemInstance,
     WMode,
+    _logit_gradients,
     forward,
-    logit_gradients,
     pullback,
     w_columns,
 )
@@ -88,18 +96,47 @@ JPLUS_COMPONENTS = tuple(_Component(*row) for row in (
     ("w_total_strength", "J12+J22", "J12+J22", ((0.0, 0.0), (1.0, 1.0))),
 ))
 
-# The operands by group (0 = h, 1 = w), each in the order of ``_combos``;
+# The operands by group (0 = h, 1 = w), each (first, second, first + second);
 # _PRODUCTS holds each component's (group, index) of a, then of b.
 _OPERANDS = ("J11", "J21", "J11+J21", "J12", "J22", "J12+J22")
 _PRODUCTS = tuple(divmod(_OPERANDS.index(c.a), 3) + divmod(_OPERANDS.index(c.b), 3)
                   for c in JPLUS_COMPONENTS)
-
 # Component index of each of the 6 canonical j6 slots.  Slots 0..5 line
 # up with the soft-strategy weights: alpha_0 scales the h->heat
 # direction, alpha_2 w->heat, alpha_3 h->conf, alpha_4 w->conf; 1 and 5
 # are the two cross-objective alignment slots.
 J6_FROM_JPLUS = (0, 4, 1, 2, 3, 5)
 J6_LABELS = tuple(JPLUS_COMPONENTS[k].label for k in J6_FROM_JPLUS)
+
+# The scores are a fixed linear map of Gram entries.  Per slice the
+# entries sit in a (6, 2, 2) block: the native Grams of the h and of the
+# w blocks, their cross matrix, the field Grams of the h and of the w
+# blocks, and -0.0 (the exact additive identity, to pad sums).  A
+# combo (m, i, j) of matrix m (i, j indexing first, second, first +
+# second) sums up to four entries, left to right.  A score row holds
+# the 15 J+ components, then the 6 j6 slots again, so that both vectors
+# are slices of it; _TERMS holds each column's terms for its product
+# (columns 0-20), then for the squared norms of its two operands in
+# the space the product is taken in (21-41 and 42-62: native within a
+# group, fields across).
+_PAD = 20
+_ROW = _PRODUCTS + tuple(_PRODUCTS[k] for k in J6_FROM_JPLUS)
+
+
+def _terms(m: int, i: int, j: int) -> list[int]:
+    sides = ([0], [1], [0, 1])
+    terms = [4 * m + 2 * r + c for r in sides[i] for c in sides[j]]
+    return terms + [_PAD] * (4 - len(terms))
+
+
+_TERMS = np.array(
+    [_terms({(0, 0): 0, (1, 1): 1, (0, 1): 2}[ga, gb], i, j) for ga, i, gb, j in _ROW]
+    + [_terms(3 if ga != gb else ga, i, i) for ga, i, gb, j in _ROW]
+    + [_terms(4 if ga != gb else gb, j, j) for ga, i, gb, j in _ROW]
+).T
+_RAW_TERMS = _TERMS[:, :21]
+_INNER = np.array([(ga, i) != (gb, j) for ga, i, gb, j in _ROW])
+
 
 
 class AlignKind(str, Enum):
@@ -143,24 +180,70 @@ def resolve_alignment(mode: AlignmentMode, w_mode: WMode) -> AlignmentMode:
 
 
 @dataclass(eq=False)
+class _Blocks:
+    """The gradient blocks at K stacked points of one instance: ``fwd``
+    the stacked forward pass, ``g`` (K, 2, T, V) and ``h`` (K, 2, d) as
+    in GradientSet.  r and Kr carry the w side (module docstring).
+    ``products`` (K, 6, 2, 2) holds each slice's 2x2 products in the
+    layout of _TERMS; its native Grams of the h and of the w blocks,
+    ``grams`` (K, 2, 2, 2), are formed here, the rest by ``_scores``.
+    ``finite`` lists whether each slice's Grams are finite.  Slice k
+    comes from point k alone: stacked matmuls, no product across K."""
+
+    instance: ProblemInstance
+    fwd: Forward
+    g: np.ndarray
+    h: np.ndarray
+
+    def __post_init__(self) -> None:
+        A, T = self.fwd.A, self.instance.T
+        K = A @ A.swapaxes(1, 2)
+        self.r = w_columns(self.instance, self.g)
+        self.Kr = K[:, None] @ self.r if self.r.ndim == 4 else self.r @ K
+        P = self.products = np.empty((len(A), 6, 2, 2))
+        P[:, 5] = -0.0
+        self.grams = P[:, :2]
+        _dots(self.h, self.h, P[:, 0])
+        _dots(self.r, self.Kr, P[:, 1])
+        if T > 1:
+            P[:, 1] *= 1 / (T * T)
+        _gram(self.grams)
+        # a nan or inf entry makes the sum non-finite
+        self.finite = [math.isfinite(x) for x in
+                       np.add.reduce(self.grams.reshape(len(A), -1), axis=1).tolist()]
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """The explicit w blocks (J12, J22), (K, 2) + w_shape."""
+        return pullback(self.instance, self.fwd, self.g)
+
+
+def _gradients(instance: ProblemInstance, fwd: Forward) -> tuple[np.ndarray, np.ndarray]:
+    """Both objectives' logit-space gradients at a forward pass (one
+    point or K stacked), from one log-softmax, and the h blocks pulled
+    back from them in one batched product."""
+    g = _logit_gradients(fwd.logp, instance.y, fwd.p, fwd.plogp)
+    # Every logit of row t moves by B.h, so grad_h = (1/T) sum_tv g[t, v] B[v].
+    return g, (np.add.reduce(g, axis=-2) @ fwd.B) / instance.T
+
+
+@dataclass(eq=False)
 class GradientSet:
     """The gradient blocks at one point, the w side kept in logit space.
 
     ``g`` holds both objectives' logit-space gradients (2, T, V), heat
     first, ``h`` the h blocks (J11, J21) as (2, d), and ``fwd`` the
-    forward pass they come from.  r = w_columns(g) and Kr = K r carry the
-    w side (module docstring); its blocks (J12, J22) = pullback(g) are
-    formed only on request (``w``).  ``grams`` holds the native 2x2
-    Grams of the h and of the w blocks; a non-finite entry raises
-    ValueError.
+    forward pass they come from.  Its w blocks (J12, J22) =
+    pullback(g) are formed only on request (``w``).  ``grams`` holds the
+    native 2x2 Grams of the h and of the w blocks; a non-finite entry
+    raises ValueError.  It is the K = 1 slice of the stacked blocks the
+    optimizer steps on, and scores through them.
     """
 
     instance: ProblemInstance
     fwd: Forward
     g: np.ndarray
     h: np.ndarray
-    r: np.ndarray = field(init=False, repr=False)
-    Kr: np.ndarray = field(init=False, repr=False)
     grams: tuple[list[list[float]], list[list[float]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -170,14 +253,13 @@ class GradientSet:
                 f"g and h must be stacked (2, {T}, {V}) and (2, {d}) by objective, "
                 f"got {self.g.shape} and {self.h.shape}"
             )
-        A = self.fwd.A
-        K = A @ A.T
-        self.r = w_columns(self.instance, self.g)
-        self.Kr = K @ self.r if self.r.ndim == 3 else self.r @ K
-        gram_h, gram_w = self.grams = _gram(self.h, self.h, 1.0), _gram(self.r, self.Kr, 1 / (T * T))
-        # a nan or inf entry makes the sum non-finite
-        if not math.isfinite(sum(gram_h[0] + gram_h[1] + gram_w[0] + gram_w[1])):
+        f = self.fwd
+        one = Forward(f.A[None], f.B[None], f.logits[None], f.logp[None], f.objectives,
+                      f.p[None], f.plogp[None])
+        self._blocks = _Blocks(self.instance, one, self.g[None], self.h[None])
+        if not self._blocks.finite[0]:
             raise ValueError("gradient blocks must be finite, with finite Grams")
+        self.grams = tuple(self._blocks.grams[0].tolist())
 
     J11 = property(lambda self: self.h[0])
     J21 = property(lambda self: self.h[1])
@@ -189,12 +271,6 @@ class GradientSet:
         """The explicit w blocks (J12, J22), (2,) + w_shape."""
         return pullback(self.instance, self.fwd, self.g)
 
-    def norms(self) -> tuple[float, float, float, float]:
-        """Euclidean norms (n11, n12, n21, n22), from the Gram diagonals."""
-        (h11, _), (_, h22) = self.grams[0]
-        (w11, _), (_, w22) = self.grams[1]
-        return math.sqrt(h11), math.sqrt(w11), math.sqrt(h22), math.sqrt(w22)
-
 
 def compute_gradient_set(instance: ProblemInstance, at: Perturbations | Forward) -> GradientSet:
     """The gradient set at a point: both objectives' logit-space
@@ -202,56 +278,94 @@ def compute_gradient_set(instance: ProblemInstance, at: Perturbations | Forward)
     them in one batched product.  ``at`` is the point's perturbations,
     or a forward pass already taken there."""
     fwd = at if isinstance(at, Forward) else forward(instance, at)
-    g = logit_gradients(fwd.logp, instance.y)
-    # Every logit of row t moves by B.h, so grad_h = (1/T) sum_tv g[t, v] B[v].
-    return GradientSet(instance, fwd, g, (g.sum(axis=1) @ fwd.B) / instance.T)
+    return GradientSet(instance, fwd, *_gradients(instance, fwd))
 
 
-def _gram(x, y, scale: float) -> list[list[float]]:
-    """2x2 Gram scale <x_i, y_j> of two stacked operands with y = M x for
-    a symmetric M (y = x for a plain Gram), from one off-diagonal
-    product so that it is exactly symmetric.  A diagonal entry is a
-    squared norm; one that rounds below 0 is 0."""
-    (a, b), (ya, yb) = x, y
-    aa, ab, bb = (float(np.vdot(a, ya)) * scale, float(np.vdot(a, yb)) * scale,
-                  float(np.vdot(b, yb)) * scale)
-    return [[0.0 if aa < 0.0 else aa, ab], [ab, 0.0 if bb < 0.0 else bb]]
+_DIAGONAL = np.eye(2, dtype=bool)
 
 
-def _combos(m: list[list[float]]) -> list[list[float]]:
-    """Products among the (first, second, first + second) operands of
-    each side, from the 2x2 products of the first two."""
-    (a, b), (c, d) = m
-    return [[a, b, a + b], [c, d, c + d], [a + c, b + d, a + b + c + d]]
+def _dots(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (K, 2, 2) the inner products <x_i, y_j> of K
+    stacked operand pairs (K, 2, ...): one ``vecdot`` per entry and
+    slice, the same dot np.vdot takes."""
+    K = len(x)
+    np.vecdot(x.reshape(K, 2, 1, -1), y.reshape(K, 1, 2, -1), out=out)
 
 
-def _cos(raw: float, sq_a: float, sq_b: float) -> float:
-    """raw / (|a| |b|) from squared norms; 0 when a norm is 0 (or, for a
-    sum of blocks, rounds below 0)."""
-    if sq_a > 0.0 and sq_b > 0.0:
-        return raw / (math.sqrt(sq_a) * math.sqrt(sq_b))
-    return 0.0
+def _gram(dots: np.ndarray) -> None:
+    """Turn stacked (scaled) inner products (..., 2, 2) of operands x,
+    y = M x with M symmetric (y = x for a plain Gram) into their Grams in
+    place: the off-diagonal taken from <x_0, y_1> alone so that each is
+    exactly symmetric, and a diagonal entry (a squared norm) that rounds
+    below 0 set to 0."""
+    dots[..., 1, 0] = dots[..., 0, 1]
+    np.maximum(dots, 0.0, out=dots, where=_DIAGONAL)
 
 
-def _pushforward(
-    gs: GradientSet, with_grams: bool
-) -> tuple[list[list[float]], list[list[float]] | None, list[list[float]] | None]:
+def _pushforward(b: _Blocks, with_grams: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Products of the blocks' logit-space fields, by the closed forms in
-    the module docstring: the 2x2 cross matrix and, when ``with_grams``,
-    the field Grams of the h blocks, T (B J_i1).(B J_j1), and of the w
-    blocks, <K r_i, K r_j> / T^2 (times V under BROADCAST)."""
-    instance, T = gs.instance, gs.instance.T
-    Bh = gs.h @ gs.fwd.B.T          # B J_i1, stacked (2, V)
-    Ja = gs.Kr.sum(axis=1) / T      # J_j2 a, stacked (2, V) under FULL_MATRIX, else (2,)
-    cross = (w_columns(instance, Bh).reshape(2, -1) @ Ja.reshape(2, -1).T).tolist()
+    the module docstring, per slice: (K, n, 2, 2) holding the cross
+    matrix and, when ``with_grams`` (n = 3), the field Grams of the h
+    blocks, T (B J_i1).(B J_j1), and of the w blocks,
+    <K r_i, K r_j> / T^2 (times V under BROADCAST).  Written into
+    ``out`` when given."""
+    instance, T, K = b.instance, b.instance.T, len(b.h)
+    if out is None:
+        out = np.empty((K, 3 if with_grams else 1, 2, 2))
+    Bh = b.h @ b.fwd.B.swapaxes(1, 2)  # B J_i1, stacked (K, 2, V)
+    Ja = np.add.reduce(b.Kr, axis=2) / T  # J_j2 a, stacked (K, 2, V) under FULL_MATRIX, else (K, 2)
+    cross = out[:, 0]
+    np.matmul(w_columns(instance, Bh).reshape(K, 2, -1), Ja.reshape(K, 2, -1).swapaxes(1, 2),
+              out=cross)
     if T == 1 and instance.w_mode is WMode.FULL_MATRIX:
         # Symmetric in exact arithmetic (g_i^T B B^T g_j |a|^2); form
         # it so, so that equal scores tie exactly.
-        cross[0][1] = cross[1][0] = (cross[0][1] + cross[1][0]) / 2
-    if not with_grams:
-        return cross, None, None
-    copies = instance.V if instance.w_mode is WMode.BROADCAST else 1
-    return cross, _gram(Bh, Bh, T), _gram(gs.Kr, gs.Kr, copies / (T * T))
+        cross[:, 0, 1] = cross[:, 1, 0] = (cross[:, 0, 1] + cross[:, 1, 0]) / 2
+    if with_grams:
+        copies = instance.V if instance.w_mode is WMode.BROADCAST else 1
+        _dots(Bh, Bh, out[:, 1])
+        _dots(b.Kr, b.Kr, out[:, 2])
+        out[:, 1] *= T
+        out[:, 2] *= copies / (T * T)
+        _gram(out[:, 1:])
+    return out
+
+
+def _scores(b: _Blocks, push: list[bool], cosine: list[bool]) -> np.ndarray:
+    """The (K, 21) score rows of stacked blocks, the 15 J+ components and
+    then the 6 j6 slots, row k under slice k's resolved alignment:
+    pushforward where ``push[k]``, else direct, and cosine-scaled where
+    ``cosine[k]`` (see ``score_jplus``).
+
+    All products, and under COSINE the squared norms each product of two
+    different operands is divided by, are one fixed gather-and-add over
+    the slice's 2x2 products (_TERMS).
+    """
+    P, K = b.products, len(push)
+    scaled = any(cosine)
+    if all(push):
+        _pushforward(b, scaled, out=P[:, 2:5 if scaled else 3])
+    else:
+        if scaled:
+            P[:, 3:5] = P[:, :2]  # direct alignment takes norms natively
+        np.matmul(b.h, b.w.swapaxes(1, 2), out=P[:, 2])  # w is a d-vector here
+        if any(push):
+            pushed = _pushforward(b, any(p and c for p, c in zip(push, cosine)))
+            at = np.array(push)
+            P[at, 2:2 + pushed.shape[1]] = pushed[at]
+    G = P.reshape(K, 24)[:, _TERMS if scaled else _RAW_TERMS]
+    x = G[:, 0] + G[:, 1]
+    x += G[:, 2]
+    x += G[:, 3]
+    if not scaled:
+        return x
+    s, sq_a, sq_b = x[:, :21], x[:, 21:42], x[:, 42:]
+    inner = _INNER & np.array(cosine)[:, None]
+    # raw / (|a| |b|); 0 when a norm is 0 (or, for a sum of blocks, rounds below 0)
+    with np.errstate(invalid="ignore"):
+        norms = np.sqrt(sq_a) * np.sqrt(sq_b)
+    return np.divide(s, norms, out=np.where(inner, 0.0, s),
+                     where=inner & (sq_a > 0.0) & (sq_b > 0.0))
 
 
 def score_jplus(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
@@ -266,29 +380,17 @@ def score_jplus(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
     zero norm gives 0.  Squared norms are never scaled.  The mode is
     resolved per the instance (``resolve_alignment``).
     """
-    mode = resolve_alignment(mode, gs.instance.w_mode)
-    cosine = mode.scale is AlignScale.COSINE
-    gram_h, gram_w = gs.grams
-    if mode.kind is AlignKind.DIRECT:
-        cross = (gs.h @ gs.w.T).tolist()  # w is a d-vector here
-        field_h, field_w = gram_h, gram_w
-    else:
-        cross, field_h, field_w = _pushforward(gs, cosine)
-    products = {(0, 0): _combos(gram_h), (1, 1): _combos(gram_w), (0, 1): _combos(cross)}
-    scores = [products[ga, gb][i][j] for ga, i, gb, j in _PRODUCTS]
-    if cosine:
-        # The two Grams whose diagonals hold the operands' squared norms.
-        spaces = {(0, 0): (products[0, 0],) * 2, (1, 1): (products[1, 1],) * 2,
-                  (0, 1): (_combos(field_h), _combos(field_w))}
-        scores = [
-            s if (ga, i) == (gb, j) else _cos(s, spaces[ga, gb][0][i][i], spaces[ga, gb][1][j][j])
-            for s, (ga, i, gb, j) in zip(scores, _PRODUCTS)
-        ]
-    return np.array(scores)
+    return _score_row(gs, mode)[:15]
 
 
 def score_j6(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
     """The 6-score vector in canonical slot order (see J6_LABELS): four
     native squared norms and the two cross-objective alignment slots,
     i.e. the components of ``score_jplus`` at J6_FROM_JPLUS."""
-    return score_jplus(gs, mode)[list(J6_FROM_JPLUS)]
+    return _score_row(gs, mode)[15:]
+
+
+def _score_row(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
+    mode = resolve_alignment(mode, gs.instance.w_mode)
+    return _scores(gs._blocks, [mode.kind is AlignKind.PUSHFORWARD],
+                   [mode.scale is AlignScale.COSINE])[0]

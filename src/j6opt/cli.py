@@ -22,7 +22,7 @@ import numpy as np
 from .attribution import AlignKind, AlignScale, AlignmentMode, compute_gradient_set
 from .probgen import Family, GeneratorSpec, conflict_certificate, generate, roleswap_certificate
 from .model import ProblemInstance, WMode, fd_gradient, forward
-from .optimizer import NonFiniteLossError, RunConfig, RunResult, init_perturbations, run
+from .optimizer import NonFiniteLossError, RunConfig, RunResult, init_perturbations, run, run_many
 from .serialize import (
     InstanceFormatError,
     _atomic_write,
@@ -141,12 +141,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _run_each(args: argparse.Namespace, cfgs: list[StrategyConfig]) -> list[RunResult]:
     """``compare`` and ``sweep``: check ``--jobs``, load the instance, then
-    run each configuration in turn from the same start."""
+    run every configuration from the same start, in lockstep batches
+    (``run_many``); ``--jobs`` changes neither the output nor the
+    batching."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    instance = load_instance(args.instance)
-    rcfg = _run_config(args)
-    return [run(instance, cfg, rcfg) for cfg in cfgs]
+    return run_many(load_instance(args.instance), cfgs, _run_config(args))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -268,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated strategy names")
     p_cmp.add_argument("-o", "--out", required=True, help="summary JSON path")
     p_cmp.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; configurations always run serially")
+                       help="accepted for compatibility (>= 1); the configurations run as "
+                            "lockstep batches sized by a byte budget, and --jobs changes "
+                            "neither the output nor the batching")
 
     p_sw = sub.add_parser("sweep", parents=common,
                           help="vary one strategy parameter over a value list")
@@ -277,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--strategy", choices=_STRATEGY_NAMES, default="soft")
     p_sw.add_argument("-o", "--out", required=True, help="summary CSV path")
     p_sw.add_argument("--jobs", type=int, default=1,
-                      help="accepted for compatibility; configurations always run serially")
+                      help="accepted for compatibility (>= 1); the configurations run as "
+                           "lockstep batches sized by a byte budget, and --jobs changes "
+                           "neither the output nor the batching")
 
     return parser
 

@@ -20,6 +20,13 @@ one batched product.  A central-difference oracle
 (``fd_gradient``) checks every analytic gradient through the forward
 pass alone, both losses stacked like the analytic ones.
 
+K points of one instance stack on a leading axis (``Perturbations``
+with h (K, d) and w (K,) + w_shape), and every function above takes
+such a stack.  Slices never mix: a stacked ``matmul``, and the
+row-wise functions on the (K·T, V) flattening, so slice k holds bit
+for bit what point k gives alone.  The one-point call is the K = 1
+call.
+
 All numerics are float64.  Every public function is pure.
 """
 
@@ -151,7 +158,8 @@ class ProblemInstance:
 
 @dataclass(eq=False)
 class Perturbations:
-    """The tunable pair: h is added to every row of H, w to W per w_mode."""
+    """The tunable pair: h is added to every row of H, w to W per w_mode.
+    K points stack on a leading axis: h (K, d) and w (K,) + w_shape."""
 
     h: np.ndarray
     w: np.ndarray
@@ -162,13 +170,11 @@ class Perturbations:
         if not (np.isfinite(self.h).all() and np.isfinite(self.w).all()):
             raise ValueError("perturbations must be finite")
 
-    def copy(self) -> "Perturbations":
-        return Perturbations(self.h.copy(), self.w.copy())
-
 
 @dataclass(frozen=True)
 class ObjectivePair:
-    """Current values of the two losses, in nats."""
+    """Current values of the two losses, in nats ((K,) arrays for K
+    stacked points)."""
 
     ob1: float  # heat: mean cross-entropy, >= 0
     ob2: float  # confidence: mean negative entropy, in [-log V, 0]
@@ -176,13 +182,23 @@ class ObjectivePair:
 
 @dataclass(frozen=True, eq=False)
 class Forward:
-    """One forward pass at a point (h, w)."""
+    """One forward pass at a point (h, w), or at K stacked points, each
+    array then with a leading K axis."""
 
     A: np.ndarray       # H + h, (T, d)
     B: np.ndarray       # W with w folded in per w_mode, (V, d)
     logits: np.ndarray  # A B^T, (T, V)
     logp: np.ndarray    # row-wise log-softmax of the logits, (T, V)
     objectives: ObjectivePair
+    p: np.ndarray       # exp(logp), (T, V)
+    plogp: np.ndarray   # sum_v p log p per row (negative entropy), (T,)
+
+    def take(self, rows: list[int]) -> "Forward":
+        """The stacked forward pass of the slices at ``rows``."""
+        obs = self.objectives
+        return Forward(self.A[rows], self.B[rows], self.logits[rows], self.logp[rows],
+                       ObjectivePair(obs.ob1[rows], obs.ob2[rows]), self.p[rows],
+                       self.plogp[rows])
 
 
 def zero_perturbations(instance: ProblemInstance) -> Perturbations:
@@ -191,14 +207,26 @@ def zero_perturbations(instance: ProblemInstance) -> Perturbations:
     )
 
 
-def _check_shapes(instance: ProblemInstance, pert: Perturbations) -> None:
-    if pert.h.shape != (instance.d,):
-        raise ValueError(f"h must have shape {(instance.d,)}, got {pert.h.shape}")
-    expected = w_shape(instance.V, instance.d, instance.w_mode)
+def _stack_width(instance: ProblemInstance) -> int:
+    """Points per stacked block: as many as keep a (K, V, d) array, such
+    as the stacked B, within about 1 MiB (at least one)."""
+    return max(1, (1 << 20) // (8 * instance.V * instance.d))
+
+
+def _check_shapes(instance: ProblemInstance, pert: Perturbations) -> bool:
+    """Whether ``pert`` stacks points on a leading axis; a shape that fits
+    neither form raises ValueError."""
+    stacked = pert.h.ndim == 2
+    lead = pert.h.shape[:1] if stacked else ()
+    if pert.h.shape != lead + (instance.d,):
+        raise ValueError(f"h must have shape {(instance.d,)} or (K, {instance.d}), "
+                         f"got {pert.h.shape}")
+    expected = lead + w_shape(instance.V, instance.d, instance.w_mode)
     if pert.w.shape != expected:
         raise ValueError(
             f"w must have shape {expected} in {instance.w_mode.value} mode, got {pert.w.shape}"
         )
+    return stacked
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -210,68 +238,115 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("logits must be a (T, V) matrix")
-    shifted = z - z.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     if _validation:
         p = np.exp(logp[np.isfinite(logp).all(axis=1)])
         assert (np.abs(p.sum(axis=1) - 1.0) < BOUNDS_TOL).all(), "softmax rows must sum to 1"
     return logp
 
 
+def _softmax_terms(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = exp(logp) and each row's sum of p log p (its negative entropy);
+    p underflows to 0 only with logp finite, so p * logp is exactly 0
+    there."""
+    p = np.exp(logp)
+    return p, np.add.reduce(p * logp, axis=-1)
+
+
 def losses(logp: np.ndarray, y: np.ndarray) -> ObjectivePair:
     """Both losses from a row-wise log-softmax (T, V), in nats: heat, the
     mean over positions of -logp[t, y[t]], and confidence, the mean over
-    positions of sum_v p_v log p_v (negative entropy)."""
-    heat = float(-logp[np.arange(logp.shape[0]), y].mean())
-    p = np.exp(logp)
-    # p underflows to 0 only with logp finite, so p * logp is exactly 0 there.
-    conf = float((p * logp).sum(axis=1).mean())
+    positions of sum_v p_v log p_v (negative entropy).  A stack (K, T, V)
+    gives (K,) losses, each from its own slice."""
+    stacked = logp.ndim == 3
+    lp = logp if stacked else logp[None]
+    heat, conf = _losses(lp, y, _softmax_terms(lp)[1])
+    if stacked:
+        return ObjectivePair(heat, conf)
+    return ObjectivePair(float(heat[0]), float(conf[0]))
+
+
+def _losses(logp: np.ndarray, y: np.ndarray, plogp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``losses`` of a stack (K, T, V), given its rows' sums of p log p."""
+    T = logp.shape[1]
+    # means over positions, taken as numpy's mean takes them
+    heat = -(np.add.reduce(logp[:, np.arange(T), y], axis=1) / T)
+    conf = np.add.reduce(plogp, axis=1) / T
     if _validation:
-        if np.isfinite(heat):
-            assert heat >= 0.0, "heat loss must be non-negative"
-        if np.isfinite(conf):
-            V = logp.shape[1]
-            assert -math.log(V) - BOUNDS_TOL <= conf <= 0.0, "confidence out of [-log V, 0]"
-    return ObjectivePair(heat, conf)
+        assert (heat[np.isfinite(heat)] >= 0.0).all(), "heat loss must be non-negative"
+        finite = conf[np.isfinite(conf)]
+        V = logp.shape[2]
+        assert ((-math.log(V) - BOUNDS_TOL <= finite) & (finite <= 0.0)).all(), (
+            "confidence out of [-log V, 0]")
+    return heat, conf
 
 
-def _factors(instance: ProblemInstance, pert: Perturbations) -> tuple[np.ndarray, np.ndarray]:
-    """A = H + h and B = W with w folded in per w_mode."""
-    _check_shapes(instance, pert)
+def _factors(
+    instance: ProblemInstance, h: np.ndarray, w: np.ndarray, out: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A = H + h and B = W with w folded in per w_mode, for K stacked
+    points.  B is formed in ``out`` when given; under SINGLE_ROW only its
+    row v_star is written, so ``out`` must hold W in every other row."""
+    if out is None:
+        out = np.empty((len(w), instance.V, instance.d))
+        if instance.w_mode is WMode.SINGLE_ROW:
+            out[:] = instance.W
     if instance.w_mode is WMode.SINGLE_ROW:
-        B = instance.W.copy()
-        B[instance.v_star] += pert.w
-    else:  # full_matrix adds row-wise, broadcast adds w to every row
-        B = instance.W + pert.w
-    return instance.H + pert.h, B
+        np.add(instance.W[instance.v_star], w, out=out[:, instance.v_star])
+    elif instance.w_mode is WMode.FULL_MATRIX:  # adds row-wise
+        np.add(instance.W, w, out=out)
+    else:  # broadcast adds w to every row
+        np.add(instance.W, w[:, None], out=out)
+    return instance.H + h[:, None], out
 
 
-def forward(instance: ProblemInstance, pert: Perturbations) -> Forward:
-    """The logits at (h, w) and both losses, from one log-softmax."""
-    A, B = _factors(instance, pert)
-    logits = A @ B.T
-    logp = log_softmax(logits)
-    return Forward(A, B, logits, logp, losses(logp, instance.y))
+def forward(instance: ProblemInstance, pert: Perturbations, out: np.ndarray | None = None) -> Forward:
+    """The logits at (h, w) and both losses, from one log-softmax.
+
+    Stacked perturbations give a stacked pass (module docstring), whose B
+    is formed in ``out`` (K, V, d) when given (see ``_factors``); the
+    optimizer keeps one such buffer per run.
+    """
+    stacked = _check_shapes(instance, pert)
+    h, w = (pert.h, pert.w) if stacked else (pert.h[None], pert.w[None])
+    A, B = _factors(instance, h, w, out)
+    logits = A @ B.swapaxes(1, 2)
+    logp = log_softmax(logits.reshape(-1, instance.V)).reshape(logits.shape)
+    p, plogp = _softmax_terms(logp)
+    ob1, ob2 = _losses(logp, instance.y, plogp)
+    if stacked:
+        return Forward(A, B, logits, logp, ObjectivePair(ob1, ob2), p, plogp)
+    return Forward(A[0], B[0], logits[0], logp[0], ObjectivePair(float(ob1[0]), float(ob2[0])),
+                   p[0], plogp[0])
 
 
 def logit_gradients(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-position gradients of both losses w.r.t. the logits, stacked
     (2, T, V): [0] heat, p - onehot(y_t); [1] confidence,
     p_k (log p_k + E_t) with E_t the entropy of row t.  Each row sums
-    to 0.  Rejects non-finite input."""
+    to 0.  A stack (K, T, V) gives (K, 2, T, V).  Rejects non-finite
+    input."""
     logp = np.asarray(logp, dtype=np.float64)
-    if logp.ndim != 2:
-        raise ValueError("log-probabilities must be a (T, V) matrix")
+    if logp.ndim not in (2, 3):
+        raise ValueError("log-probabilities must be a (T, V) matrix or a (K, T, V) stack")
     if not np.isfinite(logp).all():
         raise ValueError("log-probabilities must be finite")
-    p = np.exp(logp)
-    g = np.empty((2,) + p.shape)
-    g[0] = p
-    g[0, np.arange(p.shape[0]), np.asarray(y, dtype=np.int64)] -= 1.0
-    entropy = -(p * logp).sum(axis=1, keepdims=True)
-    g[1] = p * (logp + entropy)
+    return _logit_gradients(logp, y, *_softmax_terms(logp))
+
+
+def _logit_gradients(logp: np.ndarray, y: np.ndarray, p: np.ndarray,
+                     plogp: np.ndarray) -> np.ndarray:
+    """``logit_gradients`` from the softmax terms of a finite log-softmax,
+    such as a forward pass with finite losses carries (their mean over
+    positions is nan or inf wherever logp is not finite)."""
+    T = p.shape[-2]
+    g = np.empty(p.shape[:-2] + (2,) + p.shape[-2:])
+    g[..., 0, :, :] = p
+    g[..., 0, np.arange(T), np.asarray(y, dtype=np.int64)] -= 1.0
+    g[..., 1, :, :] = p * (logp - plogp[..., None])
     if _validation:
-        assert (np.abs(g.sum(axis=2)) < ZERO_SUM_TOL).all(), "logit gradients must sum to 0"
+        assert (np.abs(g.sum(axis=-1)) < ZERO_SUM_TOL).all(), "logit gradients must sum to 0"
     return g
 
 
@@ -287,19 +362,28 @@ def w_columns(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
 
 
 def pullback(instance: ProblemInstance, fwd: Forward, g_logits: np.ndarray) -> np.ndarray:
-    """Map K stacked logit-space gradients (K, T, V) to w-gradients shaped
-    (K,) + w_shape: (1/T) r^T A with r = w_columns(g), i.e. g^T A / T for
+    """Map n stacked logit-space gradients (n, T, V) to w-gradients shaped
+    (n,) + w_shape: (1/T) r^T A with r = w_columns(g), i.e. g^T A / T for
     FULL_MATRIX, column v_star of g against A for SINGLE_ROW, and row
     sums of g against A for BROADCAST, which vanish for both objectives
-    because their logit gradients are zero-sum per position.
+    because their logit gradients are zero-sum per position.  Under a
+    forward pass at K stacked points the gradients are (K, n, T, V), and
+    slice k is pulled back against A[k].
     """
     g = np.asarray(g_logits, dtype=np.float64)
-    if g.ndim != 3 or g.shape[1:] != (instance.T, instance.V):
+    lead = fwd.A.shape[:-2]
+    if g.ndim != len(lead) + 3 or g.shape[:len(lead)] + g.shape[-2:] != lead + (
+            instance.T, instance.V):
         raise ValueError(
-            f"g_logits must have shape (K, {instance.T}, {instance.V}), got {g.shape}"
+            f"g_logits must have shape {lead + ('n', instance.T, instance.V)}, got {g.shape}"
         )
-    # (K, V, T) under FULL_MATRIX; the (K, T) column stays as it is
-    return (w_columns(instance, g).swapaxes(1, -1) @ fwd.A) / instance.T
+    r = w_columns(instance, g)
+    if instance.w_mode is WMode.FULL_MATRIX:  # (..., V, T) against each slice's A
+        w = r.swapaxes(-2, -1) @ fwd.A[..., None, :, :]
+    else:  # the (..., n, T) columns
+        w = r @ fwd.A
+    w /= instance.T
+    return w
 
 
 def fd_gradient(
@@ -311,8 +395,10 @@ def fd_gradient(
     """Central finite differences of both losses w.r.t. h or w, stacked
     (2,) + shape(which): [0] heat, [1] confidence.
 
-    Independent oracle for the analytic blocks: one ``forward`` per
-    evaluated point, never ``logit_gradients`` or ``pullback``.
+    Independent oracle for the analytic blocks: the evaluated points go
+    through stacked ``forward`` passes alone, each point once, in blocks
+    of ``_stack_width`` points; never ``logit_gradients`` or
+    ``pullback``.  A stacked slice is bit for bit its one-point pass.
 
     Args:
         which: "h" or "w".
@@ -322,16 +408,23 @@ def fd_gradient(
         raise ValueError("which must be 'h' or 'w'")
     if require_float("eps", eps) <= 0:
         raise ValueError("eps must be positive")
-    base = pert.copy()
-    target = base.h if which == "h" else base.w
-    grad = np.zeros((2,) + target.shape)
-    for idx in np.ndindex(target.shape):
-        orig = target[idx]
-        target[idx] = orig + eps
-        plus = forward(instance, base).objectives
-        target[idx] = orig - eps
-        minus = forward(instance, base).objectives
-        target[idx] = orig
-        grad[(0,) + idx] = (plus.ob1 - minus.ob1) / (2.0 * eps)
-        grad[(1,) + idx] = (plus.ob2 - minus.ob2) / (2.0 * eps)
-    return grad
+    if _check_shapes(instance, pert):
+        raise ValueError("fd_gradient takes one point, not a stack")
+    target = pert.h if which == "h" else pert.w
+    flat = target.ravel()
+    grad = np.empty((2, flat.size))
+    # points 2i and 2i + 1 move entry i by +eps and by -eps
+    step = max(1, _stack_width(instance) // 2)
+    for first in range(0, flat.size, step):
+        idx = np.arange(first, min(first + step, flat.size))
+        points = np.repeat(flat[None], 2 * idx.size, axis=0)
+        rows = 2 * np.arange(idx.size)
+        points[rows, idx] = flat[idx] + eps
+        points[rows + 1, idx] = flat[idx] - eps
+        moved = points.reshape((-1,) + target.shape)
+        h = moved if which == "h" else np.repeat(pert.h[None], len(points), axis=0)
+        w = moved if which == "w" else np.repeat(pert.w[None], len(points), axis=0)
+        obs = forward(instance, Perturbations(h, w)).objectives
+        grad[0, idx] = (obs.ob1[0::2] - obs.ob1[1::2]) / (2.0 * eps)
+        grad[1, idx] = (obs.ob2[0::2] - obs.ob2[1::2]) / (2.0 * eps)
+    return grad.reshape((2,) + target.shape)

@@ -1,11 +1,25 @@
 """Per-instance optimization loop with stopping rules and trace capture.
 
-One step: one forward pass, the gradient set and attribution scores
+One step: one forward pass, the gradient blocks and attribution scores
 read from it, the strategy's coefficient matrix c, then the update
 delta_h = -eta_h (c00 J11 + c01 J21), delta_w = -eta_w (c10 J12 + c11 J22)
 with w pulled back once, and everything recorded.
 Plain gradient steps only (no momentum or adaptive scaling), so each
 trace row is exactly attributable to its score vector.
+
+K configurations of one instance step in lockstep (``run_many``), and
+``run`` is the K = 1 call: there is one step, over a leading K axis.
+Its rule is that slices never mix: every operation is elementwise, a
+row-wise reduction, a stacked matmul or a per-slice dot (``vecdot``),
+so run k computes in a batch exactly what it computes alone, bit for
+bit.  Nothing takes a ``vdot`` or an ``einsum`` across K, and anything
+that branches on a configuration's knob does so per slice.  One trap:
+``x ** gamma`` with a stacked (K, 1) gamma takes numpy's pow where a
+scalar 2.0 takes x*x, so the contrast exponent is applied with each
+configuration's gamma as a plain number (``strategies._contrast``).
+Each run stops on its own; the buffers of the stacked B and of the
+perturbations live for the whole run, and under SINGLE_ROW only row
+v_star of B is rewritten each step.
 """
 
 from __future__ import annotations
@@ -16,12 +30,21 @@ from enum import Enum
 
 import numpy as np
 
-from .attribution import compute_gradient_set, resolve_alignment, score_j6, score_jplus
+from .attribution import (
+    AlignKind,
+    AlignmentMode,
+    AlignScale,
+    _Blocks,
+    _gradients,
+    _scores,
+    resolve_alignment,
+)
 from .model import (
     ObjectivePair,
     Perturbations,
     ProblemInstance,
     WMode,
+    _stack_width,
     forward,
     pullback,
     require_float,
@@ -38,8 +61,8 @@ __all__ = [
     "RunResult",
     "NonFiniteLossError",
     "init_perturbations",
-    "stop_check",
     "run",
+    "run_many",
 ]
 
 
@@ -56,14 +79,6 @@ class NonFiniteLossError(RuntimeError):
     def __init__(self, step: int, message: str):
         super().__init__(message)
         self.step = step
-
-
-def _finite(obs: ObjectivePair, step: int) -> ObjectivePair:
-    if not (np.isfinite(obs.ob1) and np.isfinite(obs.ob2)):
-        raise NonFiniteLossError(
-            step, f"non-finite loss at step {step}: ob1={obs.ob1!r} ob2={obs.ob2!r}"
-        )
-    return obs
 
 
 @dataclass(frozen=True)
@@ -147,55 +162,157 @@ def run(instance: ProblemInstance, cfg: StrategyConfig, rcfg: RunConfig) -> RunR
     The trace records the state *before* each update, so row k explains
     the step that produced the state seen by row k+1.  The baselines
     carry the 6-score vector in their rows for diagnosis even though
-    their decisions ignore it.
+    their decisions ignore it.  This is the K = 1 call of ``run_many``.
     """
-    amode = resolve_alignment(cfg.alignment, instance.w_mode)
-    score = score_jplus if cfg.kind is StrategyKind.HARD_JPLUS else score_j6
-    pert = init_perturbations(instance, rcfg.init_scale, rcfg.seed)
-    trace: list[TraceRecord] = []
-    stop = StopReason.MAX_STEPS
-    for step in range(rcfg.max_steps):
-        fwd = forward(instance, pert)
-        obs = _finite(fwd.objectives, step)
-        try:
-            gs = compute_gradient_set(instance, fwd)
-        except ValueError as e:  # finite losses, but the blocks overflowed
-            raise NonFiniteLossError(step, f"at step {step}: {e}") from None
-        scores = score(gs, amode)
-        decision = decide(scores, gs.grams, cfg)
-        (c00, c01), (c10, c11) = decision.c
-        delta_h = -cfg.eta_h * (c00 * gs.h[0] + c01 * gs.h[1])
-        if instance.w_mode is WMode.FULL_MATRIX:  # pull back the combination, no V x d block
-            delta_w = -cfg.eta_w * pullback(instance, fwd, (c10 * gs.g[0] + c11 * gs.g[1])[None])[0]
-        else:  # w is a d-vector: pulling back both blocks costs no more
-            delta_w = -cfg.eta_w * (c10 * gs.w[0] + c11 * gs.w[1])
-        try:
-            pert = Perturbations(pert.h + delta_h, pert.w + delta_w)
-        except ValueError as e:
-            raise NonFiniteLossError(
-                step, f"update at step {step} left the finite range: {e}"
-            ) from None
-        n11, n12, n21, n22 = gs.norms()
-        trace.append(
-            TraceRecord(
-                step=step,
-                ob1=obs.ob1,
-                ob2=obs.ob2,
-                entropy=-obs.ob2,
-                n11=n11,
-                n12=n12,
-                n21=n21,
-                n22=n22,
-                scores=scores,
-                chosen_index=decision.chosen_index,
-                alpha=decision.alpha,
-                dh_norm=math.sqrt(np.vdot(delta_h, delta_h)),
-                dw_norm=math.sqrt(np.vdot(delta_w, delta_w)),
-            )
-        )
-        reason = stop_check(trace, rcfg)
-        if reason is not None:
-            stop = reason
+    return run_many(instance, [cfg], rcfg)[0]
+
+
+def run_many(
+    instance: ProblemInstance, cfgs: list[StrategyConfig], rcfg: RunConfig
+) -> list[RunResult]:
+    """Optimize one instance under each configuration from the same
+    start; result k is bit for bit ``run(instance, cfgs[k], rcfg)``.
+
+    The configurations step in lockstep batches, as many per batch as
+    keep the stacked (K, V, d) arrays near 1 MiB (``model._stack_width``).
+    Each run stops on its own; a run that aborts raises the
+    NonFiniteLossError that running the configurations one after
+    another would: that of the lowest-index configuration that fails.
+    An alignment that cannot run on the instance raises before any step.
+    """
+    cfgs = list(cfgs)
+    modes = [resolve_alignment(cfg.alignment, instance.w_mode) for cfg in cfgs]
+    width = _stack_width(instance)
+    results: list[RunResult] = []
+    for first in range(0, len(cfgs), width):
+        results += _lockstep(instance, cfgs[first:first + width], modes[first:first + width], rcfg)
+    return results
+
+
+class _Batch:
+    """The live runs of a lockstep batch, slice i of every array holding
+    run ``index[i]``: its configuration, resolved alignment, point
+    (stacked ``Perturbations``, updated in place), the buffer its B is
+    formed in, and the stop reason decided after its last step."""
+
+    def __init__(self, instance: ProblemInstance, cfgs: list[StrategyConfig],
+                 modes: list[AlignmentMode], start: Perturbations):
+        K = len(cfgs)
+        self.index = list(range(K))
+        self.cfgs = cfgs
+        self.push = [m.kind is AlignKind.PUSHFORWARD for m in modes]
+        self.cosine = [m.scale is AlignScale.COSINE for m in modes]
+        # -eta per run, shaped to scale a stacked h step and w step
+        self.eta_h = np.array([-cfg.eta_h for cfg in cfgs], dtype=np.float64)[:, None]
+        self.eta_w = np.array([-cfg.eta_w for cfg in cfgs], dtype=np.float64).reshape(
+            (K,) + (1,) * start.w.ndim)
+        h, w = start.h[None], start.w[None]
+        if K > 1:  # every run steps on its own copy of the start
+            h, w = np.repeat(h, K, axis=0), np.repeat(w, K, axis=0)
+        self.pert = Perturbations(h, w)
+        self.B = None  # the first forward pass allocates it
+        self.stop: list[StopReason | None] = [None] * K
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep the runs at ``rows`` only."""
+        for name in ("index", "cfgs", "push", "cosine", "stop"):
+            setattr(self, name, [getattr(self, name)[i] for i in rows])
+        self.eta_h, self.eta_w, self.B = self.eta_h[rows], self.eta_w[rows], self.B[rows]
+        self.pert = Perturbations(self.pert.h[rows], self.pert.w[rows])
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each slice of a stack, the dot np.vdot takes."""
+    x = x.reshape(len(x), -1)
+    return np.vecdot(x, x)
+
+
+def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
+              modes: list[AlignmentMode], rcfg: RunConfig) -> list[RunResult]:
+    """``run_many`` for one batch.  Each iteration takes one stacked
+    forward pass: for a run that stopped after the previous step it
+    gives the final objectives, for the others it starts the next step.
+    A run that aborts drops every run after it, whose results can no
+    longer matter, and the others go on, so the abort raised at the end
+    is the lowest-index one."""
+    batch = _Batch(instance, cfgs, modes, init_perturbations(instance, rcfg.init_scale, rcfg.seed))
+    traces: list[list[TraceRecord]] = [[] for _ in cfgs]
+    results: list[RunResult | None] = [None] * len(cfgs)
+    abort: NonFiniteLossError | None = None
+    full = instance.w_mode is WMode.FULL_MATRIX
+    for step in range(rcfg.max_steps + 1):
+        fwd = forward(instance, batch.pert, out=batch.B)
+        batch.B = fwd.B
+        ob1, ob2 = fwd.objectives.ob1.tolist(), fwd.objectives.ob2.tolist()
+        live = []
+        for i, k in enumerate(batch.index):
+            if not (math.isfinite(ob1[i]) and math.isfinite(ob2[i])):
+                abort = NonFiniteLossError(
+                    step, f"non-finite loss at step {step}: ob1={ob1[i]!r} ob2={ob2[i]!r}")
+                break
+            if batch.stop[i] is None and step < rcfg.max_steps:
+                live.append(i)
+            else:
+                results[k] = RunResult(
+                    Perturbations(batch.pert.h[i].copy(), batch.pert.w[i].copy()),
+                    ObjectivePair(ob1[i], ob2[i]), traces[k], batch.stop[i] or StopReason.MAX_STEPS)
+        if not live:
             break
-    final = _finite(forward(instance, pert).objectives, len(trace))
-    return RunResult(perturbations=pert, objectives=final, trace=trace, stop_reason=stop)
+        if len(live) < len(batch):
+            batch.keep(live)
+            fwd = fwd.take(live)
+            ob1, ob2 = [ob1[i] for i in live], [ob2[i] for i in live]
+        blocks = _Blocks(instance, fwd, *_gradients(instance, fwd))
+        if not all(blocks.finite):  # finite losses, but the blocks overflowed
+            cut = blocks.finite.index(False)
+            abort = NonFiniteLossError(
+                step, f"at step {step}: gradient blocks must be finite, with finite Grams")
+            if cut == 0:
+                break
+            batch.keep(list(range(cut)))
+            fwd = fwd.take(list(range(cut)))
+            blocks = _Blocks(instance, fwd, *_gradients(instance, fwd))
+        scores = _scores(blocks, batch.push, batch.cosine)
+        jplus, j6 = scores[:, :15], scores[:, 15:]
+        c, chosen, alpha = decide(jplus, j6, blocks.grams, batch.cfgs)
+        # c0 J1 + c1 J2 per group: the sum of two products, one add
+        delta_h = batch.eta_h * np.add.reduce(c[:, 0, :, None] * blocks.h, axis=1)
+        if full:  # pull back the combination, no V x d block
+            combined = np.add.reduce(c[:, 1, :, None, None] * blocks.g, axis=1, keepdims=True)
+            delta_w = pullback(instance, fwd, combined)[:, 0]
+            delta_w *= batch.eta_w
+        else:  # w is a d-vector: pulling back both blocks costs no more
+            delta_w = batch.eta_w * np.add.reduce(c[:, 1, :, None] * blocks.w, axis=1)
+        h, w = batch.pert.h, batch.pert.w
+        np.add(h, delta_h, out=h)
+        np.add(w, delta_w, out=w)
+        if not (np.isfinite(h).all() and np.isfinite(w).all()):
+            finite = np.isfinite(h).all(axis=1) & np.isfinite(w).reshape(len(w), -1).all(axis=1)
+            cut = int(np.argmin(finite))
+            abort = NonFiniteLossError(
+                step, f"update at step {step} left the finite range: perturbations must be finite")
+            if cut == 0:
+                break
+            batch.keep(list(range(cut)))
+        grams = blocks.grams.tolist()
+        dh_sq, dw_sq = _sq_norms(delta_h).tolist(), _sq_norms(delta_w).tolist()
+        for i, (k, cfg) in enumerate(zip(batch.index, batch.cfgs)):
+            (h11, _), (_, h22) = grams[i][0]
+            (w11, _), (_, w22) = grams[i][1]
+            trace = traces[k]
+            trace.append(TraceRecord(
+                step=step, ob1=ob1[i], ob2=ob2[i], entropy=-ob2[i],
+                n11=math.sqrt(h11), n12=math.sqrt(w11), n21=math.sqrt(h22), n22=math.sqrt(w22),
+                scores=jplus[i] if cfg.kind is StrategyKind.HARD_JPLUS else j6[i],
+                chosen_index=chosen[i], alpha=alpha[i],
+                dh_norm=math.sqrt(dh_sq[i]), dw_norm=math.sqrt(dw_sq[i]),
+            ))
+            batch.stop[i] = stop_check(trace, rcfg)
+        # free this step's arrays before the next forward pass allocates
+        del fwd, blocks, delta_h, delta_w, scores, jplus, j6, c
+    if abort is not None:
+        raise abort
+    return results

@@ -1,7 +1,8 @@
 """Update strategies: hard routing, soft weighting, and three baselines.
 
-Every strategy only chooses a 2x2 coefficient matrix ``c`` (``decide``);
-``optimizer.run`` takes the step
+Every strategy only chooses a 2x2 coefficient matrix ``c`` (``decide``,
+for K configurations at once: a (K, 2, 2) stack); ``optimizer.run``
+takes the step
 
     delta_h = -eta_h (c[0][0] J11 + c[0][1] J21)
     delta_w = -eta_w (c[1][0] J12 + c[1][1] J22)
@@ -25,10 +26,7 @@ __all__ = [
     "StrategyKind",
     "PreNorm",
     "StrategyConfig",
-    "UpdateDecision",
     "decide",
-    "contrast_weights",
-    "soft_weights",
 ]
 
 
@@ -80,26 +78,31 @@ class StrategyConfig:
         object.__setattr__(self, "lam", lam)
 
 
-@dataclass(eq=False)
-class UpdateDecision:
-    """A strategy's coefficient matrix c = ((c00, c01), (c10, c11)) plus
-    the attribution that produced it."""
+def _contrast(weights: np.ndarray, gammas: list[float]) -> np.ndarray:
+    """Competitive contrast step, row k with gammas[k]: raise each weight
+    to gamma, then renormalize (e.g. gamma=2 maps (0.5, 0.3, 0.1, 0.1) to
+    the squares (0.25, 0.09, 0.01, 0.01) before the final division by
+    their sum).
 
-    c: list[list[float]]
-    chosen_index: int | None = None
-    alpha: np.ndarray | None = None
+    The rows that share a gamma are raised with that one number as the
+    exponent, never with a stacked (K, 1) exponent: numpy takes x*x for
+    a scalar 2.0 but pow for an array, which rounds differently, so a
+    row would not be bit for bit the same in a batch as alone."""
+    groups: dict[float, list[int]] = {}
+    for k, gamma in enumerate(gammas):
+        groups.setdefault(gamma, []).append(k)
+    if len(groups) == 1:
+        powered = weights ** gammas[0]
+    else:
+        powered = np.empty_like(weights)
+        for gamma, rows in groups.items():
+            powered[rows] = weights[rows] ** gamma
+    return powered / powered.sum(axis=1, keepdims=True)
 
 
-def contrast_weights(alpha_tilde: np.ndarray, gamma: float) -> np.ndarray:
-    """Competitive contrast step: raise each weight to gamma, then
-    renormalize (e.g. gamma=2 maps (0.5, 0.3, 0.1, 0.1) to the squares
-    (0.25, 0.09, 0.01, 0.01) before the final division by their sum)."""
-    powered = np.asarray(alpha_tilde, dtype=np.float64) ** gamma
-    return powered / powered.sum()
-
-
-def soft_weights(s: np.ndarray, cfg: StrategyConfig) -> np.ndarray:
-    """Temperature softmax over the scores, then the contrast exponent.
+def _soft_weights(s: np.ndarray, cfgs: list[StrategyConfig]) -> np.ndarray:
+    """Temperature softmax over each row of scores (K, n), then the
+    contrast exponent, row k with cfgs[k]'s knobs.
 
     alpha~_i = softmax(s / tau)_i, alpha_i = alpha~_i^gamma normalized.
     MAXABS pre-normalization divides the scores by max|s| + 1e-12 first,
@@ -108,10 +111,14 @@ def soft_weights(s: np.ndarray, cfg: StrategyConfig) -> np.ndarray:
     1, so no tau or gamma can underflow every weight to 0 (NaN).
     """
     s = np.asarray(s, dtype=np.float64)
-    if cfg.pre_norm is PreNorm.MAXABS:
-        s = s / (np.abs(s).max() + 1e-12)
+    maxabs = [cfg.pre_norm is PreNorm.MAXABS for cfg in cfgs]
+    if any(maxabs):
+        s = np.where(np.array(maxabs)[:, None],
+                     s / (np.abs(s).max(axis=1, keepdims=True) + 1e-12), s)
+    tau = np.array([[cfg.tau] for cfg in cfgs], dtype=np.float64)
     with np.errstate(over="ignore"):
-        return contrast_weights(np.exp((s - s.max()) / cfg.tau), cfg.gamma)
+        return _contrast(np.exp((s - s.max(axis=1, keepdims=True)) / tau),
+                         [cfg.gamma for cfg in cfgs])
 
 
 def _projection(gram: list[list[float]]) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -128,47 +135,59 @@ def _projection(gram: list[list[float]]) -> tuple[tuple[float, float], tuple[flo
 
 
 def decide(
-    scores: np.ndarray, grams: tuple[list[list[float]], list[list[float]]], cfg: StrategyConfig
-) -> UpdateDecision:
-    """The coefficient matrix c of the strategy ``cfg.kind`` (see the
-    module docstring), from the scores and the native 2x2 Grams of
-    (J11, J21) and of (J12, J22) (``GradientSet.grams``).
+    jplus: np.ndarray, j6: np.ndarray, grams: np.ndarray, cfgs: list[StrategyConfig]
+) -> tuple[np.ndarray, list[int | None], list[np.ndarray | None]]:
+    """The (K, 2, 2) coefficient tensor c of K strategies (see the module
+    docstring), slice k from cfgs[k] and the k-th rows of the scores,
+    ``jplus`` (K, 15) and ``j6`` (K, 6), and of ``grams`` (K, 2, 2, 2),
+    the native Grams of (J11, J21) and of (J12, J22).  Also each
+    strategy's chosen index and soft weights, None where it has none.
+    Slices never mix; the soft weights of all soft strategies are taken
+    together.
 
     - hard-j6 / hard-jplus: the action of the argmax score's row of
       JPLUS_COMPONENTS, read through J6_FROM_JPLUS for j6 (ties break
       to the lowest index; all scores zero gives a zero step).
-      ``chosen_index`` is 0-based for j6 and 1-based for j+, matching
+      The chosen index is 0-based for j6 and 1-based for j+, matching
       the slot and component numbering.
     - soft: c = ((alpha_0, alpha_3), (alpha_2, alpha_4)) with alpha the
-      soft weights; the alignment weights alpha_1, alpha_5 drive no
-      direction.
+      soft weights of the j6 scores; the alignment weights alpha_1,
+      alpha_5 drive no direction.
     - static: fixed roles, h chases heat and w confidence (identity).
     - scalarized: the fixed blend (lam_1, lam_2) on both groups.
     - grad-surgery: the sum of the two conflict-projected gradients per
       group, c = (1 - dot/|g1|^2, 1 - dot/|g2|^2) when dot < 0, else
       (1, 1), read from the Grams.
 
-    The baselines ignore ``scores``; only grad-surgery reads ``grams``.
+    The baselines ignore the scores; only grad-surgery reads ``grams``.
     """
-    kind = cfg.kind
-    chosen = alpha = None
-    if kind is StrategyKind.HARD_J6 or kind is StrategyKind.HARD_JPLUS:
-        s = np.asarray(scores, dtype=np.float64)
-        chosen = int(s.argmax())
-        if s[chosen] == 0.0 and not s.any():
-            c = [[0.0, 0.0], [0.0, 0.0]]
-        else:
-            row = JPLUS_COMPONENTS[J6_FROM_JPLUS[chosen] if kind is StrategyKind.HARD_J6 else chosen]
-            c = [[cfg.beta_aux if x is BETA_AUX else x for x in pair] for pair in row.action]
-        if kind is StrategyKind.HARD_JPLUS:
-            chosen += 1
-    elif kind is StrategyKind.SOFT:
-        alpha = soft_weights(scores, cfg)
-        c = [[alpha[0], alpha[3]], [alpha[2], alpha[4]]]
-    elif kind is StrategyKind.STATIC:
-        c = [[1.0, 0.0], [0.0, 1.0]]
-    elif kind is StrategyKind.SCALARIZED:
-        c = [[*cfg.lam], [*cfg.lam]]
-    else:  # per group, the sum of the two projected gradients: column sums
-        c = [[r0 + r1 for r0, r1 in zip(*_projection(gram))] for gram in grams]
-    return UpdateDecision(c, chosen_index=chosen, alpha=alpha)
+    c: list = [None] * len(cfgs)
+    chosen: list[int | None] = [None] * len(cfgs)
+    alpha: list[np.ndarray | None] = [None] * len(cfgs)
+    soft = [k for k, cfg in enumerate(cfgs) if cfg.kind is StrategyKind.SOFT]
+    if soft:
+        rows = np.asarray(j6, dtype=np.float64)
+        weights = _soft_weights(rows if len(soft) == len(rows) else rows[soft],
+                                [cfgs[k] for k in soft])
+        for k, a, (a0, a3, a2, a4) in zip(soft, weights, weights[:, [0, 3, 2, 4]].tolist()):
+            alpha[k] = a
+            c[k] = [[a0, a3], [a2, a4]]
+    for k, cfg in enumerate(cfgs):
+        kind = cfg.kind
+        if kind is StrategyKind.HARD_J6 or kind is StrategyKind.HARD_JPLUS:
+            jp = kind is StrategyKind.HARD_JPLUS
+            s = (jplus if jp else j6)[k]
+            best = int(s.argmax())
+            if s[best] == 0.0 and not s.any():
+                c[k] = [[0.0, 0.0], [0.0, 0.0]]
+            else:
+                row = JPLUS_COMPONENTS[best if jp else J6_FROM_JPLUS[best]]
+                c[k] = [[cfg.beta_aux if x is BETA_AUX else x for x in pair] for pair in row.action]
+            chosen[k] = best + jp
+        elif kind is StrategyKind.STATIC:
+            c[k] = [[1.0, 0.0], [0.0, 1.0]]
+        elif kind is StrategyKind.SCALARIZED:
+            c[k] = [[*cfg.lam], [*cfg.lam]]
+        elif kind is StrategyKind.GRAD_SURGERY:  # per group, the sum of the two projected gradients
+            c[k] = [[r0 + r1 for r0, r1 in zip(*_projection(gram))] for gram in grams[k].tolist()]
+    return np.array(c, dtype=np.float64), chosen, alpha

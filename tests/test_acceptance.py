@@ -25,8 +25,8 @@ from j6opt import (
     StrategyConfig,
     StrategyKind,
     WMode,
+    J6_FROM_JPLUS,
     compute_gradient_set,
-    contrast_weights,
     decide,
     fd_gradient,
     generate,
@@ -43,12 +43,22 @@ from j6opt.cli import main
 DIRECT_RAW = AlignmentMode(AlignKind.DIRECT, AlignScale.RAW)
 
 
+def _decide(s6, grams, cfg):
+    """``decide`` for one j6 or baseline strategy (the K = 1 call): its
+    coefficient matrix and chosen index."""
+    jplus = np.zeros(15)
+    jplus[list(J6_FROM_JPLUS)] = s6
+    c, chosen, _ = decide(jplus[None], np.asarray(s6, dtype=np.float64)[None],
+                          np.asarray(grams, dtype=np.float64)[None], [cfg])
+    return c[0], chosen[0]
+
+
 def _step(scores, h, w, cfg):
     """The update of ``decide``'s coefficient matrix c on explicit blocks
     h = (J11, J21), w = (J12, J22): (-eta_h (c00 J11 + c01 J21),
     -eta_w (c10 J12 + c11 J22)), the way ``run`` applies it."""
     grams = [[[float(np.vdot(a, b)) for b in x] for a in x] for x in (h, w)]
-    (c00, c01), (c10, c11) = decide(scores, grams, cfg).c
+    (c00, c01), (c10, c11) = _decide(scores, grams, cfg)[0]
     return -cfg.eta_h * (c00 * h[0] + c01 * h[1]), -cfg.eta_w * (c10 * w[0] + c11 * w[1])
 
 
@@ -137,7 +147,7 @@ def test_criterion_04_contrast_example():
     """
     weights = np.array([0.5, 0.3, 0.1, 0.1])
     powered = weights**2.0
-    alpha = contrast_weights(weights, 2.0)
+    alpha = strategies_mod._contrast(weights[None], [2.0])[0]
     two_step = bool(np.array_equal(alpha, powered / powered.sum()))
     squares_exact = bool(powered[0] == 0.25 and powered[1] == 0.09)
     squares_close = bool(np.max(np.abs(powered - [0.25, 0.09, 0.01, 0.01])) <= 5e-18)
@@ -192,12 +202,12 @@ def test_criterion_06_cauchy_schwarz_routing(from_blocks):
         J11, J12, J21, J22 = rng.normal(size=(4, d))
         gs = from_blocks([J11, J21], [J12, J22])
         s = score_j6(gs, DIRECT_RAW)
-        chosen = decide(s, gs.grams, cfg).chosen_index
+        chosen = _decide(s, gs.grams, cfg)[1]
         ok &= chosen not in (1, 5)
         for c in (0.5, 2.0, 4.0):
             scaled = GradientSet(gs.instance, gs.fwd, gs.g * c, gs.h * c)
             s_scaled = score_j6(scaled, DIRECT_RAW)
-            ok &= decide(s_scaled, scaled.grams, cfg).chosen_index == chosen
+            ok &= _decide(s_scaled, scaled.grams, cfg)[1] == chosen
     _report(6, ok, "no alignment slot selected and argmax scale-invariant on 1000 draws")
 
 

@@ -280,7 +280,7 @@ class TestGramMatchesFieldProducts:
         def vdots(xs, ys):
             return np.array([[np.vdot(x, y) for y in ys] for x in xs])
 
-        cross, field_h, field_w = attribution_mod._pushforward(gs, with_grams=True)
+        cross, field_h, field_w = attribution_mod._pushforward(gs._blocks, with_grams=True)[0]
         for got, want in (
             (gs.grams[0], vdots(blocks["h"], blocks["h"])),
             (gs.grams[1], vdots(blocks["w"], blocks["w"])),
@@ -290,7 +290,7 @@ class TestGramMatchesFieldProducts:
         ):
             scale = max(1.0, float(np.abs(want).max()))
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * scale)
-        for gram in gs.grams + (field_h, field_w):
+        for gram in gs.grams + (field_h.tolist(), field_w.tolist()):
             assert gram[0][1] == gram[1][0]  # one off-diagonal product
             assert gram[0][0] >= 0.0 and gram[1][1] >= 0.0
 

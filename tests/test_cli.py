@@ -310,7 +310,40 @@ class TestCompare:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+    def test_each_entry_is_its_run_command(self, inst_single, tmp_path, capsys):
+        # the lockstep batch reports, for every strategy, what a run
+        # command of that strategy prints; the tolerances stop runs at
+        # different steps
+        flags = ["--steps", "40", "--grad-tol", "0.3", "--loss-tol", "1e-2",
+                 "--init-scale", "0.3", "--seed", "3", "--eta-h", "0.2", "--eta-w", "0.2"]
+        out = tmp_path / "summary.json"
+        assert main(["compare", "-i", str(inst_single), "-o", str(out), *flags]) == 0
+        runs = json.loads(out.read_text())["runs"]
+        capsys.readouterr()
+        assert len({entry["steps"] for entry in runs}) > 1
+        for entry in runs:
+            assert main(["run", "-i", str(inst_single), "--strategy", entry["name"], *flags]) == 0
+            assert capsys.readouterr().out == (
+                f"ob1={entry['final_ob1']!r} ob2={entry['final_ob2']!r} "
+                f"stop_reason={entry['stop_reason']} steps={entry['steps']}\n")
+
+
 class TestSweep:
+    def test_each_row_is_its_run_command(self, inst, tmp_path, capsys):
+        flags = ["--steps", "30", "--loss-tol", "1e-2", "--init-scale", "0.2", "--seed", "5"]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "-i", str(inst), "--param", "eta-h", "--values",
+                     "0.001,0.01,0.1,1", "--strategy", "hard-j6", "-o", str(out), *flags]) == 0
+        rows = out.read_text().splitlines()[1:]
+        capsys.readouterr()
+        assert len({row.split(",")[5] for row in rows}) > 1
+        for row in rows:
+            _, value, ob1, ob2, stop, steps, _ = row.split(",")
+            assert main(["run", "-i", str(inst), "--strategy", "hard-j6", "--eta-h", value,
+                         *flags]) == 0
+            assert capsys.readouterr().out == (
+                f"ob1={ob1} ob2={ob2} stop_reason={stop} steps={steps}\n")
+
     def test_row_per_value(self, inst, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "-i", str(inst), "--param", "tau",
@@ -349,15 +382,21 @@ class TestSweep:
 
 @pytest.fixture
 def configs(monkeypatch):
-    """The (StrategyConfig, RunConfig) pair of each run the CLI starts;
-    the runs themselves take one step.  J6_SEED is unset."""
-    seen, real_run = [], cli.run
+    """The (StrategyConfig, RunConfig) pair of each run the CLI starts,
+    through ``run`` or ``run_many``; the runs themselves take one step.
+    J6_SEED is unset."""
+    seen, real_run, real_run_many = [], cli.run, cli.run_many
 
     def spy(instance, cfg, rcfg):
         seen.append((cfg, rcfg))
         return real_run(instance, cfg, dataclasses.replace(rcfg, max_steps=1))
 
+    def spy_many(instance, cfgs, rcfg):
+        seen.extend((cfg, rcfg) for cfg in cfgs)
+        return real_run_many(instance, cfgs, dataclasses.replace(rcfg, max_steps=1))
+
     monkeypatch.setattr(cli, "run", spy)
+    monkeypatch.setattr(cli, "run_many", spy_many)
     monkeypatch.delenv("J6_SEED", raising=False)
     return seen
 

@@ -441,8 +441,9 @@ class TestFdGradient:
 
         for module, name in (
             (j6opt.model, "logit_gradients"),
+            (j6opt.model, "_logit_gradients"),
             (j6opt.model, "pullback"),
-            (j6opt.attribution, "logit_gradients"),
+            (j6opt.attribution, "_logit_gradients"),
             (j6opt.attribution, "pullback"),
             (j6opt.attribution, "compute_gradient_set"),
         ):
@@ -508,20 +509,55 @@ class TestStackedFdGradient:
                 )
 
     def test_one_forward_pass_per_evaluated_point(self, make_point, monkeypatch):
-        calls = []
+        # each point passes through forward once, as a slice of a stack
+        points = []
         original = j6opt.model.forward
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(instance, pert, *args, **kwargs):
+            points.append(len(pert.h) if pert.h.ndim == 2 else 1)
+            return original(instance, pert, *args, **kwargs)
 
         monkeypatch.setattr(j6opt.model, "forward", counting)
         for w_mode in WMode:
             instance, pert = make_point(seed=8, w_mode=w_mode)
             for which, size in (("h", pert.h.size), ("w", pert.w.size)):
-                calls.clear()
+                points.clear()
                 fd_gradient(which, instance, pert)
-                assert len(calls) == 2 * size
+                assert points == [2 * size]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(2, 8),
+        d=st.integers(1, 5),
+        T=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        w_mode=st.sampled_from(list(WMode)),
+        eps=st.sampled_from([1e-5, 1e-3]),
+        width=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_stacked_points_equal_one_point_passes(self, V, d, T, seed, w_mode, eps, width):
+        # the stacked oracle == a loop of K = 1 forward passes, whatever
+        # the block width
+        instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
+        pert = init_perturbations(instance, init_scale=0.3, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if width is not None:
+                mp.setattr(j6opt.model, "_stack_width", lambda instance: width)
+            stacked = {which: fd_gradient(which, instance, pert, eps) for which in "hw"}
+        for which in "hw":
+            base = Perturbations(pert.h.copy(), pert.w.copy())
+            target = base.h if which == "h" else base.w
+            want = np.empty((2,) + target.shape)
+            for idx in np.ndindex(target.shape):
+                orig = target[idx]
+                target[idx] = orig + eps
+                plus = forward(instance, base).objectives
+                target[idx] = orig - eps
+                minus = forward(instance, base).objectives
+                target[idx] = orig
+                want[(0,) + idx] = (plus.ob1 - minus.ob1) / (2.0 * eps)
+                want[(1,) + idx] = (plus.ob2 - minus.ob2) / (2.0 * eps)
+            assert np.array_equal(stacked[which], want)
 
     def test_leaves_the_point_unchanged(self, make_point):
         instance, pert = make_point(seed=9)

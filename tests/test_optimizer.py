@@ -1,4 +1,8 @@
-"""The per-instance loop: initialization, stepping, stopping, tracing."""
+"""The per-instance loop: initialization, stepping, stopping, tracing,
+and many configurations in lockstep."""
+
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,8 +18,10 @@ from j6opt import (
     AlignScale,
     GeneratorSpec,
     NonFiniteLossError,
+    PreNorm,
     ProblemInstance,
     RunConfig,
+    RunResult,
     StopReason,
     StrategyConfig,
     StrategyKind,
@@ -28,11 +34,12 @@ from j6opt import (
     init_perturbations,
     resolve_alignment,
     run,
+    run_many,
     score_j6,
     score_jplus,
-    stop_check,
+    write_trace,
 )
-from j6opt.optimizer import TraceRecord
+from j6opt.optimizer import TraceRecord, stop_check
 
 
 def _record(step=0, ob1=1.0, ob2=-1.0, norms=(1.0, 1.0, 1.0, 1.0)):
@@ -236,8 +243,9 @@ class TestRun:
                 cfg = StrategyConfig(kind=kind, eta_h=0.05, eta_w=0.03, beta_aux=0.3)
                 amode = resolve_alignment(cfg.alignment, w_mode)
                 gs = compute_gradient_set(instance, start)
-                score = score_jplus if kind is StrategyKind.HARD_JPLUS else score_j6
-                (c00, c01), (c10, c11) = decide(score(gs, amode), gs.grams, cfg).c
+                c, _, _ = decide(score_jplus(gs, amode)[None], score_j6(gs, amode)[None],
+                                 np.array(gs.grams)[None], [cfg])
+                (c00, c01), (c10, c11) = c[0]
                 want_h = start.h - cfg.eta_h * (c00 * gs.J11 + c01 * gs.J21)
                 want_w = start.w - cfg.eta_w * (c10 * gs.J12 + c11 * gs.J22)
                 got = run(instance, cfg, RunConfig(max_steps=1, grad_tol=0.0, init_scale=0.3, seed=2))
@@ -400,3 +408,130 @@ class TestRunConfigValidation:
 
     def test_real_numbers_accepted(self):
         assert RunConfig(grad_tol=np.float32(1e-3), loss_tol=1, init_scale=np.int64(0)).loss_tol == 1
+
+
+def _result_bytes(result: RunResult, kind: StrategyKind, path) -> tuple:
+    """Everything a run returns, in a form that compares bit for bit:
+    its trace file's bytes, the exact floats and arrays of each record,
+    the final objectives and perturbations, and the stop reason."""
+    write_trace(result, path, kind)
+    records = [
+        (r.step, r.ob1, r.ob2, r.entropy, r.n11, r.n12, r.n21, r.n22, r.scores.tobytes(),
+         r.chosen_index, None if r.alpha is None else r.alpha.tobytes(), r.dh_norm, r.dw_norm)
+        for r in result.trace
+    ]
+    return (path.read_bytes(), records, result.objectives, result.stop_reason,
+            result.perturbations.h.tobytes(), result.perturbations.w.tobytes())
+
+
+def _serially(instance, cfgs, rcfg):
+    """Each configuration run alone, in order, up to the first abort."""
+    results = []
+    for cfg in cfgs:
+        try:
+            results.append(run(instance, cfg, rcfg))
+        except NonFiniteLossError as e:
+            return results, e
+    return results, None
+
+
+@st.composite
+def _batches(draw):
+    """An instance, 1-16 mixed configurations and a run config.  The
+    tolerances make runs stop at different steps, and eta 1e8 or 1e12
+    makes some of them abort."""
+    w_mode = draw(st.sampled_from(list(WMode)))
+    instance = generate(GeneratorSpec(V=draw(st.integers(2, 8)), d=draw(st.integers(1, 5)),
+                                      T=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32 - 1)),
+                                      w_mode=w_mode))
+    kinds = [AlignKind.AUTO, AlignKind.PUSHFORWARD] + (
+        [] if w_mode is WMode.FULL_MATRIX else [AlignKind.DIRECT])
+    cfgs = []
+    for _ in range(draw(st.integers(1, 16))):
+        eta = draw(st.sampled_from([0.01, 0.05, 0.5, 1e8, 1e12]))
+        cfgs.append(StrategyConfig(
+            kind=draw(st.sampled_from(list(StrategyKind))),
+            tau=draw(st.sampled_from([0.05, 1.0, 10.0])),
+            gamma=draw(st.sampled_from([1.5, 2.0, 3.0])),
+            eta_h=eta,
+            eta_w=draw(st.sampled_from([eta, 0.05])),
+            beta_aux=draw(st.sampled_from([0.3, 0.5])),
+            pre_norm=draw(st.sampled_from(list(PreNorm))),
+            alignment=AlignmentMode(draw(st.sampled_from(kinds)),
+                                    draw(st.sampled_from(list(AlignScale)))),
+        ))
+    rcfg = RunConfig(max_steps=draw(st.integers(0, 25)),
+                     grad_tol=draw(st.sampled_from([0.0, 1e-3, 0.1])),
+                     loss_tol=draw(st.sampled_from([0.0, 1e-5, 1e-2])),
+                     init_scale=draw(st.sampled_from([0.0, 0.3])),
+                     seed=draw(st.integers(0, 2**32 - 1)))
+    return instance, cfgs, rcfg
+
+
+class TestRunMany:
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(batch=_batches(), width=st.sampled_from([None, 1, 3]))
+    def test_each_run_in_a_batch_is_the_run_alone(self, batch, width):
+        # every run writes the trace bytes and returns the result of run()
+        # alone, whatever the batch width; an abort is the one serial
+        # order raises first
+        instance, cfgs, rcfg = batch
+        alone, error = _serially(instance, cfgs, rcfg)
+        with pytest.MonkeyPatch.context() as mp:
+            if width is not None:
+                mp.setattr(j6opt.optimizer, "_stack_width", lambda instance: width)
+            if error is not None:
+                with pytest.raises(NonFiniteLossError) as info:
+                    run_many(instance, cfgs, rcfg)
+                assert (str(info.value), info.value.step) == (str(error), error.step)
+                return
+            together = run_many(instance, cfgs, rcfg)
+        assert len(together) == len(cfgs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "trace.csv"
+            for cfg, a, b in zip(cfgs, alone, together):
+                assert _result_bytes(a, cfg.kind, path) == _result_bytes(b, cfg.kind, path)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_lowest_index_abort_wins(self):
+        # "late" aborts at step 20 (its Grams overflow), "early" at step 1
+        # (its update leaves the finite range); the batch raises the abort
+        # of whichever comes first in the list, as serial order does
+        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=0))
+        ok = StrategyConfig(kind=StrategyKind.STATIC)
+        late = StrategyConfig(kind=StrategyKind.SOFT, eta_h=1e8, eta_w=1e8)
+        early = StrategyConfig(kind=StrategyKind.STATIC, eta_h=1e308)
+        rcfg = RunConfig(max_steps=30, init_scale=0.3)
+        for cfgs, first, step in (([ok, late, early], late, 20), ([ok, early, late], early, 1)):
+            with pytest.raises(NonFiniteLossError) as alone:
+                run(instance, first, rcfg)
+            with pytest.raises(NonFiniteLossError) as info:
+                run_many(instance, cfgs, rcfg)
+            assert (info.value.step, str(info.value)) == (alone.value.step, str(alone.value))
+            assert info.value.step == step
+
+    def test_runs_stop_on_their_own(self):
+        # the stationary start stops at once, the others run on
+        instance = ProblemInstance(V=3, d=2, T=1, H=np.zeros((1, 2)), W=np.zeros((3, 2)), y=[0])
+        moving = generate(GeneratorSpec(V=3, d=2, T=1, seed=1))
+        rcfg = RunConfig(max_steps=6, loss_tol=1e-3)
+        cfgs = [StrategyConfig(kind=StrategyKind.SCALARIZED, eta_h=eta, eta_w=eta)
+                for eta in (1e-9, 0.05, 0.5)]
+        steps = [len(r.trace) for r in run_many(moving, cfgs, rcfg)]
+        assert steps[0] == 2 and steps[1:] == [len(run(moving, c, rcfg).trace) for c in cfgs[1:]]
+        assert [r.stop_reason for r in run_many(instance, cfgs, rcfg)] == [StopReason.GRAD_TOL] * 3
+
+    def test_batches_stay_within_the_byte_budget(self, monkeypatch):
+        # 1000 x 64 B blocks are 512 kB, so two configurations per batch
+        instance = generate(GeneratorSpec(V=1000, d=64, T=2, seed=1))
+        widths = []
+        real = j6opt.optimizer._lockstep
+
+        def spy(instance, cfgs, modes, rcfg):
+            widths.append(len(cfgs))
+            return real(instance, cfgs, modes, rcfg)
+
+        monkeypatch.setattr(j6opt.optimizer, "_lockstep", spy)
+        run_many(instance, [StrategyConfig(kind=kind) for kind in StrategyKind], RunConfig(max_steps=1))
+        assert widths == [2, 2, 2]

@@ -18,9 +18,7 @@ from j6opt import (
     PreNorm,
     StrategyConfig,
     StrategyKind,
-    contrast_weights,
     decide,
-    soft_weights,
 )
 
 ETA = 0.1
@@ -43,10 +41,30 @@ def grams(h, w):
     return [[[float(np.vdot(a, b)) for b in x] for a in x] for x in (h, w)]
 
 
+def decide_one(scores, grams, c):
+    """``decide`` for one strategy, the K = 1 call, given the strategy's
+    own score vector (the 15 J+ components for hard-jplus, else the 6
+    j6 slots)."""
+    s = np.asarray(scores, dtype=np.float64)
+    jplus, j6 = (s, s[list(J6_FROM_JPLUS)]) if s.size == 15 else (np.zeros(15), s)
+    coef, chosen, alpha = decide(jplus[None], j6[None], np.asarray(grams, dtype=np.float64)[None], [c])
+    return SimpleNamespace(c=coef[0], chosen_index=chosen[0], alpha=alpha[0])
+
+
+def soft_weights(s, c):
+    """The soft weights of one score vector: the K = 1 call."""
+    return strategies_mod._soft_weights(np.asarray(s, dtype=np.float64)[None], [c])[0]
+
+
+def contrast_weights(weights, gamma):
+    """The contrast step on one weight vector: the K = 1 call."""
+    return strategies_mod._contrast(np.asarray(weights, dtype=np.float64)[None], [gamma])[0]
+
+
 def step(scores, gs, c):
     """``decide``'s coefficient matrix applied to the blocks of gs:
     delta_h = -eta_h (c00 J11 + c01 J21), delta_w = -eta_w (c10 J12 + c11 J22)."""
-    decision = decide(scores, grams(gs.h, gs.w), c)
+    decision = decide_one(scores, grams(gs.h, gs.w), c)
     (c00, c01), (c10, c11) = decision.c
     return SimpleNamespace(
         delta_h=-c.eta_h * (c00 * gs.h[0] + c01 * gs.h[1]),
