@@ -377,11 +377,18 @@ def pullback(instance: ProblemInstance, fwd: Forward, g_logits: np.ndarray) -> n
         raise ValueError(
             f"g_logits must have shape {lead + ('n', instance.T, instance.V)}, got {g.shape}"
         )
+    return _pullback(instance, fwd.A, g)
+
+
+def _pullback(instance: ProblemInstance, A: np.ndarray, g: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """``pullback`` of gradients of the checked shape against A, formed
+    in ``out`` when given."""
     r = w_columns(instance, g)
     if instance.w_mode is WMode.FULL_MATRIX:  # (..., V, T) against each slice's A
-        w = r.swapaxes(-2, -1) @ fwd.A[..., None, :, :]
+        w = np.matmul(r.swapaxes(-2, -1), A[..., None, :, :], out=out)
     else:  # the (..., n, T) columns
-        w = r @ fwd.A
+        w = np.matmul(r, A, out=out)
     w /= instance.T
     return w
 

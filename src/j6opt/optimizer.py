@@ -17,9 +17,11 @@ that branches on a configuration's knob does so per slice.  One trap:
 ``x ** gamma`` with a stacked (K, 1) gamma takes numpy's pow where a
 scalar 2.0 takes x*x, so the contrast exponent is applied with each
 configuration's gamma as a plain number (``strategies._contrast``).
-Each run stops on its own; the buffers of the stacked B and of the
-perturbations live for the whole run, and under SINGLE_ROW only row
-v_star of B is rewritten each step.
+Each run stops on its own.  The stacked points, updated in place, the
+stacked B and, under FULL_MATRIX, the combined logit gradient and the
+pulled-back delta w are formed in buffers that live for the whole
+``run_many`` call (``_Buffers``); under SINGLE_ROW only row v_star of B
+is rewritten each step.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from .model import (
     Perturbations,
     ProblemInstance,
     WMode,
+    _pullback,
     _stack_width,
     forward,
-    pullback,
     require_float,
     require_int,
     w_shape,
@@ -183,10 +185,35 @@ def run_many(
     cfgs = list(cfgs)
     modes = [resolve_alignment(cfg.alignment, instance.w_mode) for cfg in cfgs]
     width = _stack_width(instance)
+    start = init_perturbations(instance, rcfg.init_scale, rcfg.seed)
+    bufs = _Buffers(instance, min(width, len(cfgs)), start)
     results: list[RunResult] = []
     for first in range(0, len(cfgs), width):
-        results += _lockstep(instance, cfgs[first:first + width], modes[first:first + width], rcfg)
+        results += _lockstep(instance, cfgs[first:first + width], modes[first:first + width],
+                             rcfg, bufs)
     return results
+
+
+class _Buffers:
+    """Arrays a step is formed in, for up to K runs, shared by every batch
+    of a ``run_many`` call and sliced to a batch's runs: the start point
+    and the stacked points each batch copies it into, the stacked B
+    (holding W in every row a SINGLE_ROW step leaves alone) and, under
+    FULL_MATRIX, the two terms of the combined logit gradient, their
+    sum, and its pullback, delta w."""
+
+    def __init__(self, instance: ProblemInstance, K: int, start: Perturbations):
+        V, d, T = instance.V, instance.d, instance.T
+        self.start = start
+        self.h = np.empty((K,) + start.h.shape)
+        self.w = np.empty((K,) + start.w.shape)
+        self.B = np.empty((K, V, d))
+        if instance.w_mode is WMode.SINGLE_ROW:
+            self.B[:] = instance.W
+        elif instance.w_mode is WMode.FULL_MATRIX:
+            self.terms = np.empty((K, 2, T, V))
+            self.g = np.empty((K, 1, T, V))
+            self.dw = np.empty((K, 1, V, d))
 
 
 class _Batch:
@@ -195,8 +222,7 @@ class _Batch:
     (stacked ``Perturbations``, updated in place), the buffer its B is
     formed in, and the stop reason decided after its last step."""
 
-    def __init__(self, instance: ProblemInstance, cfgs: list[StrategyConfig],
-                 modes: list[AlignmentMode], start: Perturbations):
+    def __init__(self, cfgs: list[StrategyConfig], modes: list[AlignmentMode], bufs: _Buffers):
         K = len(cfgs)
         self.index = list(range(K))
         self.cfgs = cfgs
@@ -205,12 +231,11 @@ class _Batch:
         # -eta per run, shaped to scale a stacked h step and w step
         self.eta_h = np.array([-cfg.eta_h for cfg in cfgs], dtype=np.float64)[:, None]
         self.eta_w = np.array([-cfg.eta_w for cfg in cfgs], dtype=np.float64).reshape(
-            (K,) + (1,) * start.w.ndim)
-        h, w = start.h[None], start.w[None]
-        if K > 1:  # every run steps on its own copy of the start
-            h, w = np.repeat(h, K, axis=0), np.repeat(w, K, axis=0)
+            (K,) + (1,) * bufs.start.w.ndim)
+        h, w = bufs.h[:K], bufs.w[:K]
+        h[:], w[:] = bufs.start.h, bufs.start.w  # every run steps on its own copy
         self.pert = Perturbations(h, w)
-        self.B = None  # the first forward pass allocates it
+        self.B = bufs.B[:K]
         self.stop: list[StopReason | None] = [None] * K
 
     def __len__(self) -> int:
@@ -231,21 +256,20 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
-              modes: list[AlignmentMode], rcfg: RunConfig) -> list[RunResult]:
+              modes: list[AlignmentMode], rcfg: RunConfig, bufs: _Buffers) -> list[RunResult]:
     """``run_many`` for one batch.  Each iteration takes one stacked
     forward pass: for a run that stopped after the previous step it
     gives the final objectives, for the others it starts the next step.
     A run that aborts drops every run after it, whose results can no
     longer matter, and the others go on, so the abort raised at the end
     is the lowest-index one."""
-    batch = _Batch(instance, cfgs, modes, init_perturbations(instance, rcfg.init_scale, rcfg.seed))
+    batch = _Batch(cfgs, modes, bufs)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
     results: list[RunResult | None] = [None] * len(cfgs)
     abort: NonFiniteLossError | None = None
     full = instance.w_mode is WMode.FULL_MATRIX
     for step in range(rcfg.max_steps + 1):
         fwd = forward(instance, batch.pert, out=batch.B)
-        batch.B = fwd.B
         ob1, ob2 = fwd.objectives.ob1.tolist(), fwd.objectives.ob2.tolist()
         live = []
         for i, k in enumerate(batch.index):
@@ -281,8 +305,10 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
         # c0 J1 + c1 J2 per group: the sum of two products, one add
         delta_h = batch.eta_h * np.add.reduce(c[:, 0, :, None] * blocks.h, axis=1)
         if full:  # pull back the combination, no V x d block
-            combined = np.add.reduce(c[:, 1, :, None, None] * blocks.g, axis=1, keepdims=True)
-            delta_w = pullback(instance, fwd, combined)[:, 0]
+            n = len(batch)
+            terms = np.multiply(c[:, 1, :, None, None], blocks.g, out=bufs.terms[:n])
+            combined = np.add.reduce(terms, axis=1, keepdims=True, out=bufs.g[:n])
+            delta_w = _pullback(instance, fwd.A, combined, out=bufs.dw[:n])[:, 0]
             delta_w *= batch.eta_w
         else:  # w is a d-vector: pulling back both blocks costs no more
             delta_w = batch.eta_w * np.add.reduce(c[:, 1, :, None] * blocks.w, axis=1)

@@ -3,6 +3,8 @@
 Instances are small, so everything is text: JSON numbers round-trip
 float64 exactly (shortest-repr serialization, up to 17 significant
 digits), traces are plain CSV with LF line endings and ``.`` decimals.
+The JSON files are exactly ``json.dumps(doc, indent=2)`` plus a newline,
+written by ``_json`` (which never runs json's pure-Python encoder).
 All writers go through a temp-file-plus-rename so readers never observe
 partial files.
 """
@@ -29,7 +31,6 @@ __all__ = [
     "save_instance",
     "load_instance",
     "write_trace",
-    "read_trace",
     "selection_counts",
     "write_summary",
 ]
@@ -49,6 +50,36 @@ def _atomic_write(path: str | Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8", newline="")
     os.replace(tmp, path)
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``'s text for a document of dicts with
+    string keys, lists and JSON scalars, at nesting ``indent``.
+
+    With ``indent`` set, json encodes through pure-Python generators, one
+    frame per value.  Here keys and scalars go through ``json.dumps``
+    without ``indent``, which runs in C, and a list of ints and floats is
+    one join of their reprs: json spells a number as its repr, except
+    nan and the infinities (the only reprs with an "n"), which fall back.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    body = sep.join(map(repr, value)) if set(map(type, value)) <= _NUMBER_TYPES else None
+    if body is None or "n" in body:
+        body = sep.join(_json(v, inner) for v in value)
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def save_instance(
@@ -73,7 +104,7 @@ def save_instance(
             "format_version": FORMAT_VERSION,
         },
     }
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    _atomic_write(path, _json(doc) + "\n")
 
 
 def _reals(doc: dict, key: str) -> np.ndarray:
@@ -92,15 +123,33 @@ def _reals(doc: dict, key: str) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, rejecting a repeated key (json.loads would
+    keep the last value)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceFormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _no_constant(token: str) -> None:
+    """Reject json's non-standard NaN, Infinity and -Infinity tokens."""
+    raise InstanceFormatError(f"non-standard JSON constant {token!r}")
+
+
 def load_instance(path: str | Path) -> ProblemInstance:
     """Parse and validate an instance file (strict: unknown keys rejected)."""
     raw = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
     except json.JSONDecodeError as e:
         raise InstanceFormatError(
             f"{path}: invalid JSON at byte offset {e.pos}: {e.msg}"
         ) from None
+    except InstanceFormatError as e:
+        raise InstanceFormatError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
@@ -201,21 +250,6 @@ def write_trace(result: RunResult, path: str | Path, kind: StrategyKind) -> None
     _atomic_write(path, buf.getvalue())
 
 
-def read_trace(path: str | Path) -> tuple[list[str], list[dict]]:
-    """Parse a trace CSV back into typed rows (ints for step/decision,
-    floats elsewhere)."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        fields = list(reader.fieldnames or [])
-        rows = []
-        for raw in reader:
-            row = {}
-            for key, value in raw.items():
-                row[key] = int(value) if key in ("step", "decision") else float(value)
-            rows.append(row)
-    return fields, rows
-
-
 def selection_counts(result: RunResult) -> dict[str, int]:
     """Per-slot selection histogram: chosen index for hard strategies,
     argmax weight for soft; empty for the unrouted baselines."""
@@ -244,4 +278,4 @@ def write_summary(named_results: Sequence[tuple[str, RunResult]], path: str | Pa
             for name, result in named_results
         ],
     }
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    _atomic_write(path, _json(doc) + "\n")

@@ -20,9 +20,9 @@ from j6opt import (
     StrategyConfig,
     StrategyKind,
     WMode,
-    read_trace,
 )
 from j6opt.cli import main
+from trace_csv import read_trace
 
 
 @pytest.fixture
@@ -132,6 +132,17 @@ class TestRun:
         assert main(["run", "-i", str(inst), "--strategy", "soft", "--steps", "3"]) == 2
         assert capsys.readouterr().err.endswith(
             "'W' entries must be numbers, got '0.5' at [2, 1]\n")
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda text: text.replace('"V": ', '"V": 9, "V": ', 1), "duplicate key 'V'"),
+        (lambda text: text.replace('"seed": ', '"seed": 1, "seed": ', 1), "duplicate key 'seed'"),
+        (lambda text: text.replace("[", "[NaN, ", 1), "'NaN'"),
+    ])
+    def test_duplicate_key_or_nan_token_exits_2(self, inst, capsys, edit, named):
+        inst.write_text(edit(inst.read_text()))
+        assert main(["run", "-i", str(inst), "--strategy", "soft", "--steps", "3"]) == 2
+        err = capsys.readouterr().err
+        assert str(inst) in err and named in err
 
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["run", "-i", str(tmp_path / "nope.json"), "--strategy", "soft"]) == 2

@@ -211,16 +211,17 @@ class TestRun:
 
     def test_one_w_pullback_per_step(self, make_instance, monkeypatch):
         # the w group is pulled back once per step: the combined logit
-        # gradients under full_matrix, both d-vector blocks otherwise
+        # gradients under full_matrix, both d-vector blocks otherwise;
+        # every pullback, the public one included, goes through _pullback
         calls = []
-        original = j6opt.model.pullback
+        original = j6opt.model._pullback
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        for module in (j6opt.model, j6opt.attribution, j6opt.optimizer):
-            monkeypatch.setattr(module, "pullback", counting)
+        for module in (j6opt.model, j6opt.optimizer):
+            monkeypatch.setattr(module, "_pullback", counting)
         cosine = AlignmentMode(scale=AlignScale.COSINE)
         for w_mode in WMode:
             instance = make_instance(seed=14, w_mode=w_mode)
@@ -528,9 +529,9 @@ class TestRunMany:
         widths = []
         real = j6opt.optimizer._lockstep
 
-        def spy(instance, cfgs, modes, rcfg):
+        def spy(instance, cfgs, *rest):
             widths.append(len(cfgs))
-            return real(instance, cfgs, modes, rcfg)
+            return real(instance, cfgs, *rest)
 
         monkeypatch.setattr(j6opt.optimizer, "_lockstep", spy)
         run_many(instance, [StrategyConfig(kind=kind) for kind in StrategyKind], RunConfig(max_steps=1))

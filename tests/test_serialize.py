@@ -15,18 +15,21 @@ from j6opt import (
     InstanceFormatError,
     ProblemInstance,
     RunConfig,
+    StopReason,
     StrategyConfig,
     StrategyKind,
     WMode,
     generate,
     load_instance,
-    read_trace,
     run,
     save_instance,
     selection_counts,
     write_summary,
     write_trace,
 )
+
+from j6opt.serialize import _json
+from trace_csv import read_trace
 
 
 @pytest.fixture
@@ -244,6 +247,33 @@ class TestInstanceValidation:
         loaded = load_instance(path)
         assert loaded.H[0][:2].tolist() == [0.0, 1.0] and loaded.W[1][:2].tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: doc.replace('"V": ', '"V": 9, "V": ', 1), "V"),
+        (lambda doc: doc.replace('"y": ', '"y": [0, 0], "y": ', 1), "y"),
+        (lambda doc: doc.replace('"seed": ', '"seed": 1, "seed": ', 1), "seed"),
+        (lambda doc: doc.replace('"family": ', '"family": null, "family": ', 1), "family"),
+    ])
+    def test_duplicate_keys_rejected(self, instance, tmp_path, edit, key):
+        # json.loads would keep the last value, silently
+        path = tmp_path / "inst.json"
+        save_instance(instance, path, seed=4, family="gaussian")
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(InstanceFormatError, match=f"inst.json: duplicate key '{key}'$"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["H", "W"])
+    def test_non_standard_constants_rejected(self, instance, tmp_path, token, key):
+        # rejected when parsed, not later as a non-finite matrix
+        doc = self._doc(instance)
+        doc[key][0][0] = float(token.replace("Infinity", "inf"))
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert token in path.read_text()
+        with pytest.raises(InstanceFormatError,
+                           match=f"inst.json: non-standard JSON constant '{token}'$"):
+            load_instance(path)
+
     def test_unknown_w_mode(self, instance, tmp_path):
         doc = self._doc(instance)
         doc["w_mode"] = "diag"
@@ -342,3 +372,101 @@ class TestSummary:
         assert entry["steps"] == len(result.trace)
         assert entry["stop_reason"] == "max_steps"
         assert sum(entry["selection_counts"].values()) == len(result.trace)
+
+
+# Floats whose repr takes each of its forms: signed zero, the least
+# subnormal, exponent forms on both sides, and integral values.
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 0.0001, 1e16, 1e22, -1e22, 1.0, -3.0,
+                  123456789.0, 1.7976931348623157e308, 0.1, 2.5]
+# RunConfig knobs that stop a run for each reason (checked below)
+STOP_KNOBS = {StopReason.MAX_STEPS: {}, StopReason.GRAD_TOL: {"grad_tol": 1e9},
+              StopReason.LOSS_TOL: {"loss_tol": 1e9}}
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+                | st.sampled_from(SPECIAL_FLOATS) | st.text(max_size=5))
+
+
+class TestJsonText:
+    """Instance and summary files are exactly json.dumps(doc, indent=2)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                        | st.lists(st.integers() | st.floats(), min_size=1, max_size=6)))
+    def test_any_document(self, doc):
+        # nan and +-inf included: json spells them NaN and Infinity
+        assert _json(doc) == json.dumps(doc, indent=2)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(1, 6),
+        d=st.integers(1, 4),
+        T=st.integers(1, 3),
+        w_mode=st.sampled_from(list(WMode)),
+        seed=st.sampled_from([None, 0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        family=st.sampled_from([None] + [f.value for f in Family]),
+        data=st.data(),
+    )
+    def test_instance_file(self, V, d, T, w_mode, seed, family, data):
+        values = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+        H = data.draw(st.lists(values, min_size=T * d, max_size=T * d))
+        W = data.draw(st.lists(values, min_size=V * d, max_size=V * d))
+        y = data.draw(st.lists(st.integers(0, V - 1), min_size=T, max_size=T))
+        v_star = data.draw(st.none() | st.integers(0, V - 1))
+        instance = ProblemInstance(V=V, d=d, T=T, H=np.reshape(H, (T, d)),
+                                   W=np.reshape(W, (V, d)), y=y, w_mode=w_mode, v_star=v_star)
+        doc = {
+            "V": V, "d": d, "T": T,
+            "H": instance.H.tolist(), "W": instance.W.tolist(), "y": instance.y.tolist(),
+            "w_mode": w_mode.value, "v_star": instance.v_star,
+            "metadata": {"seed": seed, "family": family, "format_version": "1"},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.json"
+            save_instance(instance, path, seed=seed, family=family)
+            assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(runs=st.lists(st.tuples(
+        st.text(max_size=6),
+        st.sampled_from([StrategyKind.STATIC, StrategyKind.HARD_J6, StrategyKind.HARD_JPLUS,
+                         StrategyKind.SOFT]),
+        st.sampled_from(list(StopReason)),
+        st.integers(0, 4),
+    ), max_size=3))
+    def test_summary_file(self, runs):
+        instance = generate(GeneratorSpec(V=5, d=3, T=2, seed=42, w_mode=WMode.SINGLE_ROW))
+        named = [(name, run(instance, StrategyConfig(kind=kind),
+                            RunConfig(max_steps=steps, **STOP_KNOBS[stop])))
+                 for name, kind, stop, steps in runs]
+        doc = {"format_version": "1", "runs": [
+            {"name": name, "final_ob1": r.objectives.ob1, "final_ob2": r.objectives.ob2,
+             "stop_reason": r.stop_reason.value, "steps": len(r.trace),
+             "selection_counts": selection_counts(r)}
+            for name, r in named]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "summary.json"
+            write_summary(named, path)
+            assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+    def test_summary_covers_every_stop_reason_and_histogram(self, instance):
+        cfg = StrategyConfig(kind=StrategyKind.HARD_J6)
+        for stop, knobs in STOP_KNOBS.items():
+            assert run(instance, cfg, RunConfig(max_steps=4, **knobs)).stop_reason is stop
+        assert selection_counts(run(instance, StrategyConfig(kind=StrategyKind.STATIC),
+                                    RunConfig(max_steps=2))) == {}
+
+    def test_files_never_reach_the_pure_python_encoder(self, instance, result, tmp_path,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            json.dumps({"x": [1.0]}, indent=2)  # the guard is live
+        save_instance(instance, tmp_path / "inst.json", seed=2**64 - 1, family="gaussian")
+        write_summary([("hard-j6", result), ("static", run(
+            instance, StrategyConfig(kind=StrategyKind.STATIC), RunConfig(max_steps=2)))],
+            tmp_path / "summary.json")
+        monkeypatch.undo()
+        assert load_instance(tmp_path / "inst.json").H.tolist() == instance.H.tolist()
+        assert len(json.loads((tmp_path / "summary.json").read_text())["runs"]) == 2
