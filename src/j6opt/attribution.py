@@ -36,7 +36,6 @@ alone; ``GradientSet`` and the score functions are the K = 1 slice.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
@@ -209,8 +208,7 @@ class _Blocks:
             P[:, 1] *= 1 / (T * T)
         _gram(self.grams)
         # a nan or inf entry makes the sum non-finite
-        self.finite = [math.isfinite(x) for x in
-                       np.add.reduce(self.grams.reshape(len(A), -1), axis=1).tolist()]
+        self.finite = np.isfinite(np.add.reduce(self.grams.reshape(len(A), -1), axis=1)).tolist()
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -222,7 +220,7 @@ def _gradients(instance: ProblemInstance, fwd: Forward) -> tuple[np.ndarray, np.
     """Both objectives' logit-space gradients at a forward pass (one
     point or K stacked), from one log-softmax, and the h blocks pulled
     back from them in one batched product."""
-    g = _logit_gradients(fwd.logp, instance.y, fwd.p, fwd.plogp)
+    g = _logit_gradients(fwd.logp, instance._target, fwd.p, fwd.plogp)
     # Every logit of row t moves by B.h, so grad_h = (1/T) sum_tv g[t, v] B[v].
     return g, (np.add.reduce(g, axis=-2) @ fwd.B) / instance.T
 
@@ -331,28 +329,44 @@ def _pushforward(b: _Blocks, with_grams: bool, out: np.ndarray | None = None) ->
     return out
 
 
-def _scores(b: _Blocks, push: list[bool], cosine: list[bool]) -> np.ndarray:
+class _Alignments:
+    """The resolved alignments of K score rows, compiled once for
+    ``_scores``: whether every row is pushforward (``all_push``), the
+    pushforward rows (``push``, None when there are none), whether any
+    row is cosine-scaled (``scaled``) and any pushforward one
+    (``push_scaled``), and ``inner`` (K, 21), where a column is cosine
+    scaled: a product of two different operands in a cosine row."""
+
+    def __init__(self, modes: list[AlignmentMode]):
+        push = np.array([m.kind is AlignKind.PUSHFORWARD for m in modes], dtype=bool)
+        cosine = np.array([m.scale is AlignScale.COSINE for m in modes], dtype=bool)
+        self.all_push = bool(push.all())
+        self.push = np.flatnonzero(push) if push.any() else None
+        self.scaled = bool(cosine.any())
+        self.push_scaled = bool((push & cosine).any())
+        self.inner = _INNER & cosine[:, None]
+
+
+def _scores(b: _Blocks, align: _Alignments) -> np.ndarray:
     """The (K, 21) score rows of stacked blocks, the 15 J+ components and
-    then the 6 j6 slots, row k under slice k's resolved alignment:
-    pushforward where ``push[k]``, else direct, and cosine-scaled where
-    ``cosine[k]`` (see ``score_jplus``).
+    then the 6 j6 slots, row k under slice k's resolved alignment
+    (``align``): pushforward or direct, and raw or cosine-scaled (see
+    ``score_jplus``).
 
     All products, and under COSINE the squared norms each product of two
     different operands is divided by, are one fixed gather-and-add over
     the slice's 2x2 products (_TERMS).
     """
-    P, K = b.products, len(push)
-    scaled = any(cosine)
-    if all(push):
+    P, K, scaled = b.products, len(b.products), align.scaled
+    if align.all_push:
         _pushforward(b, scaled, out=P[:, 2:5 if scaled else 3])
     else:
         if scaled:
             P[:, 3:5] = P[:, :2]  # direct alignment takes norms natively
         np.matmul(b.h, b.w.swapaxes(1, 2), out=P[:, 2])  # w is a d-vector here
-        if any(push):
-            pushed = _pushforward(b, any(p and c for p, c in zip(push, cosine)))
-            at = np.array(push)
-            P[at, 2:2 + pushed.shape[1]] = pushed[at]
+        if align.push is not None:
+            pushed = _pushforward(b, align.push_scaled)
+            P[align.push, 2:2 + pushed.shape[1]] = pushed[align.push]
     G = P.reshape(K, 24)[:, _TERMS if scaled else _RAW_TERMS]
     x = G[:, 0] + G[:, 1]
     x += G[:, 2]
@@ -360,7 +374,7 @@ def _scores(b: _Blocks, push: list[bool], cosine: list[bool]) -> np.ndarray:
     if not scaled:
         return x
     s, sq_a, sq_b = x[:, :21], x[:, 21:42], x[:, 42:]
-    inner = _INNER & np.array(cosine)[:, None]
+    inner = align.inner
     # raw / (|a| |b|); 0 when a norm is 0 (or, for a sum of blocks, rounds below 0)
     with np.errstate(invalid="ignore"):
         norms = np.sqrt(sq_a) * np.sqrt(sq_b)
@@ -391,6 +405,4 @@ def score_j6(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
 
 
 def _score_row(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
-    mode = resolve_alignment(mode, gs.instance.w_mode)
-    return _scores(gs._blocks, [mode.kind is AlignKind.PUSHFORWARD],
-                   [mode.scale is AlignScale.COSINE])[0]
+    return _scores(gs._blocks, _Alignments([resolve_alignment(mode, gs.instance.w_mode)]))[0]

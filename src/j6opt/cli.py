@@ -4,6 +4,9 @@ Every command is deterministic given its flags.  A flag left out keeps
 its config dataclass's default; the seed falls back to $J6_SEED first.
 Exit codes: 0 success, 1 check failure, 2 usage or config error, 3
 non-finite abort (a loss, or the perturbations a diverging update produced).
+A failing command writes one ``error:`` line to stderr, and nothing else:
+numpy's floating-point warnings are off while a command runs, since every
+non-finite value is checked and reported.
 """
 
 from __future__ import annotations
@@ -126,14 +129,16 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             # that is analytically zero (broadcast J12, J22) is judged against that noise.
             floor = 4 * math.sqrt(fd.size) * 2.0**-52 * loss_scale / (args.eps * GRADCHECK_TOL)
             rel = float(np.linalg.norm(analytic - fd)) / (float(np.linalg.norm(fd)) + floor)
-            if rel > worst[name][0]:
+            # a non-finite error is the worst there is; the first one is kept
+            if not rel <= worst[name][0] and not math.isnan(worst[name][0]):
                 coord = np.unravel_index(np.argmax(np.abs(analytic - fd)), fd.shape)
                 worst[name] = (rel, f"instance {k}, coord {tuple(int(c) for c in coord)}: "
-                                    f"analytic={analytic[coord]!r} fd={fd[coord]!r}")
+                                    f"analytic={float(analytic[coord])!r} fd={float(fd[coord])!r}")
     ok = True
     for name, (rel, where) in worst.items():
-        print(f"{name}: max relative error {rel:.3e} [{'ok' if rel < GRADCHECK_TOL else 'FAIL'}]")
-        if rel >= GRADCHECK_TOL:
+        passed = rel < GRADCHECK_TOL
+        print(f"{name}: max relative error {rel:.3e} [{'ok' if passed else 'FAIL'}]")
+        if not passed:
             print(f"  worst: {where}")
             ok = False
     return 0 if ok else 1
@@ -292,8 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        # looked up per call, so that a replaced cmd_* takes effect
-        return globals()[f"cmd_{args.command}"](args)
+        # Every value that overflows is checked and reported by an exit
+        # code or written to the trace, so numpy's warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # looked up per call, so that a replaced cmd_* takes effect
+            return globals()[f"cmd_{args.command}"](args)
     except NonFiniteLossError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -23,8 +23,8 @@ pass alone, both losses stacked like the analytic ones.
 K points of one instance stack on a leading axis (``Perturbations``
 with h (K, d) and w (K,) + w_shape), and every function above takes
 such a stack.  Slices never mix: a stacked ``matmul``, and the
-row-wise functions on the (K·T, V) flattening, so slice k holds bit
-for bit what point k gives alone.  The one-point call is the K = 1
+row-wise functions along the last axis of the (K, T, V) stack, each
+row on its own, so slice k holds bit for bit what point k gives alone.  The one-point call is the K = 1
 call.
 
 All numerics are float64.  Every public function is pure.
@@ -36,6 +36,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -155,6 +156,12 @@ class ProblemInstance:
             raise ValueError("v_star must lie in [0, V)")
         object.__setattr__(self, "v_star", v_star)
 
+    @cached_property
+    def _target(self) -> tuple[np.ndarray, np.ndarray]:
+        """The index of each position's target logit (``_targets``),
+        formed once per instance."""
+        return _targets(self.y, self.T)
+
 
 @dataclass(eq=False)
 class Perturbations:
@@ -238,11 +245,18 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("logits must be a (T, V) matrix")
-    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
-    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    return _log_softmax(z)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """``log_softmax`` along the last axis of float64 logits of any rank,
+    each row on its own: a (K, T, V) stack gives bit for bit its (K·T, V)
+    flattening."""
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     if _validation:
-        p = np.exp(logp[np.isfinite(logp).all(axis=1)])
-        assert (np.abs(p.sum(axis=1) - 1.0) < BOUNDS_TOL).all(), "softmax rows must sum to 1"
+        p = np.exp(logp[np.isfinite(logp).all(axis=-1)])
+        assert (np.abs(p.sum(axis=-1) - 1.0) < BOUNDS_TOL).all(), "softmax rows must sum to 1"
     return logp
 
 
@@ -261,17 +275,28 @@ def losses(logp: np.ndarray, y: np.ndarray) -> ObjectivePair:
     gives (K,) losses, each from its own slice."""
     stacked = logp.ndim == 3
     lp = logp if stacked else logp[None]
-    heat, conf = _losses(lp, y, _softmax_terms(lp)[1])
+    heat, conf = _losses(lp, _targets(y, lp.shape[1]), _softmax_terms(lp)[1])
     if stacked:
         return ObjectivePair(heat, conf)
     return ObjectivePair(float(heat[0]), float(conf[0]))
 
 
-def _losses(logp: np.ndarray, y: np.ndarray, plogp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``losses`` of a stack (K, T, V), given its rows' sums of p log p."""
+def _targets(y: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index (positions, targets) of the target logit of each of T
+    positions; the targets must have an integer dtype."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"targets must have an integer dtype, got {y.dtype}")
+    return np.arange(T), y
+
+
+def _losses(logp: np.ndarray, target: tuple[np.ndarray, np.ndarray],
+            plogp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``losses`` of a stack (K, T, V), given the target index
+    (``_targets``) and its rows' sums of p log p."""
     T = logp.shape[1]
     # means over positions, taken as numpy's mean takes them
-    heat = -(np.add.reduce(logp[:, np.arange(T), y], axis=1) / T)
+    heat = -(np.add.reduce(logp[:, target[0], target[1]], axis=1) / T)
     conf = np.add.reduce(plogp, axis=1) / T
     if _validation:
         assert (heat[np.isfinite(heat)] >= 0.0).all(), "heat loss must be non-negative"
@@ -312,9 +337,9 @@ def forward(instance: ProblemInstance, pert: Perturbations, out: np.ndarray | No
     h, w = (pert.h, pert.w) if stacked else (pert.h[None], pert.w[None])
     A, B = _factors(instance, h, w, out)
     logits = A @ B.swapaxes(1, 2)
-    logp = log_softmax(logits.reshape(-1, instance.V)).reshape(logits.shape)
+    logp = _log_softmax(logits)
     p, plogp = _softmax_terms(logp)
-    ob1, ob2 = _losses(logp, instance.y, plogp)
+    ob1, ob2 = _losses(logp, instance._target, plogp)
     if stacked:
         return Forward(A, B, logits, logp, ObjectivePair(ob1, ob2), p, plogp)
     return Forward(A[0], B[0], logits[0], logp[0], ObjectivePair(float(ob1[0]), float(ob2[0])),
@@ -332,18 +357,18 @@ def logit_gradients(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("log-probabilities must be a (T, V) matrix or a (K, T, V) stack")
     if not np.isfinite(logp).all():
         raise ValueError("log-probabilities must be finite")
-    return _logit_gradients(logp, y, *_softmax_terms(logp))
+    return _logit_gradients(logp, _targets(y, logp.shape[-2]), *_softmax_terms(logp))
 
 
-def _logit_gradients(logp: np.ndarray, y: np.ndarray, p: np.ndarray,
+def _logit_gradients(logp: np.ndarray, target: tuple[np.ndarray, np.ndarray], p: np.ndarray,
                      plogp: np.ndarray) -> np.ndarray:
-    """``logit_gradients`` from the softmax terms of a finite log-softmax,
-    such as a forward pass with finite losses carries (their mean over
-    positions is nan or inf wherever logp is not finite)."""
-    T = p.shape[-2]
+    """``logit_gradients`` from the target index (``_targets``) and the
+    softmax terms of a finite log-softmax, such as a forward pass with
+    finite losses carries (their mean over positions is nan or inf
+    wherever logp is not finite)."""
     g = np.empty(p.shape[:-2] + (2,) + p.shape[-2:])
     g[..., 0, :, :] = p
-    g[..., 0, np.arange(T), np.asarray(y, dtype=np.int64)] -= 1.0
+    g[..., 0, target[0], target[1]] -= 1.0
     g[..., 1, :, :] = p * (logp - plogp[..., None])
     if _validation:
         assert (np.abs(g.sum(axis=-1)) < ZERO_SUM_TOL).all(), "logit gradients must sum to 0"

@@ -17,7 +17,11 @@ that branches on a configuration's knob does so per slice.  One trap:
 ``x ** gamma`` with a stacked (K, 1) gamma takes numpy's pow where a
 scalar 2.0 takes x*x, so the contrast exponent is applied with each
 configuration's gamma as a plain number (``strategies._contrast``).
-Each run stops on its own.  The stacked points, updated in place, the
+Everything that depends only on the configurations is compiled once
+per batch into its plan (``strategies._Rules``, with the alignment
+masks of ``attribution._Alignments``), and again only for the runs a
+batch keeps when others stop; a step hands the plan to the one
+``strategies.decide`` call it makes.  Each run stops on its own.  The stacked points, updated in place, the
 stacked B and, under FULL_MATRIX, the combined logit gradient and the
 pulled-back delta w are formed in buffers that live for the whole
 ``run_many`` call (``_Buffers``); under SINGLE_ROW only row v_star of B
@@ -33,9 +37,8 @@ from enum import Enum
 import numpy as np
 
 from .attribution import (
-    AlignKind,
     AlignmentMode,
-    AlignScale,
+    _Alignments,
     _Blocks,
     _gradients,
     _scores,
@@ -54,7 +57,7 @@ from .model import (
     w_shape,
     zero_perturbations,
 )
-from .strategies import StrategyConfig, StrategyKind, decide
+from .strategies import StrategyConfig, _Rules, decide
 
 __all__ = [
     "StopReason",
@@ -188,9 +191,12 @@ def run_many(
     start = init_perturbations(instance, rcfg.init_scale, rcfg.seed)
     bufs = _Buffers(instance, min(width, len(cfgs)), start)
     results: list[RunResult] = []
-    for first in range(0, len(cfgs), width):
-        results += _lockstep(instance, cfgs[first:first + width], modes[first:first + width],
-                             rcfg, bufs)
+    # numpy's warnings are noise here: a non-finite loss, block or point
+    # raises NonFiniteLossError, and an overflowing step norm is traced
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for first in range(0, len(cfgs), width):
+            results += _lockstep(instance, cfgs[first:first + width], modes[first:first + width],
+                                 rcfg, bufs)
     return results
 
 
@@ -220,14 +226,16 @@ class _Batch:
     """The live runs of a lockstep batch, slice i of every array holding
     run ``index[i]``: its configuration, resolved alignment, point
     (stacked ``Perturbations``, updated in place), the buffer its B is
-    formed in, and the stop reason decided after its last step."""
+    formed in, and the stop reason decided after its last step.  The
+    plan of its configurations, ``rules`` (``strategies._Rules``) and
+    ``align`` (``attribution._Alignments``), is compiled here and again
+    for the runs ``keep`` keeps, never per step."""
 
     def __init__(self, cfgs: list[StrategyConfig], modes: list[AlignmentMode], bufs: _Buffers):
         K = len(cfgs)
         self.index = list(range(K))
-        self.cfgs = cfgs
-        self.push = [m.kind is AlignKind.PUSHFORWARD for m in modes]
-        self.cosine = [m.scale is AlignScale.COSINE for m in modes]
+        self.cfgs, self.modes = cfgs, modes
+        self.rules, self.align = _Rules(cfgs), _Alignments(modes)
         # -eta per run, shaped to scale a stacked h step and w step
         self.eta_h = np.array([-cfg.eta_h for cfg in cfgs], dtype=np.float64)[:, None]
         self.eta_w = np.array([-cfg.eta_w for cfg in cfgs], dtype=np.float64).reshape(
@@ -243,16 +251,18 @@ class _Batch:
 
     def keep(self, rows: list[int]) -> None:
         """Keep the runs at ``rows`` only."""
-        for name in ("index", "cfgs", "push", "cosine", "stop"):
+        for name in ("index", "cfgs", "modes", "stop"):
             setattr(self, name, [getattr(self, name)[i] for i in rows])
+        self.rules, self.align = _Rules(self.cfgs), _Alignments(self.modes)
         self.eta_h, self.eta_w, self.B = self.eta_h[rows], self.eta_w[rows], self.B[rows]
         self.pert = Perturbations(self.pert.h[rows], self.pert.w[rows])
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each slice of a stack, the dot np.vdot takes."""
+def _sq_norms(x: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the squared norm of each slice of a stack, the
+    dot np.vdot takes."""
     x = x.reshape(len(x), -1)
-    return np.vecdot(x, x)
+    np.vecdot(x, x, out=out)
 
 
 def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
@@ -299,9 +309,9 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
             batch.keep(list(range(cut)))
             fwd = fwd.take(list(range(cut)))
             blocks = _Blocks(instance, fwd, *_gradients(instance, fwd))
-        scores = _scores(blocks, batch.push, batch.cosine)
+        scores = _scores(blocks, batch.align)
         jplus, j6 = scores[:, :15], scores[:, 15:]
-        c, chosen, alpha = decide(jplus, j6, blocks.grams, batch.cfgs)
+        c, chosen, alpha = decide(jplus, j6, blocks.grams, batch.rules)
         # c0 J1 + c1 J2 per group: the sum of two products, one add
         delta_h = batch.eta_h * np.add.reduce(c[:, 0, :, None] * blocks.h, axis=1)
         if full:  # pull back the combination, no V x d block
@@ -323,19 +333,18 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
             if cut == 0:
                 break
             batch.keep(list(range(cut)))
-        grams = blocks.grams.tolist()
-        dh_sq, dw_sq = _sq_norms(delta_h).tolist(), _sq_norms(delta_w).tolist()
-        for i, (k, cfg) in enumerate(zip(batch.index, batch.cfgs)):
-            (h11, _), (_, h22) = grams[i][0]
-            (w11, _), (_, w22) = grams[i][1]
+        # the squared norms (J11, J21), (J12, J22) and (delta h, delta w), then one sqrt
+        n = len(c)
+        norms = np.empty((n, 3, 2))
+        norms[:, :2] = blocks.grams.diagonal(0, 2, 3)
+        _sq_norms(delta_h, out=norms[:, 2, 0])
+        _sq_norms(delta_w, out=norms[:, 2, 1])
+        rows = zip(batch.index, batch.rules.reads_jplus,
+                   np.sqrt(norms, out=norms).reshape(n, 6).tolist())
+        for i, (k, jp, (n11, n21, n12, n22, dh, dw)) in enumerate(rows):
             trace = traces[k]
-            trace.append(TraceRecord(
-                step=step, ob1=ob1[i], ob2=ob2[i], entropy=-ob2[i],
-                n11=math.sqrt(h11), n12=math.sqrt(w11), n21=math.sqrt(h22), n22=math.sqrt(w22),
-                scores=jplus[i] if cfg.kind is StrategyKind.HARD_JPLUS else j6[i],
-                chosen_index=chosen[i], alpha=alpha[i],
-                dh_norm=math.sqrt(dh_sq[i]), dw_norm=math.sqrt(dw_sq[i]),
-            ))
+            trace.append(TraceRecord(step, ob1[i], ob2[i], -ob2[i], n11, n12, n21, n22,
+                                     jplus[i] if jp else j6[i], chosen[i], alpha[i], dh, dw))
             batch.stop[i] = stop_check(trace, rcfg)
         # free this step's arrays before the next forward pass allocates
         del fwd, blocks, delta_h, delta_w, scores, jplus, j6, c

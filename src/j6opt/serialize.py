@@ -11,8 +11,6 @@ partial files.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from collections import Counter
@@ -22,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ProblemInstance, WMode, require_int
-from .optimizer import RunResult, TraceRecord
+from .optimizer import RunResult
 from .probgen import Family
 from .strategies import StrategyKind
 
@@ -202,10 +200,6 @@ def load_instance(path: str | Path) -> ProblemInstance:
         raise InstanceFormatError(f"{path}: {e}") from None
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def trace_header(kind: StrategyKind, n_scores: int) -> list[str]:
     header = ["step", "ob1", "ob2", "entropy", "n11", "n12", "n21", "n22"]
     header += [f"s{i}" for i in range(n_scores)]
@@ -217,37 +211,23 @@ def trace_header(kind: StrategyKind, n_scores: int) -> list[str]:
     return header
 
 
-def _trace_row(record: TraceRecord, kind: StrategyKind) -> list[str]:
-    row = [
-        str(record.step),
-        _fmt(record.ob1),
-        _fmt(record.ob2),
-        _fmt(record.entropy),
-        _fmt(record.n11),
-        _fmt(record.n12),
-        _fmt(record.n21),
-        _fmt(record.n22),
-    ]
-    row += [_fmt(s) for s in record.scores]
-    if StrategyKind(kind) is StrategyKind.SOFT:
-        row += [_fmt(a) for a in record.alpha]
-    else:
-        # Baselines make no routing decision; -1 marks that explicitly.
-        row += [str(record.chosen_index if record.chosen_index is not None else -1)]
-    row += [_fmt(record.dh_norm), _fmt(record.dw_norm)]
-    return row
-
-
 def write_trace(result: RunResult, path: str | Path, kind: StrategyKind) -> None:
-    """One CSV row per executed step; header-only when the trace is empty."""
+    """One CSV row per executed step; header-only when the trace is empty.
+    Every value is a float's or an int's repr, which never needs CSV
+    quoting, so each row is one join."""
     kind = StrategyKind(kind)
-    n_scores = 15 if kind is StrategyKind.HARD_JPLUS else 6
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(trace_header(kind, n_scores))
-    for record in result.trace:
-        writer.writerow(_trace_row(record, kind))
-    _atomic_write(path, buf.getvalue())
+    soft = kind is StrategyKind.SOFT
+    lines = [",".join(trace_header(kind, 15 if kind is StrategyKind.HARD_JPLUS else 6))]
+    for r in result.trace:
+        # Baselines make no routing decision; -1 marks that explicitly.
+        routed = r.alpha.tolist() if soft else [-1 if r.chosen_index is None else r.chosen_index]
+        # float() keeps the repr of a numpy scalar a plain float's
+        lines.append(",".join(map(repr, [
+            r.step, float(r.ob1), float(r.ob2), float(r.entropy), float(r.n11), float(r.n12),
+            float(r.n21), float(r.n22), *r.scores.tolist(), *routed,
+            float(r.dh_norm), float(r.dw_norm)])))
+    lines.append("")
+    _atomic_write(path, "\n".join(lines))
 
 
 def selection_counts(result: RunResult) -> dict[str, int]:

@@ -10,6 +10,13 @@ takes the step
 so strategies differ only in how ``c`` is picked and never touch a
 block.  All coefficients are non-negative, so every update is
 descent-shaped.
+
+``decide`` reads K configurations through their plan (``_Rules``),
+compiled once: the soft rows with their tau column, MAXABS mask and
+gamma groups, each hard route's action table with its beta_aux in
+place, the fixed c of static and scalarized, and the grad-surgery rows.
+A step then only reads its scores and Grams: c starts as a copy of the
+fixed rows and the rows of each kind are filled by array assignment.
 """
 
 from __future__ import annotations
@@ -78,9 +85,87 @@ class StrategyConfig:
         object.__setattr__(self, "lam", lam)
 
 
-def _contrast(weights: np.ndarray, gammas: list[float]) -> np.ndarray:
-    """Competitive contrast step, row k with gammas[k]: raise each weight
-    to gamma, then renormalize (e.g. gamma=2 maps (0.5, 0.3, 0.1, 0.1) to
+# Each J+ component's action as numbers, nan where it holds BETA_AUX;
+# row k of _J6_ACTIONS is j6 slot k's action.
+_ACTIONS = np.array([[[np.nan if x is BETA_AUX else x for x in pair] for pair in c.action]
+                     for c in JPLUS_COMPONENTS])
+_J6_ACTIONS = _ACTIONS[list(J6_FROM_JPLUS)]
+# The j6 slots of a soft c: ((alpha_0, alpha_3), (alpha_2, alpha_4))
+_SOFT_C = np.array([[0, 3], [2, 4]])
+
+
+class _Rules:
+    """The plan of K configurations: everything ``decide`` needs of them,
+    compiled once, so that a step only reads its scores and Grams.
+
+    - ``c``: the fixed rows of c (static, scalarized; zero elsewhere),
+      which every decision starts from a copy of;
+    - ``soft_rows``: the soft rows, and ``soft`` the index that picks
+      them from an array (a slice when they are contiguous: a view, not
+      a gather), with their tau column, MAXABS mask (None when no row
+      has one) and ``gammas``, the (gamma, rows) groups of equal
+      contrast exponent (``_contrast``);
+    - ``hard``: per hard row, (row, whether it reads the 15 J+ scores
+      rather than the 6 j6 slots, its action table (15 or 6, 2, 2) with
+      its beta_aux in place);
+    - ``surgery``: the grad-surgery rows;
+    - ``reads_jplus``: whether each row reads (and traces) the J+ scores.
+
+    Built once per lockstep batch and again for the runs a batch keeps;
+    ``decide`` builds one when handed a list of configurations.
+    """
+
+    def __init__(self, cfgs: list[StrategyConfig]):
+        self.cfgs = cfgs
+        kinds = [cfg.kind for cfg in cfgs]
+        rows = {kind: [k for k, x in enumerate(kinds) if x is kind] for kind in StrategyKind}
+        self.c = np.zeros((len(cfgs), 2, 2))
+        self.c[rows[StrategyKind.STATIC]] = np.eye(2)
+        for k in rows[StrategyKind.SCALARIZED]:
+            self.c[k] = cfgs[k].lam
+        soft = self.soft_rows = rows[StrategyKind.SOFT]
+        contiguous = soft and soft[-1] - soft[0] == len(soft) - 1
+        self.soft = slice(soft[0], soft[-1] + 1) if contiguous else soft
+        self.tau = np.array([[cfgs[k].tau] for k in soft], dtype=np.float64)
+        maxabs = np.array([[cfgs[k].pre_norm is PreNorm.MAXABS] for k in soft], dtype=bool)
+        self.maxabs = maxabs if maxabs.any() else None
+        groups: dict[float, list[int]] = {}
+        for i, k in enumerate(soft):
+            groups.setdefault(cfgs[k].gamma, []).append(i)
+        self.gammas = list(groups.items())
+        self.hard = [(k, kinds[k] is StrategyKind.HARD_JPLUS,
+                      np.where(np.isnan(actions), cfgs[k].beta_aux, actions))
+                     for kind, actions in ((StrategyKind.HARD_J6, _J6_ACTIONS),
+                                           (StrategyKind.HARD_JPLUS, _ACTIONS))
+                     for k in rows[kind]]
+        self.surgery = rows[StrategyKind.GRAD_SURGERY]
+        self.reads_jplus = [kind is StrategyKind.HARD_JPLUS for kind in kinds]
+
+    def soft_weights(self, j6: np.ndarray) -> np.ndarray:
+        """The soft weights of the soft rows' j6 scores, from the scores
+        of all K rows: a temperature softmax over each row, then the
+        contrast exponent, row by row with its configuration's knobs.
+
+        alpha~_i = softmax(s / tau)_i, alpha_i = alpha~_i^gamma normalized.
+        MAXABS pre-normalization divides the scores by max|s| + 1e-12
+        first, making tau scale-free across instances.  The contrast step
+        gets the unnormalized exp((s - max s) / tau), whose largest entry
+        is exactly 1, so no tau or gamma can underflow every weight to 0
+        (NaN).
+        """
+        s = j6[self.soft]
+        if self.maxabs is not None:
+            s = np.where(self.maxabs,
+                         s / (np.maximum.reduce(np.abs(s), axis=1, keepdims=True) + 1e-12), s)
+        with np.errstate(over="ignore"):
+            return _contrast(np.exp((s - np.maximum.reduce(s, axis=1, keepdims=True)) / self.tau),
+                             self.gammas)
+
+
+def _contrast(weights: np.ndarray, gammas: list[tuple[float, list[int]]]) -> np.ndarray:
+    """Competitive contrast step over the rows of ``weights``, each group
+    (gamma, rows) of ``gammas`` with its gamma: raise each weight to
+    gamma, then renormalize (e.g. gamma=2 maps (0.5, 0.3, 0.1, 0.1) to
     the squares (0.25, 0.09, 0.01, 0.01) before the final division by
     their sum).
 
@@ -88,37 +173,13 @@ def _contrast(weights: np.ndarray, gammas: list[float]) -> np.ndarray:
     exponent, never with a stacked (K, 1) exponent: numpy takes x*x for
     a scalar 2.0 but pow for an array, which rounds differently, so a
     row would not be bit for bit the same in a batch as alone."""
-    groups: dict[float, list[int]] = {}
-    for k, gamma in enumerate(gammas):
-        groups.setdefault(gamma, []).append(k)
-    if len(groups) == 1:
-        powered = weights ** gammas[0]
+    if len(gammas) == 1:
+        powered = weights ** gammas[0][0]
     else:
         powered = np.empty_like(weights)
-        for gamma, rows in groups.items():
+        for gamma, rows in gammas:
             powered[rows] = weights[rows] ** gamma
-    return powered / powered.sum(axis=1, keepdims=True)
-
-
-def _soft_weights(s: np.ndarray, cfgs: list[StrategyConfig]) -> np.ndarray:
-    """Temperature softmax over each row of scores (K, n), then the
-    contrast exponent, row k with cfgs[k]'s knobs.
-
-    alpha~_i = softmax(s / tau)_i, alpha_i = alpha~_i^gamma normalized.
-    MAXABS pre-normalization divides the scores by max|s| + 1e-12 first,
-    making tau scale-free across instances.  The contrast step gets the
-    unnormalized exp((s - max s) / tau), whose largest entry is exactly
-    1, so no tau or gamma can underflow every weight to 0 (NaN).
-    """
-    s = np.asarray(s, dtype=np.float64)
-    maxabs = [cfg.pre_norm is PreNorm.MAXABS for cfg in cfgs]
-    if any(maxabs):
-        s = np.where(np.array(maxabs)[:, None],
-                     s / (np.abs(s).max(axis=1, keepdims=True) + 1e-12), s)
-    tau = np.array([[cfg.tau] for cfg in cfgs], dtype=np.float64)
-    with np.errstate(over="ignore"):
-        return _contrast(np.exp((s - s.max(axis=1, keepdims=True)) / tau),
-                         [cfg.gamma for cfg in cfgs])
+    return powered / np.add.reduce(powered, axis=1, keepdims=True)
 
 
 def _projection(gram: list[list[float]]) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -135,15 +196,16 @@ def _projection(gram: list[list[float]]) -> tuple[tuple[float, float], tuple[flo
 
 
 def decide(
-    jplus: np.ndarray, j6: np.ndarray, grams: np.ndarray, cfgs: list[StrategyConfig]
+    jplus: np.ndarray, j6: np.ndarray, grams: np.ndarray, cfgs: _Rules | list[StrategyConfig]
 ) -> tuple[np.ndarray, list[int | None], list[np.ndarray | None]]:
     """The (K, 2, 2) coefficient tensor c of K strategies (see the module
-    docstring), slice k from cfgs[k] and the k-th rows of the scores,
-    ``jplus`` (K, 15) and ``j6`` (K, 6), and of ``grams`` (K, 2, 2, 2),
-    the native Grams of (J11, J21) and of (J12, J22).  Also each
-    strategy's chosen index and soft weights, None where it has none.
-    Slices never mix; the soft weights of all soft strategies are taken
-    together.
+    docstring), slice k from configuration k and the k-th rows of the
+    scores, ``jplus`` (K, 15) and ``j6`` (K, 6), and of ``grams``
+    (K, 2, 2, 2), the native Grams of (J11, J21) and of (J12, J22).
+    Also each strategy's chosen index and soft weights, None where it
+    has none.  ``cfgs`` is a list of configurations or their plan
+    (``_Rules``).  Slices never mix; the soft weights of all soft
+    strategies are taken together.
 
     - hard-j6 / hard-jplus: the action of the argmax score's row of
       JPLUS_COMPONENTS, read through J6_FROM_JPLUS for j6 (ties break
@@ -161,33 +223,22 @@ def decide(
 
     The baselines ignore the scores; only grad-surgery reads ``grams``.
     """
-    c: list = [None] * len(cfgs)
-    chosen: list[int | None] = [None] * len(cfgs)
-    alpha: list[np.ndarray | None] = [None] * len(cfgs)
-    soft = [k for k, cfg in enumerate(cfgs) if cfg.kind is StrategyKind.SOFT]
-    if soft:
-        rows = np.asarray(j6, dtype=np.float64)
-        weights = _soft_weights(rows if len(soft) == len(rows) else rows[soft],
-                                [cfgs[k] for k in soft])
-        for k, a, (a0, a3, a2, a4) in zip(soft, weights, weights[:, [0, 3, 2, 4]].tolist()):
+    rules = cfgs if isinstance(cfgs, _Rules) else _Rules(list(cfgs))
+    K = len(rules.cfgs)
+    c = rules.c.copy()
+    chosen: list[int | None] = [None] * K
+    alpha: list[np.ndarray | None] = [None] * K
+    if rules.soft_rows:
+        weights = rules.soft_weights(np.asarray(j6, dtype=np.float64))
+        c[rules.soft] = weights[:, _SOFT_C]
+        for k, a in zip(rules.soft_rows, weights):
             alpha[k] = a
-            c[k] = [[a0, a3], [a2, a4]]
-    for k, cfg in enumerate(cfgs):
-        kind = cfg.kind
-        if kind is StrategyKind.HARD_J6 or kind is StrategyKind.HARD_JPLUS:
-            jp = kind is StrategyKind.HARD_JPLUS
-            s = (jplus if jp else j6)[k]
-            best = int(s.argmax())
-            if s[best] == 0.0 and not s.any():
-                c[k] = [[0.0, 0.0], [0.0, 0.0]]
-            else:
-                row = JPLUS_COMPONENTS[best if jp else J6_FROM_JPLUS[best]]
-                c[k] = [[cfg.beta_aux if x is BETA_AUX else x for x in pair] for pair in row.action]
-            chosen[k] = best + jp
-        elif kind is StrategyKind.STATIC:
-            c[k] = [[1.0, 0.0], [0.0, 1.0]]
-        elif kind is StrategyKind.SCALARIZED:
-            c[k] = [[*cfg.lam], [*cfg.lam]]
-        elif kind is StrategyKind.GRAD_SURGERY:  # per group, the sum of the two projected gradients
-            c[k] = [[r0 + r1 for r0, r1 in zip(*_projection(gram))] for gram in grams[k].tolist()]
-    return np.array(c, dtype=np.float64), chosen, alpha
+    for k, jp, actions in rules.hard:  # all scores zero leaves the zero row
+        s = (jplus if jp else j6)[k]
+        best = int(s.argmax())
+        if s[best] != 0.0 or s.any():
+            c[k] = actions[best]
+        chosen[k] = best + jp
+    for k in rules.surgery:  # per group, the sum of the two projected gradients
+        c[k] = [[r0 + r1 for r0, r1 in zip(*_projection(gram))] for gram in grams[k].tolist()]
+    return c, chosen, alpha

@@ -147,7 +147,8 @@ def test_criterion_04_contrast_example():
     """
     weights = np.array([0.5, 0.3, 0.1, 0.1])
     powered = weights**2.0
-    alpha = strategies_mod._contrast(weights[None], [2.0])[0]
+    plan = strategies_mod._Rules([StrategyConfig(kind=StrategyKind.SOFT, gamma=2.0)])
+    alpha = strategies_mod._contrast(weights[None], plan.gammas)[0]
     two_step = bool(np.array_equal(alpha, powered / powered.sum()))
     squares_exact = bool(powered[0] == 0.25 and powered[1] == 0.09)
     squares_close = bool(np.max(np.abs(powered - [0.25, 0.09, 0.01, 0.01])) <= 5e-18)

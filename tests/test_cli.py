@@ -4,7 +4,9 @@ import argparse
 import dataclasses
 import json
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 import j6opt.cli as cli
@@ -40,6 +42,16 @@ def inst_single(tmp_path):
          "--w-mode", "single_row", "-o", str(path)]
     )
     assert code == 0
+    return path
+
+
+def _overflowing_instance(path):
+    """A valid instance with finite losses whose h gradient overflows."""
+    path.write_text(json.dumps({
+        "V": 2, "d": 1, "T": 1, "H": [[1e-300]], "W": [[1e308], [-1e308]], "y": [1],
+        "w_mode": "full_matrix", "v_star": None,
+        "metadata": {"seed": None, "family": None, "format_version": "1"},
+    }))
     return path
 
 
@@ -179,13 +191,7 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_blocks_exit_3(self, tmp_path, capsys):
-        # a valid instance with finite losses whose h gradient overflows
-        path = tmp_path / "overflow.json"
-        path.write_text(json.dumps({
-            "V": 2, "d": 1, "T": 1, "H": [[1e-300]], "W": [[1e308], [-1e308]], "y": [1],
-            "w_mode": "full_matrix", "v_star": None,
-            "metadata": {"seed": None, "family": None, "format_version": "1"},
-        }))
+        path = _overflowing_instance(tmp_path / "overflow.json")
         assert main(["run", "-i", str(path), "--strategy", "hard-j6", "--steps", "3"]) == 3
         assert "at step 0: gradient blocks must be finite" in capsys.readouterr().err
 
@@ -279,6 +285,56 @@ class TestGradcheck:
             return max(float(v) for v in values)
 
         assert worst("1e-5") < worst("1e-3")
+
+    def test_nan_error_fails_naming_its_coordinate(self, inst, capsys, monkeypatch):
+        # a NaN relative error compares False with everything; it must
+        # still fail every block, not read as 0
+        real = cli.fd_gradient
+        monkeypatch.setattr(cli, "fd_gradient",
+                            lambda *a, **kw: np.full_like(real(*a, **kw), np.nan))
+        assert main(["gradcheck", "-i", str(inst)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("max relative error nan [FAIL]") == 4
+        worst = re.findall(r"worst: instance 0, coord \([\d, ]+\): analytic=(\S+) fd=nan$",
+                           out, re.MULTILINE)
+        assert len(worst) == 4
+        for value in worst:  # a plain float repr, not np.float64(...)
+            float(value)
+
+    def test_worst_values_are_plain_float_reprs(self, capsys):
+        assert main(["gradcheck", "--corrupt", "0.5"]) == 1
+        worst = re.search(r"worst: .*: analytic=(\S+) fd=(\S+)$", capsys.readouterr().out,
+                          re.MULTILINE)
+        assert all(repr(float(v)) == v for v in worst.groups())
+
+
+class TestStderr:
+    """A failing command's stderr is its one ``error:`` line: numpy's
+    floating-point warnings stay off while a command runs."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "--strategy", "soft", "--eta-h", "1e300", "--eta-w", "1e300"], 3),
+        (["compare", "--eta-h", "1e300", "--eta-w", "1e300"], 3),
+        (["sweep", "--param", "tau", "--values", "1,2", "--eta-h", "1e300", "--eta-w", "1e300"],
+         3),
+        (["gradcheck"], 2),
+    ])
+    def test_only_the_error_line(self, inst, tmp_path, capsys, argv, code):
+        if argv[0] == "gradcheck":
+            inst = _overflowing_instance(tmp_path / "overflow.json")
+        if argv[0] in ("compare", "sweep"):
+            argv = argv + ["-o", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["-i", str(inst)]) == code
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_warnings_are_back_after_the_command(self, inst, capsys):
+        assert main(["run", "-i", str(inst), "--strategy", "soft", "--eta-h", "1e300",
+                     "--eta-w", "1e300"]) == 3
+        assert np.geterr()["over"] == "warn"
 
 
 class TestCompare:

@@ -144,6 +144,21 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="finite"):
             _grad_logits(np.array([1.0, np.inf]), 0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("K, T, V", [(1, 1, 2), (3, 5, 7), (4, 16, 1000), (2, 3, 129)])
+    def test_stack_is_its_flattening(self, K, T, V):
+        # forward's log-softmax along the last axis of a (K, T, V) stack
+        # is bit for bit the 2-D one of the (K T, V) flattening
+        z = np.random.default_rng(K * T * V).normal(size=(K, T, V)) * 30
+        z[0, 0, 0] = np.inf  # a non-finite row passes through as nan
+        flat = log_softmax(z.reshape(-1, V)).reshape(z.shape)
+        assert j6opt.model._log_softmax(z).tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("call", [losses, logit_gradients])
+    def test_non_integer_targets_rejected(self, call):
+        with pytest.raises(ValueError, match="integer dtype"):
+            call(np.array([[-0.5, -1.0]]), [0.5])
+
 
 class TestHeatLoss:
     def test_uniform_logits(self):

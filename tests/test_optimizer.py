@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import j6opt.attribution
 import j6opt.model
 import j6opt.optimizer
+import j6opt.strategies
 from j6opt import (
     AlignKind,
     AlignmentMode,
@@ -536,3 +537,45 @@ class TestRunMany:
         monkeypatch.setattr(j6opt.optimizer, "_lockstep", spy)
         run_many(instance, [StrategyConfig(kind=kind) for kind in StrategyKind], RunConfig(max_steps=1))
         assert widths == [2, 2, 2]
+
+    def test_plan_is_built_per_batch_and_per_keep(self, monkeypatch):
+        # three batches of four; the runs at eta 1e-9 stop on the loss
+        # tolerance after two steps, so their batches keep fewer runs
+        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=0))
+        cfgs = [StrategyConfig(kind=kind, eta_h=eta, eta_w=eta)
+                for kind in StrategyKind for eta in (1e-9, 0.05)]
+        rcfg = RunConfig(max_steps=8, loss_tol=1e-3, init_scale=0.3)
+        built = {"_Rules": 0, "_Alignments": 0}
+        calls = {"keep": 0, "decide": 0}
+
+        def counting(name):
+            real = getattr(j6opt.optimizer, name)
+
+            def build(arg):
+                built[name] += 1
+                return real(arg)
+            return build
+
+        real_keep, real_decide = j6opt.optimizer._Batch.keep, j6opt.optimizer.decide
+
+        def keep(batch, rows):
+            calls["keep"] += 1
+            real_keep(batch, rows)
+
+        def decide_spy(jplus, j6, grams, plan):
+            assert isinstance(plan, j6opt.strategies._Rules)  # never a list to compile
+            calls["decide"] += 1
+            return real_decide(jplus, j6, grams, plan)
+
+        for name in built:
+            monkeypatch.setattr(j6opt.optimizer, name, counting(name))
+        monkeypatch.setattr(j6opt.optimizer._Batch, "keep", keep)
+        monkeypatch.setattr(j6opt.optimizer, "decide", decide_spy)
+        monkeypatch.setattr(j6opt.optimizer, "_stack_width", lambda instance: 4)
+        results = run_many(instance, cfgs, rcfg)
+        assert calls["keep"] > 0
+        assert built == {"_Rules": 3 + calls["keep"], "_Alignments": 3 + calls["keep"]}
+        # one decision per step of each batch: as many as its longest run's steps
+        assert calls["decide"] == sum(max(len(r.trace) for r in results[b:b + 4])
+                                      for b in (0, 4, 8))
+        assert [len(r.trace) for r in results[::2]] == [2] * 6

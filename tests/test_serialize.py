@@ -1,6 +1,9 @@
 """Instance JSON round-trips, trace CSV schema, and summary accounting."""
 
+import csv
+import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from j6opt import (
     InstanceFormatError,
     ProblemInstance,
     RunConfig,
+    RunResult,
     StopReason,
     StrategyConfig,
     StrategyKind,
@@ -28,7 +32,8 @@ from j6opt import (
     write_trace,
 )
 
-from j6opt.serialize import _json
+from j6opt.optimizer import TraceRecord
+from j6opt.serialize import _json, trace_header
 from trace_csv import read_trace
 
 
@@ -347,6 +352,37 @@ class TestTraceFile:
         write_trace(result, a, StrategyKind.HARD_J6)
         write_trace(result, b, StrategyKind.HARD_J6)
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(list(StrategyKind)), data=st.data())
+    def test_text_is_csv_writers(self, kind, data):
+        # each value's repr, joined, is what csv.writer writes for it,
+        # for any float (nan, +-inf, -0.0 and the smallest subnormal too)
+        values = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]),
+                           st.floats(allow_nan=True))
+        n = 15 if kind is StrategyKind.HARD_JPLUS else 6
+        records = []
+        for step in range(data.draw(st.integers(0, 4))):
+            scalars = data.draw(st.lists(values, min_size=9, max_size=9))
+            records.append(TraceRecord(
+                step, *scalars[:7], np.array(data.draw(st.lists(values, min_size=n, max_size=n))),
+                data.draw(st.one_of(st.none(), st.integers(0, n))),
+                np.array(data.draw(st.lists(values, min_size=6, max_size=6)))
+                if kind is StrategyKind.SOFT else None,
+                *scalars[7:]))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(trace_header(kind, n))
+        for r in records:
+            routed = ([repr(float(a)) for a in r.alpha] if kind is StrategyKind.SOFT
+                      else [str(-1 if r.chosen_index is None else r.chosen_index)])
+            writer.writerow([str(r.step)] + [repr(float(x)) for x in (
+                r.ob1, r.ob2, r.entropy, r.n11, r.n12, r.n21, r.n22, *r.scores)]
+                + routed + [repr(float(r.dh_norm)), repr(float(r.dw_norm))])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace(RunResult(None, None, records, StopReason.MAX_STEPS), path, kind)
+            assert path.read_bytes() == buf.getvalue().encode()
 
 
 class TestSummary:

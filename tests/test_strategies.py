@@ -16,10 +16,14 @@ from j6opt import (
     J6_FROM_JPLUS,
     AlignKind,
     PreNorm,
+    ProblemInstance,
     StrategyConfig,
     StrategyKind,
     decide,
+    resolve_alignment,
+    zero_perturbations,
 )
+from j6opt.optimizer import _Batch, _Buffers
 
 ETA = 0.1
 
@@ -52,13 +56,15 @@ def decide_one(scores, grams, c):
 
 
 def soft_weights(s, c):
-    """The soft weights of one score vector: the K = 1 call."""
-    return strategies_mod._soft_weights(np.asarray(s, dtype=np.float64)[None], [c])[0]
+    """The soft weights of one score vector: the K = 1 call of the plan."""
+    return strategies_mod._Rules([c]).soft_weights(np.asarray(s, dtype=np.float64)[None])[0]
 
 
 def contrast_weights(weights, gamma):
-    """The contrast step on one weight vector: the K = 1 call."""
-    return strategies_mod._contrast(np.asarray(weights, dtype=np.float64)[None], [gamma])[0]
+    """The contrast step on one weight vector: the K = 1 call, with the
+    gamma groups of a one-configuration plan."""
+    plan = strategies_mod._Rules([StrategyConfig(kind=StrategyKind.SOFT, gamma=gamma)])
+    return strategies_mod._contrast(np.asarray(weights, dtype=np.float64)[None], plan.gammas)[0]
 
 
 def step(scores, gs, c):
@@ -569,3 +575,67 @@ class TestDecideMatchesPerStrategyFormulas:
             else:
                 scale = eta * float(np.abs(pair[0]).max() + np.abs(pair[1]).max())
                 np.testing.assert_allclose(new, ref, rtol=1e-14, atol=1e-14 * scale)
+
+
+# -- the plan: a batch's configurations compiled once --------------------------
+
+
+@st.composite
+def _plans(draw):
+    """1-12 configurations of all six kinds, whose taus and gammas are
+    sometimes shared and sometimes distinct, with random pre_norm,
+    beta_aux and lam, and a row of scores and Grams for each: some score
+    rows all zero or tied, some Grams in conflict or with a zero norm."""
+    K = draw(st.integers(1, 12))
+    cfgs = []
+    for _ in range(K):
+        l1 = draw(st.floats(0.0, 1.0))
+        cfgs.append(StrategyConfig(
+            kind=draw(st.sampled_from(list(StrategyKind))),
+            tau=draw(st.one_of(st.sampled_from([0.05, 1.0, 7.5]), st.floats(1e-3, 1e3))),
+            gamma=draw(st.one_of(st.sampled_from([2.0, 3.0]), st.floats(1.01, 50.0))),
+            beta_aux=draw(st.floats(0.0, 1.0)),
+            lam=(l1, 1.0 - l1),
+            pre_norm=draw(st.sampled_from(list(PreNorm))),
+        ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jplus = rng.normal(size=(K, 15)) * 10.0 ** rng.uniform(-3, 3, size=(K, 1))
+    tied = rng.random(K) < 0.3
+    jplus[tied] = rng.integers(-2, 3, size=(int(tied.sum()), 15))
+    jplus[rng.random(K) < 0.2] = 0.0
+    # per run and group, two operands whose Gram is taken; some second ones zero
+    x = rng.normal(size=(K, 2, 2, 3))
+    x[rng.random(K) < 0.2, :, 1] = 0.0
+    return cfgs, jplus, jplus[:, list(J6_FROM_JPLUS)], x @ x.swapaxes(-1, -2)
+
+
+def _assert_each_alone(cfgs, jplus, j6, grams, decision):
+    """Row k of a batch decision is bit for bit configuration k's alone."""
+    c, chosen, alpha = decision
+    assert c.shape == (len(cfgs), 2, 2)
+    for k, cfg in enumerate(cfgs):
+        (c1,), (chosen1,), (alpha1,) = decide(jplus[k:k + 1], j6[k:k + 1], grams[k:k + 1], [cfg])
+        assert c[k].tobytes() == c1.tobytes()
+        assert chosen[k] == chosen1
+        assert (alpha[k] is None) == (alpha1 is None)
+        if alpha1 is not None:
+            assert alpha[k].tobytes() == alpha1.tobytes()
+
+
+class TestPlan:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_plans(), data=st.data())
+    def test_batch_decision_is_each_alone(self, case, data):
+        cfgs, jplus, j6, grams = case
+        _assert_each_alone(cfgs, jplus, j6, grams,
+                           decide(jplus, j6, grams, strategies_mod._Rules(cfgs)))
+        # the plan of the runs a batch keeps decides as they do alone
+        instance = ProblemInstance(V=2, d=1, T=1, H=np.zeros((1, 1)), W=np.zeros((2, 1)), y=[0])
+        modes = [resolve_alignment(cfg.alignment, instance.w_mode) for cfg in cfgs]
+        batch = _Batch(cfgs, modes, _Buffers(instance, len(cfgs), zero_perturbations(instance)))
+        rows = sorted(data.draw(st.sets(st.integers(0, len(cfgs) - 1), min_size=1)))
+        batch.keep(rows)
+        assert batch.rules.cfgs == [cfgs[k] for k in rows]
+        _assert_each_alone(batch.rules.cfgs, jplus[rows], j6[rows], grams[rows],
+                           decide(jplus[rows], j6[rows], grams[rows], batch.rules))
+
