@@ -12,7 +12,7 @@ block is J_i2 = r_i^T A / T with r_i = w_columns(g_i), so with the
 T x T matrix K = A A^T and a = sum_t A_t
 
     <J_i2, J_j2> = <r_i, K r_j> / T^2  (the per-example gradient-norm identity)
-    J_j2 a = sum_t (K r_j)_t / T
+    J_j2 a = sum_t (K r_j)_t / T = (K 1)^T r_j / T
 
 An inner product between an h-shaped and a w-shaped gradient is only
 directly defined when the shapes match (SINGLE_ROW / BROADCAST), so a
@@ -21,9 +21,12 @@ gradients induce (exact here, the model being bilinear): J_i1 moves
 every logit row by B J_i1 and J_j2 moves the columns w_columns picks by
 K r_j / T.  So the cross product is w_columns(B J_i1) . (J_j2 a), and
 the field Grams are T (B J_i1).(B J_j1) and <K r_i, K r_j> / T^2 (times
-V under BROADCAST, where every column moves).  No T x V field is built,
-and the w blocks only on request (``GradientSet.w``): under direct
-alignment, where they are d-vectors.
+V under BROADCAST, where every column moves).  Under FULL_MATRIX the
+cross is J_i1 . B^T (J_j2 a), B^T (J_j2 a) stacked with the h blocks'
+(sum_t g_i) B / T in one (4, V) @ (V, d) product; B J_i1 is formed only
+for the cosine field Grams.  No T x V field is built, and the w blocks
+only on request (``GradientSet.w``): under direct alignment, where they
+are d-vectors.
 
 The optimizer computes all of this for K points at once, on a leading
 K axis (``_Blocks``, ``_scores``): the h blocks (K, 2, d), each
@@ -182,7 +185,9 @@ def resolve_alignment(mode: AlignmentMode, w_mode: WMode) -> AlignmentMode:
 class _Blocks:
     """The gradient blocks at K stacked points of one instance: ``fwd``
     the stacked forward pass, ``g`` (K, 2, T, V) and ``h`` (K, 2, d) as
-    in GradientSet.  r and Kr carry the w side (module docstring).
+    in GradientSet, each formed here when not given.  r, Kr and, under
+    FULL_MATRIX, ``BJa`` (K, 2, d), B^T (J_j2 a), carry the w side
+    (module docstring).
     ``products`` (K, 6, 2, 2) holds each slice's 2x2 products in the
     layout of _TERMS; its native Grams of the h and of the w blocks,
     ``grams`` (K, 2, 2, 2), are formed here, the rest by ``_scores``.
@@ -191,14 +196,28 @@ class _Blocks:
 
     instance: ProblemInstance
     fwd: Forward
-    g: np.ndarray
-    h: np.ndarray
+    g: np.ndarray | None = None
+    h: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        A, T = self.fwd.A, self.instance.T
+        A, T, f = self.fwd.A, self.instance.T, self.fwd
+        if self.g is None:  # both objectives' logit-space gradients, from one log-softmax
+            self.g = _logit_gradients(f.logp, self.instance._target, f.p, f.plogp)
         K = A @ A.swapaxes(1, 2)
         self.r = w_columns(self.instance, self.g)
         self.Kr = K[:, None] @ self.r if self.r.ndim == 4 else self.r @ K
+        # Every logit of row t moves by B.h, so grad_h = (1/T) sum_tv g[t, v] B[v].
+        if self.instance.w_mode is WMode.FULL_MATRIX:
+            # per block the rows sum_t g_i / T and J_i2 a = (K 1)^T g_i / T,
+            # then all four against B in one product
+            weights = np.concatenate((np.ones((len(A), 1, T)),
+                                      np.add.reduce(K, axis=1, keepdims=True)), axis=1) / T
+            gB = (weights[:, None] @ self.g).reshape(len(A), 4, -1) @ f.B
+            self.BJa = gB[:, 1::2]
+            if self.h is None:
+                self.h = gB[:, 0::2]
+        elif self.h is None:
+            self.h = (np.add.reduce(self.g, axis=2) @ f.B) / T
         P = self.products = np.empty((len(A), 6, 2, 2))
         P[:, 5] = -0.0
         self.grams = P[:, :2]
@@ -216,45 +235,39 @@ class _Blocks:
         return pullback(self.instance, self.fwd, self.g)
 
 
-def _gradients(instance: ProblemInstance, fwd: Forward) -> tuple[np.ndarray, np.ndarray]:
-    """Both objectives' logit-space gradients at a forward pass (one
-    point or K stacked), from one log-softmax, and the h blocks pulled
-    back from them in one batched product."""
-    g = _logit_gradients(fwd.logp, instance._target, fwd.p, fwd.plogp)
-    # Every logit of row t moves by B.h, so grad_h = (1/T) sum_tv g[t, v] B[v].
-    return g, (np.add.reduce(g, axis=-2) @ fwd.B) / instance.T
-
-
 @dataclass(eq=False)
 class GradientSet:
     """The gradient blocks at one point, the w side kept in logit space.
 
     ``g`` holds both objectives' logit-space gradients (2, T, V), heat
-    first, ``h`` the h blocks (J11, J21) as (2, d), and ``fwd`` the
-    forward pass they come from.  Its w blocks (J12, J22) =
-    pullback(g) are formed only on request (``w``).  ``grams`` holds the
-    native 2x2 Grams of the h and of the w blocks; a non-finite entry
-    raises ValueError.  It is the K = 1 slice of the stacked blocks the
-    optimizer steps on, and scores through them.
+    first, ``h`` the h blocks (J11, J21) as (2, d), pulled back from g
+    when not given, and ``fwd`` the forward pass they come from.  Its w
+    blocks (J12, J22) = pullback(g) are formed only on request (``w``).
+    ``grams`` holds the native 2x2 Grams of the h and of the w blocks; a
+    non-finite entry raises ValueError.  It is the K = 1 slice of the
+    stacked blocks the optimizer steps on, and scores through them.
     """
 
     instance: ProblemInstance
     fwd: Forward
     g: np.ndarray
-    h: np.ndarray
+    h: np.ndarray | None = None
     grams: tuple[list[list[float]], list[list[float]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         T, V, d = self.instance.T, self.instance.V, self.instance.d
-        if self.g.shape != (2, T, V) or self.h.shape != (2, d):
+        if self.g.shape != (2, T, V) or (self.h is not None and self.h.shape != (2, d)):
             raise ValueError(
                 f"g and h must be stacked (2, {T}, {V}) and (2, {d}) by objective, "
-                f"got {self.g.shape} and {self.h.shape}"
+                f"got {self.g.shape} and {np.shape(self.h)}"
             )
         f = self.fwd
         one = Forward(f.A[None], f.B[None], f.logits[None], f.logp[None], f.objectives,
                       f.p[None], f.plogp[None])
-        self._blocks = _Blocks(self.instance, one, self.g[None], self.h[None])
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite Grams raise below
+            self._blocks = _Blocks(self.instance, one, self.g[None],
+                                   None if self.h is None else self.h[None])
+        self.h = self._blocks.h[0]
         if not self._blocks.finite[0]:
             raise ValueError("gradient blocks must be finite, with finite Grams")
         self.grams = tuple(self._blocks.grams[0].tolist())
@@ -273,10 +286,11 @@ class GradientSet:
 def compute_gradient_set(instance: ProblemInstance, at: Perturbations | Forward) -> GradientSet:
     """The gradient set at a point: both objectives' logit-space
     gradients from one log-softmax, and the h blocks pulled back from
-    them in one batched product.  ``at`` is the point's perturbations,
-    or a forward pass already taken there."""
+    them.  ``at`` is the point's perturbations, or a forward pass
+    already taken there."""
     fwd = at if isinstance(at, Forward) else forward(instance, at)
-    return GradientSet(instance, fwd, *_gradients(instance, fwd))
+    return GradientSet(instance, fwd, _logit_gradients(fwd.logp, instance._target, fwd.p,
+                                                       fwd.plogp))
 
 
 _DIAGONAL = np.eye(2, dtype=bool)
@@ -308,17 +322,20 @@ def _pushforward(b: _Blocks, with_grams: bool, out: np.ndarray | None = None) ->
     <K r_i, K r_j> / T^2 (times V under BROADCAST).  Written into
     ``out`` when given."""
     instance, T, K = b.instance, b.instance.T, len(b.h)
+    full = instance.w_mode is WMode.FULL_MATRIX
     if out is None:
         out = np.empty((K, 3 if with_grams else 1, 2, 2))
-    Bh = b.h @ b.fwd.B.swapaxes(1, 2)  # B J_i1, stacked (K, 2, V)
-    Ja = np.add.reduce(b.Kr, axis=2) / T  # J_j2 a, stacked (K, 2, V) under FULL_MATRIX, else (K, 2)
     cross = out[:, 0]
-    np.matmul(w_columns(instance, Bh).reshape(K, 2, -1), Ja.reshape(K, 2, -1).swapaxes(1, 2),
-              out=cross)
-    if T == 1 and instance.w_mode is WMode.FULL_MATRIX:
-        # Symmetric in exact arithmetic (g_i^T B B^T g_j |a|^2); form
-        # it so, so that equal scores tie exactly.
-        cross[:, 0, 1] = cross[:, 1, 0] = (cross[:, 0, 1] + cross[:, 1, 0]) / 2
+    Bh = b.h @ b.fwd.B.swapaxes(1, 2) if with_grams or not full else None  # B J_i1 (K, 2, V)
+    if full:  # J_i1 . B^T (J_j2 a), a (2, d) @ (d, 2) product
+        np.matmul(b.h, b.BJa.swapaxes(1, 2), out=cross)
+        if T == 1:
+            # Symmetric in exact arithmetic (g_i^T B B^T g_j |a|^2); form
+            # it so, so that equal scores tie exactly.
+            cross[:, 0, 1] = cross[:, 1, 0] = (cross[:, 0, 1] + cross[:, 1, 0]) / 2
+    else:  # J_j2 a is a number per block
+        Ja = np.add.reduce(b.Kr, axis=2) / T
+        np.matmul(w_columns(instance, Bh)[..., None], Ja[:, None], out=cross)
     if with_grams:
         copies = instance.V if instance.w_mode is WMode.BROADCAST else 1
         _dots(Bh, Bh, out[:, 1])

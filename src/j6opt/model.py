@@ -369,7 +369,9 @@ def _logit_gradients(logp: np.ndarray, target: tuple[np.ndarray, np.ndarray], p:
     g = np.empty(p.shape[:-2] + (2,) + p.shape[-2:])
     g[..., 0, :, :] = p
     g[..., 0, target[0], target[1]] -= 1.0
-    g[..., 1, :, :] = p * (logp - plogp[..., None])
+    conf = g[..., 1, :, :]  # formed in place, no T x V temporary
+    np.subtract(logp, plogp[..., None], out=conf)
+    conf *= p
     if _validation:
         assert (np.abs(g.sum(axis=-1)) < ZERO_SUM_TOL).all(), "logit gradients must sum to 0"
     return g
@@ -402,20 +404,20 @@ def pullback(instance: ProblemInstance, fwd: Forward, g_logits: np.ndarray) -> n
         raise ValueError(
             f"g_logits must have shape {lead + ('n', instance.T, instance.V)}, got {g.shape}"
         )
-    return _pullback(instance, fwd.A, g)
+    w = _pullback(instance, fwd.A, g)
+    w /= instance.T
+    return w
 
 
 def _pullback(instance: ProblemInstance, A: np.ndarray, g: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-    """``pullback`` of gradients of the checked shape against A, formed
-    in ``out`` when given."""
+    """r^T A, ``pullback`` of gradients of the checked shape before its
+    division by T, formed in ``out`` when given: the optimizer folds 1/T
+    into the coefficients the gradients were combined with."""
     r = w_columns(instance, g)
     if instance.w_mode is WMode.FULL_MATRIX:  # (..., V, T) against each slice's A
-        w = np.matmul(r.swapaxes(-2, -1), A[..., None, :, :], out=out)
-    else:  # the (..., n, T) columns
-        w = np.matmul(r, A, out=out)
-    w /= instance.T
-    return w
+        return np.matmul(r.swapaxes(-2, -1), A[..., None, :, :], out=out)
+    return np.matmul(r, A, out=out)  # the (..., n, T) columns
 
 
 def fd_gradient(

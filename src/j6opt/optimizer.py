@@ -3,7 +3,9 @@
 One step: one forward pass, the gradient blocks and attribution scores
 read from it, the strategy's coefficient matrix c, then the update
 delta_h = -eta_h (c00 J11 + c01 J21), delta_w = -eta_w (c10 J12 + c11 J22)
-with w pulled back once, and everything recorded.
+with w pulled back once, and everything recorded.  Under FULL_MATRIX
+c's w row carries -eta_w / T before it touches a logit gradient, so no
+pass over a V x d array scales delta w (``model._pullback``).
 Plain gradient steps only (no momentum or adaptive scaling), so each
 trace row is exactly attributable to its score vector.
 
@@ -40,7 +42,6 @@ from .attribution import (
     AlignmentMode,
     _Alignments,
     _Blocks,
-    _gradients,
     _scores,
     resolve_alignment,
 )
@@ -205,8 +206,7 @@ class _Buffers:
     of a ``run_many`` call and sliced to a batch's runs: the start point
     and the stacked points each batch copies it into, the stacked B
     (holding W in every row a SINGLE_ROW step leaves alone) and, under
-    FULL_MATRIX, the two terms of the combined logit gradient, their
-    sum, and its pullback, delta w."""
+    FULL_MATRIX, the combined logit gradient and its pullback, delta w."""
 
     def __init__(self, instance: ProblemInstance, K: int, start: Perturbations):
         V, d, T = instance.V, instance.d, instance.T
@@ -217,7 +217,6 @@ class _Buffers:
         if instance.w_mode is WMode.SINGLE_ROW:
             self.B[:] = instance.W
         elif instance.w_mode is WMode.FULL_MATRIX:
-            self.terms = np.empty((K, 2, T, V))
             self.g = np.empty((K, 1, T, V))
             self.dw = np.empty((K, 1, V, d))
 
@@ -236,10 +235,9 @@ class _Batch:
         self.index = list(range(K))
         self.cfgs, self.modes = cfgs, modes
         self.rules, self.align = _Rules(cfgs), _Alignments(modes)
-        # -eta per run, shaped to scale a stacked h step and w step
-        self.eta_h = np.array([-cfg.eta_h for cfg in cfgs], dtype=np.float64)[:, None]
-        self.eta_w = np.array([-cfg.eta_w for cfg in cfgs], dtype=np.float64).reshape(
-            (K,) + (1,) * bufs.start.w.ndim)
+        # -eta per run, shaped (K, 1) to scale a stacked step or c's rows
+        self.eta_h = np.array([[-cfg.eta_h] for cfg in cfgs], dtype=np.float64)
+        self.eta_w = np.array([[-cfg.eta_w] for cfg in cfgs], dtype=np.float64)
         h, w = bufs.h[:K], bufs.w[:K]
         h[:], w[:] = bufs.start.h, bufs.start.w  # every run steps on its own copy
         self.pert = Perturbations(h, w)
@@ -299,7 +297,7 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
             batch.keep(live)
             fwd = fwd.take(live)
             ob1, ob2 = [ob1[i] for i in live], [ob2[i] for i in live]
-        blocks = _Blocks(instance, fwd, *_gradients(instance, fwd))
+        blocks = _Blocks(instance, fwd)
         if not all(blocks.finite):  # finite losses, but the blocks overflowed
             cut = blocks.finite.index(False)
             abort = NonFiniteLossError(
@@ -308,24 +306,32 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
                 break
             batch.keep(list(range(cut)))
             fwd = fwd.take(list(range(cut)))
-            blocks = _Blocks(instance, fwd, *_gradients(instance, fwd))
+            blocks = _Blocks(instance, fwd)
         scores = _scores(blocks, batch.align)
         jplus, j6 = scores[:, :15], scores[:, 15:]
         c, chosen, alpha = decide(jplus, j6, blocks.grams, batch.rules)
         # c0 J1 + c1 J2 per group: the sum of two products, one add
         delta_h = batch.eta_h * np.add.reduce(c[:, 0, :, None] * blocks.h, axis=1)
-        if full:  # pull back the combination, no V x d block
+        if full:  # pull back c10 g_1 + c11 g_2, its c carrying -eta_w / T: no V x d block
             n = len(batch)
-            terms = np.multiply(c[:, 1, :, None, None], blocks.g, out=bufs.terms[:n])
-            combined = np.add.reduce(terms, axis=1, keepdims=True, out=bufs.g[:n])
+            combined = bufs.g[:n]
+            np.matmul((c[:, 1] * (batch.eta_w / instance.T))[:, None], blocks.g.reshape(n, 2, -1),
+                      out=combined.reshape(n, 1, -1))
             delta_w = _pullback(instance, fwd.A, combined, out=bufs.dw[:n])[:, 0]
-            delta_w *= batch.eta_w
         else:  # w is a d-vector: pulling back both blocks costs no more
             delta_w = batch.eta_w * np.add.reduce(c[:, 1, :, None] * blocks.w, axis=1)
         h, w = batch.pert.h, batch.pert.w
         np.add(h, delta_h, out=h)
         np.add(w, delta_w, out=w)
-        if not (np.isfinite(h).all() and np.isfinite(w).all()):
+        # the squared norms (J11, J21), (J12, J22) and (delta h, delta w), then one sqrt
+        n = len(c)
+        norms = np.empty((n, 3, 2))
+        norms[:, :2] = blocks.grams.diagonal(0, 2, 3)
+        _sq_norms(delta_h, out=norms[:, 2, 0])
+        _sq_norms(delta_w, out=norms[:, 2, 1])
+        # w was finite, and a delta w of finite squared norm (entries below 2^512) keeps it so
+        if not (np.isfinite(h).all() and (np.isfinite(norms[:, 2, 1]).all()
+                                          or np.isfinite(w).all())):
             finite = np.isfinite(h).all(axis=1) & np.isfinite(w).reshape(len(w), -1).all(axis=1)
             cut = int(np.argmin(finite))
             abort = NonFiniteLossError(
@@ -333,12 +339,6 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
             if cut == 0:
                 break
             batch.keep(list(range(cut)))
-        # the squared norms (J11, J21), (J12, J22) and (delta h, delta w), then one sqrt
-        n = len(c)
-        norms = np.empty((n, 3, 2))
-        norms[:, :2] = blocks.grams.diagonal(0, 2, 3)
-        _sq_norms(delta_h, out=norms[:, 2, 0])
-        _sq_norms(delta_w, out=norms[:, 2, 1])
         rows = zip(batch.index, batch.rules.reads_jplus,
                    np.sqrt(norms, out=norms).reshape(n, 6).tolist())
         for i, (k, jp, (n11, n21, n12, n22, dh, dw)) in enumerate(rows):

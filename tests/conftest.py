@@ -7,6 +7,8 @@ from j6opt import (
     GradientSet,
     Perturbations,
     ProblemInstance,
+    StrategyConfig,
+    StrategyKind,
     WMode,
     forward,
     generate,
@@ -95,3 +97,23 @@ def from_blocks():
         return GradientSet(instance, forward(instance, zero_perturbations(instance)), g, h)
 
     return _make
+
+
+@pytest.fixture
+def diverging_run():
+    """An instance and a configuration whose run diverges with every loss
+    finite until the Grams of step 8 overflow, a fact that follows by hand.
+
+    V = 2, d = 1, T = 1: x = H + h and the logits x (b, -b) with b = W + w,
+    the target class 1.  From x = 2^56, b = 2^39 every step keeps the wrong
+    class saturated, p = (1, 0) exactly, so the heat blocks are J11 = 2b
+    and J12 = (x, -x).  Scalarized with lam (1, 0) steps both groups along
+    them: x -= eta_h 2b, b -= eta_w x.  With eta_h = 2^73 and eta_w = 2^40
+    each new term is 2^57 times the old one, so every value is a power of
+    two: |x| = 2^(56 + 57 n) and |b| = 2^(39 + 57 n) before step n, signs
+    alternating.  At step 8, |x| = 2^512: K = x^2 overflows while the
+    logits, 2^1007, and the losses stay finite.
+    """
+    instance = ProblemInstance(V=2, d=1, T=1, H=[[2.0**56]], W=[[2.0**39], [-2.0**39]], y=[1])
+    return instance, StrategyConfig(kind=StrategyKind.SCALARIZED, lam=(1.0, 0.0),
+                                    eta_h=2.0**73, eta_w=2.0**40)

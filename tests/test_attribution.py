@@ -483,6 +483,7 @@ class TestGradientSetValidation:
             with pytest.raises(ValueError, match="stacked"):
                 GradientSet(instance, fwd, g, h)
 
+    @pytest.mark.filterwarnings("error")  # raises, with no numpy warning first
     def test_non_finite(self, make_point):
         instance, pert = make_point(seed=5, w_mode=WMode.FULL_MATRIX)
         fwd = forward(instance, pert)

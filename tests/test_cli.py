@@ -22,6 +22,7 @@ from j6opt import (
     StrategyConfig,
     StrategyKind,
     WMode,
+    save_instance,
 )
 from j6opt.cli import main
 from trace_csv import read_trace
@@ -166,16 +167,16 @@ class TestRun:
         assert code == 3
         assert "step" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_diverging_update_exits_3(self, tmp_path, capsys):
-        # the losses stay finite while the update overflows the perturbations
+    def test_diverging_update_exits_3(self, tmp_path, capsys, diverging_run):
+        # the losses stay finite while the updates grow the perturbations
+        instance, cfg = diverging_run
         path = tmp_path / "x.json"
-        assert main(["gen", "--V", "6", "--d", "4", "--T", "2", "--seed", "0", "-o", str(path)]) == 0
-        code = main(["run", "-i", str(path), "--strategy", "soft", "--eta-h", "1e8",
-                     "--eta-w", "1e8", "--init-scale", "0.3", "--steps", "30"])
+        save_instance(instance, path)
+        code = main(["run", "-i", str(path), "--strategy", "scalarized", "--lam", "1", "0",
+                     "--eta-h", repr(cfg.eta_h), "--eta-w", repr(cfg.eta_w), "--steps", "30"])
         assert code == 3
-        # the Grams of step 20 overflow before its update is formed
-        assert "at step 20: gradient blocks must be finite" in capsys.readouterr().err
+        # the Grams of step 8 overflow before its update is formed
+        assert "at step 8: gradient blocks must be finite" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_update_exits_3(self, tmp_path, capsys):

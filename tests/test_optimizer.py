@@ -33,6 +33,7 @@ from j6opt import (
     forward,
     generate,
     init_perturbations,
+    pullback,
     resolve_alignment,
     run,
     run_many,
@@ -274,22 +275,33 @@ class TestRun:
         with pytest.raises(NonFiniteLossError, match=r"step \d+"):
             run(instance, cfg, RunConfig(max_steps=200))
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_diverging_update_aborts_with_step(self):
-        # every loss is finite; after the update of step 19, A = H + h is
-        # so large that the Grams of step 20 (through K = A A^T) overflow
-        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=0))
-        cfg = StrategyConfig(kind=StrategyKind.SOFT, eta_h=1e8, eta_w=1e8)
-        assert len(run(instance, cfg, RunConfig(max_steps=20, init_scale=0.3)).trace) == 20
-        with pytest.raises(NonFiniteLossError, match="at step 20") as info:
-            run(instance, cfg, RunConfig(max_steps=30, init_scale=0.3))
-        assert info.value.step == 20
+    def test_diverging_update_aborts_with_step(self, diverging_run):
+        # every loss is finite; after the update of step 7, A = H + h is
+        # 2^512, so the Grams of step 8 (through K = A A^T) overflow
+        instance, cfg = diverging_run
+        result = run(instance, cfg, RunConfig(max_steps=8))
+        assert len(result.trace) == 8
+        assert abs(result.perturbations.h[0]) == 2.0**512
+        with pytest.raises(NonFiniteLossError,
+                           match="at step 8: gradient blocks must be finite") as info:
+            run(instance, cfg, RunConfig(max_steps=30))
+        assert info.value.step == 8
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_update_aborts_with_step(self):
         # finite losses and Grams (J11 = 8); eta_h J11 overflows
         instance = ProblemInstance(V=2, d=1, T=1, H=[[1.0]], W=[[4.0], [-4.0]], y=[1])
         cfg = StrategyConfig(kind=StrategyKind.STATIC, eta_h=1e308)
+        with pytest.raises(NonFiniteLossError, match="update at step 0 left the finite range") as info:
+            run(instance, cfg, RunConfig(max_steps=3))
+        assert info.value.step == 0
+
+    @pytest.mark.parametrize("w_mode", [WMode.FULL_MATRIX, WMode.SINGLE_ROW])
+    def test_overflowing_w_update_aborts_with_step(self, w_mode):
+        # finite losses and Grams (|J12| about 4); 1e308 J12 overflows w
+        instance = ProblemInstance(V=2, d=1, T=1, H=[[4.0]], W=[[1.0], [-1.0]], y=[1],
+                                   w_mode=w_mode, v_star=1)
+        cfg = StrategyConfig(kind=StrategyKind.SCALARIZED, lam=(1.0, 0.0), eta_w=1e308)
         with pytest.raises(NonFiniteLossError, match="update at step 0 left the finite range") as info:
             run(instance, cfg, RunConfig(max_steps=3))
         assert info.value.step == 0
@@ -496,16 +508,17 @@ class TestRunMany:
                 assert _result_bytes(a, cfg.kind, path) == _result_bytes(b, cfg.kind, path)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_lowest_index_abort_wins(self):
-        # "late" aborts at step 20 (its Grams overflow), "early" at step 1
-        # (its update leaves the finite range); the batch raises the abort
-        # of whichever comes first in the list, as serial order does
-        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=0))
+    def test_lowest_index_abort_wins(self, diverging_run):
+        # "late" aborts at step 8 (its Grams overflow), "early" at step 0
+        # (its update, 1e308 J11 with J11 = 2^40, leaves the finite range);
+        # the batch raises the abort of whichever comes first in the list,
+        # as serial order does
+        instance, late = diverging_run
         ok = StrategyConfig(kind=StrategyKind.STATIC)
-        late = StrategyConfig(kind=StrategyKind.SOFT, eta_h=1e8, eta_w=1e8)
         early = StrategyConfig(kind=StrategyKind.STATIC, eta_h=1e308)
-        rcfg = RunConfig(max_steps=30, init_scale=0.3)
-        for cfgs, first, step in (([ok, late, early], late, 20), ([ok, early, late], early, 1)):
+        rcfg = RunConfig(max_steps=30)
+        assert len(run(instance, ok, rcfg).trace) == 30
+        for cfgs, first, step in (([ok, late, early], late, 8), ([ok, early, late], early, 0)):
             with pytest.raises(NonFiniteLossError) as alone:
                 run(instance, first, rcfg)
             with pytest.raises(NonFiniteLossError) as info:
@@ -579,3 +592,47 @@ class TestRunMany:
         assert calls["decide"] == sum(max(len(r.trace) for r in results[b:b + 4])
                                       for b in (0, 4, 8))
         assert [len(r.trace) for r in results[::2]] == [2] * 6
+
+
+@st.composite
+def _one_step_batches(draw):
+    """An instance of any w_mode and a batch of configurations mixing the
+    strategies, the alignments and raw with cosine scaling."""
+    w_mode = draw(st.sampled_from(list(WMode)))
+    instance = generate(GeneratorSpec(V=draw(st.integers(2, 12)), d=draw(st.integers(1, 6)),
+                                      T=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**32 - 1)),
+                                      w_mode=w_mode))
+    kinds = [AlignKind.AUTO, AlignKind.PUSHFORWARD] + (
+        [] if w_mode is WMode.FULL_MATRIX else [AlignKind.DIRECT])
+    cfgs = [StrategyConfig(kind=draw(st.sampled_from(list(StrategyKind))),
+                           eta_h=draw(st.sampled_from([0.01, 0.05, 0.5])),
+                           eta_w=draw(st.sampled_from([0.01, 0.05, 0.5])),
+                           beta_aux=draw(st.sampled_from([0.3, 0.5])),
+                           alignment=AlignmentMode(draw(st.sampled_from(kinds)),
+                                                   draw(st.sampled_from(list(AlignScale)))))
+            for _ in range(draw(st.integers(1, 8)))]
+    return instance, cfgs
+
+
+class TestStep:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(batch=_one_step_batches())
+    def test_step_is_minus_eta_c_applied_to_the_public_blocks(self, batch):
+        # delta h = -eta_h (c00 J11 + c01 J21) and delta w = -eta_w (c10 J12 + c11 J22),
+        # c decided on the public gradient set's scores and Grams, J12 and J22 from
+        # pullback; one step from zero, whose end point is the step itself, taken
+        # alone (K = 1) and in the batch
+        instance, cfgs = batch
+        rcfg = RunConfig(max_steps=1, grad_tol=0.0)
+        gs = compute_gradient_set(instance, init_perturbations(instance))
+        J12, J22 = pullback(instance, gs.fwd, gs.g)
+        for cfg, in_batch in zip(cfgs, run_many(instance, cfgs, rcfg)):
+            mode = resolve_alignment(cfg.alignment, instance.w_mode)
+            c, _, _ = decide(score_jplus(gs, mode)[None], score_j6(gs, mode)[None],
+                             np.array(gs.grams)[None], [cfg])
+            (c00, c01), (c10, c11) = c[0]
+            want = (-cfg.eta_h * (c00 * gs.J11 + c01 * gs.J21),
+                    -cfg.eta_w * (c10 * J12 + c11 * J22))
+            for result in (run(instance, cfg, rcfg), in_batch):
+                for got, step in zip((result.perturbations.h, result.perturbations.w), want):
+                    assert np.linalg.norm(got - step) <= 1e-13 * np.linalg.norm(step)

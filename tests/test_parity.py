@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 _spec = importlib.util.spec_from_file_location("parity", _PATH)
 parity = importlib.util.module_from_spec(_spec)
@@ -25,3 +27,31 @@ def test_equal_runs_match_and_a_changed_digest_fails(tmp_path, capsys):
     assert parity.main(["--first", "2", "--against", str(a)]) == 1
     assert f"differs: {name}" in capsys.readouterr().out.splitlines()
 
+
+
+def test_decisions_mode_names_changed_decisions_and_the_score_gap(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    assert parity.main(["--first", "4", "--decisions", "--out", str(a)]) == 0
+    runs = json.loads(a.read_text())
+    assert [name.rsplit("/", 1)[1] for name in runs] == ["hard-j6", "hard-jplus", "soft", "static"]
+    hard_j6, hard_jplus, soft, static = runs.values()
+    for run in runs.values():
+        assert len(run["decisions"]) == len(run["scores"]) == parity.STEPS
+    assert {len(row) for row in hard_jplus["scores"]} == {15}
+    assert all(0 <= k < 6 for k in hard_j6["decisions"] + soft["decisions"])
+    assert all(1 <= k <= 15 for k in hard_jplus["decisions"])
+    assert static["decisions"] == [None] * parity.STEPS
+    capsys.readouterr()
+    assert parity.main(["--first", "4", "--decisions", "--against", str(a)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "largest normwise score gap: 0"
+    # a nudged score shows as a gap, a changed decision as a differing run
+    name = next(iter(runs))
+    row = runs[name]["scores"][0]
+    row[0] += 1e-3 * float(np.linalg.norm(runs[name]["scores"]))
+    runs[name]["decisions"][-1] += 1
+    a.write_text(json.dumps(runs))
+    assert parity.main(["--first", "4", "--decisions", "--against", str(a)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"differs: {name}" in out and "3 of 4 runs match" in out[-2]
+    gap = float(out[-1].split()[4])
+    assert out[-1].endswith(f"({name})") and 0.9e-3 < gap < 1.1e-3
