@@ -10,13 +10,13 @@ logits: ``heat`` (mean cross-entropy against the target tokens, to be
 driven down for fidelity) and ``confidence`` (mean negative entropy of
 the softmax, to be driven down for certainty).
 
-One forward pass (``forward``) forms A, B, the logits and one row-wise
-log-softmax, and reads both losses from it through ``losses``, the only
-place they are computed.  ``logit_gradients`` turns that log-softmax
-into both losses' logit-space gradients, stacked as (2, T, V).
-``w_columns`` picks the logit columns w moves per w_mode, and
-``pullback`` maps stacked logit-space gradients to w through them in
-one batched product.  A central-difference oracle
+One forward pass (``forward``) forms A, B (or takes a B its caller
+keeps), the logits and one row-wise log-softmax, and reads both losses
+from it through ``losses``, the only place they are computed.
+``logit_gradients`` turns that log-softmax into both losses' logit-space
+gradients, stacked as (2, T, V).  ``w_columns`` picks the logit columns
+w moves per w_mode, and ``pullback`` maps stacked logit-space gradients
+to w through them in one batched product.  A central-difference oracle
 (``fd_gradient``) checks every analytic gradient through the forward
 pass alone, both losses stacked like the analytic ones.
 
@@ -326,16 +326,17 @@ def _factors(
     return instance.H + h[:, None], out
 
 
-def forward(instance: ProblemInstance, pert: Perturbations, out: np.ndarray | None = None) -> Forward:
+def forward(instance: ProblemInstance, pert: Perturbations, out: np.ndarray | None = None,
+            B: np.ndarray | None = None) -> Forward:
     """The logits at (h, w) and both losses, from one log-softmax.
 
     Stacked perturbations give a stacked pass (module docstring), whose B
-    is formed in ``out`` (K, V, d) when given (see ``_factors``); the
-    optimizer keeps one such buffer per run.
+    is formed in ``out`` (K, V, d) when given (see ``_factors``), or is
+    ``B`` (K, V, d) as given: the optimizer keeps B under FULL_MATRIX.
     """
     stacked = _check_shapes(instance, pert)
     h, w = (pert.h, pert.w) if stacked else (pert.h[None], pert.w[None])
-    A, B = _factors(instance, h, w, out)
+    A, B = _factors(instance, h, w, out) if B is None else (instance.H + h[:, None], B)
     logits = A @ B.swapaxes(1, 2)
     logp = _log_softmax(logits)
     p, plogp = _softmax_terms(logp)

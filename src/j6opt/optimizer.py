@@ -23,16 +23,20 @@ Everything that depends only on the configurations is compiled once
 per batch into its plan (``strategies._Rules``, with the alignment
 masks of ``attribution._Alignments``), and again only for the runs a
 batch keeps when others stop; a step hands the plan to the one
-``strategies.decide`` call it makes.  Each run stops on its own.  The stacked points, updated in place, the
-stacked B and, under FULL_MATRIX, the combined logit gradient and the
-pulled-back delta w are formed in buffers that live for the whole
-``run_many`` call (``_Buffers``); under SINGLE_ROW only row v_star of B
-is rewritten each step.
+``strategies.decide`` call it makes.  Each run stops on its own.
+
+Under FULL_MATRIX, B is state beside w: a batch forms B = W + w once, at
+its start point, and each step adds delta w in place to both, so no step
+reads W.  w is accumulated exactly as the steps give it, and B is W + w
+up to the rounding of its own updates (at most u |B| a step).  The
+arrays a step is formed in are kept with the instance (``_Buffers``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -189,30 +193,45 @@ def run_many(
     cfgs = list(cfgs)
     modes = [resolve_alignment(cfg.alignment, instance.w_mode) for cfg in cfgs]
     width = _stack_width(instance)
-    start = init_perturbations(instance, rcfg.init_scale, rcfg.seed)
-    bufs = _Buffers(instance, min(width, len(cfgs)), start)
+    # a zero start is written into the buffers as 0.0, with no array of its own
+    start = init_perturbations(instance, rcfg.init_scale, rcfg.seed) if rcfg.init_scale else None
+    K = min(width, len(cfgs))
+    bufs = _Buffers.kept.get(instance)
+    if bufs is None or len(bufs.h) < K:  # the first call on the instance, or a wider batch
+        bufs = _Buffers.kept[instance] = _Buffers(instance, K)
+    if not bufs.lock.acquire(blocking=False):  # another call holds them: form our own
+        bufs = _Buffers(instance, K)
+        bufs.lock.acquire()
     results: list[RunResult] = []
-    # numpy's warnings are noise here: a non-finite loss, block or point
-    # raises NonFiniteLossError, and an overflowing step norm is traced
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first in range(0, len(cfgs), width):
-            results += _lockstep(instance, cfgs[first:first + width], modes[first:first + width],
-                                 rcfg, bufs)
+    try:
+        # numpy's warnings are noise here: a non-finite loss, block or point
+        # raises NonFiniteLossError, and an overflowing step norm is traced
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for first in range(0, len(cfgs), width):
+                results += _lockstep(instance, cfgs[first:first + width],
+                                     modes[first:first + width], rcfg, bufs, start)
+    finally:
+        bufs.lock.release()
     return results
 
 
 class _Buffers:
-    """Arrays a step is formed in, for up to K runs, shared by every batch
-    of a ``run_many`` call and sliced to a batch's runs: the start point
-    and the stacked points each batch copies it into, the stacked B
-    (holding W in every row a SINGLE_ROW step leaves alone) and, under
-    FULL_MATRIX, the combined logit gradient and its pullback, delta w."""
+    """Arrays a step is formed in, for up to K runs, sliced to a batch's
+    runs: the stacked points, the stacked B (holding W in every row a
+    SINGLE_ROW step leaves alone) and, under FULL_MATRIX, the combined
+    logit gradient and its pullback, delta w.  ``kept`` holds them for as
+    long as their instance (1.7 MB at 1000 x 64 x 16 FULL_MATRIX, K = 1),
+    without a reference to it.  A call that needs a wider batch replaces
+    them, and a call holds ``lock`` while it uses them: one that finds it
+    held, in another thread, forms its own."""
 
-    def __init__(self, instance: ProblemInstance, K: int, start: Perturbations):
+    kept: weakref.WeakKeyDictionary[ProblemInstance, _Buffers] = weakref.WeakKeyDictionary()
+
+    def __init__(self, instance: ProblemInstance, K: int):
         V, d, T = instance.V, instance.d, instance.T
-        self.start = start
-        self.h = np.empty((K,) + start.h.shape)
-        self.w = np.empty((K,) + start.w.shape)
+        self.lock = threading.Lock()
+        self.h = np.empty((K, d))
+        self.w = np.empty((K,) + w_shape(V, d, instance.w_mode))
         self.B = np.empty((K, V, d))
         if instance.w_mode is WMode.SINGLE_ROW:
             self.B[:] = instance.W
@@ -224,13 +243,14 @@ class _Buffers:
 class _Batch:
     """The live runs of a lockstep batch, slice i of every array holding
     run ``index[i]``: its configuration, resolved alignment, point
-    (stacked ``Perturbations``, updated in place), the buffer its B is
-    formed in, and the stop reason decided after its last step.  The
+    (stacked ``Perturbations``, updated in place), B (see ``_Buffers``)
+    and the stop reason decided after its last step.  The
     plan of its configurations, ``rules`` (``strategies._Rules``) and
     ``align`` (``attribution._Alignments``), is compiled here and again
     for the runs ``keep`` keeps, never per step."""
 
-    def __init__(self, cfgs: list[StrategyConfig], modes: list[AlignmentMode], bufs: _Buffers):
+    def __init__(self, cfgs: list[StrategyConfig], modes: list[AlignmentMode], bufs: _Buffers,
+                 start: Perturbations | None):
         K = len(cfgs)
         self.index = list(range(K))
         self.cfgs, self.modes = cfgs, modes
@@ -239,7 +259,7 @@ class _Batch:
         self.eta_h = np.array([[-cfg.eta_h] for cfg in cfgs], dtype=np.float64)
         self.eta_w = np.array([[-cfg.eta_w] for cfg in cfgs], dtype=np.float64)
         h, w = bufs.h[:K], bufs.w[:K]
-        h[:], w[:] = bufs.start.h, bufs.start.w  # every run steps on its own copy
+        h[:], w[:] = (0.0, 0.0) if start is None else (start.h, start.w)  # each run its own copy
         self.pert = Perturbations(h, w)
         self.B = bufs.B[:K]
         self.stop: list[StopReason | None] = [None] * K
@@ -263,21 +283,24 @@ def _sq_norms(x: np.ndarray, out: np.ndarray) -> None:
     np.vecdot(x, x, out=out)
 
 
-def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
-              modes: list[AlignmentMode], rcfg: RunConfig, bufs: _Buffers) -> list[RunResult]:
+def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list[AlignmentMode],
+              rcfg: RunConfig, bufs: _Buffers, start: Perturbations | None) -> list[RunResult]:
     """``run_many`` for one batch.  Each iteration takes one stacked
     forward pass: for a run that stopped after the previous step it
     gives the final objectives, for the others it starts the next step.
     A run that aborts drops every run after it, whose results can no
     longer matter, and the others go on, so the abort raised at the end
     is the lowest-index one."""
-    batch = _Batch(cfgs, modes, bufs)
+    batch = _Batch(cfgs, modes, bufs, start)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
     results: list[RunResult | None] = [None] * len(cfgs)
     abort: NonFiniteLossError | None = None
     full = instance.w_mode is WMode.FULL_MATRIX
+    if full:  # B is state beside w from here on (module docstring)
+        np.add(instance.W, batch.pert.w, out=batch.B)
     for step in range(rcfg.max_steps + 1):
-        fwd = forward(instance, batch.pert, out=batch.B)
+        fwd = (forward(instance, batch.pert, B=batch.B) if full
+               else forward(instance, batch.pert, out=batch.B))
         ob1, ob2 = fwd.objectives.ob1.tolist(), fwd.objectives.ob2.tolist()
         live = []
         for i, k in enumerate(batch.index):
@@ -323,15 +346,16 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig],
         h, w = batch.pert.h, batch.pert.w
         np.add(h, delta_h, out=h)
         np.add(w, delta_w, out=w)
+        if full:
+            np.add(batch.B, delta_w, out=batch.B)
         # the squared norms (J11, J21), (J12, J22) and (delta h, delta w), then one sqrt
         n = len(c)
         norms = np.empty((n, 3, 2))
         norms[:, :2] = blocks.grams.diagonal(0, 2, 3)
         _sq_norms(delta_h, out=norms[:, 2, 0])
         _sq_norms(delta_w, out=norms[:, 2, 1])
-        # w was finite, and a delta w of finite squared norm (entries below 2^512) keeps it so
-        if not (np.isfinite(h).all() and (np.isfinite(norms[:, 2, 1]).all()
-                                          or np.isfinite(w).all())):
+        # h and w were finite, and a step of finite squared norm (entries below 2^512) keeps them so
+        if not (np.isfinite(norms[:, 2]).all() or np.isfinite(h).all() and np.isfinite(w).all()):
             finite = np.isfinite(h).all(axis=1) & np.isfinite(w).reshape(len(w), -1).all(axis=1)
             cut = int(np.argmin(finite))
             abort = NonFiniteLossError(

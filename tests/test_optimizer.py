@@ -1,8 +1,14 @@
 """The per-instance loop: initialization, stepping, stopping, tracing,
 and many configurations in lockstep."""
 
+import dataclasses
+import gc
+import itertools
 import pathlib
+import sys
 import tempfile
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -305,6 +311,22 @@ class TestRun:
         with pytest.raises(NonFiniteLossError, match="update at step 0 left the finite range") as info:
             run(instance, cfg, RunConfig(max_steps=3))
         assert info.value.step == 0
+
+    @pytest.mark.parametrize("w_mode", list(WMode))
+    def test_overflowing_h_update_aborts_with_step(self, w_mode):
+        # finite losses and Grams (J11 about 8): 1e308 J11 overflows h, while
+        # 1e160 J11 leaves h finite and only its squared norm overflows, so
+        # that step is taken and traced with an infinite norm
+        instance = ProblemInstance(V=2, d=1, T=1, H=[[1.0]], W=[[4.0], [-4.0]], y=[1],
+                                   w_mode=w_mode, v_star=1)
+        cfg = StrategyConfig(kind=StrategyKind.SCALARIZED, lam=(1.0, 0.0), eta_h=1e308)
+        with pytest.raises(NonFiniteLossError, match="update at step 0 left the finite range") as info:
+            run(instance, cfg, RunConfig(max_steps=3))
+        assert info.value.step == 0
+        result = run(instance, dataclasses.replace(cfg, eta_h=1e160), RunConfig(max_steps=1))
+        assert result.trace[0].dh_norm == np.inf
+        h = result.perturbations.h
+        assert np.isfinite(h).all() and abs(h[0]) > 2.0**512
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_blocks_abort_with_step(self):
@@ -636,3 +658,149 @@ class TestStep:
             for result in (run(instance, cfg, rcfg), in_batch):
                 for got, step in zip((result.perturbations.h, result.perturbations.w), want):
                     assert np.linalg.norm(got - step) <= 1e-13 * np.linalg.norm(step)
+
+    @pytest.mark.parametrize("w_mode", list(WMode))
+    def test_final_objectives_hold_to_the_final_point_over_200_steps(self, w_mode):
+        # Under full_matrix B = W + w is formed once, then stepped with w.
+        # Each step rounds B and w once each (by at most u |B| and u |w|,
+        # u = 2^-53), so after n steps B differs from W + w by at most
+        # n u (|B| + |w|) entrywise: about 2.2e-14 relative at n = 200.
+        # The logits and losses inherit that times a modest condition
+        # number, so the stated bound is 1e-12 relative (5.6e-15 was the
+        # largest seen over 6 seeds, six strategies and sizes up to
+        # 200x32x16).  The other modes form B from w every step: exact.
+        for seed, (V, d, T), kind in itertools.product(range(3), ((6, 4, 2), (64, 16, 8)),
+                                                       StrategyKind):
+            instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
+            cfg = StrategyConfig(kind=kind, eta_h=0.05, eta_w=0.05)
+            rcfg = RunConfig(max_steps=200, grad_tol=0.0, init_scale=0.3, seed=seed)
+            result = run(instance, cfg, rcfg)
+            assert len(result.trace) == 200
+            got, want = result.objectives, forward(instance, result.perturbations).objectives
+            if w_mode is WMode.FULL_MATRIX:
+                np.testing.assert_allclose([got.ob1, got.ob2], [want.ob1, want.ob2], rtol=1e-12)
+            else:
+                assert got == want
+
+
+def _outcome(instance, cfgs, rcfg, path) -> tuple | list:
+    """What a ``run_many`` call returns, in a form that compares bit for
+    bit, or the message and step of the abort it raises."""
+    try:
+        results = run_many(instance, cfgs, rcfg)
+    except NonFiniteLossError as e:
+        return str(e), e.step
+    return [_result_bytes(result, cfg.kind, path) for cfg, result in zip(cfgs, results)]
+
+
+@st.composite
+def _call_sequences(draw):
+    """An instance of any w_mode and calls on it, in order: one run, a
+    batch of three, the run again, a batch whose runs stop at different
+    steps (so it keeps fewer), a batch that aborts, and a run right after
+    the abort."""
+    w_mode = draw(st.sampled_from(list(WMode)))
+    instance = generate(GeneratorSpec(V=draw(st.integers(2, 12)), d=draw(st.integers(1, 6)),
+                                      T=draw(st.integers(1, 9)), seed=draw(st.integers(0, 2**32 - 1)),
+                                      w_mode=w_mode))
+    kinds = [AlignKind.AUTO, AlignKind.PUSHFORWARD] + (
+        [] if w_mode is WMode.FULL_MATRIX else [AlignKind.DIRECT])
+
+    def config(eta):
+        return StrategyConfig(kind=draw(st.sampled_from(list(StrategyKind))), eta_h=eta, eta_w=eta,
+                              alignment=AlignmentMode(draw(st.sampled_from(kinds)),
+                                                      draw(st.sampled_from(list(AlignScale)))))
+
+    a, b, c = (config(draw(st.sampled_from([0.01, 0.05, 0.5]))) for _ in range(3))
+    boom = StrategyConfig(kind=StrategyKind.STATIC, eta_h=1e308, eta_w=1e308)
+    rcfg = RunConfig(max_steps=draw(st.integers(1, 12)), grad_tol=0.0,
+                     init_scale=draw(st.sampled_from([0.0, 0.3])), seed=draw(st.integers(0, 2**32 - 1)))
+    stops = dataclasses.replace(rcfg, loss_tol=1e-3)
+    return instance, [([a], rcfg), ([a, b, c], rcfg), ([a], rcfg), ([config(1e-9), a, b], stops),
+                      ([a, boom], rcfg), ([b], rcfg)]
+
+
+class TestKeptBuffers:
+    """A call's buffers outlive it, kept with the instance for the next
+    call; no call may see what an earlier one left in them."""
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=_call_sequences(), width=st.sampled_from([None, 1, 2]))
+    def test_successive_calls_match_calls_on_fresh_copies(self, case, width):
+        instance, calls = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            if width is not None:
+                mp.setattr(j6opt.optimizer, "_stack_width", lambda instance: width)
+            path = pathlib.Path(tmp) / "trace.csv"
+            for i, (cfgs, rcfg) in enumerate(calls):
+                fresh = _outcome(dataclasses.replace(instance), cfgs, rcfg, path)
+                assert _outcome(instance, cfgs, rcfg, path) == fresh
+                assert isinstance(fresh, tuple) == (i == 4)  # only the batch with boom aborts
+        bufs = j6opt.optimizer._Buffers.kept[instance]
+        assert len(bufs.h) == min(width or 3, 3) and not bufs.lock.locked()
+
+    def test_buffers_grow_to_the_widest_batch_and_die_with_the_instance(self):
+        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=4))
+        cfg, rcfg = StrategyConfig(kind=StrategyKind.SOFT), RunConfig(max_steps=3)
+        kept = j6opt.optimizer._Buffers.kept
+        run(instance, cfg, rcfg)
+        narrow = kept[instance]
+        run_many(instance, [cfg] * 3, rcfg)
+        wide = kept[instance]
+        run(instance, cfg, rcfg)
+        assert kept[instance] is wide is not narrow
+        assert (len(narrow.h), len(wide.h)) == (1, 3)
+        alive = weakref.ref(instance)
+        del instance
+        gc.collect()
+        assert alive() is None  # the kept buffers hold no reference to it
+
+    def test_a_call_that_finds_the_buffers_held_forms_its_own(self, tmp_path):
+        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=5))
+        cfgs = [StrategyConfig(kind=kind) for kind in StrategyKind]
+        rcfg = RunConfig(max_steps=5, init_scale=0.3)
+        first = _outcome(instance, cfgs, rcfg, tmp_path / "trace.csv")
+        bufs = j6opt.optimizer._Buffers.kept[instance]
+        assert bufs.lock.acquire(blocking=False)
+        try:
+            for array in (bufs.h, bufs.w, bufs.B):
+                array.fill(np.nan)
+            assert _outcome(instance, cfgs, rcfg, tmp_path / "trace.csv") == first
+            assert np.isnan(bufs.w).all()  # untouched by the second call
+        finally:
+            bufs.lock.release()
+
+    def test_two_threads_on_one_instance_match_sequential_runs(self, tmp_path):
+        # two threads (no more) step the same instance at once, one
+        # configuration after another in opposite orders, the interpreter
+        # switching between them as often as it can
+        instance = generate(GeneratorSpec(V=64, d=16, T=4, seed=6))
+        cfgs = [StrategyConfig(kind=kind, eta_h=0.05, eta_w=0.05) for kind in StrategyKind]
+        rcfg = RunConfig(max_steps=20, grad_tol=0.0, init_scale=0.3, seed=2)
+        path = tmp_path / "trace.csv"
+        want = [_result_bytes(run(dataclasses.replace(instance), cfg, rcfg), cfg.kind, path)
+                for cfg in cfgs]
+        barrier = threading.Barrier(2, timeout=10)
+        got: list[list] = [[], []]
+
+        def work(t):
+            barrier.wait()
+            for _ in range(3):
+                for k in (range(len(cfgs)) if t == 0 else reversed(range(len(cfgs)))):
+                    got[t].append((k, run(instance, cfgs[k], rcfg)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(results) for results in got] == [3 * len(cfgs)] * 2
+        for k, result in got[0] + got[1]:
+            assert _result_bytes(result, cfgs[k].kind, path) == want[k]

@@ -1,10 +1,12 @@
-"""Smoke test of tools/parity.py, the byte-parity digests of the run grid."""
+"""Smoke tests of tools/parity.py, the byte-parity digests of the run grid,
+and of tools/ab.py, the in-process A/B timing of two source trees."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 _spec = importlib.util.spec_from_file_location("parity", _PATH)
@@ -55,3 +57,28 @@ def test_decisions_mode_names_changed_decisions_and_the_score_gap(tmp_path, caps
     assert f"differs: {name}" in out and "3 of 4 runs match" in out[-2]
     gap = float(out[-1].split()[4])
     assert out[-1].endswith(f"({name})") and 0.9e-3 < gap < 1.1e-3
+
+
+_AB = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+_ab_spec = importlib.util.spec_from_file_location("ab", _AB)
+ab = importlib.util.module_from_spec(_ab_spec)
+_ab_spec.loader.exec_module(ab)
+
+
+def test_ab_times_one_tree_against_itself(capsys):
+    # the repository's tree as both A and B, 2 rounds of the steps-large units
+    root = _AB.parents[1]
+    assert ab.main([str(root), str(root), "--rounds", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("steps-large seed 1, least of 2 rounds")
+    assert out[1].split() == ["unit", "A", "ms/step", "B", "ms/step", "B/A", "A", "faults",
+                              "B", "faults"]
+    rows = [line.split() for line in out[2:]]
+    assert [row[0] for row in rows[:-1]] == [
+        f"1000x64x16/full_matrix/{s}"
+        for s in ("hard-j6", "hard-jplus", "soft", "static", "scalarized", "grad-surgery")
+    ] + ["1000x64x16/single_row/hard-jplus"]
+    assert rows[-1][:3] == ["median", "over", "units"]
+    for row in rows:
+        a, b, ratio, fa, fb = map(float, row[-5:])
+        assert a > 0 and b > 0 and ratio == pytest.approx(b / a, abs=2e-3) and fa >= 0 and fb >= 0

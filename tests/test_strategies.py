@@ -632,7 +632,7 @@ class TestPlan:
         # the plan of the runs a batch keeps decides as they do alone
         instance = ProblemInstance(V=2, d=1, T=1, H=np.zeros((1, 1)), W=np.zeros((2, 1)), y=[0])
         modes = [resolve_alignment(cfg.alignment, instance.w_mode) for cfg in cfgs]
-        batch = _Batch(cfgs, modes, _Buffers(instance, len(cfgs), zero_perturbations(instance)))
+        batch = _Batch(cfgs, modes, _Buffers(instance, len(cfgs)), zero_perturbations(instance))
         rows = sorted(data.draw(st.sets(st.integers(0, len(cfgs) - 1), min_size=1)))
         batch.keep(rows)
         assert batch.rules.cfgs == [cfgs[k] for k in rows]
