@@ -10,7 +10,7 @@ logits: ``heat`` (mean cross-entropy against the target tokens, to be
 driven down for fidelity) and ``confidence`` (mean negative entropy of
 the softmax, to be driven down for certainty).
 
-One forward pass (``forward``) forms A, B (or takes a B its caller
+One forward pass (``forward``) forms A, B (or takes the B its caller
 keeps), the logits and one row-wise log-softmax, and reads both losses
 from it through ``losses``, the only place they are computed.
 ``logit_gradients`` turns that log-softmax into both losses' logit-space
@@ -307,12 +307,10 @@ def _losses(logp: np.ndarray, target: tuple[np.ndarray, np.ndarray],
     return heat, conf
 
 
-def _factors(
-    instance: ProblemInstance, h: np.ndarray, w: np.ndarray, out: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """A = H + h and B = W with w folded in per w_mode, for K stacked
-    points.  B is formed in ``out`` when given; under SINGLE_ROW only its
-    row v_star is written, so ``out`` must hold W in every other row."""
+def _factor_B(instance: ProblemInstance, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """B = W with w folded in per w_mode, for K stacked points, formed in
+    ``out`` (K, V, d) when given; under SINGLE_ROW only its row v_star
+    is written, so ``out`` must hold W in every other row."""
     if out is None:
         out = np.empty((len(w), instance.V, instance.d))
         if instance.w_mode is WMode.SINGLE_ROW:
@@ -323,20 +321,27 @@ def _factors(
         np.add(instance.W, w, out=out)
     else:  # broadcast adds w to every row
         np.add(instance.W, w[:, None], out=out)
-    return instance.H + h[:, None], out
+    return out
 
 
-def forward(instance: ProblemInstance, pert: Perturbations, out: np.ndarray | None = None,
-            B: np.ndarray | None = None) -> Forward:
+def forward(instance: ProblemInstance, pert: Perturbations, B: np.ndarray | None = None) -> Forward:
     """The logits at (h, w) and both losses, from one log-softmax.
 
-    Stacked perturbations give a stacked pass (module docstring), whose B
-    is formed in ``out`` (K, V, d) when given (see ``_factors``), or is
-    ``B`` (K, V, d) as given: the optimizer keeps B under FULL_MATRIX.
+    Stacked perturbations give a stacked pass (module docstring).  B is
+    formed from W and w (``_factor_B``) unless the caller gives it: the
+    factor at ``pert``'s w, shaped (K, V, d) for a stacked pass and
+    (V, d) for one point.  Only its shape is checked.  The optimizer
+    gives the B it keeps as state beside w.
     """
     stacked = _check_shapes(instance, pert)
     h, w = (pert.h, pert.w) if stacked else (pert.h[None], pert.w[None])
-    A, B = _factors(instance, h, w, out) if B is None else (instance.H + h[:, None], B)
+    if B is None:
+        B = _factor_B(instance, w)
+    elif B.shape != (len(w),) * stacked + (instance.V, instance.d):
+        raise ValueError(f"B must have the shape of W, stacked like the perturbations, got {B.shape}")
+    elif not stacked:
+        B = B[None]
+    A = instance.H + h[:, None]
     logits = A @ B.swapaxes(1, 2)
     logp = _log_softmax(logits)
     p, plogp = _softmax_terms(logp)

@@ -25,18 +25,19 @@ masks of ``attribution._Alignments``), and again only for the runs a
 batch keeps when others stop; a step hands the plan to the one
 ``strategies.decide`` call it makes.  Each run stops on its own.
 
-Under FULL_MATRIX, B is state beside w: a batch forms B = W + w once, at
-its start point, and each step adds delta w in place to both, so no step
-reads W.  w is accumulated exactly as the steps give it, and B is W + w
-up to the rounding of its own updates (at most u |B| a step).  The
-arrays a step is formed in are kept with the instance (``_Buffers``).
+B is state beside w, formed in place and handed to ``forward``: a batch
+forms it from W and its start point, and each update moves it with w.
+Under FULL_MATRIX the update adds delta w in place to both, so no step
+reads W; w is accumulated exactly as the steps give it, and B is W + w
+up to the rounding of its own updates (at most u |B| a step).  Under
+the d-vector modes B is formed from W and the new w, as ``forward``
+would (one row under SINGLE_ROW).  Each ``run_many`` call forms its
+step arrays once, in ``_Buffers``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,6 +55,7 @@ from .model import (
     Perturbations,
     ProblemInstance,
     WMode,
+    _factor_B,
     _pullback,
     _stack_width,
     forward,
@@ -195,41 +197,26 @@ def run_many(
     width = _stack_width(instance)
     # a zero start is written into the buffers as 0.0, with no array of its own
     start = init_perturbations(instance, rcfg.init_scale, rcfg.seed) if rcfg.init_scale else None
-    K = min(width, len(cfgs))
-    bufs = _Buffers.kept.get(instance)
-    if bufs is None or len(bufs.h) < K:  # the first call on the instance, or a wider batch
-        bufs = _Buffers.kept[instance] = _Buffers(instance, K)
-    if not bufs.lock.acquire(blocking=False):  # another call holds them: form our own
-        bufs = _Buffers(instance, K)
-        bufs.lock.acquire()
+    bufs = _Buffers(instance, min(width, len(cfgs)))
     results: list[RunResult] = []
-    try:
-        # numpy's warnings are noise here: a non-finite loss, block or point
-        # raises NonFiniteLossError, and an overflowing step norm is traced
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for first in range(0, len(cfgs), width):
-                results += _lockstep(instance, cfgs[first:first + width],
-                                     modes[first:first + width], rcfg, bufs, start)
-    finally:
-        bufs.lock.release()
+    # numpy's warnings are noise here: a non-finite loss, block or point
+    # raises NonFiniteLossError, and an overflowing step norm is traced
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for first in range(0, len(cfgs), width):
+            results += _lockstep(instance, cfgs[first:first + width], modes[first:first + width],
+                                 rcfg, bufs, start)
     return results
 
 
 class _Buffers:
-    """Arrays a step is formed in, for up to K runs, sliced to a batch's
-    runs: the stacked points, the stacked B (holding W in every row a
-    SINGLE_ROW step leaves alone) and, under FULL_MATRIX, the combined
-    logit gradient and its pullback, delta w.  ``kept`` holds them for as
-    long as their instance (1.7 MB at 1000 x 64 x 16 FULL_MATRIX, K = 1),
-    without a reference to it.  A call that needs a wider batch replaces
-    them, and a call holds ``lock`` while it uses them: one that finds it
-    held, in another thread, forms its own."""
-
-    kept: weakref.WeakKeyDictionary[ProblemInstance, _Buffers] = weakref.WeakKeyDictionary()
+    """Arrays a step is formed in, for up to K runs, shared by every batch
+    of a ``run_many`` call and sliced to a batch's runs: the stacked
+    points, the stacked B (holding W in every row a SINGLE_ROW step
+    leaves alone) and, under FULL_MATRIX, the combined logit gradient
+    and its pullback, delta w (1.7 MB at 1000 x 64 x 16, K = 1)."""
 
     def __init__(self, instance: ProblemInstance, K: int):
         V, d, T = instance.V, instance.d, instance.T
-        self.lock = threading.Lock()
         self.h = np.empty((K, d))
         self.w = np.empty((K,) + w_shape(V, d, instance.w_mode))
         self.B = np.empty((K, V, d))
@@ -296,11 +283,9 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
     results: list[RunResult | None] = [None] * len(cfgs)
     abort: NonFiniteLossError | None = None
     full = instance.w_mode is WMode.FULL_MATRIX
-    if full:  # B is state beside w from here on (module docstring)
-        np.add(instance.W, batch.pert.w, out=batch.B)
+    _factor_B(instance, batch.pert.w, out=batch.B)  # state beside w from here on
     for step in range(rcfg.max_steps + 1):
-        fwd = (forward(instance, batch.pert, B=batch.B) if full
-               else forward(instance, batch.pert, out=batch.B))
+        fwd = forward(instance, batch.pert, batch.B)
         ob1, ob2 = fwd.objectives.ob1.tolist(), fwd.objectives.ob2.tolist()
         live = []
         for i, k in enumerate(batch.index):
@@ -348,6 +333,8 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
         np.add(w, delta_w, out=w)
         if full:
             np.add(batch.B, delta_w, out=batch.B)
+        else:
+            _factor_B(instance, w, out=batch.B)
         # the squared norms (J11, J21), (J12, J22) and (delta h, delta w), then one sqrt
         n = len(c)
         norms = np.empty((n, 3, 2))

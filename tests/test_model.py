@@ -105,6 +105,23 @@ class TestComputeLogits:
                 rtol=1e-13,
             )
 
+    def test_given_B_is_the_factor_the_pass_uses(self, make_point):
+        # the caller's B at the point gives the pass forward forms, for one
+        # point and stacked; a B of another shape is refused
+        for seed, mode in enumerate(WMode):
+            instance, pert = make_point(seed=seed, w_mode=mode)
+            own = forward(instance, pert)
+            given = forward(instance, pert, own.B.copy())
+            np.testing.assert_array_equal(given.logits, own.logits)
+            assert given.objectives == own.objectives
+            stacked = Perturbations(pert.h[None], pert.w[None])
+            np.testing.assert_array_equal(forward(instance, stacked, own.B[None]).logits[0],
+                                          own.logits)
+            for at, B in ((pert, own.B[None]), (pert, own.B[:-1]),
+                          (stacked, own.B), (stacked, np.repeat(own.B[None], 2, axis=0))):
+                with pytest.raises(ValueError, match="B must have the shape of W"):
+                    forward(instance, at, B)
+
     def test_wrong_w_shape_raises(self):
         instance = ProblemInstance(V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=[0])
         with pytest.raises(ValueError, match="shape"):

@@ -2,13 +2,11 @@
 and many configurations in lockstep."""
 
 import dataclasses
-import gc
 import itertools
 import pathlib
 import sys
 import tempfile
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -720,9 +718,9 @@ def _call_sequences(draw):
                       ([a, boom], rcfg), ([b], rcfg)]
 
 
-class TestKeptBuffers:
-    """A call's buffers outlive it, kept with the instance for the next
-    call; no call may see what an earlier one left in them."""
+class TestSuccessiveCalls:
+    """Calls on one instance share nothing: each forms its own step
+    arrays, so no call may see what an earlier one left behind."""
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -737,39 +735,6 @@ class TestKeptBuffers:
                 fresh = _outcome(dataclasses.replace(instance), cfgs, rcfg, path)
                 assert _outcome(instance, cfgs, rcfg, path) == fresh
                 assert isinstance(fresh, tuple) == (i == 4)  # only the batch with boom aborts
-        bufs = j6opt.optimizer._Buffers.kept[instance]
-        assert len(bufs.h) == min(width or 3, 3) and not bufs.lock.locked()
-
-    def test_buffers_grow_to_the_widest_batch_and_die_with_the_instance(self):
-        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=4))
-        cfg, rcfg = StrategyConfig(kind=StrategyKind.SOFT), RunConfig(max_steps=3)
-        kept = j6opt.optimizer._Buffers.kept
-        run(instance, cfg, rcfg)
-        narrow = kept[instance]
-        run_many(instance, [cfg] * 3, rcfg)
-        wide = kept[instance]
-        run(instance, cfg, rcfg)
-        assert kept[instance] is wide is not narrow
-        assert (len(narrow.h), len(wide.h)) == (1, 3)
-        alive = weakref.ref(instance)
-        del instance
-        gc.collect()
-        assert alive() is None  # the kept buffers hold no reference to it
-
-    def test_a_call_that_finds_the_buffers_held_forms_its_own(self, tmp_path):
-        instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=5))
-        cfgs = [StrategyConfig(kind=kind) for kind in StrategyKind]
-        rcfg = RunConfig(max_steps=5, init_scale=0.3)
-        first = _outcome(instance, cfgs, rcfg, tmp_path / "trace.csv")
-        bufs = j6opt.optimizer._Buffers.kept[instance]
-        assert bufs.lock.acquire(blocking=False)
-        try:
-            for array in (bufs.h, bufs.w, bufs.B):
-                array.fill(np.nan)
-            assert _outcome(instance, cfgs, rcfg, tmp_path / "trace.csv") == first
-            assert np.isnan(bufs.w).all()  # untouched by the second call
-        finally:
-            bufs.lock.release()
 
     def test_two_threads_on_one_instance_match_sequential_runs(self, tmp_path):
         # two threads (no more) step the same instance at once, one
