@@ -52,6 +52,7 @@ from .model import (
     ProblemInstance,
     WMode,
     _logit_gradients,
+    _pullback,
     forward,
     pullback,
     w_columns,
@@ -181,16 +182,27 @@ def resolve_alignment(mode: AlignmentMode, w_mode: WMode) -> AlignmentMode:
     return mode
 
 
+def _work(instance: ProblemInstance, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays ``_Blocks`` forms the blocks of up to K slices in, in
+    their first n: the products (K, 6, 2, 2) with their -0.0 pad and the
+    FULL_MATRIX weights (K, 2, T) with their 1/T row in place."""
+    products, weights = np.empty((K, 6, 2, 2)), np.empty((K, 2, instance.T))
+    products[:, 5], weights[:, 0] = -0.0, 1 / instance.T
+    return products, weights
+
+
 @dataclass(eq=False)
 class _Blocks:
     """The gradient blocks at K stacked points of one instance: ``fwd``
     the stacked forward pass, ``g`` (K, 2, T, V) and ``h`` (K, 2, d) as
     in GradientSet, each formed here when not given.  r, Kr and, under
     FULL_MATRIX, ``BJa`` (K, 2, d), B^T (J_j2 a), carry the w side
-    (module docstring).
+    (module docstring).  Where w is a d-vector, the h and the w blocks
+    sit in one array, ``hw`` (K, 2, 2, d), h then ``w`` (J12, J22).
     ``products`` (K, 6, 2, 2) holds each slice's 2x2 products in the
     layout of _TERMS; its native Grams of the h and of the w blocks,
     ``grams`` (K, 2, 2, 2), are formed here, the rest by ``_scores``.
+    They are formed in ``work`` (``_work``), made here when not given.
     ``finite`` lists whether each slice's Grams are finite.  Slice k
     comes from point k alone: stacked matmuls, no product across K."""
 
@@ -198,11 +210,13 @@ class _Blocks:
     fwd: Forward
     g: np.ndarray | None = None
     h: np.ndarray | None = None
+    work: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        A, T, f = self.fwd.A, self.instance.T, self.fwd
+        A, T, f, n = self.fwd.A, self.instance.T, self.fwd, len(self.fwd.A)
+        products, weights = self.work or _work(self.instance, n)
         if self.g is None:  # both objectives' logit-space gradients, from one log-softmax
-            self.g = _logit_gradients(f.logp, self.instance._target, f.p, f.plogp)
+            self.g = _logit_gradients(f.logp, self.instance._target[1], f.p, f.plogp)
         K = A @ A.swapaxes(1, 2)
         self.r = w_columns(self.instance, self.g)
         self.Kr = K[:, None] @ self.r if self.r.ndim == 4 else self.r @ K
@@ -210,16 +224,22 @@ class _Blocks:
         if self.instance.w_mode is WMode.FULL_MATRIX:
             # per block the rows sum_t g_i / T and J_i2 a = (K 1)^T g_i / T,
             # then all four against B in one product
-            weights = np.concatenate((np.ones((len(A), 1, T)),
-                                      np.add.reduce(K, axis=1, keepdims=True)), axis=1) / T
-            gB = (weights[:, None] @ self.g).reshape(len(A), 4, -1) @ f.B
+            weights = weights[:n]
+            Ka = np.add.reduce(K, axis=1, out=weights[:, 1])
+            Ka /= T
+            gB = (weights[:, None] @ self.g).reshape(n, 4, -1) @ f.B
             self.BJa = gB[:, 1::2]
             if self.h is None:
                 self.h = gB[:, 0::2]
-        elif self.h is None:
-            self.h = (np.add.reduce(self.g, axis=2) @ f.B) / T
-        P = self.products = np.empty((len(A), 6, 2, 2))
-        P[:, 5] = -0.0
+        else:  # the h blocks, then the w blocks r^T A / T (model.pullback)
+            hw = self.hw = np.empty((n, 2, 2, self.instance.d))
+            np.matmul(np.add.reduce(self.g, axis=2), f.B, out=hw[:, 0])
+            _pullback(self.instance, A, self.g, out=hw[:, 1])
+            hw /= T
+            if self.h is not None:
+                hw[:, 0] = self.h
+            self.h, self.w = hw[:, 0], hw[:, 1]
+        P = self.products = products[:n]
         self.grams = P[:, :2]
         _dots(self.h, self.h, P[:, 0])
         _dots(self.r, self.Kr, P[:, 1])
@@ -227,12 +247,7 @@ class _Blocks:
             P[:, 1] *= 1 / (T * T)
         _gram(self.grams)
         # a nan or inf entry makes the sum non-finite
-        self.finite = np.isfinite(np.add.reduce(self.grams.reshape(len(A), -1), axis=1)).tolist()
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        """The explicit w blocks (J12, J22), (K, 2) + w_shape."""
-        return pullback(self.instance, self.fwd, self.g)
+        self.finite = np.isfinite(np.add.reduce(self.grams.reshape(n, -1), axis=1)).tolist()
 
 
 @dataclass(eq=False)
@@ -289,7 +304,7 @@ def compute_gradient_set(instance: ProblemInstance, at: Perturbations | Forward)
     them.  ``at`` is the point's perturbations, or a forward pass
     already taken there."""
     fwd = at if isinstance(at, Forward) else forward(instance, at)
-    return GradientSet(instance, fwd, _logit_gradients(fwd.logp, instance._target, fwd.p,
+    return GradientSet(instance, fwd, _logit_gradients(fwd.logp, instance._target[1], fwd.p,
                                                        fwd.plogp))
 
 

@@ -158,9 +158,9 @@ class ProblemInstance:
 
     @cached_property
     def _target(self) -> tuple[np.ndarray, np.ndarray]:
-        """The index of each position's target logit (``_targets``),
+        """The flat index and the one-hot of the targets (``_targets``),
         formed once per instance."""
-        return _targets(self.y, self.T)
+        return _targets(self.y, self.T, self.V)
 
 
 @dataclass(eq=False)
@@ -253,7 +253,8 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     each row on its own: a (K, T, V) stack gives bit for bit its (K·T, V)
     flattening."""
     shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    total = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
+    logp = np.subtract(shifted, np.log(total, out=total), out=shifted)
     if _validation:
         p = np.exp(logp[np.isfinite(logp).all(axis=-1)])
         assert (np.abs(p.sum(axis=-1) - 1.0) < BOUNDS_TOL).all(), "softmax rows must sum to 1"
@@ -265,38 +266,47 @@ def _softmax_terms(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p underflows to 0 only with logp finite, so p * logp is exactly 0
     there."""
     p = np.exp(logp)
-    return p, np.add.reduce(p * logp, axis=-1)
+    return p, np.add.reduce(np.multiply(p, logp), axis=-1)
 
 
 def losses(logp: np.ndarray, y: np.ndarray) -> ObjectivePair:
     """Both losses from a row-wise log-softmax (T, V), in nats: heat, the
     mean over positions of -logp[t, y[t]], and confidence, the mean over
     positions of sum_v p_v log p_v (negative entropy).  A stack (K, T, V)
-    gives (K,) losses, each from its own slice."""
+    gives (K,) losses, each from its own slice.  y must hold T integers
+    in [0, V); other targets raise ValueError."""
     stacked = logp.ndim == 3
     lp = logp if stacked else logp[None]
-    heat, conf = _losses(lp, _targets(y, lp.shape[1]), _softmax_terms(lp)[1])
+    heat, conf = _losses(lp, _targets(y, *lp.shape[1:])[0], _softmax_terms(lp)[1])
     if stacked:
         return ObjectivePair(heat, conf)
     return ObjectivePair(float(heat[0]), float(conf[0]))
 
 
-def _targets(y: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index (positions, targets) of the target logit of each of T
-    positions; the targets must have an integer dtype."""
+def _targets(y: np.ndarray, T: int, V: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat index t V + y_t of the target logit of each of T
+    positions in a row-major (T, V) array, and the targets' (T, V)
+    one-hot; y must hold T integers in [0, V), else ValueError."""
     y = np.asarray(y)
     if y.dtype.kind not in "iu":
-        raise ValueError(f"targets must have an integer dtype, got {y.dtype}")
-    return np.arange(T), y
+        raise ValueError(f"y must have an integer dtype, got {y.dtype}")
+    if y.shape != (T,):
+        raise ValueError(f"y must have shape {(T,)}, got {y.shape}")
+    if y.min(initial=0) < 0 or y.max(initial=0) >= V:
+        raise ValueError(f"y entries must lie in [0, {V}), got {y.tolist()}")
+    flat, onehot = np.arange(0, T * V, V) + y.astype(np.int64), np.zeros((T, V))
+    np.put(onehot, flat, 1.0)
+    return flat, onehot
 
 
-def _losses(logp: np.ndarray, target: tuple[np.ndarray, np.ndarray],
+def _losses(logp: np.ndarray, target: np.ndarray,
             plogp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``losses`` of a stack (K, T, V), given the target index
+    """``losses`` of a stack (K, T, V), given the flat target index
     (``_targets``) and its rows' sums of p log p."""
-    T = logp.shape[1]
-    # means over positions, taken as numpy's mean takes them
-    heat = -(np.add.reduce(logp[:, target[0], target[1]], axis=1) / T)
+    K, T = logp.shape[:2]
+    # means over positions as numpy's mean takes them, heat's terms read
+    # row-major so that a slice sums them as K = 1 does; x / -T is -(x / T)
+    heat = np.add.reduce(logp.reshape(K, -1).take(target, axis=1), axis=1) / -T
     conf = np.add.reduce(plogp, axis=1) / T
     if _validation:
         assert (heat[np.isfinite(heat)] >= 0.0).all(), "heat loss must be non-negative"
@@ -345,7 +355,7 @@ def forward(instance: ProblemInstance, pert: Perturbations, B: np.ndarray | None
     logits = A @ B.swapaxes(1, 2)
     logp = _log_softmax(logits)
     p, plogp = _softmax_terms(logp)
-    ob1, ob2 = _losses(logp, instance._target, plogp)
+    ob1, ob2 = _losses(logp, instance._target[0], plogp)
     if stacked:
         return Forward(A, B, logits, logp, ObjectivePair(ob1, ob2), p, plogp)
     return Forward(A[0], B[0], logits[0], logp[0], ObjectivePair(float(ob1[0]), float(ob2[0])),
@@ -357,24 +367,23 @@ def logit_gradients(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
     (2, T, V): [0] heat, p - onehot(y_t); [1] confidence,
     p_k (log p_k + E_t) with E_t the entropy of row t.  Each row sums
     to 0.  A stack (K, T, V) gives (K, 2, T, V).  Rejects non-finite
-    input."""
+    input, and targets other than T integers in [0, V)."""
     logp = np.asarray(logp, dtype=np.float64)
     if logp.ndim not in (2, 3):
         raise ValueError("log-probabilities must be a (T, V) matrix or a (K, T, V) stack")
     if not np.isfinite(logp).all():
         raise ValueError("log-probabilities must be finite")
-    return _logit_gradients(logp, _targets(y, logp.shape[-2]), *_softmax_terms(logp))
+    return _logit_gradients(logp, _targets(y, *logp.shape[-2:])[1], *_softmax_terms(logp))
 
 
-def _logit_gradients(logp: np.ndarray, target: tuple[np.ndarray, np.ndarray], p: np.ndarray,
+def _logit_gradients(logp: np.ndarray, onehot: np.ndarray, p: np.ndarray,
                      plogp: np.ndarray) -> np.ndarray:
-    """``logit_gradients`` from the target index (``_targets``) and the
+    """``logit_gradients`` from the targets' (T, V) one-hot and the
     softmax terms of a finite log-softmax, such as a forward pass with
     finite losses carries (their mean over positions is nan or inf
     wherever logp is not finite)."""
     g = np.empty(p.shape[:-2] + (2,) + p.shape[-2:])
-    g[..., 0, :, :] = p
-    g[..., 0, target[0], target[1]] -= 1.0
+    np.subtract(p, onehot, out=g[..., 0, :, :])  # p - 0.0 is p bit for bit
     conf = g[..., 1, :, :]  # formed in place, no T x V temporary
     np.subtract(logp, plogp[..., None], out=conf)
     conf *= p

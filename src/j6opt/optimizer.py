@@ -48,6 +48,7 @@ from .attribution import (
     _Alignments,
     _Blocks,
     _scores,
+    _work,
     resolve_alignment,
 )
 from .model import (
@@ -212,7 +213,8 @@ class _Buffers:
     """Arrays a step is formed in, for up to K runs, shared by every batch
     of a ``run_many`` call and sliced to a batch's runs: the stacked
     points, the stacked B (holding W in every row a SINGLE_ROW step
-    leaves alone) and, under FULL_MATRIX, the combined logit gradient
+    leaves alone), the blocks' products (``attribution._work``), the
+    traced norms and, under FULL_MATRIX, the combined logit gradient
     and its pullback, delta w (1.7 MB at 1000 x 64 x 16, K = 1)."""
 
     def __init__(self, instance: ProblemInstance, K: int):
@@ -220,6 +222,8 @@ class _Buffers:
         self.h = np.empty((K, d))
         self.w = np.empty((K,) + w_shape(V, d, instance.w_mode))
         self.B = np.empty((K, V, d))
+        self.work = _work(instance, K)
+        self.norms = np.empty((K, 3, 2))
         if instance.w_mode is WMode.SINGLE_ROW:
             self.B[:] = instance.W
         elif instance.w_mode is WMode.FULL_MATRIX:
@@ -237,14 +241,14 @@ class _Batch:
     for the runs ``keep`` keeps, never per step."""
 
     def __init__(self, cfgs: list[StrategyConfig], modes: list[AlignmentMode], bufs: _Buffers,
-                 start: Perturbations | None):
+                 start: Perturbations | None, T: int):
         K = len(cfgs)
         self.index = list(range(K))
         self.cfgs, self.modes = cfgs, modes
         self.rules, self.align = _Rules(cfgs), _Alignments(modes)
-        # -eta per run, shaped (K, 1) to scale a stacked step or c's rows
-        self.eta_h = np.array([[-cfg.eta_h] for cfg in cfgs], dtype=np.float64)
-        self.eta_w = np.array([[-cfg.eta_w] for cfg in cfgs], dtype=np.float64)
+        # -eta per run and group (K, 2, 1); c's w row takes -eta_w / T under FULL_MATRIX
+        self.eta = np.array([[[-cfg.eta_h], [-cfg.eta_w]] for cfg in cfgs], dtype=np.float64)
+        self.c_w = self.eta[:, 1:] / T
         h, w = bufs.h[:K], bufs.w[:K]
         h[:], w[:] = (0.0, 0.0) if start is None else (start.h, start.w)  # each run its own copy
         self.pert = Perturbations(h, w)
@@ -259,15 +263,8 @@ class _Batch:
         for name in ("index", "cfgs", "modes", "stop"):
             setattr(self, name, [getattr(self, name)[i] for i in rows])
         self.rules, self.align = _Rules(self.cfgs), _Alignments(self.modes)
-        self.eta_h, self.eta_w, self.B = self.eta_h[rows], self.eta_w[rows], self.B[rows]
+        self.eta, self.c_w, self.B = self.eta[rows], self.c_w[rows], self.B[rows]
         self.pert = Perturbations(self.pert.h[rows], self.pert.w[rows])
-
-
-def _sq_norms(x: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the squared norm of each slice of a stack, the
-    dot np.vdot takes."""
-    x = x.reshape(len(x), -1)
-    np.vecdot(x, x, out=out)
 
 
 def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list[AlignmentMode],
@@ -278,7 +275,7 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
     A run that aborts drops every run after it, whose results can no
     longer matter, and the others go on, so the abort raised at the end
     is the lowest-index one."""
-    batch = _Batch(cfgs, modes, bufs, start)
+    batch = _Batch(cfgs, modes, bufs, start, instance.T)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
     results: list[RunResult | None] = [None] * len(cfgs)
     abort: NonFiniteLossError | None = None
@@ -305,7 +302,7 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
             batch.keep(live)
             fwd = fwd.take(live)
             ob1, ob2 = [ob1[i] for i in live], [ob2[i] for i in live]
-        blocks = _Blocks(instance, fwd)
+        blocks = _Blocks(instance, fwd, work=bufs.work)
         if not all(blocks.finite):  # finite losses, but the blocks overflowed
             cut = blocks.finite.index(False)
             abort = NonFiniteLossError(
@@ -314,35 +311,39 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
                 break
             batch.keep(list(range(cut)))
             fwd = fwd.take(list(range(cut)))
-            blocks = _Blocks(instance, fwd)
+            blocks = _Blocks(instance, fwd, work=bufs.work)
         scores = _scores(blocks, batch.align)
         jplus, j6 = scores[:, :15], scores[:, 15:]
         c, chosen, alpha = decide(jplus, j6, blocks.grams, batch.rules)
+        # the squared norms (J11, J21), (J12, J22) and (delta h, delta w),
+        # each the dot np.vdot takes, then one sqrt
+        n = len(c)
+        norms = bufs.norms[:n]
+        norms[:, :2] = blocks.grams.diagonal(0, 2, 3)
         # c0 J1 + c1 J2 per group: the sum of two products, one add
-        delta_h = batch.eta_h * np.add.reduce(c[:, 0, :, None] * blocks.h, axis=1)
         if full:  # pull back c10 g_1 + c11 g_2, its c carrying -eta_w / T: no V x d block
-            n = len(batch)
+            delta_h = batch.eta[:, 0] * np.add.reduce(c[:, 0, :, None] * blocks.h, axis=1)
             combined = bufs.g[:n]
-            np.matmul((c[:, 1] * (batch.eta_w / instance.T))[:, None], blocks.g.reshape(n, 2, -1),
+            np.matmul(c[:, 1:] * batch.c_w, blocks.g.reshape(n, 2, -1),
                       out=combined.reshape(n, 1, -1))
             delta_w = _pullback(instance, fwd.A, combined, out=bufs.dw[:n])[:, 0]
-        else:  # w is a d-vector: pulling back both blocks costs no more
-            delta_w = batch.eta_w * np.add.reduce(c[:, 1, :, None] * blocks.w, axis=1)
+            np.vecdot(delta_h, delta_h, out=norms[:, 2, 0])
+            flat = delta_w.reshape(n, -1)
+            np.vecdot(flat, flat, out=norms[:, 2, 1])
+            np.add(batch.B, delta_w, out=batch.B)
+        else:  # w is a d-vector: both groups' steps and norms at once
+            delta = batch.eta * np.add.reduce(c[..., None] * blocks.hw, axis=2)
+            delta_h, delta_w = delta[:, 0], delta[:, 1]
+            np.vecdot(delta, delta, out=norms[:, 2])
         h, w = batch.pert.h, batch.pert.w
         np.add(h, delta_h, out=h)
         np.add(w, delta_w, out=w)
-        if full:
-            np.add(batch.B, delta_w, out=batch.B)
-        else:
+        if not full:
             _factor_B(instance, w, out=batch.B)
-        # the squared norms (J11, J21), (J12, J22) and (delta h, delta w), then one sqrt
-        n = len(c)
-        norms = np.empty((n, 3, 2))
-        norms[:, :2] = blocks.grams.diagonal(0, 2, 3)
-        _sq_norms(delta_h, out=norms[:, 2, 0])
-        _sq_norms(delta_w, out=norms[:, 2, 1])
-        # h and w were finite, and a step of finite squared norm (entries below 2^512) keeps them so
-        if not (np.isfinite(norms[:, 2]).all() or np.isfinite(h).all() and np.isfinite(w).all()):
+        traced = np.sqrt(norms, out=norms).reshape(n, 6).tolist()
+        # h and w were finite, and a step of finite norm (entries below 2^512) keeps them so
+        if not (all(math.isfinite(r[4] + r[5]) for r in traced)
+                or np.isfinite(h).all() and np.isfinite(w).all()):
             finite = np.isfinite(h).all(axis=1) & np.isfinite(w).reshape(len(w), -1).all(axis=1)
             cut = int(np.argmin(finite))
             abort = NonFiniteLossError(
@@ -350,8 +351,7 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
             if cut == 0:
                 break
             batch.keep(list(range(cut)))
-        rows = zip(batch.index, batch.rules.reads_jplus,
-                   np.sqrt(norms, out=norms).reshape(n, 6).tolist())
+        rows = zip(batch.index, batch.rules.reads_jplus, traced)
         for i, (k, jp, (n11, n21, n12, n22, dh, dw)) in enumerate(rows):
             trace = traces[k]
             trace.append(TraceRecord(step, ob1[i], ob2[i], -ob2[i], n11, n12, n21, n22,

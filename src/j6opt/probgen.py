@@ -21,7 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ProblemInstance, WMode, log_softmax, logit_gradients, require_int
+from .model import (ProblemInstance, WMode, _logit_gradients, _softmax_terms, log_softmax,
+                    require_int)
 
 __all__ = [
     "Family",
@@ -105,8 +106,11 @@ def _certificates(family: Family, w_mode: WMode, v_star: int | None, H: np.ndarr
     logits = H @ W.swapaxes(1, 2)
     if family is Family.GAUSSIAN:
         return logits, np.full(K, -np.inf)
-    # one (K T, V) matrix: both functions work row by row
-    g = logit_gradients(log_softmax(logits.reshape(K * T, V)), y.ravel())
+    # one (K T, V) matrix: both functions work row by row; the draws are
+    # finite with targets in [0, V), so logit_gradients' checks are skipped
+    logp, onehot = log_softmax(logits.reshape(K * T, V)), np.zeros((K * T, V))
+    np.put(onehot, np.arange(0, K * T * V, V) + y.ravel(), 1.0)
+    g = _logit_gradients(logp, onehot, *_softmax_terms(logp))
     g_heat, g_conf = g.reshape(2, K, T, V)
     if family is Family.CONFLICTING:
         return logits, (g_heat * g_conf).reshape(K, -1).sum(axis=1)

@@ -470,6 +470,73 @@ class TestSingleTokenTies:
         np.testing.assert_array_equal(s6, s15[list(J6_FROM_JPLUS)])
 
 
+def _stacked_products(instance, seeds, scaled, dots=None):
+    """The products of the stacked points of ``instance`` drawn at
+    ``seeds`` after _scores under pushforward (cosine when ``scaled``),
+    formed in the first slices of a _work made for two more points;
+    ``dots`` replaces _dots.  Only the slots the alignment forms."""
+    perts = [init_perturbations(instance, init_scale=0.3, seed=seed) for seed in seeds]
+    fwd = forward(instance, Perturbations(np.stack([p.h for p in perts]),
+                                          np.stack([p.w for p in perts])))
+    work = attribution_mod._work(instance, len(seeds) + 2)
+    with pytest.MonkeyPatch.context() as mp:
+        if dots is not None:
+            mp.setattr(attribution_mod, "_dots", dots)
+        b = attribution_mod._Blocks(instance, fwd, work=work)
+        attribution_mod._scores(b, attribution_mod._Alignments(
+            [PUSH_COSINE if scaled else PUSH_RAW] * len(seeds)))
+    return b.products[:, :5 if scaled else 3].copy()
+
+
+class TestGramForm:
+    """_gram turns stacked 2x2 products into Grams in place: the entry
+    <x_0, y_1> is kept as it is, copied to <x_1, y_0>, and a diagonal
+    entry that rounds below 0 reads 0.  The pushforward cross at T = 1
+    is exactly symmetric too."""
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_sliced_stacks_in_place(self, K):
+        rng = np.random.default_rng(K)
+        P = rng.normal(size=(K + 2, 6, 2, 2))
+        P[:, :, 0, 0] = -1e-17 * np.abs(P[:, :, 0, 0])  # diagonals rounded below 0
+        expected = P.copy()
+        for slots in (slice(0, 2), slice(3, 5)):  # the native and the field Grams
+            attribution_mod._gram(P[:K, slots])
+        for m in (0, 1, 3, 4):
+            gram = expected[:K, m]
+            gram[:, 1, 0] = gram[:, 0, 1]
+            gram[:, 0, 0] = 0.0
+            gram[:, 1, 1] = np.maximum(gram[:, 1, 1], 0.0)
+        assert P.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("w_mode", list(WMode))
+    @pytest.mark.parametrize("T", [1, 3])
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_blocks_and_fields(self, w_mode, T, K, scaled):
+        instance = generate(GeneratorSpec(V=5, d=3, T=T, seed=7, w_mode=w_mode))
+        seeds = list(range(10, 10 + K))
+        P = _stacked_products(instance, seeds, scaled)
+        grams = [0, 1, 3, 4] if scaled else [0, 1]
+        symmetric = grams + ([2] if T == 1 and w_mode is WMode.FULL_MATRIX else [])
+        for m in symmetric:
+            assert P[:, m, 0, 1].tobytes() == P[:, m, 1, 0].tobytes(), m
+        assert (P[:, grams, 0, 0] >= 0.0).all() and (P[:, grams, 1, 1] >= 0.0).all()
+        for k, seed in enumerate(seeds):  # each slice is its point alone
+            assert P[k].tobytes() == _stacked_products(instance, [seed], scaled)[0].tobytes()
+        # a diagonal entry formed below 0 reads 0, and nothing else moves
+        original = attribution_mod._dots
+
+        def below_zero(x, y, out):
+            original(x, y, out)
+            out[..., 0, 0] = -1e-300
+
+        low = _stacked_products(instance, seeds, scaled, below_zero)
+        assert (low[:, grams, 0, 0] == 0.0).all()
+        for i, j in ((0, 1), (1, 0), (1, 1)):
+            assert low[:, grams, i, j].tobytes() == P[:, grams, i, j].tobytes()
+
+
 class TestGradientSetValidation:
     def test_unstacked_blocks_rejected(self, make_point):
         instance, pert = make_point(seed=5, w_mode=WMode.FULL_MATRIX)  # V=6, d=4, T=2

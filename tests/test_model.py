@@ -177,6 +177,36 @@ class TestSoftmax:
             call(np.array([[-0.5, -1.0]]), [0.5])
 
 
+class TestStrictTargets:
+    """losses and logit_gradients take T targets in [0, V) and raise
+    ValueError naming y otherwise: a negative target would wrap to the
+    last column, a short y would broadcast over the rows, and a target
+    of V or more would read the next row of a flat index."""
+
+    @pytest.mark.parametrize("call", [losses, logit_gradients])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("y, message", [
+        ([-1, 0], r"y entries must lie in \[0, 3\), got \[-1, 0\]"),
+        ([3, 0], r"y entries must lie in \[0, 3\), got \[3, 0\]"),
+        ([0, 7], r"y entries must lie in \[0, 3\), got \[0, 7\]"),
+        ([0], r"y must have shape \(2,\), got \(1,\)"),
+        ([0, 1, 2], r"y must have shape \(2,\), got \(3,\)"),
+        ([[0, 1]], r"y must have shape \(2,\), got \(1, 2\)"),
+    ])
+    def test_rejected(self, call, stacked, y, message):
+        logp = log_softmax(np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -3.0]]))
+        with pytest.raises(ValueError, match=message):
+            call(np.stack([logp, logp]) if stacked else logp, np.array(y))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+    def test_any_integer_dtype_reads_the_same_targets(self, dtype):
+        logp = log_softmax(np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -3.0]]))
+        y = np.array([2, 1], dtype=dtype)
+        assert losses(logp, y).ob1 == -(logp[0, 2] + logp[1, 1]) / 2
+        g = logit_gradients(logp, y)
+        assert g[0].tobytes() == (np.exp(logp) - np.eye(3)[[2, 1]]).tobytes()
+
+
 class TestHeatLoss:
     def test_uniform_logits(self):
         assert _losses(np.zeros((1, 4)), [2]).ob1 == pytest.approx(math.log(4.0), rel=1e-15)
@@ -197,7 +227,7 @@ class TestHeatLoss:
         assert both == pytest.approx((single_a + single_b) / 2.0, rel=1e-15)
 
     def test_target_out_of_range_raises(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"y entries must lie in \[0, 3\)"):
             _losses(np.zeros((1, 3)), [5])
 
 

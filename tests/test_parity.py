@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from j6opt import run
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 _spec = importlib.util.spec_from_file_location("parity", _PATH)
 parity = importlib.util.module_from_spec(_spec)
@@ -29,6 +31,21 @@ def test_equal_runs_match_and_a_changed_digest_fails(tmp_path, capsys):
     assert parity.main(["--first", "2", "--against", str(a)]) == 1
     assert f"differs: {name}" in capsys.readouterr().out.splitlines()
 
+
+
+def test_alone_runs_each_configuration_on_its_own(tmp_path, capsys, monkeypatch):
+    # --alone calls run once per configuration and never run_many; its
+    # digests match the batched ones
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert parity.main(["--first", "3", "--out", str(a)]) == 0
+    calls = []
+    monkeypatch.setattr(parity, "run_many", None)
+    monkeypatch.setattr(parity, "run", lambda *args: calls.append(args[1].kind) or run(*args))
+    capsys.readouterr()
+    assert parity.main(["--first", "3", "--alone", "--out", str(b), "--against", str(a)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"3 of 3 runs match {a}"
+    assert [kind.value for kind in calls] == ["hard-j6", "hard-jplus", "soft"]
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_decisions_mode_names_changed_decisions_and_the_score_gap(tmp_path, capsys):

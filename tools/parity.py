@@ -4,13 +4,16 @@
     python tools/parity.py --against digests.json    # exit 1, naming each run that differs
     python tools/parity.py --decisions --out decisions.json
     python tools/parity.py --decisions --against decisions.json
+    python tools/parity.py --alone --against digests.json   # each run alone
 
 The grid is 432 runs: the sizes (V x d x T) 6x4x1, 6x4x2, 64x16x8 and
 200x32x16, each w_mode, seeds 0-2 (the instance's and the start's),
 the alignments auto-raw and pushforward-cosine, and the six strategies,
 each run 100 steps from a uniform start of scale 0.3 at eta 0.05.  The
 six strategies of one cell step in lockstep (``run_many``), as
-``compare`` runs them.  A run's digest is the sha256 of its trace CSV
+``compare`` runs them; under ``--alone`` each runs as its own ``run``
+(K = 1), so the digests of the two show whether a batched run equals
+its run alone.  A run's digest is the sha256 of its trace CSV
 bytes, the reprs of its final objectives and the bytes of its final
 perturbations.  ``--first N`` keeps the first N runs of the grid.
 
@@ -41,6 +44,7 @@ from j6opt import (
     StrategyKind,
     WMode,
     generate,
+    run,
     run_many,
     write_trace,
 )
@@ -52,10 +56,11 @@ ALIGNMENTS = {"auto-raw": AlignmentMode("auto", "raw"),
 STEPS, INIT_SCALE, ETA = 100, 0.3, 0.05
 
 
-def runs(first: int | None = None):
+def runs(first: int | None = None, alone: bool = False):
     """Each run of the grid as (name, strategy kind, result), the name
     size/w_mode/seed/alignment/strategy, in grid order; only the first
-    ``first`` runs when given."""
+    ``first`` runs when given.  A cell's runs step in one batch, or each
+    on its own when ``alone``."""
     count = 0
     for V, d, T in SIZES:
         for w_mode in WMode:
@@ -71,17 +76,19 @@ def runs(first: int | None = None):
                         return
                     cfgs = [StrategyConfig(kind=kind, eta_h=ETA, eta_w=ETA, alignment=mode)
                             for kind in kinds]
-                    for kind, result in zip(kinds, run_many(instance, cfgs, rcfg)):
+                    results = ([run(instance, cfg, rcfg) for cfg in cfgs] if alone
+                               else run_many(instance, cfgs, rcfg))
+                    for kind, result in zip(kinds, results):
                         count += 1
                         yield f"{cell}/{kind.value}", kind, result
 
 
-def digests(first: int | None = None) -> dict[str, str]:
+def digests(first: int | None = None, alone: bool = False) -> dict[str, str]:
     """Each run's digest by its name, in grid order."""
     out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = Path(tmp) / "trace.csv"
-        for name, kind, result in runs(first):
+        for name, kind, result in runs(first, alone):
             write_trace(result, trace_path, kind)
             digest = hashlib.sha256(trace_path.read_bytes())
             obs = result.objectives
@@ -92,14 +99,14 @@ def digests(first: int | None = None) -> dict[str, str]:
     return out
 
 
-def decisions(first: int | None = None) -> dict[str, dict[str, list]]:
+def decisions(first: int | None = None, alone: bool = False) -> dict[str, dict[str, list]]:
     """Each run's decisions and score rows by its name, in grid order."""
     def decision(rec):
         return rec.chosen_index if rec.alpha is None else int(np.argmax(rec.alpha))
 
     return {name: {"decisions": [decision(rec) for rec in result.trace],
                    "scores": [rec.scores.tolist() for rec in result.trace]}
-            for name, _, result in runs(first)}
+            for name, _, result in runs(first, alone)}
 
 
 def score_gap(expected: dict, found: dict) -> tuple[float, str | None]:
@@ -123,10 +130,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--first", type=int, default=None, help="run only the first N runs")
     parser.add_argument("--decisions", action="store_true",
                         help="record and compare decisions and score rows, not digests")
+    parser.add_argument("--alone", action="store_true",
+                        help="run each configuration as its own run, not in its cell's batch")
     args = parser.parse_args(argv)
     if not (args.out or args.against):
         parser.error("give --out, --against or both")
-    found = (decisions if args.decisions else digests)(args.first)
+    found = (decisions if args.decisions else digests)(args.first, args.alone)
     if args.out:
         Path(args.out).write_text(json.dumps(found, indent=None if args.decisions else 1) + "\n")
         print(f"wrote {args.out} ({len(found)} runs)")
