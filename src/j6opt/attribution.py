@@ -29,12 +29,11 @@ only on request (``GradientSet.w``): under direct alignment, where they
 are d-vectors.
 
 The optimizer computes all of this for K points at once, on a leading
-K axis (``_Blocks``, ``_scores``): the h blocks (K, 2, d), each
-slice's native Grams and cross matrix (K, 2, 2) from stacked matmuls
-and per-slice dots, and the scores as one fixed gather-and-add over
-each slice's 2x2 entries (``_TERMS``) plus the cosine division.  No
-product runs across K, so slice k is bit for bit what point k gives
-alone; ``GradientSet`` and the score functions are the K = 1 slice.
+K axis (``_Blocks``, ``_scores``), under the batching rule of
+``optimizer``: the h blocks (K, 2, d), each slice's native Grams and
+cross matrix (K, 2, 2), and the scores as one fixed gather-and-add over
+each slice's 2x2 entries (``_TERMS``) plus the cosine division.
+``GradientSet`` and the score functions are the K = 1 slice.
 """
 
 from __future__ import annotations
@@ -191,32 +190,37 @@ def _work(instance: ProblemInstance, K: int) -> tuple[np.ndarray, np.ndarray]:
     return products, weights
 
 
+def _gradients(instance: ProblemInstance, fwd: Forward) -> np.ndarray:
+    """Both objectives' logit-space gradients, from the one log-softmax
+    of a forward pass with finite losses."""
+    return _logit_gradients(fwd.logp, instance._target[1], fwd.p, fwd.plogp)
+
+
 @dataclass(eq=False)
 class _Blocks:
-    """The gradient blocks at K stacked points of one instance: ``fwd``
-    the stacked forward pass, ``g`` (K, 2, T, V) and ``h`` (K, 2, d) as
-    in GradientSet, each formed here when not given.  r, Kr and, under
-    FULL_MATRIX, ``BJa`` (K, 2, d), B^T (J_j2 a), carry the w side
-    (module docstring).  Where w is a d-vector, the h and the w blocks
-    sit in one array, ``hw`` (K, 2, 2, d), h then ``w`` (J12, J22).
-    ``products`` (K, 6, 2, 2) holds each slice's 2x2 products in the
-    layout of _TERMS; its native Grams of the h and of the w blocks,
-    ``grams`` (K, 2, 2, 2), are formed here, the rest by ``_scores``.
-    They are formed in ``work`` (``_work``), made here when not given.
-    ``finite`` lists whether each slice's Grams are finite.  Slice k
-    comes from point k alone: stacked matmuls, no product across K."""
+    """The gradient blocks at K stacked points of one instance, from
+    their A and B (K, T, d), (K, V, d) and logit gradients ``g``
+    (K, 2, T, V); ``h`` (K, 2, d) as in GradientSet, pulled back here
+    when not given.  r, Kr and, under FULL_MATRIX, ``BJa`` (K, 2, d),
+    B^T (J_j2 a), carry the w side (module docstring).  Where w is a
+    d-vector, the h and the w blocks sit in one array, ``hw``
+    (K, 2, 2, d), h then ``w`` (J12, J22).  ``products`` (K, 6, 2, 2)
+    holds each slice's 2x2 products in the layout of _TERMS; its native
+    Grams of the h and of the w blocks, ``grams`` (K, 2, 2, 2), are
+    formed here, the rest by ``_scores``, all in ``work`` (``_work``),
+    made here when not given.  ``finite`` lists whether each slice's
+    Grams are finite."""
 
     instance: ProblemInstance
-    fwd: Forward
-    g: np.ndarray | None = None
+    A: np.ndarray
+    B: np.ndarray
+    g: np.ndarray
     h: np.ndarray | None = None
     work: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        A, T, f, n = self.fwd.A, self.instance.T, self.fwd, len(self.fwd.A)
+        A, T, n = self.A, self.instance.T, len(self.A)
         products, weights = self.work or _work(self.instance, n)
-        if self.g is None:  # both objectives' logit-space gradients, from one log-softmax
-            self.g = _logit_gradients(f.logp, self.instance._target[1], f.p, f.plogp)
         K = A @ A.swapaxes(1, 2)
         self.r = w_columns(self.instance, self.g)
         self.Kr = K[:, None] @ self.r if self.r.ndim == 4 else self.r @ K
@@ -227,13 +231,13 @@ class _Blocks:
             weights = weights[:n]
             Ka = np.add.reduce(K, axis=1, out=weights[:, 1])
             Ka /= T
-            gB = (weights[:, None] @ self.g).reshape(n, 4, -1) @ f.B
+            gB = (weights[:, None] @ self.g).reshape(n, 4, -1) @ self.B
             self.BJa = gB[:, 1::2]
             if self.h is None:
                 self.h = gB[:, 0::2]
         else:  # the h blocks, then the w blocks r^T A / T (model.pullback)
             hw = self.hw = np.empty((n, 2, 2, self.instance.d))
-            np.matmul(np.add.reduce(self.g, axis=2), f.B, out=hw[:, 0])
+            np.matmul(np.add.reduce(self.g, axis=2), self.B, out=hw[:, 0])
             _pullback(self.instance, A, self.g, out=hw[:, 1])
             hw /= T
             if self.h is not None:
@@ -259,8 +263,7 @@ class GradientSet:
     when not given, and ``fwd`` the forward pass they come from.  Its w
     blocks (J12, J22) = pullback(g) are formed only on request (``w``).
     ``grams`` holds the native 2x2 Grams of the h and of the w blocks; a
-    non-finite entry raises ValueError.  It is the K = 1 slice of the
-    stacked blocks the optimizer steps on, and scores through them.
+    non-finite entry raises ValueError.
     """
 
     instance: ProblemInstance
@@ -276,12 +279,9 @@ class GradientSet:
                 f"g and h must be stacked (2, {T}, {V}) and (2, {d}) by objective, "
                 f"got {self.g.shape} and {np.shape(self.h)}"
             )
-        f = self.fwd
-        one = Forward(f.A[None], f.B[None], f.logits[None], f.logp[None], f.objectives,
-                      f.p[None], f.plogp[None])
+        f, h = self.fwd, None if self.h is None else self.h[None]
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite Grams raise below
-            self._blocks = _Blocks(self.instance, one, self.g[None],
-                                   None if self.h is None else self.h[None])
+            self._blocks = _Blocks(self.instance, f.A[None], f.B[None], self.g[None], h)
         self.h = self._blocks.h[0]
         if not self._blocks.finite[0]:
             raise ValueError("gradient blocks must be finite, with finite Grams")
@@ -304,8 +304,7 @@ def compute_gradient_set(instance: ProblemInstance, at: Perturbations | Forward)
     them.  ``at`` is the point's perturbations, or a forward pass
     already taken there."""
     fwd = at if isinstance(at, Forward) else forward(instance, at)
-    return GradientSet(instance, fwd, _logit_gradients(fwd.logp, instance._target[1], fwd.p,
-                                                       fwd.plogp))
+    return GradientSet(instance, fwd, _gradients(instance, fwd))
 
 
 _DIAGONAL = np.eye(2, dtype=bool)
@@ -341,7 +340,7 @@ def _pushforward(b: _Blocks, with_grams: bool, out: np.ndarray | None = None) ->
     if out is None:
         out = np.empty((K, 3 if with_grams else 1, 2, 2))
     cross = out[:, 0]
-    Bh = b.h @ b.fwd.B.swapaxes(1, 2) if with_grams or not full else None  # B J_i1 (K, 2, V)
+    Bh = b.h @ b.B.swapaxes(1, 2) if with_grams or not full else None  # B J_i1 (K, 2, V)
     if full:  # J_i1 . B^T (J_j2 a), a (2, d) @ (d, 2) product
         np.matmul(b.h, b.BJa.swapaxes(1, 2), out=cross)
         if T == 1:
@@ -383,12 +382,7 @@ def _scores(b: _Blocks, align: _Alignments) -> np.ndarray:
     """The (K, 21) score rows of stacked blocks, the 15 J+ components and
     then the 6 j6 slots, row k under slice k's resolved alignment
     (``align``): pushforward or direct, and raw or cosine-scaled (see
-    ``score_jplus``).
-
-    All products, and under COSINE the squared norms each product of two
-    different operands is divided by, are one fixed gather-and-add over
-    the slice's 2x2 products (_TERMS).
-    """
+    ``score_jplus``)."""
     P, K, scaled = b.products, len(b.products), align.scaled
     if align.all_push:
         _pushforward(b, scaled, out=P[:, 2:5 if scaled else 3])

@@ -12,10 +12,8 @@ non-finite value is checked and reported.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import math
 import os
 import sys
@@ -28,10 +26,10 @@ from .model import ProblemInstance, WMode, fd_gradient, forward
 from .optimizer import NonFiniteLossError, RunConfig, RunResult, init_perturbations, run, run_many
 from .serialize import (
     InstanceFormatError,
-    _atomic_write,
     load_instance,
     save_instance,
     write_summary,
+    write_sweep,
     write_trace,
 )
 from .strategies import PreNorm, StrategyConfig, StrategyKind
@@ -145,10 +143,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _run_each(args: argparse.Namespace, cfgs: list[StrategyConfig]) -> list[RunResult]:
-    """``compare`` and ``sweep``: check ``--jobs``, load the instance, then
-    run every configuration from the same start, in lockstep batches
-    (``run_many``); ``--jobs`` changes neither the output nor the
-    batching."""
+    """``compare`` and ``sweep``: check ``--jobs`` (which changes nothing),
+    load the instance, then ``run_many`` every configuration."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     return run_many(load_instance(args.instance), cfgs, _run_config(args))
@@ -182,26 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--values must be numeric, got {args.values!r}") from None
     base = _strategy_config(args, args.strategy)
     cfgs = [dataclasses.replace(base, **{_SWEEP_PARAMS[args.param]: value}) for value in values]
-    results = _run_each(args, cfgs)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["param", "value", "final_ob1", "final_ob2", "stop_reason", "steps", "alpha_max"])
-    for value, cfg, result in zip(values, cfgs, results):
-        alpha_max = ""
-        if cfg.kind is StrategyKind.SOFT and result.trace:
-            alpha_max = repr(float(result.trace[0].alpha.max()))
-        writer.writerow(
-            [
-                args.param,
-                repr(value),
-                repr(result.objectives.ob1),
-                repr(result.objectives.ob2),
-                result.stop_reason.value,
-                len(result.trace),
-                alpha_max,
-            ]
-        )
-    _atomic_write(args.out, buf.getvalue())
+    write_sweep(args.param, list(zip(values, _run_each(args, cfgs))), args.out, base.kind)
     print(f"wrote {args.out} ({len(values)} rows)")
     return 0
 
@@ -245,6 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = [_config_flags()]
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1,
+                      help="accepted for compatibility (>= 1); the configurations run as "
+                           "lockstep batches sized by a byte budget, and --jobs changes "
+                           "neither the output nor the batching")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic instance file",
                            argument_default=argparse.SUPPRESS)
@@ -267,26 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--eps", type=float, default=1e-5)
     p_gc.add_argument("--corrupt", type=float, default=0.0, help=argparse.SUPPRESS)
 
-    p_cmp = sub.add_parser("compare", parents=common,
+    p_cmp = sub.add_parser("compare", parents=common + [jobs],
                            help="run several strategies from the same start")
     p_cmp.add_argument("--strategies", default=",".join(_STRATEGY_NAMES),
                        help="comma-separated strategy names")
     p_cmp.add_argument("-o", "--out", required=True, help="summary JSON path")
-    p_cmp.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility (>= 1); the configurations run as "
-                            "lockstep batches sized by a byte budget, and --jobs changes "
-                            "neither the output nor the batching")
 
-    p_sw = sub.add_parser("sweep", parents=common,
+    p_sw = sub.add_parser("sweep", parents=common + [jobs],
                           help="vary one strategy parameter over a value list")
     p_sw.add_argument("--param", choices=sorted(_SWEEP_PARAMS), required=True)
     p_sw.add_argument("--values", required=True, help="comma-separated numbers")
     p_sw.add_argument("--strategy", choices=_STRATEGY_NAMES, default="soft")
     p_sw.add_argument("-o", "--out", required=True, help="summary CSV path")
-    p_sw.add_argument("--jobs", type=int, default=1,
-                      help="accepted for compatibility (>= 1); the configurations run as "
-                           "lockstep batches sized by a byte budget, and --jobs changes "
-                           "neither the output nor the batching")
 
     return parser
 

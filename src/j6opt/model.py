@@ -22,10 +22,8 @@ pass alone, both losses stacked like the analytic ones.
 
 K points of one instance stack on a leading axis (``Perturbations``
 with h (K, d) and w (K,) + w_shape), and every function above takes
-such a stack.  Slices never mix: a stacked ``matmul``, and the
-row-wise functions along the last axis of the (K, T, V) stack, each
-row on its own, so slice k holds bit for bit what point k gives alone.  The one-point call is the K = 1
-call.
+such a stack under the batching rule of ``optimizer``: slice k holds
+bit for bit what point k gives alone, the one-point call being K = 1.
 
 All numerics are float64.  Every public function is pure.
 """
@@ -36,7 +34,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -129,38 +126,26 @@ class ProblemInstance:
             if value < 1:
                 raise ValueError(f"{name} must be a positive integer")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_target", _targets(self.y, self.T, self.V))  # the one check of y
+        object.__setattr__(self, "y", np.asarray(self.y).astype(np.int64, copy=False))
         H = np.asarray(self.H, dtype=np.float64)
         W = np.asarray(self.W, dtype=np.float64)
-        y = np.asarray(self.y)
-        if y.dtype.kind not in "iu":
-            raise ValueError(f"'y' must have an integer dtype, got {y.dtype}")
         if H.shape != (self.T, self.d):
             raise ValueError(f"H must have shape {(self.T, self.d)}, got {H.shape}")
         if W.shape != (self.V, self.d):
             raise ValueError(f"W must have shape {(self.V, self.d)}, got {W.shape}")
-        if y.shape != (self.T,):
-            raise ValueError(f"y must have shape {(self.T,)}, got {y.shape}")
         if not (np.isfinite(H).all() and np.isfinite(W).all()):
             raise ValueError("H and W must be finite")
-        if y.min(initial=0) < 0 or y.max(initial=0) >= self.V:
-            raise ValueError("y entries must lie in [0, V)")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "W", W)
-        object.__setattr__(self, "y", y.astype(np.int64, copy=False))
         object.__setattr__(self, "w_mode", WMode(self.w_mode))
         v_star = self.v_star
         if v_star is None:
-            v_star = int(y[-1]) if self.w_mode is WMode.SINGLE_ROW else 0
+            v_star = int(self.y[-1]) if self.w_mode is WMode.SINGLE_ROW else 0
         v_star = require_int("v_star", v_star)
         if not 0 <= v_star < self.V:
             raise ValueError("v_star must lie in [0, V)")
         object.__setattr__(self, "v_star", v_star)
-
-    @cached_property
-    def _target(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat index and the one-hot of the targets (``_targets``),
-        formed once per instance."""
-        return _targets(self.y, self.T, self.V)
 
 
 @dataclass(eq=False)
@@ -237,21 +222,15 @@ def _check_shapes(instance: ProblemInstance, pert: Perturbations) -> bool:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable row-wise log-softmax of a (T, V) logit matrix.
+    """Numerically stable row-wise log-softmax of a (T, V) logit matrix,
+    or of a (K, T, V) stack, each row on its own.
 
     Non-finite rows pass through (as nan) so that a diverging run
     surfaces as a non-finite loss rather than as an error here.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError("logits must be a (T, V) matrix")
-    return _log_softmax(z)
-
-
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """``log_softmax`` along the last axis of float64 logits of any rank,
-    each row on its own: a (K, T, V) stack gives bit for bit its (K·T, V)
-    flattening."""
+    if z.ndim not in (2, 3):
+        raise ValueError("logits must be a (T, V) matrix or a (K, T, V) stack")
     shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     total = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
     logp = np.subtract(shifted, np.log(total, out=total), out=shifted)
@@ -289,7 +268,7 @@ def _targets(y: np.ndarray, T: int, V: int) -> tuple[np.ndarray, np.ndarray]:
     one-hot; y must hold T integers in [0, V), else ValueError."""
     y = np.asarray(y)
     if y.dtype.kind not in "iu":
-        raise ValueError(f"y must have an integer dtype, got {y.dtype}")
+        raise ValueError(f"'y' must have an integer dtype, got {y.dtype}")
     if y.shape != (T,):
         raise ValueError(f"y must have shape {(T,)}, got {y.shape}")
     if y.min(initial=0) < 0 or y.max(initial=0) >= V:
@@ -337,9 +316,8 @@ def _factor_B(instance: ProblemInstance, w: np.ndarray, out: np.ndarray | None =
 def forward(instance: ProblemInstance, pert: Perturbations, B: np.ndarray | None = None) -> Forward:
     """The logits at (h, w) and both losses, from one log-softmax.
 
-    Stacked perturbations give a stacked pass (module docstring).  B is
-    formed from W and w (``_factor_B``) unless the caller gives it: the
-    factor at ``pert``'s w, shaped (K, V, d) for a stacked pass and
+    B is formed from W and w (``_factor_B``) unless the caller gives it:
+    the factor at ``pert``'s w, shaped (K, V, d) for a stacked pass and
     (V, d) for one point.  Only its shape is checked.  The optimizer
     gives the B it keeps as state beside w.
     """
@@ -353,7 +331,7 @@ def forward(instance: ProblemInstance, pert: Perturbations, B: np.ndarray | None
         B = B[None]
     A = instance.H + h[:, None]
     logits = A @ B.swapaxes(1, 2)
-    logp = _log_softmax(logits)
+    logp = log_softmax(logits)
     p, plogp = _softmax_terms(logp)
     ob1, ob2 = _losses(logp, instance._target[0], plogp)
     if stacked:
@@ -447,7 +425,7 @@ def fd_gradient(
     Independent oracle for the analytic blocks: the evaluated points go
     through stacked ``forward`` passes alone, each point once, in blocks
     of ``_stack_width`` points; never ``logit_gradients`` or
-    ``pullback``.  A stacked slice is bit for bit its one-point pass.
+    ``pullback``.
 
     Args:
         which: "h" or "w".

@@ -11,14 +11,13 @@ trace row is exactly attributable to its score vector.
 
 K configurations of one instance step in lockstep (``run_many``), and
 ``run`` is the K = 1 call: there is one step, over a leading K axis.
-Its rule is that slices never mix: every operation is elementwise, a
-row-wise reduction, a stacked matmul or a per-slice dot (``vecdot``),
-so run k computes in a batch exactly what it computes alone, bit for
-bit.  Nothing takes a ``vdot`` or an ``einsum`` across K, and anything
-that branches on a configuration's knob does so per slice.  One trap:
-``x ** gamma`` with a stacked (K, 1) gamma takes numpy's pow where a
-scalar 2.0 takes x*x, so the contrast exponent is applied with each
-configuration's gamma as a plain number (``strategies._contrast``).
+The batching rule, which ``model``, ``attribution``, ``strategies`` and
+``probgen`` follow too, is that slices never mix: every operation is
+elementwise, a row-wise reduction, a stacked matmul or a per-slice dot
+(``vecdot``), so run k computes in a batch exactly what it computes
+alone, bit for bit.  Nothing takes a ``vdot`` or an ``einsum`` across
+K, and anything that branches on a configuration's knob does so per
+slice (a stacked exponent is the trap ``strategies._contrast`` avoids).
 Everything that depends only on the configurations is compiled once
 per batch into its plan (``strategies._Rules``, with the alignment
 masks of ``attribution._Alignments``), and again only for the runs a
@@ -47,6 +46,7 @@ from .attribution import (
     AlignmentMode,
     _Alignments,
     _Blocks,
+    _gradients,
     _scores,
     _work,
     resolve_alignment,
@@ -120,8 +120,7 @@ class TraceRecord:
 
     step: int
     ob1: float
-    ob2: float
-    entropy: float
+    ob2: float  # the mean entropy is -ob2
     n11: float
     n12: float
     n21: float
@@ -144,8 +143,9 @@ class RunResult:
 def init_perturbations(
     instance: ProblemInstance, init_scale: float = 0.0, seed: int = 0
 ) -> Perturbations:
-    """Zeros, or seeded i.i.d. uniform in [-init_scale, init_scale]."""
-    if init_scale == 0.0:
+    """Zeros, or seeded i.i.d. uniform in [-init_scale, init_scale];
+    both arguments are checked as ``RunConfig`` checks its fields."""
+    if RunConfig(seed=seed, init_scale=init_scale).init_scale == 0.0:
         return zero_perturbations(instance)
     rng = np.random.default_rng(seed)
     shape_w = w_shape(instance.V, instance.d, instance.w_mode)
@@ -234,11 +234,9 @@ class _Buffers:
 class _Batch:
     """The live runs of a lockstep batch, slice i of every array holding
     run ``index[i]``: its configuration, resolved alignment, point
-    (stacked ``Perturbations``, updated in place), B (see ``_Buffers``)
-    and the stop reason decided after its last step.  The
-    plan of its configurations, ``rules`` (``strategies._Rules``) and
-    ``align`` (``attribution._Alignments``), is compiled here and again
-    for the runs ``keep`` keeps, never per step."""
+    (stacked ``Perturbations``, updated in place), B (see ``_Buffers``),
+    the stop reason decided after its last step, and the plan of its
+    configurations (``rules``, ``align``)."""
 
     def __init__(self, cfgs: list[StrategyConfig], modes: list[AlignmentMode], bufs: _Buffers,
                  start: Perturbations | None, T: int):
@@ -255,9 +253,6 @@ class _Batch:
         self.B = bufs.B[:K]
         self.stop: list[StopReason | None] = [None] * K
 
-    def __len__(self) -> int:
-        return len(self.index)
-
     def keep(self, rows: list[int]) -> None:
         """Keep the runs at ``rows`` only."""
         for name in ("index", "cfgs", "modes", "stop"):
@@ -272,9 +267,11 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
     """``run_many`` for one batch.  Each iteration takes one stacked
     forward pass: for a run that stopped after the previous step it
     gives the final objectives, for the others it starts the next step.
-    A run that aborts drops every run after it, whose results can no
-    longer matter, and the others go on, so the abort raised at the end
-    is the lowest-index one."""
+    A run that aborts (at a non-finite loss, or after the update when
+    its blocks overflowed or its point left the finite range, in that
+    order) drops every run after it, whose results can no longer
+    matter, and the others go on, so the abort raised at the end is the
+    lowest-index one."""
     batch = _Batch(cfgs, modes, bufs, start, instance.T)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
     results: list[RunResult | None] = [None] * len(cfgs)
@@ -298,20 +295,11 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
                     ObjectivePair(ob1[i], ob2[i]), traces[k], batch.stop[i] or StopReason.MAX_STEPS)
         if not live:
             break
-        if len(live) < len(batch):
+        if len(live) < len(batch.index):
             batch.keep(live)
             fwd = fwd.take(live)
             ob1, ob2 = [ob1[i] for i in live], [ob2[i] for i in live]
-        blocks = _Blocks(instance, fwd, work=bufs.work)
-        if not all(blocks.finite):  # finite losses, but the blocks overflowed
-            cut = blocks.finite.index(False)
-            abort = NonFiniteLossError(
-                step, f"at step {step}: gradient blocks must be finite, with finite Grams")
-            if cut == 0:
-                break
-            batch.keep(list(range(cut)))
-            fwd = fwd.take(list(range(cut)))
-            blocks = _Blocks(instance, fwd, work=bufs.work)
+        blocks = _Blocks(instance, fwd.A, fwd.B, _gradients(instance, fwd), work=bufs.work)
         scores = _scores(blocks, batch.align)
         jplus, j6 = scores[:, :15], scores[:, 15:]
         c, chosen, alpha = decide(jplus, j6, blocks.grams, batch.rules)
@@ -341,20 +329,24 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
         if not full:
             _factor_B(instance, w, out=batch.B)
         traced = np.sqrt(norms, out=norms).reshape(n, 6).tolist()
+        ok = blocks.finite  # at finite losses, the blocks may overflow
         # h and w were finite, and a step of finite norm (entries below 2^512) keeps them so
-        if not (all(math.isfinite(r[4] + r[5]) for r in traced)
-                or np.isfinite(h).all() and np.isfinite(w).all()):
-            finite = np.isfinite(h).all(axis=1) & np.isfinite(w).reshape(len(w), -1).all(axis=1)
-            cut = int(np.argmin(finite))
-            abort = NonFiniteLossError(
-                step, f"update at step {step} left the finite range: perturbations must be finite")
+        if not all(math.isfinite(r[4] + r[5]) for r in traced):
+            ok = (ok & np.isfinite(h).all(axis=1)
+                  & np.isfinite(w).reshape(n, -1).all(axis=1)).tolist()
+        if not all(ok):
+            cut = ok.index(False)
+            abort = NonFiniteLossError(step, (
+                f"at step {step}: gradient blocks must be finite, with finite Grams"
+                if not blocks.finite[cut] else
+                f"update at step {step} left the finite range: perturbations must be finite"))
             if cut == 0:
                 break
             batch.keep(list(range(cut)))
         rows = zip(batch.index, batch.rules.reads_jplus, traced)
         for i, (k, jp, (n11, n21, n12, n22, dh, dw)) in enumerate(rows):
             trace = traces[k]
-            trace.append(TraceRecord(step, ob1[i], ob2[i], -ob2[i], n11, n12, n21, n22,
+            trace.append(TraceRecord(step, ob1[i], ob2[i], n11, n12, n21, n22,
                                      jplus[i] if jp else j6[i], chosen[i], alpha[i], dh, dw))
             batch.stop[i] = stop_check(trace, rcfg)
         # free this step's arrays before the next forward pass allocates

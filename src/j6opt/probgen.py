@@ -7,11 +7,11 @@ the certificate holds, so every emitted instance carries its property by
 test rather than by trust.
 
 Candidates are drawn in blocks from one stream, and ``_certificates``
-evaluates a block at once with arithmetic that stays inside each
-candidate's slice.  So a candidate's value is bit for bit the public
-certificate of the instance built from it (the K = 1 call), and the
-first candidate in draw order below its threshold, the one returned, is
-the one a draw-by-draw loop would return.
+evaluates a block at once under the batching rule of ``optimizer``.  So
+a candidate's value is bit for bit the public certificate of the
+instance built from it (the K = 1 call), and the first candidate in
+draw order below its threshold, the one returned, is the one a
+draw-by-draw loop would return.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (ProblemInstance, WMode, _logit_gradients, _softmax_terms, log_softmax,
-                    require_int)
+from .model import (ProblemInstance, WMode, _logit_gradients, _softmax_terms, _targets,
+                    log_softmax, require_int)
 
 __all__ = [
     "Family",
@@ -98,19 +98,16 @@ def _certificates(family: Family, w_mode: WMode, v_star: int | None, H: np.ndarr
                   W: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked candidates (K, T, d), (K, V, d), (K, T) at zero
     perturbations: their (K, T, V) logits and each one's certificate
-    (-inf for ``gaussian``).  Candidate k only touches slice k: a stacked
-    matmul, the model's row-wise functions and a sum per candidate, so its
-    value is bit for bit the one it has alone (the K = 1 call)."""
+    (-inf for ``gaussian``), slice k from candidate k alone."""
     K, T = y.shape
     V = W.shape[1]
     logits = H @ W.swapaxes(1, 2)
     if family is Family.GAUSSIAN:
         return logits, np.full(K, -np.inf)
     # one (K T, V) matrix: both functions work row by row; the draws are
-    # finite with targets in [0, V), so logit_gradients' checks are skipped
-    logp, onehot = log_softmax(logits.reshape(K * T, V)), np.zeros((K * T, V))
-    np.put(onehot, np.arange(0, K * T * V, V) + y.ravel(), 1.0)
-    g = _logit_gradients(logp, onehot, *_softmax_terms(logp))
+    # finite, so logit_gradients' finiteness check is skipped
+    logp = log_softmax(logits.reshape(K * T, V))
+    g = _logit_gradients(logp, _targets(y.ravel(), K * T, V)[1], *_softmax_terms(logp))
     g_heat, g_conf = g.reshape(2, K, T, V)
     if family is Family.CONFLICTING:
         return logits, (g_heat * g_conf).reshape(K, -1).sum(axis=1)

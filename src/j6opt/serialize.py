@@ -1,8 +1,11 @@
-"""File formats: instance JSON, per-step trace CSV, and run summary JSON.
+"""File formats: instance JSON, per-step trace CSV, run summary JSON and
+sweep CSV.
 
 Instances are small, so everything is text: JSON numbers round-trip
 float64 exactly (shortest-repr serialization, up to 17 significant
-digits), traces are plain CSV with LF line endings and ``.`` decimals.
+digits), the CSV files are plain CSV with LF line endings and ``.``
+decimals.  Their every value is a float's or an int's repr or a fixed
+name, which never needs CSV quoting, so each row is one join.
 The JSON files are exactly ``json.dumps(doc, indent=2)`` plus a newline,
 written by ``_json`` (which never runs json's pure-Python encoder).
 All writers go through a temp-file-plus-rename so readers never observe
@@ -213,8 +216,7 @@ def trace_header(kind: StrategyKind, n_scores: int) -> list[str]:
 
 def write_trace(result: RunResult, path: str | Path, kind: StrategyKind) -> None:
     """One CSV row per executed step; header-only when the trace is empty.
-    Every value is a float's or an int's repr, which never needs CSV
-    quoting, so each row is one join."""
+    Its entropy column is -ob2."""
     kind = StrategyKind(kind)
     soft = kind is StrategyKind.SOFT
     lines = [",".join(trace_header(kind, 15 if kind is StrategyKind.HARD_JPLUS else 6))]
@@ -223,11 +225,10 @@ def write_trace(result: RunResult, path: str | Path, kind: StrategyKind) -> None
         routed = r.alpha.tolist() if soft else [-1 if r.chosen_index is None else r.chosen_index]
         # float() keeps the repr of a numpy scalar a plain float's
         lines.append(",".join(map(repr, [
-            r.step, float(r.ob1), float(r.ob2), float(r.entropy), float(r.n11), float(r.n12),
+            r.step, float(r.ob1), float(r.ob2), -float(r.ob2), float(r.n11), float(r.n12),
             float(r.n21), float(r.n22), *r.scores.tolist(), *routed,
             float(r.dh_norm), float(r.dw_norm)])))
-    lines.append("")
-    _atomic_write(path, "\n".join(lines))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def selection_counts(result: RunResult) -> dict[str, int]:
@@ -259,3 +260,17 @@ def write_summary(named_results: Sequence[tuple[str, RunResult]], path: str | Pa
         ],
     }
     _atomic_write(path, _json(doc) + "\n")
+
+
+def write_sweep(param: str, swept: Sequence[tuple[float, RunResult]], path: str | Path,
+                kind: StrategyKind) -> None:
+    """One CSV row per swept value of ``param``, with its run's finals;
+    ``alpha_max`` is a soft run's largest first-step weight, else empty."""
+    soft = StrategyKind(kind) is StrategyKind.SOFT
+    lines = ["param,value,final_ob1,final_ob2,stop_reason,steps,alpha_max"]
+    for value, result in swept:
+        alpha_max = repr(float(result.trace[0].alpha.max())) if soft and result.trace else ""
+        lines.append(",".join([param, repr(value), repr(result.objectives.ob1),
+                               repr(result.objectives.ob2), result.stop_reason.value,
+                               str(len(result.trace)), alpha_max]))
+    _atomic_write(path, "\n".join(lines) + "\n")

@@ -12,11 +12,9 @@ block.  All coefficients are non-negative, so every update is
 descent-shaped.
 
 ``decide`` reads K configurations through their plan (``_Rules``),
-compiled once: the soft rows with their tau column, MAXABS mask and
-gamma groups, each hard route's action table with its beta_aux in
-place, the fixed c of static and scalarized, and the grad-surgery rows.
-A step then only reads its scores and Grams: c starts as a copy of the
-fixed rows and the rows of each kind are filled by array assignment.
+compiled once, so a step only reads its scores and Grams: c starts as a
+copy of the fixed rows and the rows of each kind are filled by array
+assignment.
 """
 
 from __future__ import annotations
@@ -110,9 +108,6 @@ class _Rules:
       its beta_aux in place);
     - ``surgery``: the grad-surgery rows;
     - ``reads_jplus``: whether each row reads (and traces) the J+ scores.
-
-    Built once per lockstep batch and again for the runs a batch keeps;
-    ``decide`` builds one when handed a list of configurations.
     """
 
     def __init__(self, cfgs: list[StrategyConfig]):
@@ -204,8 +199,8 @@ def decide(
     (K, 2, 2, 2), the native Grams of (J11, J21) and of (J12, J22).
     Also each strategy's chosen index and soft weights, None where it
     has none.  ``cfgs`` is a list of configurations or their plan
-    (``_Rules``).  Slices never mix; the soft weights of all soft
-    strategies are taken together.
+    (``_Rules``).  The soft weights of all soft strategies are taken
+    together, under the batching rule of ``optimizer``.
 
     - hard-j6 / hard-jplus: the action of the argmax score's row of
       JPLUS_COMPONENTS, read through J6_FROM_JPLUS for j6 (ties break

@@ -482,7 +482,8 @@ def _stacked_products(instance, seeds, scaled, dots=None):
     with pytest.MonkeyPatch.context() as mp:
         if dots is not None:
             mp.setattr(attribution_mod, "_dots", dots)
-        b = attribution_mod._Blocks(instance, fwd, work=work)
+        b = attribution_mod._Blocks(instance, fwd.A, fwd.B,
+                                    attribution_mod._gradients(instance, fwd), work=work)
         attribution_mod._scores(b, attribution_mod._Alignments(
             [PUSH_COSINE if scaled else PUSH_RAW] * len(seeds)))
     return b.products[:, :5 if scaled else 3].copy()

@@ -169,7 +169,12 @@ class TestSoftmax:
         z = np.random.default_rng(K * T * V).normal(size=(K, T, V)) * 30
         z[0, 0, 0] = np.inf  # a non-finite row passes through as nan
         flat = log_softmax(z.reshape(-1, V)).reshape(z.shape)
-        assert j6opt.model._log_softmax(z).tobytes() == flat.tobytes()
+        assert log_softmax(z).tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 4)])
+    def test_rank_other_than_2_or_3_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(T, V\) matrix or a \(K, T, V\) stack"):
+            log_softmax(np.zeros(shape))
 
     @pytest.mark.parametrize("call", [losses, logit_gradients])
     def test_non_integer_targets_rejected(self, call):
@@ -649,6 +654,17 @@ class TestProblemInstanceValidation:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="y entries"):
             ProblemInstance(V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=[3])
+
+    @pytest.mark.parametrize("y, message", [
+        ([3], r"y entries must lie in \[0, 3\), got \[3\]"),
+        ([-1], r"y entries must lie in \[0, 3\), got \[-1\]"),
+        ([0, 1], r"y must have shape \(1,\), got \(2,\)"),
+        ([[0]], r"y must have shape \(1,\), got \(1, 1\)"),
+        ([0.0], r"'y' must have an integer dtype, got float64"),
+    ])
+    def test_target_errors_name_y(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            ProblemInstance(V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=y)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -53,7 +53,6 @@ def _record(step=0, ob1=1.0, ob2=-1.0, norms=(1.0, 1.0, 1.0, 1.0)):
         step=step,
         ob1=ob1,
         ob2=ob2,
-        entropy=-ob2,
         n11=norms[0],
         n12=norms[1],
         n21=norms[2],
@@ -85,6 +84,20 @@ class TestInitPerturbations:
         assert np.abs(pert.h).max() <= 0.25
         assert np.abs(pert.w).max() <= 0.25
         assert pert.w.shape == (instance.d,)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5])
+    @pytest.mark.parametrize("field, value", [
+        ("init_scale", True), ("init_scale", np.inf), ("init_scale", np.nan), ("init_scale", -0.5),
+        ("init_scale", "0.5"), ("seed", True), ("seed", 2.5), ("seed", -1), ("seed", 2**64),
+    ])
+    def test_arguments_checked_as_run_config_checks_them(self, make_instance, scale, field,
+                                                         value):
+        # a ValueError naming the field, whatever the scale
+        args = {"init_scale": scale, "seed": 3, field: value}
+        with pytest.raises(ValueError, match=field):
+            init_perturbations(make_instance(seed=1), **args)
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**args)
 
 
 class TestStopCheck:
@@ -449,13 +462,14 @@ def _result_bytes(result: RunResult, kind: StrategyKind, path) -> tuple:
     its trace file's bytes, the exact floats and arrays of each record,
     the final objectives and perturbations, and the stop reason."""
     write_trace(result, path, kind)
-    records = [
-        (r.step, r.ob1, r.ob2, r.entropy, r.n11, r.n12, r.n21, r.n22, r.scores.tobytes(),
-         r.chosen_index, None if r.alpha is None else r.alpha.tobytes(), r.dh_norm, r.dw_norm)
-        for r in result.trace
-    ]
-    return (path.read_bytes(), records, result.objectives, result.stop_reason,
+    return (path.read_bytes(), _rows(result.trace), result.objectives, result.stop_reason,
             result.perturbations.h.tobytes(), result.perturbations.w.tobytes())
+
+
+def _rows(trace: list) -> list[tuple]:
+    """A trace's records as tuples that compare bit for bit."""
+    return [(r.step, r.ob1, r.ob2, r.n11, r.n12, r.n21, r.n22, r.scores.tobytes(), r.chosen_index,
+             None if r.alpha is None else r.alpha.tobytes(), r.dh_norm, r.dw_norm) for r in trace]
 
 
 def _serially(instance, cfgs, rcfg):
@@ -547,6 +561,50 @@ class TestRunMany:
                 run_many(instance, cfgs, rcfg)
             assert (info.value.step, str(info.value)) == (alone.value.step, str(alone.value))
             assert info.value.step == step
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("w_mode", [WMode.FULL_MATRIX, WMode.SINGLE_ROW])
+    def test_two_abort_causes_at_one_step(self, w_mode):
+        # From the uniform point A = 0, where the confidence gradient is 0
+        # exactly, every update of step 0 is finite.  At step 1, "grams"
+        # has A = -2^520 (K = A^2 overflows; logits -2^510 and the losses
+        # stay finite), and "update" has A = -2^10 at logits +-1, where
+        # 1e308 J22 overflows w.  The batch raises what serial order
+        # raises first, and each run's trace up to its abort is its
+        # trace alone.
+        instance = ProblemInstance(V=2, d=1, T=1, H=[[0.0]], W=[[2.0**-10], [-2.0**-10]], y=[1],
+                                   w_mode=w_mode, v_star=0)
+        ok = StrategyConfig(kind=StrategyKind.STATIC)
+        grams = StrategyConfig(kind=StrategyKind.STATIC, eta_h=2.0**530)
+        update = StrategyConfig(kind=StrategyKind.STATIC, eta_h=2.0**20, eta_w=1e308)
+        rcfg = RunConfig(max_steps=30)
+
+        def traced(call, arg):
+            # the abort ``call`` raises, and each trace list in the order
+            # stop_check first sees it, as comparable rows
+            traces = []
+
+            def record(trace, rcfg):
+                if not any(t is trace for t in traces):
+                    traces.append(trace)
+                return stop_check(trace, rcfg)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(j6opt.optimizer, "stop_check", record)
+                with pytest.raises(NonFiniteLossError) as info:
+                    call(instance, arg, rcfg)
+            return (str(info.value), info.value.step), [_rows(t) for t in traces]
+
+        messages = {"grams": "at step 1: gradient blocks must be finite, with finite Grams",
+                    "update": "update at step 1 left the finite range: perturbations must be finite"}
+        ok_alone = _rows(run(instance, ok, rcfg).trace)
+        assert len(ok_alone) == 30
+        for cfgs, first in (([ok, grams, update], "grams"), ([ok, update, grams], "update")):
+            error, traces = traced(run_many, cfgs)
+            alone = [traced(run, cfg) for cfg in cfgs[1:]]
+            assert error == alone[0][0] == (messages[first], 1)
+            assert traces == [ok_alone] + [t for _, (t,) in alone]
+            assert [len(t) for t in traces] == [30, 1, 1]
 
     def test_runs_stop_on_their_own(self):
         # the stationary start stops at once, the others run on

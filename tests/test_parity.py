@@ -1,5 +1,6 @@
 """Smoke tests of tools/parity.py, the byte-parity digests of the run grid,
-and of tools/ab.py, the in-process A/B timing of two source trees."""
+of tools/ab.py, the in-process A/B timing of two source trees, and of
+tools/loc.py, the package's size counts."""
 
 import importlib.util
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import j6opt
 from j6opt import run
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
@@ -99,3 +101,39 @@ def test_ab_times_one_tree_against_itself(capsys):
     for row in rows:
         a, b, ratio, fa, fb = map(float, row[-5:])
         assert a > 0 and b > 0 and ratio == pytest.approx(b / a, abs=2e-3) and fa >= 0 and fb >= 0
+
+
+def test_ab_batch_times_each_shape_as_one_run_many_call(capsys):
+    # one unit per steps-small shape, its six strategies in one run_many call
+    root = _AB.parents[1]
+    assert ab.main([str(root), str(root), "--workload", "steps-small", "--batch",
+                    "--rounds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("steps-small --batch seed 1, least of 1 rounds")
+    rows = [line.split() for line in out[2:]]
+    assert [row[0] for row in rows[:-1]] == [
+        "6x4x1/full_matrix/batch", "6x4x1/single_row/batch", "64x16x8/full_matrix/batch",
+        "64x16x8/single_row/batch"]
+    for row in rows:
+        a, b, ratio = map(float, row[-5:-2])
+        assert a > 0 and b > 0 and ratio == pytest.approx(b / a, abs=2e-3)
+
+
+_LOC = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
+_loc_spec = importlib.util.spec_from_file_location("loc", _LOC)
+loc = importlib.util.module_from_spec(_loc_spec)
+_loc_spec.loader.exec_module(loc)
+
+
+def test_loc_counts_lines_code_docstrings_and_names(tmp_path, capsys):
+    (tmp_path / "__init__.py").write_text(
+        '"""A package\nof two names."""\n\n# a comment\n__all__ = ["a",\n           "b"]\n'
+        "a = b = 1\n\n\ndef f():\n    '''One line.'''\n    return (1 +  # sum\n            2)\n")
+    (tmp_path / "other.py").write_text("x = '''not a\ndocstring'''\n")
+    assert loc.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "src lines: 15", "code lines: 8", "docstring lines: 3", "public names: 2"]
+    assert loc.main([]) == 0
+    counts = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert int(counts["code lines"]) + int(counts["docstring lines"]) < int(counts["src lines"])
+    assert counts["public names"] == str(len(j6opt.__all__))

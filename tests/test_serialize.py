@@ -1,4 +1,4 @@
-"""Instance JSON round-trips, trace CSV schema, and summary accounting."""
+"""Instance JSON round-trips, trace and sweep CSV text, and summary accounting."""
 
 import csv
 import io
@@ -16,6 +16,7 @@ from j6opt import (
     Family,
     GeneratorSpec,
     InstanceFormatError,
+    ObjectivePair,
     ProblemInstance,
     RunConfig,
     RunResult,
@@ -33,7 +34,7 @@ from j6opt import (
 )
 
 from j6opt.optimizer import TraceRecord
-from j6opt.serialize import _json, trace_header
+from j6opt.serialize import _json, trace_header, write_sweep
 from trace_csv import read_trace
 
 
@@ -363,13 +364,13 @@ class TestTraceFile:
         n = 15 if kind is StrategyKind.HARD_JPLUS else 6
         records = []
         for step in range(data.draw(st.integers(0, 4))):
-            scalars = data.draw(st.lists(values, min_size=9, max_size=9))
+            scalars = data.draw(st.lists(values, min_size=8, max_size=8))
             records.append(TraceRecord(
-                step, *scalars[:7], np.array(data.draw(st.lists(values, min_size=n, max_size=n))),
+                step, *scalars[:6], np.array(data.draw(st.lists(values, min_size=n, max_size=n))),
                 data.draw(st.one_of(st.none(), st.integers(0, n))),
                 np.array(data.draw(st.lists(values, min_size=6, max_size=6)))
                 if kind is StrategyKind.SOFT else None,
-                *scalars[7:]))
+                *scalars[6:]))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(trace_header(kind, n))
@@ -377,7 +378,7 @@ class TestTraceFile:
             routed = ([repr(float(a)) for a in r.alpha] if kind is StrategyKind.SOFT
                       else [str(-1 if r.chosen_index is None else r.chosen_index)])
             writer.writerow([str(r.step)] + [repr(float(x)) for x in (
-                r.ob1, r.ob2, r.entropy, r.n11, r.n12, r.n21, r.n22, *r.scores)]
+                r.ob1, r.ob2, -r.ob2, r.n11, r.n12, r.n21, r.n22, *r.scores)]
                 + routed + [repr(float(r.dh_norm)), repr(float(r.dw_norm))])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.csv"
@@ -419,6 +420,42 @@ STOP_KNOBS = {StopReason.MAX_STEPS: {}, StopReason.GRAD_TOL: {"grad_tol": 1e9},
               StopReason.LOSS_TOL: {"loss_tol": 1e9}}
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
                 | st.sampled_from(SPECIAL_FLOATS) | st.text(max_size=5))
+
+
+class TestSweepFile:
+    @pytest.mark.parametrize("kind", [StrategyKind.SOFT, StrategyKind.HARD_J6])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_text_is_csv_writers(self, kind, data):
+        # one join per row is what csv.writer writes for the sweep's rows:
+        # any float value and final, runs of 0 steps or more
+        values = st.one_of(st.sampled_from([1e-05, -0.0, 0.0, math.nan, math.inf, 5e-324]),
+                           st.floats(allow_nan=True))
+        param = data.draw(st.sampled_from(["tau", "gamma", "eta-h", "eta-w", "beta-aux"]))
+        swept = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            trace = [TraceRecord(step, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, np.zeros(6), None,
+                                 np.array(data.draw(st.lists(values, min_size=6, max_size=6))),
+                                 0.0, 0.0)
+                     for step in range(data.draw(st.integers(0, 3)))]
+            swept.append((data.draw(values), RunResult(
+                None, ObjectivePair(data.draw(values), data.draw(values)), trace,
+                data.draw(st.sampled_from(list(StopReason))))))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["param", "value", "final_ob1", "final_ob2", "stop_reason", "steps",
+                         "alpha_max"])
+        for value, result in swept:
+            alpha_max = ""
+            if kind is StrategyKind.SOFT and result.trace:
+                alpha_max = repr(float(result.trace[0].alpha.max()))
+            writer.writerow([param, repr(value), repr(result.objectives.ob1),
+                             repr(result.objectives.ob2), result.stop_reason.value,
+                             len(result.trace), alpha_max])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sweep.csv"
+            write_sweep(param, swept, path, kind)
+            assert path.read_bytes() == buf.getvalue().encode()
 
 
 class TestJsonText:

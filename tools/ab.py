@@ -1,6 +1,7 @@
 """Interleaved in-process A/B timing of two source trees' ``optimizer.run``.
 
     taskset -c 1 python tools/ab.py PARENT_TREE CHANGED_TREE --workload steps-large --rounds 100
+    taskset -c 1 python tools/ab.py PARENT_TREE CHANGED_TREE --workload steps-small --batch
 
 Each tree is a checkout holding ``src/j6opt``; the two are imported under
 their own package names (``j6opt_a`` and ``j6opt_b``), so one tree can
@@ -8,7 +9,9 @@ also be timed against itself.  Each builds, with its own classes, the
 direct ``run`` units of a benchmark workload as
 ``benchmarks/j6bench/workloads.py`` of this checkout defines them at
 workload seed 1: the instance shapes and seeds, the strategies and the
-step count.  After one
+step count.  Under ``--batch`` a unit is one instance shape instead,
+its six strategies run as one ``optimizer.run_many`` call, as
+``compare`` runs them, and a step is one run's step.  After one
 untimed warm-up round, each round runs every unit once in each tree,
 back to back, the tree that goes first alternating from unit to unit.
 A unit's time is the least over the rounds.
@@ -49,31 +52,38 @@ def load_tree(tree: Path, name: str):
     return package
 
 
-def units(j6, workload: str) -> list[tuple[str, tuple]]:
+def units(j6, workload: str, batch: bool = False) -> list[tuple[str, tuple]]:
     """The workload's direct ``run`` units in package ``j6``, each as its
-    name and the arguments of one call."""
+    name and the arguments of one call; under ``batch`` one ``run_many``
+    unit per shape, with the six strategies."""
     for path in (str(ROOT / "src"), str(ROOT / "benchmarks")):
         if path not in sys.path:
             sys.path.insert(0, path)
-    from j6bench.workloads import ETA, WORKLOADS, derive_seed
+    from j6bench.workloads import ETA, STRATEGIES, WORKLOADS, derive_seed
 
     wl = WORKLOADS[workload]
     instances = [j6.generate(j6.GeneratorSpec(V=V, d=d, T=T, seed=derive_seed(SEED, 1, i),
                                               w_mode=mode))
                  for i, (V, d, T, mode) in enumerate(wl.shapes)]
     rcfg = j6.RunConfig(max_steps=wl.direct_steps, grad_tol=0.0, loss_tol=0.0)
+
+    def cfg(strategy):
+        return j6.StrategyConfig(kind=strategy, eta_h=float(ETA), eta_w=float(ETA))
+
+    if batch:
+        return [(f"{V}x{d}x{T}/{mode}/batch", (instances[i], [cfg(s) for s in STRATEGIES], rcfg))
+                for i, (V, d, T, mode) in enumerate(wl.shapes)]
     out = []
     for i, strategy in wl.grid:
         V, d, T, mode = wl.shapes[i]
-        cfg = j6.StrategyConfig(kind=strategy, eta_h=float(ETA), eta_w=float(ETA))
-        out.append((f"{V}x{d}x{T}/{mode}/{strategy}", (instances[i], cfg, rcfg)))
+        out.append((f"{V}x{d}x{T}/{mode}/{strategy}", (instances[i], cfg(strategy), rcfg)))
     return out
 
 
-def measure(trees, rounds: int, workload: str) -> list[dict]:
+def measure(trees, rounds: int, workload: str, batch: bool = False) -> list[dict]:
     """Per unit, each tree's least seconds per step, its minor faults per
-    timed call and its step count."""
-    grids = [units(j6, workload) for j6 in trees]
+    timed call and its step count (under ``batch``, its runs' counts)."""
+    grids = [units(j6, workload, batch) for j6 in trees]
     rows = [{"unit": name, "s": [float("inf")] * 2, "faults": [0, 0], "steps": [0, 0]}
             for name, _ in grids[0]]
     order = 0
@@ -81,15 +91,17 @@ def measure(trees, rounds: int, workload: str) -> list[dict]:
         for u, row in enumerate(rows):
             order ^= 1
             for t in (order, 1 - order):
-                j6, (instance, cfg, rcfg) = trees[t], grids[t][u][1]
+                j6, args = trees[t], grids[t][u][1]
+                call = j6.optimizer.run_many if batch else j6.optimizer.run
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
-                result = j6.optimizer.run(instance, cfg, rcfg)
+                result = call(*args)
                 seconds = time.perf_counter() - t0
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-                row["steps"][t] = len(result.trace)
+                steps = [len(x.trace) for x in (result if batch else [result])]
+                row["steps"][t] = steps
                 if r > 0:
-                    row["s"][t] = min(row["s"][t], seconds / max(1, len(result.trace)))
+                    row["s"][t] = min(row["s"][t], seconds / max(1, sum(steps)))
                     row["faults"][t] += faults
     for row in rows:
         row["faults"] = [f / rounds for f in row["faults"]]
@@ -102,7 +114,7 @@ def report(rows: list[dict]) -> list[str]:
              f"{'A faults':>9} {'B faults':>9}"]
 
     def line(name, a, b, fa, fb):
-        return f"{name:<36} {a * 1e3:>10.4f} {b * 1e3:>10.4f} {b / a:>7.3f} {fa:>9.1f} {fb:>9.1f}"
+        return f"{name:<36} {a * 1e3:>10.5f} {b * 1e3:>10.5f} {b / a:>7.3f} {fa:>9.1f} {fb:>9.1f}"
 
     for row in rows:
         lines.append(line(row["unit"], *row["s"], *row["faults"]))
@@ -117,15 +129,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("tree_b", type=Path, help="checkout B (the change, say)")
     parser.add_argument("--workload", default="steps-large", choices=["steps-small", "steps-large"])
     parser.add_argument("--rounds", type=int, default=100, help="timed rounds (least is kept)")
+    parser.add_argument("--batch", action="store_true",
+                        help="time each shape's six strategies as one run_many call")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be positive")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # read when numpy first loads
     trees = [load_tree(args.tree_a, "j6opt_a"), load_tree(args.tree_b, "j6opt_b")]
-    rows = measure(trees, args.rounds, args.workload)
-    print(f"A = {args.tree_a}, B = {args.tree_b}: {args.workload} seed {SEED}, "
-          f"least of {args.rounds} rounds")
+    rows = measure(trees, args.rounds, args.workload, args.batch)
+    print(f"A = {args.tree_a}, B = {args.tree_b}: {args.workload}{' --batch' * args.batch} "
+          f"seed {SEED}, least of {args.rounds} rounds")
     print("\n".join(report(rows)))
     differ = [row["unit"] for row in rows if row["steps"][0] != row["steps"][1]]
     for name in differ:
