@@ -328,17 +328,14 @@ def _gram(dots: np.ndarray) -> None:
     np.maximum(dots, 0.0, out=dots, where=_DIAGONAL)
 
 
-def _pushforward(b: _Blocks, with_grams: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """Products of the blocks' logit-space fields, by the closed forms in
-    the module docstring, per slice: (K, n, 2, 2) holding the cross
-    matrix and, when ``with_grams`` (n = 3), the field Grams of the h
-    blocks, T (B J_i1).(B J_j1), and of the w blocks,
-    <K r_i, K r_j> / T^2 (times V under BROADCAST).  Written into
-    ``out`` when given."""
-    instance, T, K = b.instance, b.instance.T, len(b.h)
-    full = instance.w_mode is WMode.FULL_MATRIX
-    if out is None:
-        out = np.empty((K, 3 if with_grams else 1, 2, 2))
+def _pushforward(b: _Blocks, out: np.ndarray) -> None:
+    """Write into ``out`` (K, n, 2, 2) products of the blocks' logit-space
+    fields, by the closed forms in the module docstring, per slice: the
+    cross matrix and, when n = 3, the field Grams of the h blocks,
+    T (B J_i1).(B J_j1), and of the w blocks, <K r_i, K r_j> / T^2
+    (times V under BROADCAST)."""
+    instance, T = b.instance, b.instance.T
+    full, with_grams = instance.w_mode is WMode.FULL_MATRIX, out.shape[1] == 3
     cross = out[:, 0]
     Bh = b.h @ b.B.swapaxes(1, 2) if with_grams or not full else None  # B J_i1 (K, 2, V)
     if full:  # J_i1 . B^T (J_j2 a), a (2, d) @ (d, 2) product
@@ -357,42 +354,20 @@ def _pushforward(b: _Blocks, with_grams: bool, out: np.ndarray | None = None) ->
         out[:, 1] *= T
         out[:, 2] *= copies / (T * T)
         _gram(out[:, 1:])
-    return out
 
 
-class _Alignments:
-    """The resolved alignments of K score rows, compiled once for
-    ``_scores``: whether every row is pushforward (``all_push``), the
-    pushforward rows (``push``, None when there are none), whether any
-    row is cosine-scaled (``scaled``) and any pushforward one
-    (``push_scaled``), and ``inner`` (K, 21), where a column is cosine
-    scaled: a product of two different operands in a cosine row."""
-
-    def __init__(self, modes: list[AlignmentMode]):
-        push = np.array([m.kind is AlignKind.PUSHFORWARD for m in modes], dtype=bool)
-        cosine = np.array([m.scale is AlignScale.COSINE for m in modes], dtype=bool)
-        self.all_push = bool(push.all())
-        self.push = np.flatnonzero(push) if push.any() else None
-        self.scaled = bool(cosine.any())
-        self.push_scaled = bool((push & cosine).any())
-        self.inner = _INNER & cosine[:, None]
-
-
-def _scores(b: _Blocks, align: _Alignments) -> np.ndarray:
+def _scores(b: _Blocks, mode: AlignmentMode) -> np.ndarray:
     """The (K, 21) score rows of stacked blocks, the 15 J+ components and
-    then the 6 j6 slots, row k under slice k's resolved alignment
-    (``align``): pushforward or direct, and raw or cosine-scaled (see
+    then the 6 j6 slots, under one resolved alignment ``mode``:
+    pushforward or direct, and raw or cosine-scaled (see
     ``score_jplus``)."""
-    P, K, scaled = b.products, len(b.products), align.scaled
-    if align.all_push:
-        _pushforward(b, scaled, out=P[:, 2:5 if scaled else 3])
+    P, K, scaled = b.products, len(b.products), mode.scale is AlignScale.COSINE
+    if mode.kind is AlignKind.PUSHFORWARD:
+        _pushforward(b, P[:, 2:5 if scaled else 3])
     else:
         if scaled:
             P[:, 3:5] = P[:, :2]  # direct alignment takes norms natively
         np.matmul(b.h, b.w.swapaxes(1, 2), out=P[:, 2])  # w is a d-vector here
-        if align.push is not None:
-            pushed = _pushforward(b, align.push_scaled)
-            P[align.push, 2:2 + pushed.shape[1]] = pushed[align.push]
     G = P.reshape(K, 24)[:, _TERMS if scaled else _RAW_TERMS]
     x = G[:, 0] + G[:, 1]
     x += G[:, 2]
@@ -400,12 +375,11 @@ def _scores(b: _Blocks, align: _Alignments) -> np.ndarray:
     if not scaled:
         return x
     s, sq_a, sq_b = x[:, :21], x[:, 21:42], x[:, 42:]
-    inner = align.inner
     # raw / (|a| |b|); 0 when a norm is 0 (or, for a sum of blocks, rounds below 0)
     with np.errstate(invalid="ignore"):
         norms = np.sqrt(sq_a) * np.sqrt(sq_b)
-    return np.divide(s, norms, out=np.where(inner, 0.0, s),
-                     where=inner & (sq_a > 0.0) & (sq_b > 0.0))
+    return np.divide(s, norms, out=np.where(_INNER, 0.0, s),
+                     where=_INNER & (sq_a > 0.0) & (sq_b > 0.0))
 
 
 def score_jplus(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
@@ -431,4 +405,4 @@ def score_j6(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
 
 
 def _score_row(gs: GradientSet, mode: AlignmentMode) -> np.ndarray:
-    return _scores(gs._blocks, _Alignments([resolve_alignment(mode, gs.instance.w_mode)]))[0]
+    return _scores(gs._blocks, resolve_alignment(mode, gs.instance.w_mode))[0]

@@ -19,10 +19,11 @@ alone, bit for bit.  Nothing takes a ``vdot`` or an ``einsum`` across
 K, and anything that branches on a configuration's knob does so per
 slice (a stacked exponent is the trap ``strategies._contrast`` avoids).
 Everything that depends only on the configurations is compiled once
-per batch into its plan (``strategies._Rules``, with the alignment
-masks of ``attribution._Alignments``), and again only for the runs a
-batch keeps when others stop; a step hands the plan to the one
-``strategies.decide`` call it makes.  Each run stops on its own.
+per batch into its plan (``strategies._Rules``), and again only for the
+runs a batch keeps when others stop; a step hands the plan to the one
+``strategies.decide`` call it makes.  The resolved alignment belongs to
+the batch, not its rows: a batch holds runs of one alignment, so
+``attribution._scores`` takes one mode.  Each run stops on its own.
 
 B is state beside w, formed in place and handed to ``forward``: a batch
 forms it from W and its start point, and each update moves it with w.
@@ -37,6 +38,7 @@ step arrays once, in ``_Buffers``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,7 +46,6 @@ import numpy as np
 
 from .attribution import (
     AlignmentMode,
-    _Alignments,
     _Blocks,
     _gradients,
     _scores,
@@ -110,8 +111,9 @@ class RunConfig:
             raise ValueError("tolerances must be non-negative")
         if not 0 <= require_int("seed", self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if require_float("init_scale", self.init_scale) < 0:
-            raise ValueError("init_scale must be non-negative")
+        # a draw from [-scale, scale] needs the range's width, 2 scale, to be finite
+        if not 0 <= require_float("init_scale", self.init_scale) <= sys.float_info.max / 2:
+            raise ValueError(f"init_scale must lie in [0, float max / 2], got {self.init_scale!r}")
 
 
 @dataclass(eq=False)
@@ -186,8 +188,10 @@ def run_many(
     """Optimize one instance under each configuration from the same
     start; result k is bit for bit ``run(instance, cfgs[k], rcfg)``.
 
-    The configurations step in lockstep batches, as many per batch as
-    keep the stacked (K, V, d) arrays near 1 MiB (``model._stack_width``).
+    The configurations step in lockstep batches of one resolved
+    alignment each, in index order: a batch ends where the alignment
+    changes, or where it holds as many runs as keep the stacked
+    (K, V, d) arrays near 1 MiB (``model._stack_width``).
     Each run stops on its own; a run that aborts raises the
     NonFiniteLossError that running the configurations one after
     another would: that of the lowest-index configuration that fails.
@@ -203,9 +207,11 @@ def run_many(
     # numpy's warnings are noise here: a non-finite loss, block or point
     # raises NonFiniteLossError, and an overflowing step norm is traced
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first in range(0, len(cfgs), width):
-            results += _lockstep(instance, cfgs[first:first + width], modes[first:first + width],
-                                 rcfg, bufs, start)
+        first = 0
+        for k in range(1, len(cfgs) + 1):  # batch cfgs[first:k] ends before run k
+            if k == len(cfgs) or k - first == width or modes[k] != modes[first]:
+                results += _lockstep(instance, cfgs[first:k], modes[first], rcfg, bufs, start)
+                first = k
     return results
 
 
@@ -233,17 +239,15 @@ class _Buffers:
 
 class _Batch:
     """The live runs of a lockstep batch, slice i of every array holding
-    run ``index[i]``: its configuration, resolved alignment, point
-    (stacked ``Perturbations``, updated in place), B (see ``_Buffers``),
-    the stop reason decided after its last step, and the plan of its
-    configurations (``rules``, ``align``)."""
+    run ``index[i]``: its point (stacked ``Perturbations``, updated in
+    place), B (see ``_Buffers``), the stop reason decided after its last
+    step, and the plan of the configurations (``rules``, which holds
+    them)."""
 
-    def __init__(self, cfgs: list[StrategyConfig], modes: list[AlignmentMode], bufs: _Buffers,
-                 start: Perturbations | None, T: int):
+    def __init__(self, cfgs: list[StrategyConfig], bufs: _Buffers, start: Perturbations | None,
+                 T: int):
         K = len(cfgs)
-        self.index = list(range(K))
-        self.cfgs, self.modes = cfgs, modes
-        self.rules, self.align = _Rules(cfgs), _Alignments(modes)
+        self.index, self.rules = list(range(K)), _Rules(cfgs)
         # -eta per run and group (K, 2, 1); c's w row takes -eta_w / T under FULL_MATRIX
         self.eta = np.array([[[-cfg.eta_h], [-cfg.eta_w]] for cfg in cfgs], dtype=np.float64)
         self.c_w = self.eta[:, 1:] / T
@@ -255,24 +259,23 @@ class _Batch:
 
     def keep(self, rows: list[int]) -> None:
         """Keep the runs at ``rows`` only."""
-        for name in ("index", "cfgs", "modes", "stop"):
-            setattr(self, name, [getattr(self, name)[i] for i in rows])
-        self.rules, self.align = _Rules(self.cfgs), _Alignments(self.modes)
+        self.index, self.stop = [self.index[i] for i in rows], [self.stop[i] for i in rows]
+        self.rules = _Rules([self.rules.cfgs[i] for i in rows])
         self.eta, self.c_w, self.B = self.eta[rows], self.c_w[rows], self.B[rows]
         self.pert = Perturbations(self.pert.h[rows], self.pert.w[rows])
 
 
-def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list[AlignmentMode],
+def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: AlignmentMode,
               rcfg: RunConfig, bufs: _Buffers, start: Perturbations | None) -> list[RunResult]:
-    """``run_many`` for one batch.  Each iteration takes one stacked
-    forward pass: for a run that stopped after the previous step it
-    gives the final objectives, for the others it starts the next step.
-    A run that aborts (at a non-finite loss, or after the update when
-    its blocks overflowed or its point left the finite range, in that
-    order) drops every run after it, whose results can no longer
-    matter, and the others go on, so the abort raised at the end is the
-    lowest-index one."""
-    batch = _Batch(cfgs, modes, bufs, start, instance.T)
+    """``run_many`` for one batch, of resolved alignment ``mode``.  Each
+    iteration takes one stacked forward pass: for a run that stopped
+    after the previous step it gives the final objectives, for the
+    others it starts the next step.  A run that aborts (at a non-finite
+    loss, or after the update when its blocks overflowed or its point
+    left the finite range, in that order) drops every run after it,
+    whose results can no longer matter, and the others go on, so the
+    abort raised at the end is the lowest-index one."""
+    batch = _Batch(cfgs, bufs, start, instance.T)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
     results: list[RunResult | None] = [None] * len(cfgs)
     abort: NonFiniteLossError | None = None
@@ -300,7 +303,7 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], modes: list
             fwd = fwd.take(live)
             ob1, ob2 = [ob1[i] for i in live], [ob2[i] for i in live]
         blocks = _Blocks(instance, fwd.A, fwd.B, _gradients(instance, fwd), work=bufs.work)
-        scores = _scores(blocks, batch.align)
+        scores = _scores(blocks, mode)
         jplus, j6 = scores[:, :15], scores[:, 15:]
         c, chosen, alpha = decide(jplus, j6, blocks.grams, batch.rules)
         # the squared norms (J11, J21), (J12, J22) and (delta h, delta w),

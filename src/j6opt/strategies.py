@@ -77,7 +77,11 @@ class StrategyConfig:
             raise ValueError("learning rates must be positive")
         if not 0.0 <= require_float("beta_aux", self.beta_aux) <= 1.0:
             raise ValueError("beta_aux must lie in [0, 1]")
-        lam = (require_float("lam[0]", self.lam[0]), require_float("lam[1]", self.lam[1]))
+        try:
+            lam0, lam1 = self.lam
+        except (TypeError, ValueError):
+            raise ValueError(f"'lam' must be a pair of numbers, got {self.lam!r}") from None
+        lam = (require_float("lam[0]", lam0), require_float("lam[1]", lam1))
         if min(lam) < 0 or abs(sum(lam) - 1.0) > 1e-9:
             raise ValueError("lam must be a non-negative pair summing to 1")
         object.__setattr__(self, "lam", lam)

@@ -280,7 +280,9 @@ class TestGramMatchesFieldProducts:
         def vdots(xs, ys):
             return np.array([[np.vdot(x, y) for y in ys] for x in xs])
 
-        cross, field_h, field_w = attribution_mod._pushforward(gs._blocks, with_grams=True)[0]
+        out = np.empty((1, 3, 2, 2))
+        attribution_mod._pushforward(gs._blocks, out)
+        cross, field_h, field_w = out[0]
         for got, want in (
             (gs.grams[0], vdots(blocks["h"], blocks["h"])),
             (gs.grams[1], vdots(blocks["w"], blocks["w"])),
@@ -484,8 +486,7 @@ def _stacked_products(instance, seeds, scaled, dots=None):
             mp.setattr(attribution_mod, "_dots", dots)
         b = attribution_mod._Blocks(instance, fwd.A, fwd.B,
                                     attribution_mod._gradients(instance, fwd), work=work)
-        attribution_mod._scores(b, attribution_mod._Alignments(
-            [PUSH_COSINE if scaled else PUSH_RAW] * len(seeds)))
+        attribution_mod._scores(b, PUSH_COSINE if scaled else PUSH_RAW)
     return b.products[:, :5 if scaled else 3].copy()
 
 

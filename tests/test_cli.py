@@ -1,15 +1,20 @@
 """End-to-end CLI behavior: flags, outputs, exit codes, determinism."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import j6opt.cli as cli
+import j6opt.optimizer
 import j6opt.probgen as probgen
 from j6opt import (
     AlignKind,
@@ -319,6 +324,7 @@ class TestStderr:
         (["sweep", "--param", "tau", "--values", "1,2", "--eta-h", "1e300", "--eta-w", "1e300"],
          3),
         (["gradcheck"], 2),
+        (["run", "--strategy", "soft", "--init-scale", "1e308"], 2),
     ])
     def test_only_the_error_line(self, inst, tmp_path, capsys, argv, code):
         if argv[0] == "gradcheck":
@@ -336,6 +342,88 @@ class TestStderr:
         assert main(["run", "-i", str(inst), "--strategy", "soft", "--eta-h", "1e300",
                      "--eta-w", "1e300"]) == 3
         assert np.geterr()["over"] == "warn"
+
+
+@pytest.fixture(scope="module")
+def instances(tmp_path_factory):
+    """A 6 x 4 x 2 instance file of each w_mode, by w_mode."""
+    paths = {}
+    for w_mode in WMode:
+        paths[w_mode] = tmp_path_factory.mktemp("inst") / f"{w_mode.value}.json"
+        save_instance(probgen.generate(GeneratorSpec(V=6, d=4, T=2, seed=5, w_mode=w_mode)),
+                      paths[w_mode])
+    return paths
+
+
+# Values for the numeric flags of run: the least subnormal, float max / 2
+# and above it, 0 and -1, ordinary values, then any float.
+_VALUES = (st.sampled_from([5e-324, 1e308, 9e307, 0.0, -1.0]) | st.floats(1e-3, 10.0)
+           | st.floats())
+_FLAGS = ("--tau", "--gamma", "--eta-h", "--eta-w", "--beta-aux", "--init-scale", "--grad-tol",
+          "--loss-tol")
+
+
+def _positional(x):
+    """``x`` as a numeral argparse reads as a value and not as a flag,
+    even when it is negative (``-1e-05`` would be taken for a flag)."""
+    return np.format_float_positional(x, trim="0")
+
+
+class TestExitCodes:
+    """Every failure of ``run`` maps to a documented exit code, with
+    nothing on stderr but its one ``error:`` line."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), w_mode=st.sampled_from(list(WMode)),
+           strategy=st.sampled_from(cli._STRATEGY_NAMES), scale=st.sampled_from(list(AlignScale)),
+           steps=st.integers(0, 3))
+    def test_any_numeric_flags_exit_0_2_or_3(self, instances, data, w_mode, strategy, scale,
+                                             steps):
+        argv = ["run", "-i", str(instances[w_mode]), "--strategy", strategy,
+                "--scale", scale.value, "--steps", str(steps)]
+        for flag in data.draw(st.lists(st.sampled_from(_FLAGS), unique=True, max_size=4)):
+            argv.append(f"{flag}={data.draw(_VALUES)!r}")
+        if data.draw(st.booleans()):
+            finite = _VALUES.filter(np.isfinite)
+            lam = data.draw(st.tuples(finite, finite) | finite.map(lambda x: (x, 1.0 - x)))
+            argv += ["--lam", *map(_positional, lam)]
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 2, 3) and caught == []
+        err = err.getvalue()
+        assert err == "" if code == 0 else (
+            err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+
+
+class TestBatching:
+    """compare and sweep build every configuration from the same flags,
+    so their runs share one alignment and only the byte budget
+    (``model._stack_width``) splits them into lockstep batches."""
+
+    @pytest.mark.parametrize("V, d, T, compared, swept", [
+        (6, 4, 1, [6], [3]),
+        (1000, 64, 16, [2, 2, 2], [2, 1]),  # a 1000 x 64 B is 512 kB
+    ])
+    def test_compare_and_sweep_batches(self, tmp_path, monkeypatch, V, d, T, compared, swept):
+        path = tmp_path / "inst.json"
+        save_instance(probgen.generate(GeneratorSpec(V=V, d=d, T=T, seed=1)), path)
+        calls, real = [], j6opt.optimizer._lockstep
+
+        def spy(instance, cfgs, mode, *rest):
+            calls.append((len(cfgs), mode))
+            return real(instance, cfgs, mode, *rest)
+
+        monkeypatch.setattr(j6opt.optimizer, "_lockstep", spy)
+        common = ["-i", str(path), "--steps", "1", "--scale", "cosine", "-o", str(tmp_path / "o")]
+        pushforward = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.COSINE)
+        assert main(["compare"] + common) == 0
+        assert calls == [(n, pushforward) for n in compared]
+        calls.clear()
+        assert main(["sweep", "--param", "tau", "--values", "1,2,3"] + common) == 0
+        assert calls == [(n, pushforward) for n in swept]
 
 
 class TestCompare:

@@ -85,10 +85,17 @@ class TestInitPerturbations:
         assert np.abs(pert.w).max() <= 0.25
         assert pert.w.shape == (instance.d,)
 
+    def test_scales_up_to_half_the_float_range(self, make_instance):
+        # a draw from [-scale, scale] needs the range's width, 2 scale, finite
+        pert = init_perturbations(make_instance(seed=1), sys.float_info.max / 2, seed=3)
+        assert np.isfinite(pert.h).all() and np.isfinite(pert.w).all()
+
     @pytest.mark.parametrize("scale", [0.0, 0.5])
     @pytest.mark.parametrize("field, value", [
         ("init_scale", True), ("init_scale", np.inf), ("init_scale", np.nan), ("init_scale", -0.5),
-        ("init_scale", "0.5"), ("seed", True), ("seed", 2.5), ("seed", -1), ("seed", 2**64),
+        ("init_scale", "0.5"), ("init_scale", 1e308),
+        ("init_scale", np.nextafter(sys.float_info.max / 2, np.inf)),
+        ("seed", True), ("seed", 2.5), ("seed", -1), ("seed", 2**64),
     ])
     def test_arguments_checked_as_run_config_checks_them(self, make_instance, scale, field,
                                                          value):
@@ -599,12 +606,17 @@ class TestRunMany:
                     "update": "update at step 1 left the finite range: perturbations must be finite"}
         ok_alone = _rows(run(instance, ok, rcfg).trace)
         assert len(ok_alone) == 30
-        for cfgs, first in (([ok, grams, update], "grams"), ([ok, update, grams], "update")):
+        # cosine scaling puts "update" in a batch of its own, so "grams",
+        # in the next batch, never runs
+        cosine = dataclasses.replace(update, alignment=AlignmentMode(scale=AlignScale.COSINE))
+        for cfgs, first, ran in (([ok, grams, update], "grams", 3),
+                                 ([ok, update, grams], "update", 3),
+                                 ([ok, cosine, grams], "update", 2)):
             error, traces = traced(run_many, cfgs)
             alone = [traced(run, cfg) for cfg in cfgs[1:]]
             assert error == alone[0][0] == (messages[first], 1)
-            assert traces == [ok_alone] + [t for _, (t,) in alone]
-            assert [len(t) for t in traces] == [30, 1, 1]
+            assert traces == ([ok_alone] + [t for _, (t,) in alone])[:ran]
+            assert [len(t) for t in traces] == [30, 1, 1][:ran]
 
     def test_runs_stop_on_their_own(self):
         # the stationary start stops at once, the others run on
@@ -631,6 +643,31 @@ class TestRunMany:
         run_many(instance, [StrategyConfig(kind=kind) for kind in StrategyKind], RunConfig(max_steps=1))
         assert widths == [2, 2, 2]
 
+    def test_a_batch_ends_where_the_resolved_alignment_changes(self, monkeypatch, tmp_path):
+        # auto and direct both resolve to direct-raw on single_row, so the
+        # runs either side of the pushforward-cosine one share a batch
+        instance = generate(GeneratorSpec(V=6, d=4, T=1, seed=3, w_mode=WMode.SINGLE_ROW))
+        direct = AlignmentMode(AlignKind.DIRECT)
+        cosine = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.COSINE)
+        alignments = [AlignmentMode(), direct, cosine, direct, AlignmentMode()]
+        cfgs = [StrategyConfig(kind=kind, alignment=alignment)
+                for kind, alignment in zip(StrategyKind, alignments)]
+        calls = []
+        real = j6opt.optimizer._lockstep
+
+        def spy(instance, cfgs, mode, *rest):
+            calls.append((len(cfgs), mode))
+            return real(instance, cfgs, mode, *rest)
+
+        monkeypatch.setattr(j6opt.optimizer, "_lockstep", spy)
+        rcfg = RunConfig(max_steps=5, init_scale=0.3)
+        together = run_many(instance, cfgs, rcfg)
+        assert calls == [(2, direct), (1, cosine), (2, direct)]
+        path = tmp_path / "trace.csv"
+        for cfg, result in zip(cfgs, together):
+            assert _result_bytes(result, cfg.kind, path) == _result_bytes(
+                run(instance, cfg, rcfg), cfg.kind, path)
+
     def test_plan_is_built_per_batch_and_per_keep(self, monkeypatch):
         # three batches of four; the runs at eta 1e-9 stop on the loss
         # tolerance after two steps, so their batches keep fewer runs
@@ -638,7 +675,7 @@ class TestRunMany:
         cfgs = [StrategyConfig(kind=kind, eta_h=eta, eta_w=eta)
                 for kind in StrategyKind for eta in (1e-9, 0.05)]
         rcfg = RunConfig(max_steps=8, loss_tol=1e-3, init_scale=0.3)
-        built = {"_Rules": 0, "_Alignments": 0}
+        built = {"_Rules": 0}
         calls = {"keep": 0, "decide": 0}
 
         def counting(name):
@@ -667,7 +704,7 @@ class TestRunMany:
         monkeypatch.setattr(j6opt.optimizer, "_stack_width", lambda instance: 4)
         results = run_many(instance, cfgs, rcfg)
         assert calls["keep"] > 0
-        assert built == {"_Rules": 3 + calls["keep"], "_Alignments": 3 + calls["keep"]}
+        assert built == {"_Rules": 3 + calls["keep"]}
         # one decision per step of each batch: as many as its longest run's steps
         assert calls["decide"] == sum(max(len(r.trace) for r in results[b:b + 4])
                                       for b in (0, 4, 8))

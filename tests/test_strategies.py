@@ -20,7 +20,6 @@ from j6opt import (
     StrategyConfig,
     StrategyKind,
     decide,
-    resolve_alignment,
     zero_perturbations,
 )
 from j6opt.optimizer import _Batch, _Buffers
@@ -138,6 +137,11 @@ class TestStrategyConfigValidation:
     )
     def test_lam_entries_strict(self, lam, field):
         with pytest.raises(ValueError, match=f"'{re.escape(field)}' must be a finite real number"):
+            StrategyConfig(kind=StrategyKind.SCALARIZED, lam=lam)
+
+    @pytest.mark.parametrize("lam", [(0.5,), 0.5, (0.5, 0.5, 7.0), (), None])
+    def test_lam_must_be_a_pair(self, lam):
+        with pytest.raises(ValueError, match="'lam' must be a pair of numbers"):
             StrategyConfig(kind=StrategyKind.SCALARIZED, lam=lam)
 
     def test_real_numbers_accepted(self):
@@ -631,8 +635,7 @@ class TestPlan:
                            decide(jplus, j6, grams, strategies_mod._Rules(cfgs)))
         # the plan of the runs a batch keeps decides as they do alone
         instance = ProblemInstance(V=2, d=1, T=1, H=np.zeros((1, 1)), W=np.zeros((2, 1)), y=[0])
-        modes = [resolve_alignment(cfg.alignment, instance.w_mode) for cfg in cfgs]
-        batch = _Batch(cfgs, modes, _Buffers(instance, len(cfgs)), zero_perturbations(instance),
+        batch = _Batch(cfgs, _Buffers(instance, len(cfgs)), zero_perturbations(instance),
                        instance.T)
         rows = sorted(data.draw(st.sets(st.integers(0, len(cfgs) - 1), min_size=1)))
         batch.keep(rows)
