@@ -24,9 +24,10 @@ the field Grams are T (B J_i1).(B J_j1) and <K r_i, K r_j> / T^2 (times
 V under BROADCAST, where every column moves).  Under FULL_MATRIX the
 cross is J_i1 . B^T (J_j2 a), B^T (J_j2 a) stacked with the h blocks'
 (sum_t g_i) B / T in one (4, V) @ (V, d) product; B J_i1 is formed only
-for the cosine field Grams.  No T x V field is built, and the w blocks
-only on request (``GradientSet.w``): under direct alignment, where they
-are d-vectors.
+for the cosine field Grams.  No T x V field is built.  Where w is a
+d-vector (SINGLE_ROW, BROADCAST) the w blocks are formed every step,
+beside the h blocks (``_Blocks.hw``), and direct alignment reads them;
+under FULL_MATRIX they are formed only on request (``GradientSet.w``).
 
 The optimizer computes all of this for K points at once, on a leading
 K axis (``_Blocks``, ``_scores``), under the batching rule of
@@ -53,7 +54,6 @@ from .model import (
     _logit_gradients,
     _pullback,
     forward,
-    pullback,
     w_columns,
 )
 
@@ -235,7 +235,7 @@ class _Blocks:
             self.BJa = gB[:, 1::2]
             if self.h is None:
                 self.h = gB[:, 0::2]
-        else:  # the h blocks, then the w blocks r^T A / T (model.pullback)
+        else:  # the h blocks, then the w blocks r^T A / T (model._pullback)
             hw = self.hw = np.empty((n, 2, 2, self.instance.d))
             np.matmul(np.add.reduce(self.g, axis=2), self.B, out=hw[:, 0])
             _pullback(self.instance, A, self.g, out=hw[:, 1])
@@ -261,7 +261,8 @@ class GradientSet:
     ``g`` holds both objectives' logit-space gradients (2, T, V), heat
     first, ``h`` the h blocks (J11, J21) as (2, d), pulled back from g
     when not given, and ``fwd`` the forward pass they come from.  Its w
-    blocks (J12, J22) = pullback(g) are formed only on request (``w``).
+    blocks (J12, J22), r^T A / T (``model._pullback``), are formed from
+    g when first read (``w``).
     ``grams`` holds the native 2x2 Grams of the h and of the w blocks; a
     non-finite entry raises ValueError.
     """
@@ -295,15 +296,14 @@ class GradientSet:
     @cached_property
     def w(self) -> np.ndarray:
         """The explicit w blocks (J12, J22), (2,) + w_shape."""
-        return pullback(self.instance, self.fwd, self.g)
+        return _pullback(self.instance, self.fwd.A, self.g) / self.instance.T
 
 
-def compute_gradient_set(instance: ProblemInstance, at: Perturbations | Forward) -> GradientSet:
-    """The gradient set at a point: both objectives' logit-space
-    gradients from one log-softmax, and the h blocks pulled back from
-    them.  ``at`` is the point's perturbations, or a forward pass
-    already taken there."""
-    fwd = at if isinstance(at, Forward) else forward(instance, at)
+def compute_gradient_set(instance: ProblemInstance, pert: Perturbations) -> GradientSet:
+    """The gradient set at the point ``pert``: its forward pass, both
+    objectives' logit-space gradients from its one log-softmax, and the
+    h blocks pulled back from them."""
+    fwd = forward(instance, pert)
     return GradientSet(instance, fwd, _gradients(instance, fwd))
 
 

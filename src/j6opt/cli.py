@@ -4,9 +4,9 @@ Every command is deterministic given its flags.  A flag left out keeps
 its config dataclass's default; the seed falls back to $J6_SEED first.
 Exit codes: 0 success, 1 check failure, 2 usage or config error, 3
 non-finite abort (a loss, or the perturbations a diverging update produced).
-A failing command writes one ``error:`` line to stderr, and nothing else:
-numpy's floating-point warnings are off while a command runs, since every
-non-finite value is checked and reported.
+A failing command, a usage error included, writes one ``error:`` line to
+stderr, and nothing else: numpy's floating-point warnings are off while a
+command runs, since every non-finite value is checked and reported.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from .attribution import AlignKind, AlignScale, AlignmentMode, compute_gradient_set
 from .probgen import Family, GeneratorSpec, conflict_certificate, generate, roleswap_certificate
-from .model import ProblemInstance, WMode, fd_gradient, forward
+from .model import ProblemInstance, WMode, fd_gradient
 from .optimizer import NonFiniteLossError, RunConfig, RunResult, init_perturbations, run, run_many
 from .serialize import (
     InstanceFormatError,
@@ -42,6 +43,19 @@ _GRADCHECK_BLOCKS = (("J11", "h", 0), ("J12", "w", 0), ("J21", "h", 1), ("J22", 
 _STRATEGY_NAMES = [k.value for k in StrategyKind]
 # --param value: the StrategyConfig field it sets
 _SWEEP_PARAMS = {p: p.replace("-", "_") for p in ("tau", "gamma", "eta-h", "eta-w", "beta-aux")}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, for ``main``
+    to report, and that reads a word such as ``-1e-05`` or ``-.5`` as a
+    value: no flag of this CLI starts with a digit or a dot."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def _config(cls: type, args: argparse.Namespace, prefix: str = "", **fields: object):
@@ -114,15 +128,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     worst = {name: (0.0, "") for name, _, _ in _GRADCHECK_BLOCKS}
     for k, instance in enumerate(instances):
         pert = init_perturbations(instance, init_scale=0.3, seed=7 * k + 1)
-        fwd = forward(instance, pert)
-        gs = compute_gradient_set(instance, fwd)
+        gs = compute_gradient_set(instance, pert)
         stacked = {which: fd_gradient(which, instance, pert, eps=args.eps) for which in "hw"}
-        loss_scale = max(1.0, abs(fwd.objectives.ob1), abs(fwd.objectives.ob2))
+        loss_scale = max(1.0, abs(gs.fwd.objectives.ob1), abs(gs.fwd.objectives.ob2))
         for name, which, objective in _GRADCHECK_BLOCKS:
             analytic, fd = getattr(gs, which)[objective], stacked[which][objective]
-            if args.corrupt and name == "J11":
-                analytic = analytic.copy()
-                analytic.flat[0] += args.corrupt
             # 4x the rounding error of central differences on n entries, so a block
             # that is analytically zero (broadcast J12, J22) is judged against that noise.
             floor = 4 * math.sqrt(fd.size) * 2.0**-52 * loss_scale / (args.eps * GRADCHECK_TOL)
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process.  It holds no per-call state: every
     parse fills a fresh namespace, and a config flag left out stays out
     of it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="j6opt",
         description="Jacobian-routed multi-objective perturbation optimization "
         "on a bilinear logit model",
@@ -247,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("-i", "--instance", default=None,
                       help="instance file (default: built-in seeded battery)")
     p_gc.add_argument("--eps", type=float, default=1e-5)
-    p_gc.add_argument("--corrupt", type=float, default=0.0, help=argparse.SUPPRESS)
 
     p_cmp = sub.add_parser("compare", parents=common + [jobs],
                            help="run several strategies from the same start")
@@ -268,14 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
-    try:
         # Every value that overflows is checked and reported by an exit
         # code or written to the trace, so numpy's warnings are noise.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # looked up per call, so that a replaced cmd_* takes effect
             return globals()[f"cmd_{args.command}"](args)
+    except SystemExit as e:  # --help, after printing its text
+        return e.code
     except NonFiniteLossError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

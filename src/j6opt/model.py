@@ -15,7 +15,7 @@ keeps), the logits and one row-wise log-softmax, and reads both losses
 from it through ``losses``, the only place they are computed.
 ``logit_gradients`` turns that log-softmax into both losses' logit-space
 gradients, stacked as (2, T, V).  ``w_columns`` picks the logit columns
-w moves per w_mode, and ``pullback`` maps stacked logit-space gradients
+w moves per w_mode, and ``_pullback`` maps stacked logit-space gradients
 to w through them in one batched product.  A central-difference oracle
 (``fd_gradient``) checks every analytic gradient through the forward
 pass alone, both losses stacked like the analytic ones.
@@ -51,7 +51,6 @@ __all__ = [
     "losses",
     "logit_gradients",
     "w_columns",
-    "pullback",
     "fd_gradient",
 ]
 
@@ -381,32 +380,18 @@ def w_columns(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
     return x.sum(axis=-1)
 
 
-def pullback(instance: ProblemInstance, fwd: Forward, g_logits: np.ndarray) -> np.ndarray:
-    """Map n stacked logit-space gradients (n, T, V) to w-gradients shaped
-    (n,) + w_shape: (1/T) r^T A with r = w_columns(g), i.e. g^T A / T for
-    FULL_MATRIX, column v_star of g against A for SINGLE_ROW, and row
-    sums of g against A for BROADCAST, which vanish for both objectives
-    because their logit gradients are zero-sum per position.  Under a
-    forward pass at K stacked points the gradients are (K, n, T, V), and
-    slice k is pulled back against A[k].
-    """
-    g = np.asarray(g_logits, dtype=np.float64)
-    lead = fwd.A.shape[:-2]
-    if g.ndim != len(lead) + 3 or g.shape[:len(lead)] + g.shape[-2:] != lead + (
-            instance.T, instance.V):
-        raise ValueError(
-            f"g_logits must have shape {lead + ('n', instance.T, instance.V)}, got {g.shape}"
-        )
-    w = _pullback(instance, fwd.A, g)
-    w /= instance.T
-    return w
-
-
 def _pullback(instance: ProblemInstance, A: np.ndarray, g: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-    """r^T A, ``pullback`` of gradients of the checked shape before its
-    division by T, formed in ``out`` when given: the optimizer folds 1/T
-    into the coefficients the gradients were combined with."""
+    """Map n stacked logit-space gradients g (n, T, V) to T times their
+    w-gradients, shaped (n,) + w_shape: r^T A with r = w_columns(g), i.e.
+    g^T A for FULL_MATRIX, column v_star of g against A for SINGLE_ROW,
+    and row sums of g against A for BROADCAST, which vanish for both
+    objectives because their logit gradients are zero-sum per position.
+    At K stacked points, A (K, T, d) and g (K, n, T, V), slice k is
+    pulled back against A[k].  The result is formed in ``out`` when
+    given.  The caller divides by T (``GradientSet.w``) or, as the
+    optimizer does, folds 1/T into the coefficients the gradients were
+    combined with."""
     r = w_columns(instance, g)
     if instance.w_mode is WMode.FULL_MATRIX:  # (..., V, T) against each slice's A
         return np.matmul(r.swapaxes(-2, -1), A[..., None, :, :], out=out)
@@ -425,7 +410,7 @@ def fd_gradient(
     Independent oracle for the analytic blocks: the evaluated points go
     through stacked ``forward`` passes alone, each point once, in blocks
     of ``_stack_width`` points; never ``logit_gradients`` or
-    ``pullback``.
+    ``_pullback``.
 
     Args:
         which: "h" or "w".

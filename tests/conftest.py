@@ -81,7 +81,7 @@ def from_blocks():
     """Factory for the gradient set with given d-vector blocks, h =
     (J11, J21) and w = (J12, J22): a single-row point with T = d and
     A = T I whose logit gradients carry (J12, J22) in column v_star and
-    zeros elsewhere, so that ``pullback`` returns them (bit for bit when
+    zeros elsewhere, so that ``GradientSet.w`` returns them (bit for bit when
     T is a power of 2).  For score and step arithmetic, where only the
     blocks matter."""
 

@@ -22,7 +22,6 @@ from j6opt import (
     forward,
     generate,
     init_perturbations,
-    pullback,
     resolve_alignment,
     score_j6,
     score_jplus,
@@ -269,12 +268,12 @@ class TestGramMatchesFieldProducts:
         w_mode=st.sampled_from(list(WMode)),
     )
     def test_logit_space_forms_match_blocks(self, V, d, T, seed, w_mode):
-        # the T x T forms against np.vdot of pullback's blocks and of
-        # their explicit T x V fields
+        # the T x T forms against np.vdot of the explicit blocks (gs.w
+        # for w) and of their explicit T x V fields
         instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
         pert = init_perturbations(instance, init_scale=0.3, seed=seed)
         gs = compute_gradient_set(instance, pert)
-        blocks = {"h": gs.h, "w": pullback(instance, gs.fwd, gs.g)}
+        blocks = {"h": gs.h, "w": gs.w}
         fields = {k: [logit_field(b, k, instance, pert) for b in v] for k, v in blocks.items()}
 
         def vdots(xs, ys):
@@ -568,7 +567,7 @@ class TestGradientSetValidation:
         instance, pert = make_point(seed=5, w_mode=WMode.FULL_MATRIX)
         gs = compute_gradient_set(instance, pert)
         assert "w" not in vars(gs)  # the w blocks are formed on request only
-        np.testing.assert_array_equal(gs.w, pullback(instance, gs.fwd, gs.g))
+        np.testing.assert_array_equal(gs.w, gs.g.swapaxes(1, 2) @ gs.fwd.A / instance.T)
         assert gs.h.shape == (2, instance.d) and gs.w.shape == (2, instance.V, instance.d)
         named = ((gs.J11, gs.h, 0), (gs.J12, gs.w, 0), (gs.J21, gs.h, 1), (gs.J22, gs.w, 1))
         for block, stack, k in named:

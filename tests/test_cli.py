@@ -245,6 +245,18 @@ class TestRun:
         assert "'tau' must be a finite real number" in capsys.readouterr().err
 
 
+def _corrupt_j11(monkeypatch, delta):
+    """Make gradcheck's analytic J11 wrong by ``delta`` in its first entry."""
+    real = cli.compute_gradient_set
+
+    def corrupted(instance, pert):
+        gs = real(instance, pert)
+        gs.h[0, 0] += delta
+        return gs
+
+    monkeypatch.setattr(cli, "compute_gradient_set", corrupted)
+
+
 class TestGradcheck:
     def test_non_finite_eps_exits_2(self, capsys):
         assert main(["gradcheck", "--eps", "nan"]) == 2
@@ -257,8 +269,9 @@ class TestGradcheck:
         for line in lines:
             assert "max relative error" in line and line.endswith("[ok]")
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert main(["gradcheck", "--corrupt", "0.5"]) == 1
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        _corrupt_j11(monkeypatch, 0.5)
+        assert main(["gradcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "worst" in out
         # only J11 is corrupted, so only J11 fails
@@ -276,8 +289,9 @@ class TestGradcheck:
                          "--seed", str(seed), "-o", str(path)]) == 0
             assert main(["gradcheck", "-i", str(path)]) == 0, capsys.readouterr().out
 
-    def test_small_corruption_fails_only_j11(self, capsys):
-        assert main(["gradcheck", "--corrupt", "1e-3"]) == 1
+    def test_small_corruption_fails_only_j11(self, capsys, monkeypatch):
+        _corrupt_j11(monkeypatch, 1e-3)
+        assert main(["gradcheck"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("J11: ") and out.count("[FAIL]") == 1
 
@@ -307,8 +321,9 @@ class TestGradcheck:
         for value in worst:  # a plain float repr, not np.float64(...)
             float(value)
 
-    def test_worst_values_are_plain_float_reprs(self, capsys):
-        assert main(["gradcheck", "--corrupt", "0.5"]) == 1
+    def test_worst_values_are_plain_float_reprs(self, capsys, monkeypatch):
+        _corrupt_j11(monkeypatch, 0.5)
+        assert main(["gradcheck"]) == 1
         worst = re.search(r"worst: .*: analytic=(\S+) fd=(\S+)$", capsys.readouterr().out,
                           re.MULTILINE)
         assert all(repr(float(v)) == v for v in worst.groups())
@@ -325,6 +340,9 @@ class TestStderr:
          3),
         (["gradcheck"], 2),
         (["run", "--strategy", "soft", "--init-scale", "1e308"], 2),
+        (["run", "--strategy", "soft", "--tau", "-1e-05"], 2),
+        (["run", "--strategy", "soft", "--lam", "-1e-05", "1.00001"], 2),
+        (["run"], 2),
     ])
     def test_only_the_error_line(self, inst, tmp_path, capsys, argv, code):
         if argv[0] == "gradcheck":
@@ -363,12 +381,6 @@ _FLAGS = ("--tau", "--gamma", "--eta-h", "--eta-w", "--beta-aux", "--init-scale"
           "--loss-tol")
 
 
-def _positional(x):
-    """``x`` as a numeral argparse reads as a value and not as a flag,
-    even when it is negative (``-1e-05`` would be taken for a flag)."""
-    return np.format_float_positional(x, trim="0")
-
-
 class TestExitCodes:
     """Every failure of ``run`` maps to a documented exit code, with
     nothing on stderr but its one ``error:`` line."""
@@ -386,7 +398,7 @@ class TestExitCodes:
         if data.draw(st.booleans()):
             finite = _VALUES.filter(np.isfinite)
             lam = data.draw(st.tuples(finite, finite) | finite.map(lambda x: (x, 1.0 - x)))
-            argv += ["--lam", *map(_positional, lam)]
+            argv += ["--lam", *map(repr, lam)]
         err = io.StringIO()
         with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
               contextlib.redirect_stdout(io.StringIO())):
@@ -449,6 +461,12 @@ class TestCompare:
                      "-o", str(tmp_path / "s.json")])
         assert code == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_empty_strategy_list_exits_2(self, inst, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["compare", "-i", str(inst), "--strategies", ",", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --strategies must name at least one strategy\n"
+        assert not out.exists()
 
     def test_identical_seeds_identical_bytes(self, inst, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -702,6 +720,20 @@ class TestUsage:
 
     def test_no_command_exits_2(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--strategy", "soft", "--tau", "-1e-05"], "tau must be positive"),
+        (["--strategy", "soft", "--tau", "-.5"], "tau must be positive"),
+        (["--strategy", "soft", "--lam", "-1e-05", "1.00001"],
+         "lam must be a non-negative pair summing to 1"),
+        ([], "the following arguments are required: --strategy"),
+        (["--strategy", "nope"], "argument --strategy: invalid choice: 'nope'"),
+    ])
+    def test_usage_errors_are_one_line(self, inst, capsys, flags, message):
+        # a negative number such as -1e-05 is a value, checked as any other
+        assert main(["run", "-i", str(inst), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, flags", [
         ("compare", []), ("sweep", ["--param", "tau", "--values", "1"])])

@@ -28,7 +28,6 @@ from j6opt import (
     log_softmax,
     logit_gradients,
     losses,
-    pullback,
     w_columns,
     w_shape,
     zero_perturbations,
@@ -127,6 +126,18 @@ class TestComputeLogits:
         with pytest.raises(ValueError, match="shape"):
             forward(instance, Perturbations([0.0, 0.0], [0.0, 0.0]))
 
+    def test_wrong_h_shape_raises(self):
+        instance = ProblemInstance(V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=[0])
+        for h in ([0.0, 0.0, 0.0], [[[0.0, 0.0]]]):
+            with pytest.raises(ValueError, match=r"h must have shape \(2,\) or \(K, 2\)"):
+                forward(instance, Perturbations(h, np.zeros((3, 2))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_perturbations_rejected(self, bad):
+        for h, w in (([bad, 0.0], np.zeros((3, 2))), ([0.0, 0.0], [[0.0, bad]] * 3)):
+            with pytest.raises(ValueError, match="perturbations must be finite"):
+                Perturbations(h, w)
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -173,8 +184,22 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 4)])
     def test_rank_other_than_2_or_3_rejected(self, shape):
-        with pytest.raises(ValueError, match=r"\(T, V\) matrix or a \(K, T, V\) stack"):
-            log_softmax(np.zeros(shape))
+        for call in (log_softmax, lambda z: logit_gradients(z, np.zeros(3, dtype=np.int64))):
+            with pytest.raises(ValueError, match=r"\(T, V\) matrix or a \(K, T, V\) stack"):
+                call(np.zeros(shape))
+
+    def test_stack_gives_forward_stacked_objectives(self, make_point):
+        # losses of a (K, T, V) stack are forward's stacked losses, bit for bit
+        K = 3
+        for seed, mode in enumerate(WMode):
+            instance, pert = make_point(seed=seed, w_mode=mode)
+            stacked = Perturbations(pert.h + np.arange(K)[:, None] / 7,
+                                    np.repeat(pert.w[None], K, axis=0))
+            fwd = forward(instance, stacked)
+            obs = losses(fwd.logp, instance.y)
+            assert obs.ob1.shape == obs.ob2.shape == (K,)
+            assert obs.ob1.tobytes() == fwd.objectives.ob1.tobytes()
+            assert obs.ob2.tobytes() == fwd.objectives.ob2.tobytes()
 
     @pytest.mark.parametrize("call", [losses, logit_gradients])
     def test_non_integer_targets_rejected(self, call):
@@ -363,7 +388,7 @@ def _grad_h_heat(instance, pert):
 
 def _pull_w(instance, pert, g):
     """Pull one (T, V) logit-space gradient back to w."""
-    return pullback(instance, forward(instance, pert), g[None])[0]
+    return j6opt.model._pullback(instance, forward(instance, pert).A, g[None])[0] / instance.T
 
 
 def _heat_field(instance, pert):
@@ -392,11 +417,6 @@ class TestGradH:
         )
         pert = zero_perturbations(instance)
         assert _grad_h_heat(instance, pert)[1] == 0.0
-
-    def test_shape_mismatch_raises(self, make_point):
-        instance, pert = make_point(seed=2)
-        with pytest.raises(ValueError, match="shape"):
-            _pull_w(instance, pert, np.zeros((instance.T, instance.V + 1)))
 
 
 class TestGradW:
@@ -450,7 +470,7 @@ class TestPullback:
         instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
         fwd = forward(instance, init_perturbations(instance, init_scale=0.3, seed=seed))
         g = np.random.default_rng(seed).normal(size=(K, T, V))
-        got = pullback(instance, fwd, g)
+        got = j6opt.model._pullback(instance, fwd.A, g) / T
         assert got.shape == (K,) + w_shape(V, d, w_mode)
         np.testing.assert_array_equal(got, reference_pullback(instance, fwd, g))
 
@@ -496,6 +516,8 @@ class TestFdGradient:
             fd_gradient("q", instance, pert)
         with pytest.raises(ValueError):
             fd_gradient("h", instance, pert, eps=0.0)
+        with pytest.raises(ValueError, match="one point, not a stack"):
+            fd_gradient("h", instance, Perturbations(pert.h[None], pert.w[None]))
 
     def test_independent_of_the_gradient_code(self, make_point, monkeypatch):
         # the oracle must run with every analytic gradient path disabled
@@ -509,9 +531,9 @@ class TestFdGradient:
         for module, name in (
             (j6opt.model, "logit_gradients"),
             (j6opt.model, "_logit_gradients"),
-            (j6opt.model, "pullback"),
+            (j6opt.model, "_pullback"),
             (j6opt.attribution, "_logit_gradients"),
-            (j6opt.attribution, "pullback"),
+            (j6opt.attribution, "_pullback"),
             (j6opt.attribution, "compute_gradient_set"),
         ):
             monkeypatch.setattr(module, name, refuse)
@@ -669,6 +691,14 @@ class TestProblemInstanceValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             ProblemInstance(V=3, d=2, T=1, H=[[np.nan, 0.0]], W=np.eye(3, 2), y=[0])
+
+    @pytest.mark.parametrize("field", ["V", "d", "T"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_dimensions_below_one_rejected(self, field, value):
+        fields = dict(V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=[1])
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            ProblemInstance(**fields)
 
     def test_v_star_defaults(self):
         base = dict(V=3, d=2, T=2, H=np.ones((2, 2)), W=np.eye(3, 2), y=[0, 2])

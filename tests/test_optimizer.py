@@ -37,7 +37,6 @@ from j6opt import (
     forward,
     generate,
     init_perturbations,
-    pullback,
     resolve_alignment,
     run,
     run_many,
@@ -238,7 +237,7 @@ class TestRun:
     def test_one_w_pullback_per_step(self, make_instance, monkeypatch):
         # the w group is pulled back once per step: the combined logit
         # gradients under full_matrix, both d-vector blocks otherwise;
-        # every pullback, the public one included, goes through _pullback
+        # every pullback, the gradient set's w included, goes through _pullback
         calls = []
         original = j6opt.model._pullback
 
@@ -260,8 +259,8 @@ class TestRun:
                     assert len(calls) == 3, (w_mode, kind, alignment)
 
     def test_update_is_c_applied_to_explicit_blocks(self, make_instance):
-        # the step run takes equals decide's c applied to pullback's
-        # blocks: bit for bit where w is a d-vector, and to rounding
+        # the step run takes equals decide's c applied to the gradient
+        # set's explicit blocks: bit for bit where w is a d-vector, and to rounding
         # under full_matrix, where the combined gradient is pulled back
         for w_mode in WMode:
             instance = make_instance(seed=15, w_mode=w_mode)
@@ -737,12 +736,12 @@ class TestStep:
     def test_step_is_minus_eta_c_applied_to_the_public_blocks(self, batch):
         # delta h = -eta_h (c00 J11 + c01 J21) and delta w = -eta_w (c10 J12 + c11 J22),
         # c decided on the public gradient set's scores and Grams, J12 and J22 from
-        # pullback; one step from zero, whose end point is the step itself, taken
+        # its w; one step from zero, whose end point is the step itself, taken
         # alone (K = 1) and in the batch
         instance, cfgs = batch
         rcfg = RunConfig(max_steps=1, grad_tol=0.0)
         gs = compute_gradient_set(instance, init_perturbations(instance))
-        J12, J22 = pullback(instance, gs.fwd, gs.g)
+        J12, J22 = gs.w
         for cfg, in_batch in zip(cfgs, run_many(instance, cfgs, rcfg)):
             mode = resolve_alignment(cfg.alignment, instance.w_mode)
             c, _, _ = decide(score_jplus(gs, mode)[None], score_j6(gs, mode)[None],

@@ -130,6 +130,8 @@ class TestInfeasibleSpec:
         instance = generate(GeneratorSpec(V=6, d=4, T=2, seed=1, w_mode=WMode.BROADCAST))
         gs = compute_gradient_set(instance, zero_perturbations(instance))
         assert np.abs(gs.J12).max() < 1e-15 * np.abs(gs.J11).max()
+        # so the certificate divides by rounding noise and never passes
+        assert roleswap_certificate(instance) > 1e20
         with pytest.raises(ValueError, match=r"role-swap cannot hold on broadcast"):
             GeneratorSpec(V=6, d=4, family=Family.ROLE_SWAP, w_mode=WMode.BROADCAST)
         GeneratorSpec(V=6, d=4, family=Family.CONFLICTING, w_mode=WMode.BROADCAST)

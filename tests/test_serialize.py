@@ -148,6 +148,18 @@ class TestInstanceValidation:
         with pytest.raises(InstanceFormatError, match="missing keys"):
             load_instance(path)
 
+    @pytest.mark.parametrize("where", ["top level", "metadata"])
+    def test_non_object_rejected(self, instance, tmp_path, where):
+        doc = self._doc(instance)
+        if where == "metadata":
+            doc["metadata"] = list(doc["metadata"].items())
+        else:
+            doc = list(doc.items())
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=f"inst.json: {where} must be a"):
+            load_instance(path)
+
     def test_wrong_format_version(self, instance, tmp_path):
         doc = self._doc(instance)
         doc["metadata"]["format_version"] = "2"
