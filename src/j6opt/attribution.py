@@ -62,7 +62,6 @@ __all__ = [
     "AlignScale",
     "AlignmentMode",
     "GradientSet",
-    "resolve_alignment",
     "compute_gradient_set",
     "score_j6",
     "score_jplus",
@@ -181,22 +180,29 @@ def resolve_alignment(mode: AlignmentMode, w_mode: WMode) -> AlignmentMode:
     return mode
 
 
-def _work(instance: ProblemInstance, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays ``_Blocks`` forms the blocks of up to K slices in, in
-    their first n: the products (K, 6, 2, 2) with their -0.0 pad and the
-    FULL_MATRIX weights (K, 2, T) with their 1/T row in place."""
-    products, weights = np.empty((K, 6, 2, 2)), np.empty((K, 2, instance.T))
+class _Work:
+    """The arrays ``_Blocks`` forms the blocks of n slices in, with the
+    views of them that a step reads: the products (n, 6, 2, 2) with their
+    -0.0 pad, and the FULL_MATRIX weights (n, 2, T) with their 1/T row in
+    place.  ``take(m)`` is the work of the first m slices."""
+
+    def __init__(self, products: np.ndarray, weights: np.ndarray):
+        n, self.products, self.weights = len(products), products, weights
+        self.grams, self.native = products[:, :2], (products[:, 0], products[:, 1])
+        self.flat, self.sums = products.reshape(n, 24), products[:, :2].reshape(n, 8)
+        self.pairs, self.Ka = weights[:, None], weights[:, 1]
+
+    def take(self, m: int) -> "_Work":
+        return _Work(self.products[:m], self.weights[:m])
+
+
+def _work(instance: ProblemInstance, n: int) -> _Work:
+    """A new ``_Work`` of n slices."""
+    products, weights = np.empty((n, 6, 2, 2)), np.empty((n, 2, instance.T))
     products[:, 5], weights[:, 0] = -0.0, 1 / instance.T
-    return products, weights
+    return _Work(products, weights)
 
 
-def _gradients(instance: ProblemInstance, fwd: Forward) -> np.ndarray:
-    """Both objectives' logit-space gradients, from the one log-softmax
-    of a forward pass with finite losses."""
-    return _logit_gradients(fwd.logp, instance._target[1], fwd.p, fwd.plogp)
-
-
-@dataclass(eq=False)
 class _Blocks:
     """The gradient blocks at K stacked points of one instance, from
     their A and B (K, T, d), (K, V, d) and logit gradients ``g``
@@ -207,51 +213,42 @@ class _Blocks:
     (K, 2, 2, d), h then ``w`` (J12, J22).  ``products`` (K, 6, 2, 2)
     holds each slice's 2x2 products in the layout of _TERMS; its native
     Grams of the h and of the w blocks, ``grams`` (K, 2, 2, 2), are
-    formed here, the rest by ``_scores``, all in ``work`` (``_work``),
-    made here when not given.  ``finite`` lists whether each slice's
-    Grams are finite."""
+    formed here, the rest by ``_scores``, all in ``work`` (a ``_Work``
+    of K slices), made here when not given.  ``finite`` lists whether
+    each slice's Grams are finite."""
 
-    instance: ProblemInstance
-    A: np.ndarray
-    B: np.ndarray
-    g: np.ndarray
-    h: np.ndarray | None = None
-    work: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        A, T, n = self.A, self.instance.T, len(self.A)
-        products, weights = self.work or _work(self.instance, n)
+    def __init__(self, instance: ProblemInstance, A: np.ndarray, B: np.ndarray, g: np.ndarray,
+                 h: np.ndarray | None = None, work: _Work | None = None):
+        T, n = instance.T, len(A)
+        self.instance, self.A, self.B, self.g = instance, A, B, g
+        self.work = work = work or _work(instance, n)
         K = A @ A.swapaxes(1, 2)
-        self.r = w_columns(self.instance, self.g)
+        self.r = w_columns(instance, g)
         self.Kr = K[:, None] @ self.r if self.r.ndim == 4 else self.r @ K
         # Every logit of row t moves by B.h, so grad_h = (1/T) sum_tv g[t, v] B[v].
-        if self.instance.w_mode is WMode.FULL_MATRIX:
+        if instance.w_mode is WMode.FULL_MATRIX:
             # per block the rows sum_t g_i / T and J_i2 a = (K 1)^T g_i / T,
             # then all four against B in one product
-            weights = weights[:n]
-            Ka = np.add.reduce(K, axis=1, out=weights[:, 1])
-            Ka /= T
-            gB = (weights[:, None] @ self.g).reshape(n, 4, -1) @ self.B
+            np.divide(np.add.reduce(K, axis=1), T, out=work.Ka)  # faster than /= on the view
+            gB = (work.pairs @ g).reshape(n, 4, -1) @ B
             self.BJa = gB[:, 1::2]
-            if self.h is None:
-                self.h = gB[:, 0::2]
+            self.h = gB[:, 0::2] if h is None else h
         else:  # the h blocks, then the w blocks r^T A / T (model._pullback)
-            hw = self.hw = np.empty((n, 2, 2, self.instance.d))
-            np.matmul(np.add.reduce(self.g, axis=2), self.B, out=hw[:, 0])
-            _pullback(self.instance, A, self.g, out=hw[:, 1])
+            hw = self.hw = np.empty((n, 2, 2, instance.d))
+            np.matmul(np.add.reduce(g, axis=2), B, out=hw[:, 0])
+            _pullback(instance, A, g, out=hw[:, 1])
             hw /= T
-            if self.h is not None:
-                hw[:, 0] = self.h
+            if h is not None:
+                hw[:, 0] = h
             self.h, self.w = hw[:, 0], hw[:, 1]
-        P = self.products = products[:n]
-        self.grams = P[:, :2]
-        _dots(self.h, self.h, P[:, 0])
-        _dots(self.r, self.Kr, P[:, 1])
+        self.products, self.grams, (hh, ww) = work.products, work.grams, work.native
+        _dots(self.h, self.h, hh)
+        _dots(self.r, self.Kr, ww)
         if T > 1:
-            P[:, 1] *= 1 / (T * T)
+            ww *= 1 / (T * T)
         _gram(self.grams)
         # a nan or inf entry makes the sum non-finite
-        self.finite = np.isfinite(np.add.reduce(self.grams.reshape(n, -1), axis=1)).tolist()
+        self.finite = np.isfinite(np.add.reduce(work.sums, axis=1)).tolist()
 
 
 @dataclass(eq=False)
@@ -304,7 +301,8 @@ def compute_gradient_set(instance: ProblemInstance, pert: Perturbations) -> Grad
     objectives' logit-space gradients from its one log-softmax, and the
     h blocks pulled back from them."""
     fwd = forward(instance, pert)
-    return GradientSet(instance, fwd, _gradients(instance, fwd))
+    return GradientSet(instance, fwd, _logit_gradients(fwd.logp, instance._target[1], fwd.p,
+                                                       fwd.plogp))
 
 
 _DIAGONAL = np.eye(2, dtype=bool)
@@ -361,14 +359,14 @@ def _scores(b: _Blocks, mode: AlignmentMode) -> np.ndarray:
     then the 6 j6 slots, under one resolved alignment ``mode``:
     pushforward or direct, and raw or cosine-scaled (see
     ``score_jplus``)."""
-    P, K, scaled = b.products, len(b.products), mode.scale is AlignScale.COSINE
+    P, scaled = b.products, mode.scale is AlignScale.COSINE
     if mode.kind is AlignKind.PUSHFORWARD:
         _pushforward(b, P[:, 2:5 if scaled else 3])
     else:
         if scaled:
             P[:, 3:5] = P[:, :2]  # direct alignment takes norms natively
         np.matmul(b.h, b.w.swapaxes(1, 2), out=P[:, 2])  # w is a d-vector here
-    G = P.reshape(K, 24)[:, _TERMS if scaled else _RAW_TERMS]
+    G = b.work.flat[:, _TERMS if scaled else _RAW_TERMS]
     x = G[:, 0] + G[:, 1]
     x += G[:, 2]
     x += G[:, 3]

@@ -47,12 +47,18 @@ _SWEEP_PARAMS = {p: p.replace("-", "_") for p in ("tau", "gamma", "eta-h", "eta-
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise ValueError, for ``main``
-    to report, and that reads a word such as ``-1e-05`` or ``-.5`` as a
-    value: no flag of this CLI starts with a digit or a dot."""
+    to report, and that reads a word such as ``-1e-05``, ``-.5`` or
+    ``-inf`` (not ``-i nf``) as a value: no flag of this CLI starts with a
+    digit or a dot, or spells a float."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        self._negative_number_matcher = re.compile(r"-([\d.]|(inf|infinity|nan)$)", re.I)
+
+    def _get_option_tuples(self, option_string: str) -> list:
+        if self._negative_number_matcher.match(option_string):
+            return []
+        return super()._get_option_tuples(option_string)
 
     def error(self, message: str):
         raise ValueError(message)

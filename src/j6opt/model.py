@@ -42,7 +42,6 @@ __all__ = [
     "ProblemInstance",
     "Perturbations",
     "ObjectivePair",
-    "Forward",
     "set_validation",
     "w_shape",
     "zero_perturbations",
@@ -50,7 +49,6 @@ __all__ = [
     "log_softmax",
     "losses",
     "logit_gradients",
-    "w_columns",
     "fd_gradient",
 ]
 
@@ -171,25 +169,29 @@ class ObjectivePair:
     ob2: float  # confidence: mean negative entropy, in [-log V, 0]
 
 
-@dataclass(frozen=True, eq=False)
 class Forward:
     """One forward pass at a point (h, w), or at K stacked points, each
-    array then with a leading K axis."""
+    array then with a leading K axis: A = H + h (T, d), B with w folded in
+    per w_mode (V, d), the logits A B^T, their row-wise log-softmax
+    ``logp`` and exp(logp) ``p`` (T, V), each row's sum of p log p
+    ``plogp`` (T,), and the losses ``ob1`` and ``ob2`` (numbers, or (K,))."""
 
-    A: np.ndarray       # H + h, (T, d)
-    B: np.ndarray       # W with w folded in per w_mode, (V, d)
-    logits: np.ndarray  # A B^T, (T, V)
-    logp: np.ndarray    # row-wise log-softmax of the logits, (T, V)
-    objectives: ObjectivePair
-    p: np.ndarray       # exp(logp), (T, V)
-    plogp: np.ndarray   # sum_v p log p per row (negative entropy), (T,)
+    def __init__(self, A: np.ndarray, B: np.ndarray, logits: np.ndarray, logp: np.ndarray,
+                 p: np.ndarray, plogp: np.ndarray, ob1: np.ndarray, ob2: np.ndarray):
+        self.A, self.B, self.logits, self.logp = A, B, logits, logp
+        self.p, self.plogp, self.ob1, self.ob2 = p, plogp, ob1, ob2
 
-    def take(self, rows: list[int]) -> "Forward":
-        """The stacked forward pass of the slices at ``rows``."""
-        obs = self.objectives
+    @property
+    def objectives(self) -> ObjectivePair:
+        """Both losses: floats at one point, (K,) arrays at K stacked points."""
+        ob1, ob2 = self.ob1, self.ob2
+        return ObjectivePair(ob1, ob2) if ob1.ndim else ObjectivePair(float(ob1), float(ob2))
+
+    def take(self, rows: list[int] | int) -> "Forward":
+        """The stacked forward pass of the slices at ``rows``, or the
+        one-point pass of slice ``rows`` when it is an int."""
         return Forward(self.A[rows], self.B[rows], self.logits[rows], self.logp[rows],
-                       ObjectivePair(obs.ob1[rows], obs.ob2[rows]), self.p[rows],
-                       self.plogp[rows])
+                       self.p[rows], self.plogp[rows], self.ob1[rows], self.ob2[rows])
 
 
 def zero_perturbations(instance: ProblemInstance) -> Perturbations:
@@ -230,6 +232,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim not in (2, 3):
         raise ValueError("logits must be a (T, V) matrix or a (K, T, V) stack")
+    return _log_softmax(z)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """``log_softmax`` of a float64 (T, V) matrix or (K, T, V) stack, unchecked."""
     shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     total = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
     logp = np.subtract(shifted, np.log(total, out=total), out=shifted)
@@ -317,8 +324,7 @@ def forward(instance: ProblemInstance, pert: Perturbations, B: np.ndarray | None
 
     B is formed from W and w (``_factor_B``) unless the caller gives it:
     the factor at ``pert``'s w, shaped (K, V, d) for a stacked pass and
-    (V, d) for one point.  Only its shape is checked.  The optimizer
-    gives the B it keeps as state beside w.
+    (V, d) for one point.  Only its shape is checked.
     """
     stacked = _check_shapes(instance, pert)
     h, w = (pert.h, pert.w) if stacked else (pert.h[None], pert.w[None])
@@ -328,15 +334,19 @@ def forward(instance: ProblemInstance, pert: Perturbations, B: np.ndarray | None
         raise ValueError(f"B must have the shape of W, stacked like the perturbations, got {B.shape}")
     elif not stacked:
         B = B[None]
+    fwd = _forward(instance, h, B)
+    return fwd if stacked else fwd.take(0)
+
+
+def _forward(instance: ProblemInstance, h: np.ndarray, B: np.ndarray) -> Forward:
+    """``forward`` at K stacked points, h (K, d), from their B (K, V, d),
+    unchecked: the optimizer's step, whose buffers fix the shapes, gives
+    the B it keeps as state beside w."""
     A = instance.H + h[:, None]
     logits = A @ B.swapaxes(1, 2)
-    logp = log_softmax(logits)
+    logp = _log_softmax(logits)
     p, plogp = _softmax_terms(logp)
-    ob1, ob2 = _losses(logp, instance._target[0], plogp)
-    if stacked:
-        return Forward(A, B, logits, logp, ObjectivePair(ob1, ob2), p, plogp)
-    return Forward(A[0], B[0], logits[0], logp[0], ObjectivePair(float(ob1[0]), float(ob2[0])),
-                   p[0], plogp[0])
+    return Forward(A, B, logits, logp, p, plogp, *_losses(logp, instance._target[0], plogp))
 
 
 def logit_gradients(logp: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -44,23 +44,17 @@ from enum import Enum
 
 import numpy as np
 
-from .attribution import (
-    AlignmentMode,
-    _Blocks,
-    _gradients,
-    _scores,
-    _work,
-    resolve_alignment,
-)
+from .attribution import AlignmentMode, _Blocks, _scores, _work, resolve_alignment
 from .model import (
     ObjectivePair,
     Perturbations,
     ProblemInstance,
     WMode,
     _factor_B,
+    _forward,
+    _logit_gradients,
     _pullback,
     _stack_width,
-    forward,
     require_float,
     require_int,
     w_shape,
@@ -239,30 +233,40 @@ class _Buffers:
 
 class _Batch:
     """The live runs of a lockstep batch, slice i of every array holding
-    run ``index[i]``: its point (stacked ``Perturbations``, updated in
-    place), B (see ``_Buffers``), the stop reason decided after its last
-    step, and the plan of the configurations (``rules``, which holds
-    them)."""
+    run ``index[i]``: its point h and w (updated in place), B (see
+    ``_Buffers``), the stop reason decided after its last step, and the
+    plan of the configurations (``rules``, which holds them).  It also
+    holds the views of the buffers that a step writes, sliced to the live
+    runs, and slices them again on ``keep`` (``_slice``)."""
 
     def __init__(self, cfgs: list[StrategyConfig], bufs: _Buffers, start: Perturbations | None,
                  T: int):
         K = len(cfgs)
-        self.index, self.rules = list(range(K)), _Rules(cfgs)
+        self.bufs, self.index, self.rules = bufs, list(range(K)), _Rules(cfgs)
         # -eta per run and group (K, 2, 1); c's w row takes -eta_w / T under FULL_MATRIX
         self.eta = np.array([[[-cfg.eta_h], [-cfg.eta_w]] for cfg in cfgs], dtype=np.float64)
         self.c_w = self.eta[:, 1:] / T
-        h, w = bufs.h[:K], bufs.w[:K]
-        h[:], w[:] = (0.0, 0.0) if start is None else (start.h, start.w)  # each run its own copy
-        self.pert = Perturbations(h, w)
-        self.B = bufs.B[:K]
+        self.h, self.w, self.B = bufs.h[:K], bufs.w[:K], bufs.B[:K]
+        self.h[:], self.w[:] = (0.0, 0.0) if start is None else (start.h, start.w)  # own copies
         self.stop: list[StopReason | None] = [None] * K
+        self._slice()
+
+    def _slice(self) -> None:
+        n, bufs = len(self.index), self.bufs
+        self.eta_h, self.work, self.norms = self.eta[:, 0], bufs.work.take(n), bufs.norms[:n]
+        self.traced, self.diagonals = self.norms.reshape(n, 6), self.work.grams.diagonal(0, 2, 3)
+        if hasattr(bufs, "g"):  # FULL_MATRIX: the combined gradient as a matmul target, delta w
+            self.g, self.dw = bufs.g[:n], bufs.dw[:n]
+            self.g_rows, self.delta_w = self.g.reshape(n, 1, -1), self.dw[:, 0]
+            self.dw_flat = self.delta_w.reshape(n, -1)
 
     def keep(self, rows: list[int]) -> None:
         """Keep the runs at ``rows`` only."""
         self.index, self.stop = [self.index[i] for i in rows], [self.stop[i] for i in rows]
         self.rules = _Rules([self.rules.cfgs[i] for i in rows])
         self.eta, self.c_w, self.B = self.eta[rows], self.c_w[rows], self.B[rows]
-        self.pert = Perturbations(self.pert.h[rows], self.pert.w[rows])
+        self.h, self.w = self.h[rows], self.w[rows]
+        self._slice()
 
 
 def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: AlignmentMode,
@@ -274,16 +278,17 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: Align
     loss, or after the update when its blocks overflowed or its point
     left the finite range, in that order) drops every run after it,
     whose results can no longer matter, and the others go on, so the
-    abort raised at the end is the lowest-index one."""
+    abort raised at the end is the lowest-index one.  Shapes are fixed
+    by the buffers, so a step calls the unchecked kernels."""
     batch = _Batch(cfgs, bufs, start, instance.T)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
     results: list[RunResult | None] = [None] * len(cfgs)
     abort: NonFiniteLossError | None = None
     full = instance.w_mode is WMode.FULL_MATRIX
-    _factor_B(instance, batch.pert.w, out=batch.B)  # state beside w from here on
+    _factor_B(instance, batch.w, out=batch.B)  # state beside w from here on
     for step in range(rcfg.max_steps + 1):
-        fwd = forward(instance, batch.pert, batch.B)
-        ob1, ob2 = fwd.objectives.ob1.tolist(), fwd.objectives.ob2.tolist()
+        fwd = _forward(instance, batch.h, batch.B)
+        ob1, ob2 = fwd.ob1.tolist(), fwd.ob2.tolist()
         live = []
         for i, k in enumerate(batch.index):
             if not (math.isfinite(ob1[i]) and math.isfinite(ob2[i])):
@@ -294,7 +299,7 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: Align
                 live.append(i)
             else:
                 results[k] = RunResult(
-                    Perturbations(batch.pert.h[i].copy(), batch.pert.w[i].copy()),
+                    Perturbations(batch.h[i].copy(), batch.w[i].copy()),
                     ObjectivePair(ob1[i], ob2[i]), traces[k], batch.stop[i] or StopReason.MAX_STEPS)
         if not live:
             break
@@ -302,36 +307,36 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: Align
             batch.keep(live)
             fwd = fwd.take(live)
             ob1, ob2 = [ob1[i] for i in live], [ob2[i] for i in live]
-        blocks = _Blocks(instance, fwd.A, fwd.B, _gradients(instance, fwd), work=bufs.work)
+        g = _logit_gradients(fwd.logp, instance._target[1], fwd.p, fwd.plogp)
+        blocks = _Blocks(instance, fwd.A, fwd.B, g, work=batch.work)
         scores = _scores(blocks, mode)
         jplus, j6 = scores[:, :15], scores[:, 15:]
         c, chosen, alpha = decide(jplus, j6, blocks.grams, batch.rules)
         # the squared norms (J11, J21), (J12, J22) and (delta h, delta w),
         # each the dot np.vdot takes, then one sqrt
-        n = len(c)
-        norms = bufs.norms[:n]
-        norms[:, :2] = blocks.grams.diagonal(0, 2, 3)
+        n, norms = len(c), batch.norms
+        norms[:, :2] = batch.diagonals
         # c0 J1 + c1 J2 per group: the sum of two products, one add
         if full:  # pull back c10 g_1 + c11 g_2, its c carrying -eta_w / T: no V x d block
-            delta_h = batch.eta[:, 0] * np.add.reduce(c[:, 0, :, None] * blocks.h, axis=1)
-            combined = bufs.g[:n]
-            np.matmul(c[:, 1:] * batch.c_w, blocks.g.reshape(n, 2, -1),
-                      out=combined.reshape(n, 1, -1))
-            delta_w = _pullback(instance, fwd.A, combined, out=bufs.dw[:n])[:, 0]
+            ch = c[:, 0, :, None] * blocks.h  # the one add a reduce would take, dispatched faster
+            delta_h = batch.eta_h * (ch[:, 0] + ch[:, 1])
+            np.matmul(c[:, 1:] * batch.c_w, g.reshape(n, 2, -1), out=batch.g_rows)
+            _pullback(instance, fwd.A, batch.g, out=batch.dw)
+            delta_w = batch.delta_w
             np.vecdot(delta_h, delta_h, out=norms[:, 2, 0])
-            flat = delta_w.reshape(n, -1)
-            np.vecdot(flat, flat, out=norms[:, 2, 1])
-            np.add(batch.B, delta_w, out=batch.B)
+            np.vecdot(batch.dw_flat, batch.dw_flat, out=norms[:, 2, 1])
+            batch.B += delta_w
         else:  # w is a d-vector: both groups' steps and norms at once
             delta = batch.eta * np.add.reduce(c[..., None] * blocks.hw, axis=2)
             delta_h, delta_w = delta[:, 0], delta[:, 1]
             np.vecdot(delta, delta, out=norms[:, 2])
-        h, w = batch.pert.h, batch.pert.w
-        np.add(h, delta_h, out=h)
-        np.add(w, delta_w, out=w)
+        h, w = batch.h, batch.w
+        h += delta_h
+        w += delta_w
         if not full:
             _factor_B(instance, w, out=batch.B)
-        traced = np.sqrt(norms, out=norms).reshape(n, 6).tolist()
+        np.sqrt(norms, out=norms)
+        traced = batch.traced.tolist()
         ok = blocks.finite  # at finite losses, the blocks may overflow
         # h and w were finite, and a step of finite norm (entries below 2^512) keeps them so
         if not all(math.isfinite(r[4] + r[5]) for r in traced):
@@ -353,7 +358,7 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: Align
                                      jplus[i] if jp else j6[i], chosen[i], alpha[i], dh, dw))
             batch.stop[i] = stop_check(trace, rcfg)
         # free this step's arrays before the next forward pass allocates
-        del fwd, blocks, delta_h, delta_w, scores, jplus, j6, c
+        del fwd, g, blocks, delta_h, delta_w, scores, jplus, j6, c
     if abort is not None:
         raise abort
     return results

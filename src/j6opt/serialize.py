@@ -32,7 +32,6 @@ __all__ = [
     "save_instance",
     "load_instance",
     "write_trace",
-    "selection_counts",
     "write_summary",
 ]
 

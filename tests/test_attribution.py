@@ -22,13 +22,13 @@ from j6opt import (
     forward,
     generate,
     init_perturbations,
-    resolve_alignment,
+    logit_gradients,
     score_j6,
     score_jplus,
     zero_perturbations,
 )
 import j6opt.attribution as attribution_mod
-from j6opt.attribution import BETA_AUX
+from j6opt.attribution import BETA_AUX, resolve_alignment
 
 DIRECT_RAW = AlignmentMode(AlignKind.DIRECT, AlignScale.RAW)
 DIRECT_COSINE = AlignmentMode(AlignKind.DIRECT, AlignScale.COSINE)
@@ -479,12 +479,12 @@ def _stacked_products(instance, seeds, scaled, dots=None):
     perts = [init_perturbations(instance, init_scale=0.3, seed=seed) for seed in seeds]
     fwd = forward(instance, Perturbations(np.stack([p.h for p in perts]),
                                           np.stack([p.w for p in perts])))
-    work = attribution_mod._work(instance, len(seeds) + 2)
+    work = attribution_mod._work(instance, len(seeds) + 2).take(len(seeds))
+    g = logit_gradients(fwd.logp, instance.y)
     with pytest.MonkeyPatch.context() as mp:
         if dots is not None:
             mp.setattr(attribution_mod, "_dots", dots)
-        b = attribution_mod._Blocks(instance, fwd.A, fwd.B,
-                                    attribution_mod._gradients(instance, fwd), work=work)
+        b = attribution_mod._Blocks(instance, fwd.A, fwd.B, g, work=work)
         attribution_mod._scores(b, PUSH_COSINE if scaled else PUSH_RAW)
     return b.products[:, :5 if scaled else 3].copy()
 

@@ -342,6 +342,8 @@ class TestStderr:
         (["run", "--strategy", "soft", "--init-scale", "1e308"], 2),
         (["run", "--strategy", "soft", "--tau", "-1e-05"], 2),
         (["run", "--strategy", "soft", "--lam", "-1e-05", "1.00001"], 2),
+        (["run", "--strategy", "soft", "--tau", "-inf"], 2),
+        (["run", "--strategy", "soft", "--lam", "-inf", "1"], 2),
         (["run"], 2),
     ])
     def test_only_the_error_line(self, inst, tmp_path, capsys, argv, code):
@@ -726,11 +728,16 @@ class TestUsage:
         (["--strategy", "soft", "--tau", "-.5"], "tau must be positive"),
         (["--strategy", "soft", "--lam", "-1e-05", "1.00001"],
          "lam must be a non-negative pair summing to 1"),
+        (["--strategy", "soft", "--tau", "-inf"], "'tau' must be a finite real number, got -inf"),
+        (["--strategy", "soft", "--tau", "-Infinity"], "'tau' must be a finite real number"),
+        (["--strategy", "soft", "--gamma", "-NaN"], "'gamma' must be a finite real number"),
+        (["--strategy", "soft", "--lam", "-inf", "1"], "'lam[0]' must be a finite real number"),
         ([], "the following arguments are required: --strategy"),
         (["--strategy", "nope"], "argument --strategy: invalid choice: 'nope'"),
     ])
     def test_usage_errors_are_one_line(self, inst, capsys, flags, message):
-        # a negative number such as -1e-05 is a value, checked as any other
+        # a negative number such as -1e-05 or -inf is a value, checked as
+        # any other; -inf is not read as the flag -i with the value nf
         assert main(["run", "-i", str(inst), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1

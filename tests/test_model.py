@@ -28,10 +28,10 @@ from j6opt import (
     log_softmax,
     logit_gradients,
     losses,
-    w_columns,
     w_shape,
     zero_perturbations,
 )
+from j6opt.model import w_columns
 
 
 def _probs(z):

@@ -37,13 +37,13 @@ from j6opt import (
     forward,
     generate,
     init_perturbations,
-    resolve_alignment,
     run,
     run_many,
     score_j6,
     score_jplus,
     write_trace,
 )
+from j6opt.attribution import resolve_alignment
 from j6opt.optimizer import TraceRecord, stop_check
 
 
@@ -217,16 +217,18 @@ class TestRun:
         assert all(1 <= r.chosen_index <= 15 for r in result.trace)
 
     def test_one_forward_pass_per_step(self, make_instance, monkeypatch):
-        # one per step, plus one for the final objectives
+        # one per step, plus one for the final objectives; the step calls
+        # the stacked kernel _forward directly, and the public forward
+        # goes through it too, so counting it counts every pass
         calls = []
-        original = j6opt.model.forward
+        original = j6opt.model._forward
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        for module in (j6opt.model, j6opt.attribution, j6opt.optimizer):
-            monkeypatch.setattr(module, "forward", counting)
+        for module in (j6opt.model, j6opt.optimizer):
+            monkeypatch.setattr(module, "_forward", counting)
         instance = make_instance(seed=13, w_mode=WMode.FULL_MATRIX)
         for kind in StrategyKind:
             calls.clear()
@@ -616,6 +618,56 @@ class TestRunMany:
             assert error == alone[0][0] == (messages[first], 1)
             assert traces == ([ok_alone] + [t for _, (t,) in alone])[:ran]
             assert [len(t) for t in traces] == [30, 1, 1][:ran]
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("w_mode", [WMode.FULL_MATRIX, WMode.SINGLE_ROW])
+    def test_runs_kept_after_stops_and_an_abort_are_the_runs_alone(self, w_mode, tmp_path):
+        # run 0 stops on the loss tolerance after step 1, run 4 aborts at
+        # step 4 and run 2 stops on the loss tolerance later, so the batch
+        # keeps rows (1, 2, 3, 4), then (0, 1, 2), then (0, 2), and each
+        # keep re-slices the views the step writes through.  Every run
+        # that finishes returns what it returns alone, bit for bit, and
+        # the batch raises the abort run 4 raises alone.
+        instance = generate(GeneratorSpec(V=6, d=4, T=3, seed=0, w_mode=w_mode))
+        rcfg = RunConfig(max_steps=20, loss_tol=1e-2, init_scale=0.3)
+        cfgs = [StrategyConfig(kind=kind, eta_h=eta, eta_w=eta) for kind, eta in (
+            (StrategyKind.STATIC, 1e-9), (StrategyKind.SOFT, 0.05),
+            (StrategyKind.GRAD_SURGERY, 1.0), (StrategyKind.HARD_JPLUS, 0.05),
+            (StrategyKind.SCALARIZED, 1e50))]
+        traces, results, kept = [], {}, []
+        real_keep = j6opt.optimizer._Batch.keep
+
+        def record(trace, rcfg):  # the traces in run order: all runs take step 0
+            if not any(t is trace for t in traces):
+                traces.append(trace)
+            return stop_check(trace, rcfg)
+
+        def result(*args):
+            results[id(args[2])] = RunResult(*args)
+            return results[id(args[2])]
+
+        def keep(batch, rows):
+            kept.append(list(rows))
+            real_keep(batch, rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(j6opt.optimizer, "stop_check", record)
+            mp.setattr(j6opt.optimizer, "RunResult", result)
+            mp.setattr(j6opt.optimizer._Batch, "keep", keep)
+            with pytest.raises(NonFiniteLossError) as info:
+                run_many(instance, cfgs, rcfg)
+        with pytest.raises(NonFiniteLossError) as alone:
+            run(instance, cfgs[4], rcfg)
+        assert (str(info.value), info.value.step) == (str(alone.value), 4)
+        assert kept == [[1, 2, 3, 4], [0, 1, 2], [0, 2]]
+        together = [results[id(trace)] for trace in traces[:4]]
+        path = tmp_path / "trace.csv"
+        for cfg, result in zip(cfgs, together):
+            assert _result_bytes(result, cfg.kind, path) == _result_bytes(
+                run(instance, cfg, rcfg), cfg.kind, path)
+        assert [r.stop_reason for r in together] == [StopReason.LOSS_TOL, StopReason.MAX_STEPS,
+                                                     StopReason.LOSS_TOL, StopReason.MAX_STEPS]
+        assert len(together[0].trace) == 2 < 4 < len(together[2].trace) < 20
 
     def test_runs_stop_on_their_own(self):
         # the stationary start stops at once, the others run on

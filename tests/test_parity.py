@@ -1,6 +1,7 @@
 """Smoke tests of tools/parity.py, the byte-parity digests of the run grid,
 of tools/ab.py, the in-process A/B timing of two source trees, and of
-tools/loc.py, the package's size counts."""
+tools/loc.py, the package's size counts; and the gate that the grid's
+runs still give the digests recorded in golden_runs.json."""
 
 import importlib.util
 import json
@@ -16,6 +17,21 @@ _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 _spec = importlib.util.spec_from_file_location("parity", _PATH)
 parity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(parity)
+
+
+GOLDEN_RUNS = Path(__file__).resolve().parent / "golden_runs.json"
+
+
+@pytest.mark.parametrize("alone", [False, True], ids=["batched", "alone"])
+def test_the_grid_gives_the_golden_digests(alone, capsys):
+    # every output of the 432 grid runs, batched as compare runs them and
+    # each run alone, is byte for byte what golden_runs.json records
+    # (recorded with BLAS at one thread).  A change that alters outputs on
+    # purpose re-records the file with parity.py --out and names the runs
+    # that changed, and why.
+    argv = ["--against", str(GOLDEN_RUNS)] + ["--alone"] * alone
+    assert parity.main(argv) == 0, capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[-1] == f"432 of 432 runs match {GOLDEN_RUNS}"
 
 
 def test_equal_runs_match_and_a_changed_digest_fails(tmp_path, capsys):

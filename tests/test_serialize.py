@@ -28,13 +28,12 @@ from j6opt import (
     load_instance,
     run,
     save_instance,
-    selection_counts,
     write_summary,
     write_trace,
 )
 
 from j6opt.optimizer import TraceRecord
-from j6opt.serialize import _json, trace_header, write_sweep
+from j6opt.serialize import _json, selection_counts, trace_header, write_sweep
 from trace_csv import read_trace
 
 
