@@ -10,20 +10,21 @@ logits: ``heat`` (mean cross-entropy against the target tokens, to be
 driven down for fidelity) and ``confidence`` (mean negative entropy of
 the softmax, to be driven down for certainty).
 
-One forward pass (``forward``) forms A, B (or takes the B its caller
-keeps), the logits and one row-wise log-softmax, and reads both losses
-from it through ``losses``, the only place they are computed.
-``logit_gradients`` turns that log-softmax into both losses' logit-space
-gradients, stacked as (2, T, V).  ``w_columns`` picks the logit columns
-w moves per w_mode, and ``_pullback`` maps stacked logit-space gradients
-to w through them in one batched product.  A central-difference oracle
-(``fd_gradient``) checks every analytic gradient through the forward
-pass alone, both losses stacked like the analytic ones.
+One forward pass (``forward``) forms A, B, the logits and one row-wise
+log-softmax, and reads both losses from it through ``losses``, the only
+place they are computed.  ``logit_gradients`` turns that log-softmax
+into both losses' logit-space gradients, stacked as (2, T, V).
+``w_columns`` picks the logit columns w moves per w_mode, and
+``_pullback`` maps stacked logit-space gradients to w through them in
+one batched product.  A central-difference oracle (``fd_gradient``)
+checks every analytic gradient through the forward pass alone, both
+losses stacked like the analytic ones.
 
-K points of one instance stack on a leading axis (``Perturbations``
-with h (K, d) and w (K,) + w_shape), and every function above takes
-such a stack under the batching rule of ``optimizer``: slice k holds
-bit for bit what point k gives alone, the one-point call being K = 1.
+Each public function takes one point and checks it.  The unchecked
+kernels (``_forward``, ``_log_softmax``, ``_losses``,
+``_logit_gradients``) take K points of one instance stacked on a
+leading axis, h (K, d) and w (K,) + w_shape, under the batching rule of
+``optimizer``: slice k holds bit for bit what point k gives alone.
 
 All numerics are float64.  Every public function is pure.
 """
@@ -162,36 +163,34 @@ class Perturbations:
 
 @dataclass(frozen=True)
 class ObjectivePair:
-    """Current values of the two losses, in nats ((K,) arrays for K
-    stacked points)."""
+    """Current values of the two losses, in nats."""
 
     ob1: float  # heat: mean cross-entropy, >= 0
     ob2: float  # confidence: mean negative entropy, in [-log V, 0]
 
 
 class Forward:
-    """One forward pass at a point (h, w), or at K stacked points, each
-    array then with a leading K axis: A = H + h (T, d), B with w folded in
-    per w_mode (V, d), the logits A B^T, their row-wise log-softmax
-    ``logp`` and exp(logp) ``p`` (T, V), each row's sum of p log p
-    ``plogp`` (T,), and the losses ``ob1`` and ``ob2`` (numbers, or (K,))."""
+    """One forward pass at a point (h, w), or, from ``_forward``, at K
+    stacked points, each array then with a leading K axis: A = H + h
+    (T, d), B with w folded in per w_mode (V, d), the row-wise
+    log-softmax ``logp`` of A B^T and exp(logp) ``p`` (T, V), each row's
+    sum of p log p ``plogp`` (T,), and the losses ``ob1`` and ``ob2``."""
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, logits: np.ndarray, logp: np.ndarray,
-                 p: np.ndarray, plogp: np.ndarray, ob1: np.ndarray, ob2: np.ndarray):
-        self.A, self.B, self.logits, self.logp = A, B, logits, logp
-        self.p, self.plogp, self.ob1, self.ob2 = p, plogp, ob1, ob2
+    def __init__(self, A: np.ndarray, B: np.ndarray, logp: np.ndarray, p: np.ndarray,
+                 plogp: np.ndarray, ob1: np.ndarray, ob2: np.ndarray):
+        self.A, self.B, self.logp, self.p = A, B, logp, p
+        self.plogp, self.ob1, self.ob2 = plogp, ob1, ob2
 
     @property
     def objectives(self) -> ObjectivePair:
-        """Both losses: floats at one point, (K,) arrays at K stacked points."""
-        ob1, ob2 = self.ob1, self.ob2
-        return ObjectivePair(ob1, ob2) if ob1.ndim else ObjectivePair(float(ob1), float(ob2))
+        """Both losses of a one-point pass, as floats."""
+        return ObjectivePair(float(self.ob1), float(self.ob2))
 
     def take(self, rows: list[int] | int) -> "Forward":
         """The stacked forward pass of the slices at ``rows``, or the
         one-point pass of slice ``rows`` when it is an int."""
-        return Forward(self.A[rows], self.B[rows], self.logits[rows], self.logp[rows],
-                       self.p[rows], self.plogp[rows], self.ob1[rows], self.ob2[rows])
+        return Forward(self.A[rows], self.B[rows], self.logp[rows], self.p[rows],
+                       self.plogp[rows], self.ob1[rows], self.ob2[rows])
 
 
 def zero_perturbations(instance: ProblemInstance) -> Perturbations:
@@ -206,40 +205,36 @@ def _stack_width(instance: ProblemInstance) -> int:
     return max(1, (1 << 20) // (8 * instance.V * instance.d))
 
 
-def _check_shapes(instance: ProblemInstance, pert: Perturbations) -> bool:
-    """Whether ``pert`` stacks points on a leading axis; a shape that fits
-    neither form raises ValueError."""
-    stacked = pert.h.ndim == 2
-    lead = pert.h.shape[:1] if stacked else ()
-    if pert.h.shape != lead + (instance.d,):
-        raise ValueError(f"h must have shape {(instance.d,)} or (K, {instance.d}), "
-                         f"got {pert.h.shape}")
-    expected = lead + w_shape(instance.V, instance.d, instance.w_mode)
+def _check_shapes(instance: ProblemInstance, pert: Perturbations) -> None:
+    """Raise ValueError unless ``pert`` is one point of ``instance``."""
+    if pert.h.shape != (instance.d,):
+        raise ValueError(f"h must have shape {(instance.d,)}, got {pert.h.shape}")
+    expected = w_shape(instance.V, instance.d, instance.w_mode)
     if pert.w.shape != expected:
         raise ValueError(
             f"w must have shape {expected} in {instance.w_mode.value} mode, got {pert.w.shape}"
         )
-    return stacked
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable row-wise log-softmax of a (T, V) logit matrix,
-    or of a (K, T, V) stack, each row on its own.
+    formed in a copy; any other rank raises ValueError.
 
     Non-finite rows pass through (as nan) so that a diverging run
     surfaces as a non-finite loss rather than as an error here.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim not in (2, 3):
-        raise ValueError("logits must be a (T, V) matrix or a (K, T, V) stack")
+    z = np.array(logits, dtype=np.float64)
+    if z.ndim != 2:
+        raise ValueError(f"logits must be a (T, V) matrix, got shape {z.shape}")
     return _log_softmax(z)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """``log_softmax`` of a float64 (T, V) matrix or (K, T, V) stack, unchecked."""
-    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    total = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
-    logp = np.subtract(shifted, np.log(total, out=total), out=shifted)
+    """``log_softmax`` of a float64 (T, V) matrix or (K, T, V) stack,
+    unchecked, formed in ``z`` itself."""
+    np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=z)
+    total = np.add.reduce(np.exp(z), axis=-1, keepdims=True)
+    logp = np.subtract(z, np.log(total, out=total), out=z)
     if _validation:
         p = np.exp(logp[np.isfinite(logp).all(axis=-1)])
         assert (np.abs(p.sum(axis=-1) - 1.0) < BOUNDS_TOL).all(), "softmax rows must sum to 1"
@@ -257,14 +252,11 @@ def _softmax_terms(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def losses(logp: np.ndarray, y: np.ndarray) -> ObjectivePair:
     """Both losses from a row-wise log-softmax (T, V), in nats: heat, the
     mean over positions of -logp[t, y[t]], and confidence, the mean over
-    positions of sum_v p_v log p_v (negative entropy).  A stack (K, T, V)
-    gives (K,) losses, each from its own slice.  y must hold T integers
-    in [0, V); other targets raise ValueError."""
-    stacked = logp.ndim == 3
-    lp = logp if stacked else logp[None]
-    heat, conf = _losses(lp, _targets(y, *lp.shape[1:])[0], _softmax_terms(lp)[1])
-    if stacked:
-        return ObjectivePair(heat, conf)
+    positions of sum_v p_v log p_v (negative entropy).  Any other rank,
+    and targets other than T integers in [0, V), raise ValueError."""
+    if logp.ndim != 2:
+        raise ValueError(f"log-probabilities must be a (T, V) matrix, got shape {logp.shape}")
+    heat, conf = _losses(logp[None], _targets(y, *logp.shape)[0], _softmax_terms(logp[None])[1])
     return ObjectivePair(float(heat[0]), float(conf[0]))
 
 
@@ -319,23 +311,10 @@ def _factor_B(instance: ProblemInstance, w: np.ndarray, out: np.ndarray | None =
     return out
 
 
-def forward(instance: ProblemInstance, pert: Perturbations, B: np.ndarray | None = None) -> Forward:
-    """The logits at (h, w) and both losses, from one log-softmax.
-
-    B is formed from W and w (``_factor_B``) unless the caller gives it:
-    the factor at ``pert``'s w, shaped (K, V, d) for a stacked pass and
-    (V, d) for one point.  Only its shape is checked.
-    """
-    stacked = _check_shapes(instance, pert)
-    h, w = (pert.h, pert.w) if stacked else (pert.h[None], pert.w[None])
-    if B is None:
-        B = _factor_B(instance, w)
-    elif B.shape != (len(w),) * stacked + (instance.V, instance.d):
-        raise ValueError(f"B must have the shape of W, stacked like the perturbations, got {B.shape}")
-    elif not stacked:
-        B = B[None]
-    fwd = _forward(instance, h, B)
-    return fwd if stacked else fwd.take(0)
+def forward(instance: ProblemInstance, pert: Perturbations) -> Forward:
+    """The forward pass at one point (h, w): both losses from one log-softmax of A B^T."""
+    _check_shapes(instance, pert)
+    return _forward(instance, pert.h[None], _factor_B(instance, pert.w[None])).take(0)
 
 
 def _forward(instance: ProblemInstance, h: np.ndarray, B: np.ndarray) -> Forward:
@@ -343,29 +322,29 @@ def _forward(instance: ProblemInstance, h: np.ndarray, B: np.ndarray) -> Forward
     unchecked: the optimizer's step, whose buffers fix the shapes, gives
     the B it keeps as state beside w."""
     A = instance.H + h[:, None]
-    logits = A @ B.swapaxes(1, 2)
-    logp = _log_softmax(logits)
+    logp = _log_softmax(A @ B.swapaxes(1, 2))
     p, plogp = _softmax_terms(logp)
-    return Forward(A, B, logits, logp, p, plogp, *_losses(logp, instance._target[0], plogp))
+    return Forward(A, B, logp, p, plogp, *_losses(logp, instance._target[0], plogp))
 
 
 def logit_gradients(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-position gradients of both losses w.r.t. the logits, stacked
     (2, T, V): [0] heat, p - onehot(y_t); [1] confidence,
     p_k (log p_k + E_t) with E_t the entropy of row t.  Each row sums
-    to 0.  A stack (K, T, V) gives (K, 2, T, V).  Rejects non-finite
-    input, and targets other than T integers in [0, V)."""
+    to 0.  Rejects any other rank, non-finite input, and targets other
+    than T integers in [0, V)."""
     logp = np.asarray(logp, dtype=np.float64)
-    if logp.ndim not in (2, 3):
-        raise ValueError("log-probabilities must be a (T, V) matrix or a (K, T, V) stack")
+    if logp.ndim != 2:
+        raise ValueError(f"log-probabilities must be a (T, V) matrix, got shape {logp.shape}")
     if not np.isfinite(logp).all():
         raise ValueError("log-probabilities must be finite")
-    return _logit_gradients(logp, _targets(y, *logp.shape[-2:])[1], *_softmax_terms(logp))
+    return _logit_gradients(logp, _targets(y, *logp.shape)[1], *_softmax_terms(logp))
 
 
 def _logit_gradients(logp: np.ndarray, onehot: np.ndarray, p: np.ndarray,
                      plogp: np.ndarray) -> np.ndarray:
-    """``logit_gradients`` from the targets' (T, V) one-hot and the
+    """``logit_gradients`` of a (T, V) matrix, or (K, 2, T, V) of a
+    (K, T, V) stack, from the targets' (T, V) one-hot and the
     softmax terms of a finite log-softmax, such as a forward pass with
     finite losses carries (their mean over positions is nan or inf
     wherever logp is not finite)."""
@@ -418,8 +397,8 @@ def fd_gradient(
     (2,) + shape(which): [0] heat, [1] confidence.
 
     Independent oracle for the analytic blocks: the evaluated points go
-    through stacked ``forward`` passes alone, each point once, in blocks
-    of ``_stack_width`` points; never ``logit_gradients`` or
+    through stacked forward passes (``_forward``) alone, each point once,
+    in blocks of ``_stack_width`` points; never ``logit_gradients`` or
     ``_pullback``.
 
     Args:
@@ -430,8 +409,7 @@ def fd_gradient(
         raise ValueError("which must be 'h' or 'w'")
     if require_float("eps", eps) <= 0:
         raise ValueError("eps must be positive")
-    if _check_shapes(instance, pert):
-        raise ValueError("fd_gradient takes one point, not a stack")
+    _check_shapes(instance, pert)
     target = pert.h if which == "h" else pert.w
     flat = target.ravel()
     grad = np.empty((2, flat.size))
@@ -446,7 +424,8 @@ def fd_gradient(
         moved = points.reshape((-1,) + target.shape)
         h = moved if which == "h" else np.repeat(pert.h[None], len(points), axis=0)
         w = moved if which == "w" else np.repeat(pert.w[None], len(points), axis=0)
-        obs = forward(instance, Perturbations(h, w)).objectives
-        grad[0, idx] = (obs.ob1[0::2] - obs.ob1[1::2]) / (2.0 * eps)
-        grad[1, idx] = (obs.ob2[0::2] - obs.ob2[1::2]) / (2.0 * eps)
+        moved = Perturbations(h, w)  # a point pushed out of the finite range raises
+        fwd = _forward(instance, moved.h, _factor_B(instance, moved.w))
+        grad[0, idx] = (fwd.ob1[0::2] - fwd.ob1[1::2]) / (2.0 * eps)
+        grad[1, idx] = (fwd.ob2[0::2] - fwd.ob2[1::2]) / (2.0 * eps)
     return grad.reshape((2,) + target.shape)

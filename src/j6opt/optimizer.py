@@ -25,7 +25,7 @@ runs a batch keeps when others stop; a step hands the plan to the one
 the batch, not its rows: a batch holds runs of one alignment, so
 ``attribution._scores`` takes one mode.  Each run stops on its own.
 
-B is state beside w, formed in place and handed to ``forward``: a batch
+B is state beside w, formed in place and handed to ``_forward``: a batch
 forms it from W and its start point, and each update moves it with w.
 Under FULL_MATRIX the update adds delta w in place to both, so no step
 reads W; w is accumulated exactly as the steps give it, and B is W + w

@@ -14,7 +14,6 @@ from j6opt import (
     J6_FROM_JPLUS,
     J6_LABELS,
     JPLUS_COMPONENTS,
-    Perturbations,
     ProblemInstance,
     WMode,
     compute_gradient_set,
@@ -22,12 +21,12 @@ from j6opt import (
     forward,
     generate,
     init_perturbations,
-    logit_gradients,
     score_j6,
     score_jplus,
     zero_perturbations,
 )
 import j6opt.attribution as attribution_mod
+import j6opt.model
 from j6opt.attribution import BETA_AUX, resolve_alignment
 
 DIRECT_RAW = AlignmentMode(AlignKind.DIRECT, AlignScale.RAW)
@@ -477,10 +476,10 @@ def _stacked_products(instance, seeds, scaled, dots=None):
     formed in the first slices of a _work made for two more points;
     ``dots`` replaces _dots.  Only the slots the alignment forms."""
     perts = [init_perturbations(instance, init_scale=0.3, seed=seed) for seed in seeds]
-    fwd = forward(instance, Perturbations(np.stack([p.h for p in perts]),
-                                          np.stack([p.w for p in perts])))
+    B = j6opt.model._factor_B(instance, np.stack([p.w for p in perts]))
+    fwd = j6opt.model._forward(instance, np.stack([p.h for p in perts]), B)
     work = attribution_mod._work(instance, len(seeds) + 2).take(len(seeds))
-    g = logit_gradients(fwd.logp, instance.y)
+    g = j6opt.model._logit_gradients(fwd.logp, instance._target[1], fwd.p, fwd.plogp)
     with pytest.MonkeyPatch.context() as mp:
         if dots is not None:
             mp.setattr(attribution_mod, "_dots", dots)

@@ -734,11 +734,17 @@ class TestUsage:
         (["--strategy", "soft", "--lam", "-inf", "1"], "'lam[0]' must be a finite real number"),
         ([], "the following arguments are required: --strategy"),
         (["--strategy", "nope"], "argument --strategy: invalid choice: 'nope'"),
+        (["--param", "tau", "--values", "-inf,1"], "'tau' must be a finite real number, got -inf"),
+        (["--param", "gamma", "--values", "-NaN,2"], "'gamma' must be a finite real number"),
     ])
-    def test_usage_errors_are_one_line(self, inst, capsys, flags, message):
+    def test_usage_errors_are_one_line(self, inst, tmp_path, capsys, flags, message):
         # a negative number such as -1e-05 or -inf is a value, checked as
-        # any other; -inf is not read as the flag -i with the value nf
-        assert main(["run", "-i", str(inst), *flags]) == 2
+        # any other; -inf is not read as the flag -i with the value nf, nor
+        # is sweep's --values list -inf,1
+        out = tmp_path / "sweep.csv"
+        command = ["sweep", "-o", str(out)] if "--values" in flags else ["run"]
+        assert main([*command, "-i", str(inst), *flags]) == 2
+        assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 

@@ -52,6 +52,15 @@ def _grad_logits(z, y_t):
     return g[0, 0], g[1, 0]
 
 
+def _logits(instance, pert):
+    """The logits A B^T of the forward pass at ``pert``, which its logp is
+    the log-softmax of, bit for bit."""
+    fwd = forward(instance, pert)
+    logits = fwd.A @ fwd.B.swapaxes(-1, -2)
+    assert fwd.logp.tobytes() == log_softmax(logits).tobytes()
+    return logits
+
+
 def scalar_loop_logits(instance, pert):
     """Independent oracle: the bilinear formula as plain Python loops."""
     out = [[0.0] * instance.V for _ in range(instance.T)]
@@ -79,19 +88,19 @@ class TestComputeLogits:
         W = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         for mode in WMode:
             instance = ProblemInstance(V=3, d=2, T=1, H=H, W=W, y=[0], w_mode=mode)
-            logits = forward(instance, zero_perturbations(instance)).logits
+            logits = _logits(instance, zero_perturbations(instance))
             np.testing.assert_array_equal(logits, [[1.0, 0.0, 1.0]])
 
     def test_zero_hidden_states_annihilate(self):
         instance = ProblemInstance(
             V=3, d=2, T=2, H=np.zeros((2, 2)), W=np.ones((3, 2)), y=[0, 1]
         )
-        logits = forward(instance, zero_perturbations(instance)).logits
+        logits = _logits(instance, zero_perturbations(instance))
         np.testing.assert_array_equal(logits, np.zeros((2, 3)))
 
     def test_single_row_example(self, derived_instance):
         instance, pert = derived_instance
-        logits = forward(instance, pert).logits
+        logits = _logits(instance, pert)
         np.testing.assert_allclose(logits, [[1.43, 0.2, 1.3]], rtol=0, atol=1e-15)
         np.testing.assert_allclose(logits, scalar_loop_logits(instance, pert), rtol=1e-15)
 
@@ -99,27 +108,20 @@ class TestComputeLogits:
         for seed, mode in enumerate(WMode):
             instance, pert = make_point(seed=seed, w_mode=mode)
             np.testing.assert_allclose(
-                forward(instance, pert).logits,
+                _logits(instance, pert),
                 scalar_loop_logits(instance, pert),
                 rtol=1e-13,
             )
 
-    def test_given_B_is_the_factor_the_pass_uses(self, make_point):
-        # the caller's B at the point gives the pass forward forms, for one
-        # point and stacked; a B of another shape is refused
+    def test_kernel_takes_the_given_B(self, make_point):
+        # the B a caller keeps at the point (the optimizer's state beside
+        # w) gives the kernel the pass forward forms
         for seed, mode in enumerate(WMode):
             instance, pert = make_point(seed=seed, w_mode=mode)
             own = forward(instance, pert)
-            given = forward(instance, pert, own.B.copy())
-            np.testing.assert_array_equal(given.logits, own.logits)
-            assert given.objectives == own.objectives
-            stacked = Perturbations(pert.h[None], pert.w[None])
-            np.testing.assert_array_equal(forward(instance, stacked, own.B[None]).logits[0],
-                                          own.logits)
-            for at, B in ((pert, own.B[None]), (pert, own.B[:-1]),
-                          (stacked, own.B), (stacked, np.repeat(own.B[None], 2, axis=0))):
-                with pytest.raises(ValueError, match="B must have the shape of W"):
-                    forward(instance, at, B)
+            given = j6opt.model._forward(instance, pert.h[None], own.B.copy()[None])
+            assert given.logp[0].tobytes() == own.logp.tobytes()
+            assert given.take(0).objectives == own.objectives
 
     def test_wrong_w_shape_raises(self):
         instance = ProblemInstance(V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=[0])
@@ -128,8 +130,8 @@ class TestComputeLogits:
 
     def test_wrong_h_shape_raises(self):
         instance = ProblemInstance(V=3, d=2, T=1, H=[[1.0, 0.0]], W=np.eye(3, 2), y=[0])
-        for h in ([0.0, 0.0, 0.0], [[[0.0, 0.0]]]):
-            with pytest.raises(ValueError, match=r"h must have shape \(2,\) or \(K, 2\)"):
+        for h in ([0.0, 0.0, 0.0], [[0.0, 0.0]], [[[0.0, 0.0]]]):
+            with pytest.raises(ValueError, match=r"h must have shape \(2,\), got"):
                 forward(instance, Perturbations(h, np.zeros((3, 2))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -175,31 +177,45 @@ class TestSoftmax:
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("K, T, V", [(1, 1, 2), (3, 5, 7), (4, 16, 1000), (2, 3, 129)])
     def test_stack_is_its_flattening(self, K, T, V):
-        # forward's log-softmax along the last axis of a (K, T, V) stack
-        # is bit for bit the 2-D one of the (K T, V) flattening
+        # the kernel's log-softmax along the last axis of a (K, T, V)
+        # stack is bit for bit the 2-D one of the (K T, V) flattening
         z = np.random.default_rng(K * T * V).normal(size=(K, T, V)) * 30
         z[0, 0, 0] = np.inf  # a non-finite row passes through as nan
         flat = log_softmax(z.reshape(-1, V)).reshape(z.shape)
-        assert log_softmax(z).tobytes() == flat.tobytes()
+        assert j6opt.model._log_softmax(z.copy()).tobytes() == flat.tobytes()
+
+    def test_leaves_its_input_unchanged(self):
+        # the kernel forms the log-softmax in place; the public function
+        # gives it a copy
+        z = np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -3.0]])
+        before = z.copy()
+        logp = log_softmax(z)
+        assert not np.shares_memory(logp, z)
+        assert z.tobytes() == before.tobytes()
+        kernel = j6opt.model._log_softmax(z)
+        assert kernel is z and kernel.tobytes() == logp.tobytes()
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 4)])
-    def test_rank_other_than_2_or_3_rejected(self, shape):
-        for call in (log_softmax, lambda z: logit_gradients(z, np.zeros(3, dtype=np.int64))):
-            with pytest.raises(ValueError, match=r"\(T, V\) matrix or a \(K, T, V\) stack"):
+    def test_rank_other_than_2_rejected(self, shape):
+        for call in (log_softmax, lambda z: losses(z, np.zeros(3, dtype=np.int64)),
+                     lambda z: logit_gradients(z, np.zeros(3, dtype=np.int64))):
+            with pytest.raises(ValueError, match=r"must be a \(T, V\) matrix, got shape"):
                 call(np.zeros(shape))
 
-    def test_stack_gives_forward_stacked_objectives(self, make_point):
-        # losses of a (K, T, V) stack are forward's stacked losses, bit for bit
+    def test_slices_give_the_kernel_stacked_objectives(self, make_point):
+        # the losses of each slice of the kernel's (K, T, V) log-softmax
+        # are its stacked losses, bit for bit
         K = 3
         for seed, mode in enumerate(WMode):
             instance, pert = make_point(seed=seed, w_mode=mode)
-            stacked = Perturbations(pert.h + np.arange(K)[:, None] / 7,
-                                    np.repeat(pert.w[None], K, axis=0))
-            fwd = forward(instance, stacked)
-            obs = losses(fwd.logp, instance.y)
-            assert obs.ob1.shape == obs.ob2.shape == (K,)
-            assert obs.ob1.tobytes() == fwd.objectives.ob1.tobytes()
-            assert obs.ob2.tobytes() == fwd.objectives.ob2.tobytes()
+            h = pert.h + np.arange(K)[:, None] / 7
+            w = np.repeat(pert.w[None], K, axis=0)
+            fwd = j6opt.model._forward(instance, h, j6opt.model._factor_B(instance, w))
+            assert fwd.ob1.shape == fwd.ob2.shape == (K,)
+            for k in range(K):
+                obs = losses(fwd.logp[k], instance.y)
+                assert (obs.ob1, obs.ob2) == (fwd.ob1[k], fwd.ob2[k])
+                assert obs == forward(instance, Perturbations(h[k], w[k])).objectives
 
     @pytest.mark.parametrize("call", [losses, logit_gradients])
     def test_non_integer_targets_rejected(self, call):
@@ -225,6 +241,8 @@ class TestStrictTargets:
     ])
     def test_rejected(self, call, stacked, y, message):
         logp = log_softmax(np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -3.0]]))
+        if stacked:  # a stack is rejected before its targets are read
+            message = r"must be a \(T, V\) matrix, got shape \(2, 2, 3\)"
         with pytest.raises(ValueError, match=message):
             call(np.stack([logp, logp]) if stacked else logp, np.array(y))
 
@@ -516,7 +534,7 @@ class TestFdGradient:
             fd_gradient("q", instance, pert)
         with pytest.raises(ValueError):
             fd_gradient("h", instance, pert, eps=0.0)
-        with pytest.raises(ValueError, match="one point, not a stack"):
+        with pytest.raises(ValueError, match=r"h must have shape \(2,\), got \(1, 2\)"):
             fd_gradient("h", instance, Perturbations(pert.h[None], pert.w[None]))
 
     def test_independent_of_the_gradient_code(self, make_point, monkeypatch):
@@ -598,15 +616,16 @@ class TestStackedFdGradient:
                 )
 
     def test_one_forward_pass_per_evaluated_point(self, make_point, monkeypatch):
-        # each point passes through forward once, as a slice of a stack
+        # each point passes through the forward kernel once, as a slice
+        # of a stack
         points = []
-        original = j6opt.model.forward
+        original = j6opt.model._forward
 
-        def counting(instance, pert, *args, **kwargs):
-            points.append(len(pert.h) if pert.h.ndim == 2 else 1)
-            return original(instance, pert, *args, **kwargs)
+        def counting(instance, h, B):
+            points.append(len(h))
+            return original(instance, h, B)
 
-        monkeypatch.setattr(j6opt.model, "forward", counting)
+        monkeypatch.setattr(j6opt.model, "_forward", counting)
         for w_mode in WMode:
             instance, pert = make_point(seed=8, w_mode=w_mode)
             for which, size in (("h", pert.h.size), ("w", pert.w.size)):
@@ -655,6 +674,37 @@ class TestStackedFdGradient:
         fd_gradient("w", instance, pert)
         np.testing.assert_array_equal(pert.h, h)
         np.testing.assert_array_equal(pert.w, w)
+
+
+class TestOnePointBoundary:
+    """The public functions take one point, and the kernels the K stack:
+    a stack given to a public function raises one ValueError naming the
+    one-point shape, whatever K."""
+
+    @pytest.mark.parametrize("name", ["forward", "fd_gradient", "log_softmax", "losses",
+                                      "logit_gradients"])
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("w_mode", list(WMode))
+    def test_stack_rejected(self, make_point, name, K, w_mode):
+        instance, pert = make_point(seed=2, w_mode=w_mode)
+        V, d, T = instance.V, instance.d, instance.T
+        stacked = Perturbations(np.repeat(pert.h[None], K, axis=0),
+                                np.repeat(pert.w[None], K, axis=0))
+        logp = np.repeat(forward(instance, pert).logp[None], K, axis=0)
+        call = {
+            "forward": lambda: forward(instance, stacked),
+            "fd_gradient": lambda: fd_gradient("w", instance, stacked),
+            "log_softmax": lambda: log_softmax(logp),
+            "losses": lambda: losses(logp, instance.y),
+            "logit_gradients": lambda: logit_gradients(logp, instance.y),
+        }[name]
+        if name in ("forward", "fd_gradient"):
+            message = rf"^h must have shape \({d},\), got \({K}, {d}\)$"
+        else:
+            message = (r"^(logits|log-probabilities) must be a \(T, V\) matrix, "
+                       rf"got shape \({K}, {T}, {V}\)$")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestDescent:
