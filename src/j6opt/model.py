@@ -199,10 +199,11 @@ def zero_perturbations(instance: ProblemInstance) -> Perturbations:
     )
 
 
-def _stack_width(instance: ProblemInstance) -> int:
-    """Points per stacked block: as many as keep a (K, V, d) array, such
-    as the stacked B, within about 1 MiB (at least one)."""
-    return max(1, (1 << 20) // (8 * instance.V * instance.d))
+def _stack_width(instance: ProblemInstance, arrays: int = 1) -> int:
+    """Points per stacked block: as many as keep the ``arrays`` (V, d)
+    arrays each point holds, such as its B, within about 1 MiB (at
+    least one)."""
+    return max(1, (1 << 20) // (8 * arrays * instance.V * instance.d))
 
 
 def _check_shapes(instance: ProblemInstance, pert: Perturbations) -> None:
@@ -254,6 +255,7 @@ def losses(logp: np.ndarray, y: np.ndarray) -> ObjectivePair:
     mean over positions of -logp[t, y[t]], and confidence, the mean over
     positions of sum_v p_v log p_v (negative entropy).  Any other rank,
     and targets other than T integers in [0, V), raise ValueError."""
+    logp = np.asarray(logp, dtype=np.float64)
     if logp.ndim != 2:
         raise ValueError(f"log-probabilities must be a (T, V) matrix, got shape {logp.shape}")
     heat, conf = _losses(logp[None], _targets(y, *logp.shape)[0], _softmax_terms(logp[None])[1])
@@ -271,6 +273,12 @@ def _targets(y: np.ndarray, T: int, V: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"y must have shape {(T,)}, got {y.shape}")
     if y.min(initial=0) < 0 or y.max(initial=0) >= V:
         raise ValueError(f"y entries must lie in [0, {V}), got {y.tolist()}")
+    return _encode_targets(y, T, V)
+
+
+def _encode_targets(y: np.ndarray, T: int, V: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_targets`` of T integers y already known to lie in [0, V),
+    unchecked."""
     flat, onehot = np.arange(0, T * V, V) + y.astype(np.int64), np.zeros((T, V))
     np.put(onehot, flat, 1.0)
     return flat, onehot

@@ -44,6 +44,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import model
 from .attribution import AlignmentMode, _Blocks, _scores, _work, resolve_alignment
 from .model import (
     ObjectivePair,
@@ -54,7 +55,6 @@ from .model import (
     _forward,
     _logit_gradients,
     _pullback,
-    _stack_width,
     require_float,
     require_int,
     w_shape,
@@ -184,8 +184,8 @@ def run_many(
 
     The configurations step in lockstep batches of one resolved
     alignment each, in index order: a batch ends where the alignment
-    changes, or where it holds as many runs as keep the stacked
-    (K, V, d) arrays near 1 MiB (``model._stack_width``).
+    changes, or where it holds as many runs as keep the (V, d) arrays
+    they hold within about 1 MiB (``_stack_width``).
     Each run stops on its own; a run that aborts raises the
     NonFiniteLossError that running the configurations one after
     another would: that of the lowest-index configuration that fails.
@@ -207,6 +207,16 @@ def run_many(
                 results += _lockstep(instance, cfgs[first:k], modes[first], rcfg, bufs, start)
                 first = k
     return results
+
+
+def _stack_width(instance: ProblemInstance) -> int:
+    """Runs per lockstep batch: as many as keep the (V, d) arrays each run
+    holds within ``model._stack_width``'s budget, three under FULL_MATRIX
+    (B, w and delta w) and one otherwise (B).  So at 1000 x 64 a
+    FULL_MATRIX batch holds one run and a SINGLE_ROW batch two: a
+    stacked step whose state leaves the cache is slower than the runs
+    one after another."""
+    return model._stack_width(instance, 3 if instance.w_mode is WMode.FULL_MATRIX else 1)
 
 
 class _Buffers:

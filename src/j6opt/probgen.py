@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (ProblemInstance, WMode, _logit_gradients, _softmax_terms, _targets,
+from .model import (ProblemInstance, WMode, _encode_targets, _logit_gradients, _softmax_terms,
                     log_softmax, require_int)
 
 __all__ = [
@@ -97,17 +97,16 @@ def _one(family: Family, instance: ProblemInstance) -> float:
 def _certificates(family: Family, w_mode: WMode, v_star: int | None, H: np.ndarray,
                   W: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked candidates (K, T, d), (K, V, d), (K, T) at zero
-    perturbations: their (K, T, V) logits and each one's certificate
-    (-inf for ``gaussian``), slice k from candidate k alone."""
+    perturbations of a conflict family: their (K, T, V) logits and each
+    one's certificate, slice k from candidate k alone."""
     K, T = y.shape
     V = W.shape[1]
     logits = H @ W.swapaxes(1, 2)
-    if family is Family.GAUSSIAN:
-        return logits, np.full(K, -np.inf)
     # one (K T, V) matrix: both functions work row by row; the draws are
-    # finite, so logit_gradients' finiteness check is skipped
+    # finite, so logit_gradients' finiteness check is skipped, and their
+    # targets lie in [0, V), so the targets' checks are too
     logp = log_softmax(logits.reshape(K * T, V))
-    g = _logit_gradients(logp, _targets(y.ravel(), K * T, V)[1], *_softmax_terms(logp))
+    g = _logit_gradients(logp, _encode_targets(y.ravel(), K * T, V)[1], *_softmax_terms(logp))
     g_heat, g_conf = g.reshape(2, K, T, V)
     if family is Family.CONFLICTING:
         return logits, (g_heat * g_conf).reshape(K, -1).sum(axis=1)
@@ -135,7 +134,6 @@ def generate(spec: GeneratorSpec) -> ProblemInstance:
     the first in draw order whose certificate is below its threshold is
     returned, after ``_MAX_DRAWS`` candidates at most."""
     T, V, d = spec.T, spec.V, spec.d
-    # gaussian values are -inf: every candidate passes
     threshold = ROLESWAP_RATIO_MAX if spec.family is Family.ROLE_SWAP else 0.0
     rng = np.random.default_rng(spec.seed)
     # about ten T x V arrays per candidate are live at once in _certificates
@@ -150,7 +148,10 @@ def generate(spec: GeneratorSpec) -> ProblemInstance:
             rng.standard_normal(out=W[k])
             y[k] = rng.integers(0, V, size=T)
         drawn += K
-        logits, values = _certificates(spec.family, spec.w_mode, spec.v_star, H, W, y)
+        if spec.family is Family.GAUSSIAN:  # every candidate passes, with no logits formed
+            values = np.full(K, -np.inf)
+        else:
+            logits, values = _certificates(spec.family, spec.w_mode, spec.v_star, H, W, y)
         if spec.family is Family.CONFLICTING:
             # sharpening must initially fight correctness: every target below the argmax
             values[(logits.argmax(axis=2) == y).any(axis=1)] = np.inf

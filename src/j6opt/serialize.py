@@ -8,8 +8,10 @@ decimals.  Their every value is a float's or an int's repr or a fixed
 name, which never needs CSV quoting, so each row is one join.
 The JSON files are exactly ``json.dumps(doc, indent=2)`` plus a newline,
 written by ``_json`` (which never runs json's pure-Python encoder).
-All writers go through a temp-file-plus-rename so readers never observe
-partial files.
+Files go out as streams of chunks, a trace one line at a time and a
+matrix a block of rows at a time straight from its array, so neither is
+ever held whole as text.  All writers go through a
+temp-file-plus-rename so readers never observe partial files.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import os
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,14 +47,24 @@ class InstanceFormatError(ValueError):
     """Malformed, truncated, or wrong-version instance file."""
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
+def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated ``chunks`` to ``path`` through ``path.tmp``
+    and a rename.  A write that fails midway, in the chunks or in the
+    file system, leaves ``path`` as it was and removes the temp file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _NUMBER_TYPES = {int, float}
+# A matrix is written in chunks of whole rows of about this many numbers.
+_CHUNK_NUMBERS = 1024
 
 
 def _json(value, indent: str = "") -> str:
@@ -82,19 +94,43 @@ def _json(value, indent: str = "") -> str:
     return f"[\n{inner}{body}\n{indent}]"
 
 
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """``_json(doc)`` plus a newline, in chunks: each matrix (a non-empty
+    2-D array) goes out in blocks of rows of about ``_CHUNK_NUMBERS``
+    numbers, read from the array, so neither the text nor a nested list
+    of the whole matrix exists at once; the other values join the next
+    chunk."""
+    text, sep = "{", "\n  "
+    for key, value in doc.items():
+        text += f"{sep}{json.dumps(key)}: "
+        sep = ",\n  "
+        if isinstance(value, np.ndarray):
+            step, opener = max(1, _CHUNK_NUMBERS // value.shape[1]), "["
+            for first in range(0, len(value), step):
+                block = value[first:first + step].tolist()
+                rows = ",\n    ".join(_json(row, "    ") for row in block)
+                yield f"{text}{opener}\n    {rows}"
+                text, opener = "", ","
+            text = "\n  ]"
+        else:
+            text += _json(value, "  ")
+    yield text + "\n}\n"
+
+
 def save_instance(
     instance: ProblemInstance,
     path: str | Path,
     seed: int | None = None,
     family: str | None = None,
 ) -> None:
-    """Write the instance as JSON; seed/family are provenance metadata."""
+    """Write the instance as JSON, H and W a block of rows at a time;
+    seed/family are provenance metadata."""
     doc = {
         "V": instance.V,
         "d": instance.d,
         "T": instance.T,
-        "H": instance.H.tolist(),
-        "W": instance.W.tolist(),
+        "H": instance.H,
+        "W": instance.W,
         "y": instance.y.tolist(),
         "w_mode": instance.w_mode.value,
         "v_star": instance.v_star,
@@ -104,7 +140,7 @@ def save_instance(
             "format_version": FORMAT_VERSION,
         },
     }
-    _atomic_write(path, _json(doc) + "\n")
+    _atomic_write(path, _json_chunks(doc))
 
 
 def _reals(doc: dict, key: str) -> np.ndarray:
@@ -216,18 +252,21 @@ def trace_header(kind: StrategyKind, n_scores: int) -> list[str]:
 def write_trace(result: RunResult, path: str | Path, kind: StrategyKind) -> None:
     """One CSV row per executed step; header-only when the trace is empty.
     Its entropy column is -ob2."""
-    kind = StrategyKind(kind)
+    _atomic_write(path, _trace_lines(result, StrategyKind(kind)))
+
+
+def _trace_lines(result: RunResult, kind: StrategyKind) -> Iterator[str]:
+    """``write_trace``'s text, one line at a time."""
     soft = kind is StrategyKind.SOFT
-    lines = [",".join(trace_header(kind, 15 if kind is StrategyKind.HARD_JPLUS else 6))]
+    yield ",".join(trace_header(kind, 15 if kind is StrategyKind.HARD_JPLUS else 6)) + "\n"
     for r in result.trace:
         # Baselines make no routing decision; -1 marks that explicitly.
         routed = r.alpha.tolist() if soft else [-1 if r.chosen_index is None else r.chosen_index]
         # float() keeps the repr of a numpy scalar a plain float's
-        lines.append(",".join(map(repr, [
+        yield ",".join(map(repr, [
             r.step, float(r.ob1), float(r.ob2), -float(r.ob2), float(r.n11), float(r.n12),
             float(r.n21), float(r.n22), *r.scores.tolist(), *routed,
-            float(r.dh_norm), float(r.dw_norm)])))
-    _atomic_write(path, "\n".join(lines) + "\n")
+            float(r.dh_norm), float(r.dw_norm)])) + "\n"
 
 
 def selection_counts(result: RunResult) -> dict[str, int]:
@@ -258,13 +297,14 @@ def write_summary(named_results: Sequence[tuple[str, RunResult]], path: str | Pa
             for name, result in named_results
         ],
     }
-    _atomic_write(path, _json(doc) + "\n")
+    _atomic_write(path, _json_chunks(doc))
 
 
 def write_sweep(param: str, swept: Sequence[tuple[float, RunResult]], path: str | Path,
                 kind: StrategyKind) -> None:
     """One CSV row per swept value of ``param``, with its run's finals;
-    ``alpha_max`` is a soft run's largest first-step weight, else empty."""
+    ``alpha_max`` is a soft run's largest first-step weight, else empty.
+    The file is one chunk: it holds a row per value, not per step."""
     soft = StrategyKind(kind) is StrategyKind.SOFT
     lines = ["param,value,final_ob1,final_ob2,stop_reason,steps,alpha_max"]
     for value, result in swept:
@@ -272,4 +312,4 @@ def write_sweep(param: str, swept: Sequence[tuple[float, RunResult]], path: str 
         lines.append(",".join([param, repr(value), repr(result.objectives.ob1),
                                repr(result.objectives.ob2), result.stop_reason.value,
                                str(len(result.trace)), alpha_max]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])

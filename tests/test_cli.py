@@ -415,15 +415,19 @@ class TestExitCodes:
 class TestBatching:
     """compare and sweep build every configuration from the same flags,
     so their runs share one alignment and only the byte budget
-    (``model._stack_width``) splits them into lockstep batches."""
+    (``optimizer._stack_width``) splits them into lockstep batches."""
 
-    @pytest.mark.parametrize("V, d, T, compared, swept", [
-        (6, 4, 1, [6], [3]),
-        (1000, 64, 16, [2, 2, 2], [2, 1]),  # a 1000 x 64 B is 512 kB
+    @pytest.mark.parametrize("V, d, T, w_mode, compared, swept", [
+        (6, 4, 1, WMode.FULL_MATRIX, [6], [3]),
+        # a 1000 x 64 array is 512 kB: a full_matrix run holds three (B, w
+        # and delta w), a single_row run one (B)
+        (1000, 64, 16, WMode.FULL_MATRIX, [1] * 6, [1] * 3),
+        (1000, 64, 16, WMode.SINGLE_ROW, [2, 2, 2], [2, 1]),
     ])
-    def test_compare_and_sweep_batches(self, tmp_path, monkeypatch, V, d, T, compared, swept):
+    def test_compare_and_sweep_batches(self, tmp_path, monkeypatch, V, d, T, w_mode, compared,
+                                       swept):
         path = tmp_path / "inst.json"
-        save_instance(probgen.generate(GeneratorSpec(V=V, d=d, T=T, seed=1)), path)
+        save_instance(probgen.generate(GeneratorSpec(V=V, d=d, T=T, seed=1, w_mode=w_mode)), path)
         calls, real = [], j6opt.optimizer._lockstep
 
         def spy(instance, cfgs, mode, *rest):
@@ -432,12 +436,13 @@ class TestBatching:
 
         monkeypatch.setattr(j6opt.optimizer, "_lockstep", spy)
         common = ["-i", str(path), "--steps", "1", "--scale", "cosine", "-o", str(tmp_path / "o")]
-        pushforward = AlignmentMode(AlignKind.PUSHFORWARD, AlignScale.COSINE)
+        kind = AlignKind.PUSHFORWARD if w_mode is WMode.FULL_MATRIX else AlignKind.DIRECT
+        mode = AlignmentMode(kind, AlignScale.COSINE)
         assert main(["compare"] + common) == 0
-        assert calls == [(n, pushforward) for n in compared]
+        assert calls == [(n, mode) for n in compared]
         calls.clear()
         assert main(["sweep", "--param", "tau", "--values", "1,2,3"] + common) == 0
-        assert calls == [(n, pushforward) for n in swept]
+        assert calls == [(n, mode) for n in swept]
 
 
 class TestCompare:

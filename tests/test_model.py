@@ -217,6 +217,16 @@ class TestSoftmax:
                 assert (obs.ob1, obs.ob2) == (fwd.ob1[k], fwd.ob2[k])
                 assert obs == forward(instance, Perturbations(h[k], w[k])).objectives
 
+    def test_losses_read_their_input_as_float64(self):
+        # a nested list reads as the array it spells and a flat one as a
+        # rank error, as log_softmax and logit_gradients read theirs, and a
+        # float32 matrix is reduced in float64
+        assert losses([[-0.5, -1.0]], [0]) == losses(np.array([[-0.5, -1.0]]), [0])
+        with pytest.raises(ValueError, match=r"must be a \(T, V\) matrix, got shape \(2,\)"):
+            losses([-0.5, -1.0], [0])
+        logp = log_softmax(np.array([[-0.5, -1.0]])).astype(np.float32)
+        assert losses(logp, [0]) == losses(logp.astype(np.float64), [0])
+
     @pytest.mark.parametrize("call", [losses, logit_gradients])
     def test_non_integer_targets_rejected(self, call):
         with pytest.raises(ValueError, match="integer dtype"):

@@ -680,9 +680,14 @@ class TestRunMany:
         assert steps[0] == 2 and steps[1:] == [len(run(moving, c, rcfg).trace) for c in cfgs[1:]]
         assert [r.stop_reason for r in run_many(instance, cfgs, rcfg)] == [StopReason.GRAD_TOL] * 3
 
-    def test_batches_stay_within_the_byte_budget(self, monkeypatch):
-        # 1000 x 64 B blocks are 512 kB, so two configurations per batch
-        instance = generate(GeneratorSpec(V=1000, d=64, T=2, seed=1))
+    @pytest.mark.parametrize("w_mode, want", [
+        (WMode.FULL_MATRIX, [1] * 6),  # B, w and delta w: 1.5 MB a run
+        (WMode.SINGLE_ROW, [2, 2, 2]),  # B alone: 512 kB a run
+    ])
+    def test_batches_stay_within_the_byte_budget(self, monkeypatch, w_mode, want):
+        # a batch holds as many runs as keep the 1000 x 64 arrays each
+        # run holds within 1 MiB
+        instance = generate(GeneratorSpec(V=1000, d=64, T=2, seed=1, w_mode=w_mode))
         widths = []
         real = j6opt.optimizer._lockstep
 
@@ -692,7 +697,7 @@ class TestRunMany:
 
         monkeypatch.setattr(j6opt.optimizer, "_lockstep", spy)
         run_many(instance, [StrategyConfig(kind=kind) for kind in StrategyKind], RunConfig(max_steps=1))
-        assert widths == [2, 2, 2]
+        assert widths == want
 
     def test_a_batch_ends_where_the_resolved_alignment_changes(self, monkeypatch, tmp_path):
         # auto and direct both resolve to direct-raw on single_row, so the

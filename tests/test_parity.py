@@ -107,7 +107,7 @@ def test_ab_times_one_tree_against_itself(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith("steps-large seed 1, least of 2 rounds")
     assert out[1].split() == ["unit", "A", "ms/step", "B", "ms/step", "B/A", "A", "faults",
-                              "B", "faults"]
+                              "B", "faults", "A", "peak", "kB", "B", "peak", "kB"]
     rows = [line.split() for line in out[2:]]
     assert [row[0] for row in rows[:-1]] == [
         f"1000x64x16/full_matrix/{s}"
@@ -115,8 +115,12 @@ def test_ab_times_one_tree_against_itself(capsys):
     ] + ["1000x64x16/single_row/hard-jplus"]
     assert rows[-1][:3] == ["median", "over", "units"]
     for row in rows:
-        a, b, ratio, fa, fb = map(float, row[-5:])
+        a, b, ratio, fa, fb, pa, pb = map(float, row[-7:])
         assert a > 0 and b > 0 and ratio == pytest.approx(b / a, abs=2e-3) and fa >= 0 and fb >= 0
+        # one tree's traced peak hardly depends on the order: the same code
+        # allocates the same arrays (Python's small objects differ by a few
+        # hundred bytes), and a step holds at least the 1000 x 16 logits
+        assert pa == pytest.approx(pb, rel=1e-2) and pa > 128
 
 
 def test_ab_batch_times_each_shape_as_one_run_many_call(capsys):
@@ -131,8 +135,9 @@ def test_ab_batch_times_each_shape_as_one_run_many_call(capsys):
         "6x4x1/full_matrix/batch", "6x4x1/single_row/batch", "64x16x8/full_matrix/batch",
         "64x16x8/single_row/batch"]
     for row in rows:
-        a, b, ratio = map(float, row[-5:-2])
+        a, b, ratio = map(float, row[-7:-4])
         assert a > 0 and b > 0 and ratio == pytest.approx(b / a, abs=2e-3)
+        assert float(row[-2]) == pytest.approx(float(row[-1]), rel=1e-2) and float(row[-1]) > 0
 
 
 _LOC = Path(__file__).resolve().parents[1] / "tools" / "loc.py"

@@ -179,10 +179,17 @@ class TestScreen:
             assert log_softmax(logits[k]).tobytes() == forward(
                 instance, zero_perturbations(instance)).logp.tobytes()
 
-    def test_gaussian_passes_everything(self):
-        H, W, y = np.ones((4, 2, 3)), np.ones((4, 5, 3)), np.zeros((4, 2), dtype=np.int64)
-        values = probgen._certificates(Family.GAUSSIAN, WMode.FULL_MATRIX, None, H, W, y)[1]
-        assert (values == -np.inf).all()
+    def test_gaussian_passes_everything(self, monkeypatch):
+        # the first draw is the instance, and no certificate (nor any
+        # logits) is formed for it
+        monkeypatch.setattr(probgen, "_certificates", None)
+        spec = GeneratorSpec(V=5, d=3, T=2, seed=7)
+        rng = np.random.default_rng(spec.seed)
+        H, W = rng.standard_normal((2, 3)), rng.standard_normal((5, 3))
+        y = rng.integers(0, 5, size=2)
+        instance = generate(spec)
+        assert (instance.H.tobytes(), instance.W.tobytes(), instance.y.tolist()) == (
+            H.tobytes(), W.tobytes(), y.tolist())
 
     def test_block_bytes_stay_capped_at_the_largest_size(self, monkeypatch):
         # Without the cap the blocks of 60 draws would reach 32 candidates,

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from j6opt import (
     write_trace,
 )
 
+import j6opt.serialize
 from j6opt.optimizer import TraceRecord
 from j6opt.serialize import _json, selection_counts, trace_header, write_sweep
 from trace_csv import read_trace
@@ -100,6 +102,55 @@ class TestInstanceRoundTrip:
         write_trace(run(instance, cfg, rcfg), t1, cfg.kind)
         write_trace(run(loaded, cfg, rcfg), t2, cfg.kind)
         assert t1.read_bytes() == t2.read_bytes()
+
+
+class TestStreamedWrites:
+    """Files go out in chunks, a matrix a block of rows at a time,
+    through a temp file that a failed write removes."""
+
+    def test_save_instance_peaks_below_half_the_file(self, tmp_path):
+        # neither the document's text nor a nested list of a whole matrix
+        # is ever formed (building them peaked at 3.25 times the file)
+        instance = generate(GeneratorSpec(V=2000, d=64, T=16, seed=1))
+        path = tmp_path / "inst.json"
+        save_instance(instance, path, seed=1, family="gaussian")  # warm: imports, caches
+        tracemalloc.start()
+        try:
+            save_instance(instance, path, seed=1, family="gaussian")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+
+    @pytest.mark.parametrize("writer", ["save_instance", "write_trace"])
+    def test_a_write_failing_midway_leaves_the_target_as_it_was(self, writer, result,
+                                                                tmp_path, monkeypatch):
+        path, tmp = tmp_path / "out", tmp_path / "out.tmp"
+        path.write_bytes(b"before")
+        written = []
+        if writer == "save_instance":
+            # a row that fails after earlier rows reached the temp file
+            real, calls = j6opt.serialize._json, []
+
+            def failing(value, indent=""):
+                calls.append(value)
+                if len(calls) == 400:
+                    written.append(tmp.stat().st_size)
+                    raise OSError("disk full")
+                return real(value, indent)
+
+            monkeypatch.setattr(j6opt.serialize, "_json", failing)
+            instance = generate(GeneratorSpec(V=1000, d=64, T=2, seed=1))
+            with pytest.raises(OSError, match="disk full"):
+                save_instance(instance, path)
+            assert written[0] > 0
+        else:
+            # a record that cannot be written, after the ones before it
+            result.trace[5].scores = None
+            with pytest.raises(AttributeError):
+                write_trace(result, path, StrategyKind.HARD_J6)
+        assert path.read_bytes() == b"before" and not tmp.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 class TestInstanceValidation:

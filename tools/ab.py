@@ -16,12 +16,14 @@ untimed warm-up round, each round runs every unit once in each tree,
 back to back, the tree that goes first alternating from unit to unit.
 A unit's time is the least over the rounds.
 
-It prints, per unit, each tree's least time per step, their ratio and
-the minor page faults per call (``getrusage``) over the timed rounds,
-then the median of each column over the units.  BLAS is held to one
-thread unless ``OPENBLAS_NUM_THREADS`` says otherwise; pin the core from
-outside.  It exits 1 when the trees run a unit for different numbers of
-steps.
+It prints, per unit, each tree's least time per step, their ratio, the
+minor page faults per call (``getrusage``) over the timed rounds and the
+peak traced allocation of one call (``tracemalloc``, one untimed call
+per tree after the timed rounds), then the median of each column over
+the units.  The fault counts depend on which tree was loaded first; the
+traced peaks do not.  BLAS is held to one thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise; pin the core from outside.  It
+exits 1 when the trees run a unit for different numbers of steps.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,10 +85,11 @@ def units(j6, workload: str, batch: bool = False) -> list[tuple[str, tuple]]:
 
 def measure(trees, rounds: int, workload: str, batch: bool = False) -> list[dict]:
     """Per unit, each tree's least seconds per step, its minor faults per
-    timed call and its step count (under ``batch``, its runs' counts)."""
+    timed call, the peak bytes one call allocates and its step count
+    (under ``batch``, its runs' counts)."""
     grids = [units(j6, workload, batch) for j6 in trees]
-    rows = [{"unit": name, "s": [float("inf")] * 2, "faults": [0, 0], "steps": [0, 0]}
-            for name, _ in grids[0]]
+    rows = [{"unit": name, "s": [float("inf")] * 2, "faults": [0, 0], "peak": [0, 0],
+             "steps": [0, 0]} for name, _ in grids[0]]
     order = 0
     for r in range(rounds + 1):  # round 0 warms up
         for u, row in enumerate(rows):
@@ -103,23 +107,33 @@ def measure(trees, rounds: int, workload: str, batch: bool = False) -> list[dict
                 if r > 0:
                     row["s"][t] = min(row["s"][t], seconds / max(1, sum(steps)))
                     row["faults"][t] += faults
-    for row in rows:
+    for u, row in enumerate(rows):
         row["faults"] = [f / rounds for f in row["faults"]]
+        for t, j6 in enumerate(trees):  # untimed: tracing slows every allocation
+            call = j6.optimizer.run_many if batch else j6.optimizer.run
+            tracemalloc.start()
+            try:
+                call(*grids[t][u][1])
+                row["peak"][t] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
     return rows
 
 
 def report(rows: list[dict]) -> list[str]:
     """The table ``main`` prints."""
     lines = [f"{'unit':<36} {'A ms/step':>10} {'B ms/step':>10} {'B/A':>7} "
-             f"{'A faults':>9} {'B faults':>9}"]
+             f"{'A faults':>9} {'B faults':>9} {'A peak kB':>10} {'B peak kB':>10}"]
 
-    def line(name, a, b, fa, fb):
-        return f"{name:<36} {a * 1e3:>10.5f} {b * 1e3:>10.5f} {b / a:>7.3f} {fa:>9.1f} {fb:>9.1f}"
+    def line(name, a, b, fa, fb, pa, pb):
+        return (f"{name:<36} {a * 1e3:>10.5f} {b * 1e3:>10.5f} {b / a:>7.3f} {fa:>9.1f} "
+                f"{fb:>9.1f} {pa / 1e3:>10.1f} {pb / 1e3:>10.1f}")
 
+    keys = ("s", "faults", "peak")
     for row in rows:
-        lines.append(line(row["unit"], *row["s"], *row["faults"]))
-    med = [statistics.median(row[key][t] for row in rows) for key in ("s", "faults") for t in (0, 1)]
-    lines.append(line("median over units", med[0], med[1], med[2], med[3]))
+        lines.append(line(row["unit"], *(x for key in keys for x in row[key])))
+    lines.append(line("median over units",
+                      *(statistics.median(row[key][t] for row in rows) for key in keys for t in (0, 1))))
     return lines
 
 
