@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .attribution import AlignKind, AlignScale, AlignmentMode, compute_gradient_set
-from .probgen import Family, GeneratorSpec, conflict_certificate, generate, roleswap_certificate
+from .probgen import Family, GeneratorSpec, generate
 from .model import ProblemInstance, WMode, fd_gradient
 from .optimizer import NonFiniteLossError, RunConfig, RunResult, init_perturbations, run, run_many
 from .serialize import (
@@ -96,13 +96,15 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = _config(GeneratorSpec, args, **_seed(args))
-    instance = generate(spec)
-    save_instance(instance, args.out, seed=spec.seed, family=spec.family.value)
+    # the screen's value of the winner is its public certificate bit for bit
+    instance, certificate = generate(spec, with_certificate=True)
+    save_instance(instance, args.out, seed=spec.seed, family=spec.family.value,
+                  family_version=spec.family_version)
     print(f"wrote {args.out} (V={spec.V} d={spec.d} T={spec.T} family={spec.family.value})")
     if spec.family is Family.CONFLICTING:
-        print(f"conflict certificate <g_heat, g_conf> = {conflict_certificate(instance)!r}")
+        print(f"conflict certificate <g_heat, g_conf> = {certificate!r}")
     elif spec.family is Family.ROLE_SWAP:
-        print(f"role-swap certificate |J11|^2/|J12|^2 = {roleswap_certificate(instance)!r}")
+        print(f"role-swap certificate |J11|^2/|J12|^2 = {certificate!r}")
     return 0
 
 
@@ -253,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--family", choices=[f.value for f in Family])
     p_gen.add_argument("--w-mode", choices=[m.value for m in WMode])
     p_gen.add_argument("--v-star", type=int)
+    p_gen.add_argument("--family-version", type=int,
+                       help="the family's proposals: 1 (plain normals, written as format 1) "
+                            "or 2 (drawn to pass)")
     p_gen.add_argument("-o", "--out", required=True)
 
     p_run = sub.add_parser("run", parents=common, help="optimize one instance and trace every step")

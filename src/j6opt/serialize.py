@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import ProblemInstance, WMode, require_int
 from .optimizer import RunResult
-from .probgen import Family
+from .probgen import FAMILY_VERSION, FAMILY_VERSIONS, Family
 from .strategies import StrategyKind
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "write_summary",
 ]
 
+# The summary's format.  An instance file of family version 1 is format
+# "1", and of version 2 format "2", which adds metadata.family_version.
 FORMAT_VERSION = "1"
 
 _TOP_KEYS = {"V", "d", "T", "H", "W", "y", "w_mode", "v_star", "metadata"}
@@ -122,9 +124,18 @@ def save_instance(
     path: str | Path,
     seed: int | None = None,
     family: str | None = None,
+    family_version: int = FAMILY_VERSION,
 ) -> None:
     """Write the instance as JSON, H and W a block of rows at a time;
-    seed/family are provenance metadata."""
+    seed/family/family_version are provenance metadata.  A version 1
+    instance is written as format "1", which records no version."""
+    if require_int("family_version", family_version) not in FAMILY_VERSIONS:
+        raise ValueError(f"family_version must be one of {list(FAMILY_VERSIONS)}, "
+                         f"got {family_version!r}")
+    meta = {"seed": seed, "family": family, "family_version": family_version,
+            "format_version": str(family_version)}
+    if family_version == 1:  # format "1" keeps the bytes it had before versions
+        del meta["family_version"]
     doc = {
         "V": instance.V,
         "d": instance.d,
@@ -134,11 +145,7 @@ def save_instance(
         "y": instance.y.tolist(),
         "w_mode": instance.w_mode.value,
         "v_star": instance.v_star,
-        "metadata": {
-            "seed": seed,
-            "family": family,
-            "format_version": FORMAT_VERSION,
-        },
+        "metadata": meta,
     }
     _atomic_write(path, _json_chunks(doc))
 
@@ -197,14 +204,22 @@ def load_instance(path: str | Path) -> ProblemInstance:
     meta = doc["metadata"]
     if not isinstance(meta, dict):
         raise InstanceFormatError(f"{path}: metadata must be an object")
-    meta_unknown = set(meta) - _META_KEYS
-    if meta_unknown:
-        raise InstanceFormatError(f"{path}: unknown metadata keys {sorted(meta_unknown)}")
     version = meta.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in ("1", "2"):
         raise InstanceFormatError(
-            f"{path}: unsupported format_version {version!r} (expected {FORMAT_VERSION!r})"
+            f"{path}: unsupported format_version {version!r} (expected '1' or '2')"
         )
+    meta_unknown = set(meta) - _META_KEYS - ({"family_version"} if version == "2" else set())
+    if meta_unknown:
+        raise InstanceFormatError(f"{path}: unknown metadata keys {sorted(meta_unknown)} "
+                                  f"in format_version {version!r}")
+    if version == "2":
+        if "family_version" not in meta:
+            raise InstanceFormatError(f"{path}: format_version '2' needs metadata family_version")
+        family_version = meta["family_version"]
+        if type(family_version) is not int or family_version != 2:  # bools are not ints here
+            raise InstanceFormatError(f"{path}: metadata family_version must be 2 in "
+                                      f"format_version '2', got {family_version!r}")
     seed, family = meta.get("seed"), meta.get("family")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
                              or not 0 <= seed < 2**64):

@@ -27,6 +27,9 @@ from j6opt import (
     StrategyConfig,
     StrategyKind,
     WMode,
+    conflict_certificate,
+    load_instance,
+    roleswap_certificate,
     save_instance,
 )
 from j6opt.cli import main
@@ -84,6 +87,45 @@ class TestGen:
         match = re.search(r"role-swap certificate.*= ([\d.e-]+)", text)
         assert match and float(match.group(1)) < 0.05
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("family, certificate", [
+        ("conflicting", conflict_certificate), ("role-swap", roleswap_certificate)])
+    def test_printed_certificate_is_the_public_one(self, tmp_path, capsys, family, certificate,
+                                                   version):
+        # gen prints the screen's value of the winner, not a second computation
+        path = tmp_path / "g.json"
+        for seed in range(8):
+            assert main(["gen", "--V", "7", "--d", "3", "--T", "2", "--seed", str(seed),
+                         "--family", family, "--family-version", str(version),
+                         "-o", str(path)]) == 0
+            printed = capsys.readouterr().out.splitlines()[1].rpartition(" = ")[2]
+            assert printed == repr(certificate(load_instance(path)))
+
+    def test_certificates_run_only_for_the_drawn_blocks(self, tmp_path, monkeypatch):
+        sizes, real = [], probgen._certificates
+        monkeypatch.setattr(probgen, "_certificates",
+                            lambda *args: sizes.append(len(args[3])) or real(*args))
+        # seed 2 draws four blocks of version 1's role-swap, and nothing more
+        assert main(["gen", "--V", "6", "--d", "2", "--T", "2", "--seed", "2",
+                     "--family", "role-swap", "--family-version", "1",
+                     "-o", str(tmp_path / "g.json")]) == 0
+        assert sizes == [1, 2, 4, 8]
+
+    @pytest.mark.parametrize("version, fmt", [(1, "1"), (2, "2")])
+    def test_family_version_is_recorded(self, tmp_path, version, fmt):
+        path = tmp_path / "g.json"
+        assert main(["gen", "--V", "5", "--d", "3", "--family", "role-swap",
+                     "--family-version", str(version), "-o", str(path)]) == 0
+        meta = json.loads(path.read_text())["metadata"]
+        assert meta["format_version"] == fmt
+        assert meta.get("family_version") == (None if version == 1 else version)
+
+    def test_unknown_family_version_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert main(["gen", "--V", "5", "--d", "3", "--family-version", "3", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: family_version must be one of [1, 2], got 3\n"
+        assert not out.exists()
+
     def test_invalid_vocab_size_exits_2(self, tmp_path, capsys):
         assert main(["gen", "--V", "1", "--d", "2", "-o", str(tmp_path / "x.json")]) == 2
         assert "V must be at least 2" in capsys.readouterr().err
@@ -107,7 +149,7 @@ class TestGen:
     ])
     def test_infeasible_spec_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch, flags,
                                                     reason):
-        monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail(f"drew for {spec}"))
+        monkeypatch.setattr(cli, "generate", lambda spec, **kw: pytest.fail(f"drew for {spec}"))
         assert main(["gen", *flags, "-o", str(tmp_path / "g.json")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {reason}")
 
@@ -287,6 +329,18 @@ class TestGradcheck:
             path = tmp_path / f"b{seed}.json"
             assert main(["gen", "--V", "6", "--d", "4", "--T", "2", "--w-mode", "broadcast",
                          "--seed", str(seed), "-o", str(path)]) == 0
+            assert main(["gradcheck", "-i", str(path)]) == 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("family, shape", [("role-swap", ("6", "2", "2")),
+                                               ("conflicting", ("8", "2", "1"))])
+    def test_version_2_conflict_instances_pass(self, tmp_path, capsys, family, shape):
+        # version 2 draws H at sigma 2 for role-swap and W at sigma 1/4: the
+        # gradients still check at the benchmark's quick-start shapes
+        path = tmp_path / "g.json"
+        for seed in range(20):
+            assert main(["gen", "--V", shape[0], "--d", shape[1], "--T", shape[2],
+                         "--family", family, "--family-version", "2", "--seed", str(seed),
+                         "-o", str(path)]) == 0
             assert main(["gradcheck", "-i", str(path)]) == 0, capsys.readouterr().out
 
     def test_small_corruption_fails_only_j11(self, capsys, monkeypatch):
@@ -586,7 +640,8 @@ def configs(monkeypatch):
 def specs(monkeypatch):
     """The GeneratorSpec of each instance ``gen`` draws; J6_SEED is unset."""
     seen, real_generate = [], cli.generate
-    monkeypatch.setattr(cli, "generate", lambda spec: seen.append(spec) or real_generate(spec))
+    monkeypatch.setattr(cli, "generate",
+                        lambda spec, **kw: seen.append(spec) or real_generate(spec, **kw))
     monkeypatch.delenv("J6_SEED", raising=False)
     return seen
 
@@ -633,6 +688,7 @@ GEN_FLAGS = [
     (["--family", "role-swap"], "family", Family.ROLE_SWAP),
     (["--w-mode", "single_row"], "w_mode", WMode.SINGLE_ROW),
     (["--v-star", "2"], "v_star", 2),
+    (["--family-version", "1"], "family_version", 1),
 ]
 RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
@@ -716,7 +772,7 @@ class TestConfigFlags:
                 if action.dest in fields:
                     assert action.default is argparse.SUPPRESS, (command, action.dest)
                     counts[command] = counts.get(command, 0) + 1
-        assert counts == {"gen": 7, "run": 14, "compare": 14, "sweep": 14}
+        assert counts == {"gen": 8, "run": 14, "compare": 14, "sweep": 14}
 
 
 class TestUsage:

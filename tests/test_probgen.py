@@ -29,8 +29,11 @@ from j6opt.probgen import ROLESWAP_RATIO_MAX
 from j6opt.serialize import save_instance
 
 # Specs and the SHA-256 of their ``save_instance`` bytes, recorded from
-# the draw-by-draw generator that preceded the batched screen.
+# the draw-by-draw generator that preceded the batched screen: family
+# version 1, whose files are format "1".
 GOLDEN = json.loads((Path(__file__).parent / "golden_instances.json").read_text())
+# The same for family version 2, recorded when it was introduced.
+GOLDEN_V2 = json.loads((Path(__file__).parent / "golden_instances_v2.json").read_text())
 
 
 class TestDeterminism:
@@ -137,18 +140,21 @@ class TestInfeasibleSpec:
         GeneratorSpec(V=6, d=4, family=Family.CONFLICTING, w_mode=WMode.BROADCAST)
 
     def test_exhausted_draws_are_a_config_error(self, monkeypatch):
+        # version 1, whose 7 draws at this size all fail
         monkeypatch.setattr(probgen, "_MAX_DRAWS", 7)
-        spec = GeneratorSpec(V=20, d=4, T=2, family=Family.CONFLICTING)
+        spec = GeneratorSpec(V=20, d=4, T=2, family=Family.CONFLICTING, family_version=1)
         with pytest.raises(ValueError, match=r"no conflicting instance found in 7 draws for "
                                              r"GeneratorSpec\(V=20, d=4, T=2.*\); best "
                                              r"certificate 0\.\d+ \(accepted below 0\.0\)$"):
             generate(spec)
 
     def test_exhaustion_without_a_target_below_the_argmax_reports_inf(self, monkeypatch):
-        # seed 1 draws a first candidate whose target is its argmax
+        # seed 1 draws a first candidate whose target is its argmax; version 2
+        # draws every target off the argmax, so this cannot happen there
         monkeypatch.setattr(probgen, "_MAX_DRAWS", 1)
         with pytest.raises(ValueError, match=r"; best certificate inf \(accepted below 0\.0\)$"):
-            generate(GeneratorSpec(V=3, d=2, seed=1, family=Family.CONFLICTING))
+            generate(GeneratorSpec(V=3, d=2, seed=1, family=Family.CONFLICTING,
+                                   family_version=1))
 
 
 class TestScreen:
@@ -170,7 +176,8 @@ class TestScreen:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         H, W = rng.standard_normal((K, T, d)), rng.standard_normal((K, V, d))
         y = rng.integers(0, V, size=(K, T))
-        logits, values = probgen._certificates(family, w_mode, v_star, H, W, y)
+        logits = H @ W.swapaxes(1, 2)
+        values = probgen._certificates(family, w_mode, v_star, H, W, y, logits)
         certificate = conflict_certificate if family is Family.CONFLICTING else roleswap_certificate
         for k in range(K):
             instance = j6opt.model.ProblemInstance(V=V, d=d, T=T, H=H[k], W=W[k], y=y[k],
@@ -193,14 +200,14 @@ class TestScreen:
 
     def test_block_bytes_stay_capped_at_the_largest_size(self, monkeypatch):
         # Without the cap the blocks of 60 draws would reach 32 candidates,
-        # about 60 MB at this size.
+        # about 60 MB at this size.  Version 1 draws all 60 (version 2's
+        # first candidate passes).
         monkeypatch.setattr(probgen, "_MAX_DRAWS", 60)
         sizes = []
         real = probgen._certificates
         monkeypatch.setattr(probgen, "_certificates",
-                            lambda family, w_mode, v_star, H, W, y:
-                            sizes.append(len(H)) or real(family, w_mode, v_star, H, W, y))
-        spec = GeneratorSpec(V=1000, d=64, T=16, family=Family.ROLE_SWAP)
+                            lambda *args: sizes.append(len(args[3])) or real(*args))
+        spec = GeneratorSpec(V=1000, d=64, T=16, family=Family.ROLE_SWAP, family_version=1)
         tracemalloc.start()
         try:
             generate(spec)
@@ -213,20 +220,105 @@ class TestScreen:
         assert peak < 2 * probgen._BLOCK_BYTES
 
 
+def _check_golden(rows, path, **fields):
+    """Each row's spec, with ``fields``, saved as ``gen`` saves it hashes
+    to the row's sha256 and passes its certificate."""
+    for row in rows:
+        spec = GeneratorSpec(**{k: v for k, v in row.items() if k != "sha256"}, **fields)
+        instance = generate(spec)
+        save_instance(instance, path, seed=spec.seed, family=spec.family.value,
+                      family_version=spec.family_version)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == row["sha256"], spec
+        if spec.family is Family.CONFLICTING:
+            assert conflict_certificate(instance) < 0.0, spec
+        elif spec.family is Family.ROLE_SWAP:
+            assert roleswap_certificate(instance) < ROLESWAP_RATIO_MAX, spec
+
+
 class TestGoldenBytes:
     def test_instance_bytes_match_the_recorded_hashes(self, tmp_path):
         assert {row["family"] for row in GOLDEN} == {f.value for f in Family}
         assert len(GOLDEN) == 45 * len(Family)
-        path = tmp_path / "g.json"
-        for row in GOLDEN:
-            spec = GeneratorSpec(**{k: v for k, v in row.items() if k != "sha256"})
+        _check_golden(GOLDEN, tmp_path / "g.json", family_version=1)
+
+    def test_version_2_bytes_match_the_recorded_hashes(self, tmp_path):
+        assert {(row["family"], row["w_mode"]) for row in GOLDEN_V2} == {
+            (f.value, m.value) for f in Family for m in WMode
+            if (f, m) != (Family.ROLE_SWAP, WMode.BROADCAST)}
+        assert {row["family_version"] for row in GOLDEN_V2} == {2}
+        _check_golden(GOLDEN_V2, tmp_path / "g.json")
+
+
+class TestFamilyVersion2:
+    """Version 2's proposals: drawn so that the certificates accept at
+    every size, every emitted instance still passing its certificate."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(3, 40),
+        d=st.integers(1, 8),
+        T=st.integers(1, 4),
+        family=st.sampled_from([Family.CONFLICTING, Family.ROLE_SWAP]),
+        w_mode=st.sampled_from(list(WMode)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_instance_passes_its_public_certificate(self, V, d, T, family, w_mode, seed):
+        if family is Family.ROLE_SWAP and w_mode is WMode.BROADCAST:
+            return  # rejected up front
+        instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, family=family,
+                                          w_mode=w_mode, family_version=2))
+        if family is Family.CONFLICTING:
+            assert conflict_certificate(instance) < 0.0
+            top = (instance.H @ instance.W.T).argmax(axis=1)
+            assert not (top == instance.y).any()
+        else:
+            assert roleswap_certificate(instance) < ROLESWAP_RATIO_MAX
+
+    def test_role_swap_candidates_are_version_1_scaled(self, monkeypatch):
+        # candidate k of version 2 is candidate k of version 1, H times 2
+        # and W times 1/4, exactly: the same stream, scaled by powers of two
+        monkeypatch.setattr(probgen, "_MAX_DRAWS", 15)
+        seen = []
+        monkeypatch.setattr(probgen, "_certificates",
+                            lambda *args: seen.append([a.copy() for a in args[3:6]])
+                            or np.full(len(args[3]), np.inf))
+        for version in (1, 2):
+            with pytest.raises(ValueError, match="no role-swap instance found in 15 draws"):
+                generate(GeneratorSpec(V=7, d=3, T=2, seed=4, family=Family.ROLE_SWAP,
+                                       family_version=version))
+        assert [len(H) for H, _, _ in seen] == [1, 2, 4, 8] * 2
+        for (H1, W1, y1), (H2, W2, y2) in zip(seen[:4], seen[4:]):
+            assert (H2 / 2).tobytes() == H1.tobytes() and (W2 * 4).tobytes() == W1.tobytes()
+            assert y2.tobytes() == y1.tobytes()
+
+    @pytest.mark.parametrize("family, draws", [(Family.ROLE_SWAP, 1),
+                                               (Family.CONFLICTING, 2000)])
+    def test_large_spec_returns_within_a_bound_of_draws(self, monkeypatch, family, draws):
+        # version 1 draws all 50,000 candidates at 200x16x8 and fails (7 s);
+        # version 2 accepts about 99.8% of role-swap and 0.3% of conflicting
+        # candidates there, so seeds 0-4 stop within these bounds
+        sizes, real = [], probgen._certificates
+        monkeypatch.setattr(probgen, "_certificates",
+                            lambda *args: sizes.append(len(args[3])) or real(*args))
+        for seed in range(5):
+            sizes.clear()
+            generate(GeneratorSpec(V=200, d=16, T=8, seed=seed, family=family))
+            assert sum(sizes) <= draws, seed
+
+
+class TestMemory:
+    def test_one_candidate_block_is_handed_over_without_a_copy(self):
+        # every gaussian block holds one candidate: its arrays are the
+        # instance's, so the peak is about W's bytes (2.4 W when copied)
+        spec = GeneratorSpec(V=2000, d=64, T=16)
+        generate(spec)  # a first call's one-time allocations are not the generator's
+        tracemalloc.start()
+        try:
             instance = generate(spec)
-            save_instance(instance, path, seed=spec.seed, family=spec.family.value)
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == row["sha256"], spec
-            if spec.family is Family.CONFLICTING:
-                assert conflict_certificate(instance) < 0.0, spec
-            elif spec.family is Family.ROLE_SWAP:
-                assert roleswap_certificate(instance) < ROLESWAP_RATIO_MAX, spec
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * instance.W.nbytes
 
 
 class TestSpecValidation:

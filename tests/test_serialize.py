@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -34,6 +35,7 @@ from j6opt import (
 )
 
 import j6opt.serialize
+from j6opt.cli import main
 from j6opt.optimizer import TraceRecord
 from j6opt.serialize import _json, selection_counts, trace_header, write_sweep
 from trace_csv import read_trace
@@ -210,12 +212,56 @@ class TestInstanceValidation:
         with pytest.raises(InstanceFormatError, match=f"inst.json: {where} must be a"):
             load_instance(path)
 
-    def test_wrong_format_version(self, instance, tmp_path):
+    @pytest.mark.parametrize("version", ["3", "0", 1, 2, None])
+    def test_wrong_format_version(self, instance, tmp_path, version):
         doc = self._doc(instance)
-        doc["metadata"]["format_version"] = "2"
+        doc["metadata"]["format_version"] = version
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(InstanceFormatError, match="format_version"):
+        with pytest.raises(InstanceFormatError,
+                           match=rf"inst.json: unsupported format_version {version!r} "
+                                 rf"\(expected '1' or '2'\)$"):
+            load_instance(path)
+
+    def _doc2(self, instance, family_version=2):
+        doc = self._doc(instance)
+        doc["metadata"] = {"seed": None, "family": None, "family_version": family_version,
+                           "format_version": "2"}
+        return doc
+
+    def test_format_2_loads(self, instance, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(self._doc2(instance)))
+        np.testing.assert_array_equal(load_instance(path).W, instance.W)
+
+    # a bool, a float or a string; an unknown version; and version 1,
+    # which is written as format "1"
+    @pytest.mark.parametrize("family_version", [True, 2.0, "2", [2], None, 3, 0, -2, 1])
+    def test_bad_metadata_family_version_rejected(self, instance, tmp_path, family_version):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(self._doc2(instance, family_version)))
+        with pytest.raises(InstanceFormatError,
+                           match=r"inst.json: metadata family_version must be 2 in "
+                                 rf"format_version '2', got {re.escape(repr(family_version))}$"):
+            load_instance(path)
+
+    def test_format_2_without_family_version_rejected(self, instance, tmp_path):
+        doc = self._doc2(instance)
+        del doc["metadata"]["family_version"]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError,
+                           match=r"inst.json: format_version '2' needs metadata family_version$"):
+            load_instance(path)
+
+    def test_format_1_with_family_version_rejected(self, instance, tmp_path):
+        doc = self._doc(instance)
+        doc["metadata"]["family_version"] = 1
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError,
+                           match=r"inst.json: unknown metadata keys \['family_version'\] in "
+                                 r"format_version '1'$"):
             load_instance(path)
 
     def test_dimension_mismatch(self, instance, tmp_path):
@@ -304,8 +350,30 @@ class TestInstanceValidation:
         path = tmp_path / "inst.json"
         for seed, family in [(0, None), (2**64 - 1, "role-swap"), (None, "gaussian"),
                              (7, "conflicting")]:
-            save_instance(instance, path, seed=seed, family=family)
-            np.testing.assert_array_equal(load_instance(path).H, instance.H)
+            for family_version in (1, 2):
+                save_instance(instance, path, seed=seed, family=family,
+                              family_version=family_version)
+                np.testing.assert_array_equal(load_instance(path).H, instance.H)
+
+    @pytest.mark.parametrize("family_version", [0, 3, True, 2.0])
+    def test_unknown_family_version_not_saved(self, instance, tmp_path, family_version):
+        path = tmp_path / "inst.json"
+        with pytest.raises(ValueError, match="family_version' must be an integer|family_version "
+                                             "must be one of"):
+            save_instance(instance, path, family_version=family_version)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("family", [f.value for f in Family])
+    def test_gen_file_resaves_to_its_bytes(self, tmp_path, family):
+        # a loaded gen file saved again with only seed and family, as a
+        # round-trip check does, gives the same bytes: save_instance's
+        # default family version is the spec's
+        path, copy = tmp_path / "g.json", tmp_path / "copy.json"
+        assert main(["gen", "--V", "6", "--d", "3", "--T", "2", "--seed", "11",
+                     "--family", family, "-o", str(path)]) == 0
+        meta = json.loads(path.read_text())["metadata"]
+        save_instance(load_instance(path), copy, seed=meta["seed"], family=meta["family"])
+        assert copy.read_bytes() == path.read_bytes()
 
     def test_exact_zeros_and_ones_in_matrices_load(self, instance, tmp_path):
         doc = self._doc(instance)
@@ -539,9 +607,10 @@ class TestJsonText:
         w_mode=st.sampled_from(list(WMode)),
         seed=st.sampled_from([None, 0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
         family=st.sampled_from([None] + [f.value for f in Family]),
+        family_version=st.sampled_from([1, 2]),
         data=st.data(),
     )
-    def test_instance_file(self, V, d, T, w_mode, seed, family, data):
+    def test_instance_file(self, V, d, T, w_mode, seed, family, family_version, data):
         values = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
         H = data.draw(st.lists(values, min_size=T * d, max_size=T * d))
         W = data.draw(st.lists(values, min_size=V * d, max_size=V * d))
@@ -553,11 +622,14 @@ class TestJsonText:
             "V": V, "d": d, "T": T,
             "H": instance.H.tolist(), "W": instance.W.tolist(), "y": instance.y.tolist(),
             "w_mode": w_mode.value, "v_star": instance.v_star,
-            "metadata": {"seed": seed, "family": family, "format_version": "1"},
+            # version 1 keeps format "1"; format "2" records the version
+            "metadata": {"seed": seed, "family": family, "format_version": "1"}
+            if family_version == 1 else
+            {"seed": seed, "family": family, "family_version": 2, "format_version": "2"},
         }
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "inst.json"
-            save_instance(instance, path, seed=seed, family=family)
+            save_instance(instance, path, seed=seed, family=family, family_version=family_version)
             assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
