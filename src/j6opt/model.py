@@ -107,6 +107,10 @@ class ProblemInstance:
     v_star selects the embedding row perturbed in SINGLE_ROW mode.  When
     left unspecified it defaults to the target token of the last
     position (and to 0 outside SINGLE_ROW mode, where it is unused).
+    family_version is provenance, read by no computation: the generator's
+    family version a conflict-family instance was drawn under (see
+    ``probgen``), which its file records; None when unknown or when the
+    family draws the same under every version.
     """
 
     V: int
@@ -117,6 +121,7 @@ class ProblemInstance:
     y: np.ndarray
     w_mode: WMode = WMode.FULL_MATRIX
     v_star: int | None = None
+    family_version: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("V", "d", "T"):
@@ -144,6 +149,9 @@ class ProblemInstance:
         if not 0 <= v_star < self.V:
             raise ValueError("v_star must lie in [0, V)")
         object.__setattr__(self, "v_star", v_star)
+        if self.family_version is not None:
+            object.__setattr__(self, "family_version",
+                               require_int("family_version", self.family_version))
 
 
 @dataclass(eq=False)

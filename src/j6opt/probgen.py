@@ -13,6 +13,8 @@ default, draws what its certificates keep: role-swap takes H at sigma 2
 and W at sigma 1/4, version 1's own normals scaled by powers of two, and
 conflicting takes W at sigma 1/4 and each target uniform over the V - 1
 tokens other than its row's argmax.  ``gaussian`` is the same in both.
+A conflict-family instance carries the version it was drawn under, and
+its file records it.
 
 Candidates are drawn in blocks from one stream, and ``_certificates``
 evaluates a block at once under the batching rule of ``optimizer``.  So
@@ -62,6 +64,13 @@ class Family(str, Enum):
 _SCALES = {Family.ROLE_SWAP: (2.0, 0.25), Family.CONFLICTING: (1.0, 0.25)}
 
 
+def _family_version(value: object) -> int:
+    """``value`` as a known family version; anything else raises ValueError."""
+    if require_int("family_version", value) not in FAMILY_VERSIONS:
+        raise ValueError(f"family_version must be one of {list(FAMILY_VERSIONS)}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     V: int
@@ -80,9 +89,7 @@ class GeneratorSpec:
             raise ValueError("d and T must be positive")
         if not 0 <= require_int("seed", self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if require_int("family_version", self.family_version) not in FAMILY_VERSIONS:
-            raise ValueError(f"family_version must be one of {list(FAMILY_VERSIONS)}, "
-                             f"got {self.family_version!r}")
+        _family_version(self.family_version)
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "w_mode", WMode(self.w_mode))
         if self.v_star is not None and not 0 <= require_int("v_star", self.v_star) < self.V:
@@ -196,8 +203,10 @@ def generate(spec: GeneratorSpec, *,
             # a one-candidate block is handed over whole; the winner of a
             # larger one is copied out, so that the block can be freed
             H, W, y = (a[k] if K == 1 else a[k].copy() for a in (H, W, y))
-            instance = ProblemInstance(V=V, d=d, T=T, H=H, W=W, y=y,
-                                       w_mode=spec.w_mode, v_star=spec.v_star)
+            instance = ProblemInstance(
+                V=V, d=d, T=T, H=H, W=W, y=y, w_mode=spec.w_mode, v_star=spec.v_star,
+                # gaussian draws the same under every version
+                family_version=None if spec.family is Family.GAUSSIAN else spec.family_version)
             return (instance, float(values[k])) if with_certificate else instance
     # a config error: the spec may be infeasible at this size
     raise ValueError(

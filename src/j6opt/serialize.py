@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import ProblemInstance, WMode, require_int
 from .optimizer import RunResult
-from .probgen import FAMILY_VERSION, FAMILY_VERSIONS, Family
+from .probgen import FAMILY_VERSIONS, Family, _family_version
 from .strategies import StrategyKind
 
 __all__ = [
@@ -37,12 +37,16 @@ __all__ = [
     "write_summary",
 ]
 
-# The summary's format.  An instance file of family version 1 is format
-# "1", and of version 2 format "2", which adds metadata.family_version.
+# The summary's format.
 FORMAT_VERSION = "1"
 
 _TOP_KEYS = {"V", "d", "T", "H", "W", "y", "w_mode", "v_star", "metadata"}
 _META_KEYS = {"seed", "family", "format_version"}
+# An instance file's format is the family version it records: a conflict
+# family's version, else 1.  Format "1" records no version, as before
+# versions existed; a later format also holds metadata.family_version.
+_FORMATS = {str(v): v for v in FAMILY_VERSIONS}
+_VERSIONED = {Family.CONFLICTING.value, Family.ROLE_SWAP.value}
 
 
 class InstanceFormatError(ValueError):
@@ -124,18 +128,17 @@ def save_instance(
     path: str | Path,
     seed: int | None = None,
     family: str | None = None,
-    family_version: int = FAMILY_VERSION,
 ) -> None:
     """Write the instance as JSON, H and W a block of rows at a time;
-    seed/family/family_version are provenance metadata.  A version 1
-    instance is written as format "1", which records no version."""
-    if require_int("family_version", family_version) not in FAMILY_VERSIONS:
-        raise ValueError(f"family_version must be one of {list(FAMILY_VERSIONS)}, "
-                         f"got {family_version!r}")
-    meta = {"seed": seed, "family": family, "family_version": family_version,
-            "format_version": str(family_version)}
-    if family_version == 1:  # format "1" keeps the bytes it had before versions
-        del meta["family_version"]
+    seed and family are provenance metadata.  A conflict family's file
+    also records the instance's family version, as its format; version 1
+    (also when the instance's is unknown) is format "1", which records no
+    version."""
+    meta = {"seed": seed, "family": family}
+    version = instance.family_version if family in _VERSIONED else None
+    if version is not None and _family_version(version) > 1:
+        meta["family_version"] = version
+    meta["format_version"] = str(meta.get("family_version", 1))
     doc = {
         "V": instance.V,
         "d": instance.d,
@@ -205,21 +208,23 @@ def load_instance(path: str | Path) -> ProblemInstance:
     if not isinstance(meta, dict):
         raise InstanceFormatError(f"{path}: metadata must be an object")
     version = meta.get("format_version")
-    if version not in ("1", "2"):
-        raise InstanceFormatError(
-            f"{path}: unsupported format_version {version!r} (expected '1' or '2')"
-        )
-    meta_unknown = set(meta) - _META_KEYS - ({"family_version"} if version == "2" else set())
+    if not isinstance(version, str) or version not in _FORMATS:
+        raise InstanceFormatError(f"{path}: unsupported format_version {version!r} "
+                                  f"(expected one of {list(_FORMATS)})")
+    family_version = _FORMATS[version]
+    meta_unknown = set(meta) - _META_KEYS - ({"family_version"} if family_version > 1 else set())
     if meta_unknown:
         raise InstanceFormatError(f"{path}: unknown metadata keys {sorted(meta_unknown)} "
                                   f"in format_version {version!r}")
-    if version == "2":
+    if family_version > 1:
         if "family_version" not in meta:
-            raise InstanceFormatError(f"{path}: format_version '2' needs metadata family_version")
-        family_version = meta["family_version"]
-        if type(family_version) is not int or family_version != 2:  # bools are not ints here
-            raise InstanceFormatError(f"{path}: metadata family_version must be 2 in "
-                                      f"format_version '2', got {family_version!r}")
+            raise InstanceFormatError(
+                f"{path}: format_version {version!r} needs metadata family_version")
+        recorded = meta["family_version"]
+        if type(recorded) is not int or recorded != family_version:  # bools are not ints here
+            raise InstanceFormatError(f"{path}: metadata family_version must be "
+                                      f"{family_version} in format_version {version!r}, "
+                                      f"got {recorded!r}")
     seed, family = meta.get("seed"), meta.get("family")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
                              or not 0 <= seed < 2**64):
@@ -231,6 +236,9 @@ def load_instance(path: str | Path) -> ProblemInstance:
         raise InstanceFormatError(
             f"{path}: metadata family must be null or one of {families}, got {family!r}"
         )
+    if family_version > 1 and family not in _VERSIONED:
+        raise InstanceFormatError(
+            f"{path}: format_version {version!r} needs a conflict family, got {family!r}")
     try:
         w_mode = WMode(doc["w_mode"])
     except ValueError:
@@ -248,6 +256,7 @@ def load_instance(path: str | Path) -> ProblemInstance:
             y=np.asarray([require_int("y", v) for v in doc["y"]], dtype=np.int64),
             w_mode=w_mode,
             v_star=doc["v_star"],
+            family_version=family_version if family in _VERSIONED else None,
         )
     except (OverflowError, TypeError, ValueError) as e:  # e.g. "H": {}, "y": [2**70]
         raise InstanceFormatError(f"{path}: {e}") from None

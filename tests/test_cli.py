@@ -111,14 +111,17 @@ class TestGen:
                      "-o", str(tmp_path / "g.json")]) == 0
         assert sizes == [1, 2, 4, 8]
 
-    @pytest.mark.parametrize("version, fmt", [(1, "1"), (2, "2")])
-    def test_family_version_is_recorded(self, tmp_path, version, fmt):
+    # gaussian draws the same under every version, so its file records none
+    @pytest.mark.parametrize("family, version, fmt", [
+        ("role-swap", 1, "1"), ("role-swap", 2, "2"), ("conflicting", 2, "2"),
+        ("gaussian", 1, "1"), ("gaussian", 2, "1")])
+    def test_family_version_is_recorded(self, tmp_path, family, version, fmt):
         path = tmp_path / "g.json"
-        assert main(["gen", "--V", "5", "--d", "3", "--family", "role-swap",
+        assert main(["gen", "--V", "5", "--d", "3", "--family", family,
                      "--family-version", str(version), "-o", str(path)]) == 0
         meta = json.loads(path.read_text())["metadata"]
         assert meta["format_version"] == fmt
-        assert meta.get("family_version") == (None if version == 1 else version)
+        assert meta.get("family_version") == (None if fmt == "1" else version)
 
     def test_unknown_family_version_exits_2(self, tmp_path, capsys):
         out = tmp_path / "g.json"

@@ -10,16 +10,14 @@ MODULES = ("attribution", "model", "optimizer", "probgen", "serialize", "strateg
 # By module, each name that benchmarks/j6bench/workloads.py, tools/ab.py or
 # tools/parity.py imports or reads, and each target of the benchmark's
 # tracing hooks.  Those files run against other checkouts too, so a name
-# that goes breaks them without failing any other test here.  The hooks
-# on cli's conflict_certificate and roleswap_certificate are left out: gen
-# prints the value the generator computed, so cli no longer imports them,
-# and the benchmark reports such a hook as absent with a count of 0.
+# that goes breaks them without failing any other test here.
 USED_ELSEWHERE = {
     "j6opt": ("__version__", "AlignmentMode", "GeneratorSpec", "RunConfig", "StrategyConfig",
               "StrategyKind", "WMode", "generate", "run", "run_many", "write_trace"),
     "j6opt.cli": ("main", "cmd_gen", "cmd_gradcheck", "cmd_run", "cmd_compare", "cmd_sweep",
                   "run", "generate", "fd_gradient", "save_instance", "load_instance",
-                  "write_trace", "write_summary"),
+                  "write_trace", "write_summary", "conflict_certificate",
+                  "roleswap_certificate"),
     "j6opt.model": ("ProblemInstance",),
     "j6opt.optimizer": ("RunConfig", "run", "run_many", "stop_check"),
     "j6opt.probgen": ("ROLESWAP_RATIO_MAX", "Family", "GeneratorSpec", "ProblemInstance",

@@ -226,8 +226,7 @@ def _check_golden(rows, path, **fields):
     for row in rows:
         spec = GeneratorSpec(**{k: v for k, v in row.items() if k != "sha256"}, **fields)
         instance = generate(spec)
-        save_instance(instance, path, seed=spec.seed, family=spec.family.value,
-                      family_version=spec.family_version)
+        save_instance(instance, path, seed=spec.seed, family=spec.family.value)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == row["sha256"], spec
         if spec.family is Family.CONFLICTING:
             assert conflict_certificate(instance) < 0.0, spec

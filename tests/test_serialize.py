@@ -1,6 +1,7 @@
 """Instance JSON round-trips, trace and sweep CSV text, and summary accounting."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -212,27 +213,40 @@ class TestInstanceValidation:
         with pytest.raises(InstanceFormatError, match=f"inst.json: {where} must be a"):
             load_instance(path)
 
-    @pytest.mark.parametrize("version", ["3", "0", 1, 2, None])
+    @pytest.mark.parametrize("version", ["3", "0", 1, 2, None, ["1"]])
     def test_wrong_format_version(self, instance, tmp_path, version):
         doc = self._doc(instance)
         doc["metadata"]["format_version"] = version
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(InstanceFormatError,
-                           match=rf"inst.json: unsupported format_version {version!r} "
-                                 rf"\(expected '1' or '2'\)$"):
+                           match=rf"inst.json: unsupported format_version "
+                                 rf"{re.escape(repr(version))} \(expected one of \['1', '2'\]\)$"):
             load_instance(path)
 
-    def _doc2(self, instance, family_version=2):
+    def _doc2(self, instance, family_version=2, family="role-swap"):
         doc = self._doc(instance)
-        doc["metadata"] = {"seed": None, "family": None, "family_version": family_version,
+        doc["metadata"] = {"seed": None, "family": family, "family_version": family_version,
                            "format_version": "2"}
         return doc
 
     def test_format_2_loads(self, instance, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(self._doc2(instance)))
-        np.testing.assert_array_equal(load_instance(path).W, instance.W)
+        loaded = load_instance(path)
+        np.testing.assert_array_equal(loaded.W, instance.W)
+        assert loaded.family_version == 2
+
+    @pytest.mark.parametrize("family", [None, "gaussian"])
+    def test_format_2_of_an_unversioned_family_rejected(self, instance, tmp_path, family):
+        # gaussian draws the same under every version, and a file with no
+        # family records no version: both are format "1"
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(self._doc2(instance, family=family)))
+        with pytest.raises(InstanceFormatError,
+                           match=rf"inst.json: format_version '2' needs a conflict family, "
+                                 rf"got {family!r}$"):
+            load_instance(path)
 
     # a bool, a float or a string; an unknown version; and version 1,
     # which is written as format "1"
@@ -347,31 +361,46 @@ class TestInstanceValidation:
             load_instance(path)
 
     def test_metadata_edges_load(self, instance, tmp_path):
+        # a conflict family's file keeps the instance's version (1 when
+        # unknown); the others record none
         path = tmp_path / "inst.json"
         for seed, family in [(0, None), (2**64 - 1, "role-swap"), (None, "gaussian"),
                              (7, "conflicting")]:
-            for family_version in (1, 2):
-                save_instance(instance, path, seed=seed, family=family,
-                              family_version=family_version)
-                np.testing.assert_array_equal(load_instance(path).H, instance.H)
+            for family_version in (None, 1, 2):
+                save_instance(dataclasses.replace(instance, family_version=family_version),
+                              path, seed=seed, family=family)
+                loaded = load_instance(path)
+                np.testing.assert_array_equal(loaded.H, instance.H)
+                assert loaded.family_version == (
+                    (family_version or 1) if family in ("role-swap", "conflicting") else None)
 
-    @pytest.mark.parametrize("family_version", [0, 3, True, 2.0])
+    @pytest.mark.parametrize("family_version", [0, 3])
     def test_unknown_family_version_not_saved(self, instance, tmp_path, family_version):
         path = tmp_path / "inst.json"
-        with pytest.raises(ValueError, match="family_version' must be an integer|family_version "
-                                             "must be one of"):
-            save_instance(instance, path, family_version=family_version)
+        unknown = dataclasses.replace(instance, family_version=family_version)
+        with pytest.raises(ValueError, match=r"family_version must be one of \[1, 2\], "
+                                             rf"got {family_version}$"):
+            save_instance(unknown, path, family="role-swap")
         assert not path.exists()
 
+    @pytest.mark.parametrize("family_version", [True, 2.0, "2"])
+    def test_non_integer_family_version_rejected(self, instance, family_version):
+        with pytest.raises(ValueError, match="'family_version' must be an integer"):
+            dataclasses.replace(instance, family_version=family_version)
+
+    @pytest.mark.parametrize("version", [None, 1, 2])
     @pytest.mark.parametrize("family", [f.value for f in Family])
-    def test_gen_file_resaves_to_its_bytes(self, tmp_path, family):
+    def test_gen_file_resaves_to_its_bytes(self, tmp_path, family, version):
         # a loaded gen file saved again with only seed and family, as a
-        # round-trip check does, gives the same bytes: save_instance's
-        # default family version is the spec's
+        # round-trip check does, gives the same bytes: the loaded instance
+        # carries the family version its file records
         path, copy = tmp_path / "g.json", tmp_path / "copy.json"
         assert main(["gen", "--V", "6", "--d", "3", "--T", "2", "--seed", "11",
-                     "--family", family, "-o", str(path)]) == 0
+                     "--family", family, "-o", str(path)]
+                    + ([] if version is None else ["--family-version", str(version)])) == 0
         meta = json.loads(path.read_text())["metadata"]
+        assert meta.get("family_version") == (
+            None if family == "gaussian" or version == 1 else 2)
         save_instance(load_instance(path), copy, seed=meta["seed"], family=meta["family"])
         assert copy.read_bytes() == path.read_bytes()
 
@@ -607,7 +636,7 @@ class TestJsonText:
         w_mode=st.sampled_from(list(WMode)),
         seed=st.sampled_from([None, 0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
         family=st.sampled_from([None] + [f.value for f in Family]),
-        family_version=st.sampled_from([1, 2]),
+        family_version=st.sampled_from([None, 1, 2]),
         data=st.data(),
     )
     def test_instance_file(self, V, d, T, w_mode, seed, family, family_version, data):
@@ -617,19 +646,21 @@ class TestJsonText:
         y = data.draw(st.lists(st.integers(0, V - 1), min_size=T, max_size=T))
         v_star = data.draw(st.none() | st.integers(0, V - 1))
         instance = ProblemInstance(V=V, d=d, T=T, H=np.reshape(H, (T, d)),
-                                   W=np.reshape(W, (V, d)), y=y, w_mode=w_mode, v_star=v_star)
+                                   W=np.reshape(W, (V, d)), y=y, w_mode=w_mode, v_star=v_star,
+                                   family_version=family_version)
         doc = {
             "V": V, "d": d, "T": T,
             "H": instance.H.tolist(), "W": instance.W.tolist(), "y": instance.y.tolist(),
             "w_mode": w_mode.value, "v_star": instance.v_star,
-            # version 1 keeps format "1"; format "2" records the version
-            "metadata": {"seed": seed, "family": family, "format_version": "1"}
-            if family_version == 1 else
-            {"seed": seed, "family": family, "family_version": 2, "format_version": "2"},
+            # format "2" records a conflict family's version 2; format "1" no version
+            "metadata": {"seed": seed, "family": family, "family_version": 2,
+                         "format_version": "2"}
+            if family in ("role-swap", "conflicting") and family_version == 2 else
+            {"seed": seed, "family": family, "format_version": "1"},
         }
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "inst.json"
-            save_instance(instance, path, seed=seed, family=family, family_version=family_version)
+            save_instance(instance, path, seed=seed, family=family)
             assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
