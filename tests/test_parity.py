@@ -1,8 +1,10 @@
 """Smoke tests of tools/parity.py, the byte-parity digests of the run grid,
 of tools/ab.py, the in-process A/B timing of two source trees, and of
 tools/loc.py, the package's size counts; and the gate that the grid's
-runs still give the digests recorded in golden_runs.json."""
+runs still give the digests recorded in golden_runs.json and the
+decisions recorded in golden_decisions.json."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -20,18 +22,24 @@ _spec.loader.exec_module(parity)
 
 
 GOLDEN_RUNS = Path(__file__).resolve().parent / "golden_runs.json"
+GOLDEN_DECISIONS = Path(__file__).resolve().parent / "golden_decisions.json"
 
 
 @pytest.mark.parametrize("alone", [False, True], ids=["batched", "alone"])
-def test_the_grid_gives_the_golden_digests(alone, capsys):
-    # every output of the 432 grid runs, batched as compare runs them and
-    # each run alone, is byte for byte what golden_runs.json records
-    # (recorded with BLAS at one thread).  A change that alters outputs on
-    # purpose re-records the file with parity.py --out and names the runs
-    # that changed, and why.
-    argv = ["--against", str(GOLDEN_RUNS)] + ["--alone"] * alone
-    assert parity.main(argv) == 0, capsys.readouterr().out
-    assert capsys.readouterr().out.splitlines()[-1] == f"432 of 432 runs match {GOLDEN_RUNS}"
+def test_the_grid_gives_the_golden_digests(alone, tmp_path):
+    # every decision of the 432 grid runs, batched as compare runs them and
+    # each run alone, is what golden_decisions.json records, and every
+    # output byte for byte what golden_runs.json records (both recorded
+    # with BLAS at one thread).  A change that alters outputs on purpose
+    # at rounding level re-records golden_runs.json with parity.py --out,
+    # names the runs that changed and why, and keeps golden_decisions.json.
+    found: tuple[dict, dict] = ({}, {})
+    for name, kind, result in parity.runs(alone=alone):
+        found[0][name] = parity.decision_digest(result)
+        found[1][name] = parity.digest(result, kind, tmp_path / "trace.csv")
+    for golden, runs in zip((GOLDEN_DECISIONS, GOLDEN_RUNS), found):
+        assert len(runs) == 432
+        assert parity.differ(json.loads(golden.read_text()), runs) == [], golden.name
 
 
 def test_equal_runs_match_and_a_changed_digest_fails(tmp_path, capsys):
@@ -92,6 +100,28 @@ def test_decisions_mode_names_changed_decisions_and_the_score_gap(tmp_path, caps
     assert f"differs: {name}" in out and "3 of 4 runs match" in out[-2]
     gap = float(out[-1].split()[4])
     assert out[-1].endswith(f"({name})") and 0.9e-3 < gap < 1.1e-3
+
+
+def test_decision_digests_hash_the_decisions_alone(tmp_path, capsys):
+    # one sha256 per run over the decision list --decisions records; a
+    # changed digest names its run, and the scores play no part
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert parity.main(["--first", "4", "--decisions", "--out", str(a)]) == 0
+    assert parity.main(["--first", "4", "--decision-digests", "--out", str(b)]) == 0
+    full, compact = json.loads(a.read_text()), json.loads(b.read_text())
+    assert list(compact) == list(full)
+    for name, run in full.items():
+        assert compact[name] == hashlib.sha256(json.dumps(run["decisions"]).encode()).hexdigest()
+    capsys.readouterr()
+    assert parity.main(["--first", "4", "--decision-digests", "--against", str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"4 of 4 runs match {b}"]
+    name = list(compact)[2]
+    compact[name] = "0" * 64
+    b.write_text(json.dumps(compact))
+    assert parity.main(["--first", "4", "--decision-digests", "--against", str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"differs: {name}", f"3 of 4 runs match {b}"]
+    with pytest.raises(SystemExit):  # one kind of record at a time
+        parity.main(["--decisions", "--decision-digests", "--out", str(b)])
 
 
 _AB = Path(__file__).resolve().parents[1] / "tools" / "ab.py"

@@ -4,6 +4,7 @@
     python tools/parity.py --against digests.json    # exit 1, naming each run that differs
     python tools/parity.py --decisions --out decisions.json
     python tools/parity.py --decisions --against decisions.json
+    python tools/parity.py --decision-digests --out golden_decisions.json
     python tools/parity.py --alone --against digests.json   # each run alone
 
 The grid is 432 runs: the sizes (V x d x T) 6x4x1, 6x4x2, 64x16x8 and
@@ -22,7 +23,9 @@ step the chosen index, or for soft the argmax of its weights (null for
 the baselines), and the traced score vector.  With ``--against`` it
 exits 1 naming each run whose decisions differ, and prints the largest
 normwise score gap, ||S - S_ref|| / ||S_ref|| over the steps both runs
-took.  Run it with ``src`` on PYTHONPATH.
+took.  ``--decision-digests`` records one sha256 per run over its
+decisions alone (``decision_digest``), a compact form of the same gate.
+Run it with ``src`` on PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -83,30 +86,52 @@ def runs(first: int | None = None, alone: bool = False):
                         yield f"{cell}/{kind.value}", kind, result
 
 
+def digest(result, kind, trace_path: Path) -> str:
+    """A run's digest, its trace CSV written to ``trace_path`` first."""
+    write_trace(result, trace_path, kind)
+    out = hashlib.sha256(trace_path.read_bytes())
+    obs = result.objectives
+    out.update(f"{obs.ob1!r} {obs.ob2!r}".encode())
+    out.update(result.perturbations.h.tobytes())
+    out.update(result.perturbations.w.tobytes())
+    return out.hexdigest()
+
+
 def digests(first: int | None = None, alone: bool = False) -> dict[str, str]:
     """Each run's digest by its name, in grid order."""
-    out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = Path(tmp) / "trace.csv"
-        for name, kind, result in runs(first, alone):
-            write_trace(result, trace_path, kind)
-            digest = hashlib.sha256(trace_path.read_bytes())
-            obs = result.objectives
-            digest.update(f"{obs.ob1!r} {obs.ob2!r}".encode())
-            digest.update(result.perturbations.h.tobytes())
-            digest.update(result.perturbations.w.tobytes())
-            out[name] = digest.hexdigest()
-    return out
+        return {name: digest(result, kind, trace_path) for name, kind, result in runs(first, alone)}
+
+
+def decision_list(result) -> list[int | None]:
+    """Per step the chosen index, or for soft the argmax of its weights."""
+    return [rec.chosen_index if rec.alpha is None else int(np.argmax(rec.alpha))
+            for rec in result.trace]
+
+
+def decision_digest(result) -> str:
+    """The sha256 of a run's decisions, as the JSON list ``--decisions``
+    records them."""
+    return hashlib.sha256(json.dumps(decision_list(result)).encode()).hexdigest()
 
 
 def decisions(first: int | None = None, alone: bool = False) -> dict[str, dict[str, list]]:
     """Each run's decisions and score rows by its name, in grid order."""
-    def decision(rec):
-        return rec.chosen_index if rec.alpha is None else int(np.argmax(rec.alpha))
-
-    return {name: {"decisions": [decision(rec) for rec in result.trace],
+    return {name: {"decisions": decision_list(result),
                    "scores": [rec.scores.tolist() for rec in result.trace]}
             for name, _, result in runs(first, alone)}
+
+
+def decision_digests(first: int | None = None, alone: bool = False) -> dict[str, str]:
+    """Each run's decision digest by its name, in grid order."""
+    return {name: decision_digest(result) for name, _, result in runs(first, alone)}
+
+
+def differ(expected: dict, found: dict, key=lambda run: run) -> list[str]:
+    """The names of the runs whose ``key`` differs between the two, or
+    that only one of them holds."""
+    return [name for name in {**expected, **found} if key(expected.get(name)) != key(found.get(name))]
 
 
 def score_gap(expected: dict, found: dict) -> tuple[float, str | None]:
@@ -128,29 +153,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="write the digests here (JSON)")
     parser.add_argument("--against", help="compare with the digests in this file")
     parser.add_argument("--first", type=int, default=None, help="run only the first N runs")
-    parser.add_argument("--decisions", action="store_true",
-                        help="record and compare decisions and score rows, not digests")
+    what = parser.add_mutually_exclusive_group()
+    what.add_argument("--decisions", action="store_true",
+                      help="record and compare decisions and score rows, not digests")
+    what.add_argument("--decision-digests", action="store_true",
+                      help="record and compare one sha256 per run over its decisions")
     parser.add_argument("--alone", action="store_true",
                         help="run each configuration as its own run, not in its cell's batch")
     args = parser.parse_args(argv)
     if not (args.out or args.against):
         parser.error("give --out, --against or both")
-    found = (decisions if args.decisions else digests)(args.first, args.alone)
+    record = decisions if args.decisions else decision_digests if args.decision_digests else digests
+    found = record(args.first, args.alone)
     if args.out:
         Path(args.out).write_text(json.dumps(found, indent=None if args.decisions else 1) + "\n")
         print(f"wrote {args.out} ({len(found)} runs)")
     if args.against:
         expected = json.loads(Path(args.against).read_text())
         key = (lambda run: run and run["decisions"]) if args.decisions else (lambda run: run)
-        differ = [name for name in {**expected, **found}
-                  if key(expected.get(name)) != key(found.get(name))]
-        for name in differ:
+        names = differ(expected, found, key)
+        for name in names:
             print(f"differs: {name}")
-        print(f"{len(found) - len(differ)} of {len(found)} runs match {args.against}")
+        print(f"{len(found) - len(names)} of {len(found)} runs match {args.against}")
         if args.decisions:
             gap, worst = score_gap(expected, found)
             print(f"largest normwise score gap: {gap:.3g}" + (f" ({worst})" if worst else ""))
-        return 1 if differ else 0
+        return 1 if names else 0
     return 0
 
 
