@@ -20,8 +20,11 @@ It prints, per unit, each tree's least time per step, their ratio, the
 minor page faults per call (``getrusage``) over the timed rounds and the
 peak traced allocation of one call (``tracemalloc``, one untimed call
 per tree after the timed rounds), then the median of each column over
-the units.  The fault counts depend on which tree was loaded first; the
-traced peaks do not.  BLAS is held to one thread unless
+the units, and last each tree's steps-weighted total, all its units'
+steps over the time they take at their least times per step (what the
+benchmark's ``steps_per_s`` reads), with the ratio of B's to A's.  The
+fault counts depend on which tree was loaded first; the traced peaks do
+not.  BLAS is held to one thread unless
 ``OPENBLAS_NUM_THREADS`` says otherwise; pin the core from outside.  It
 exits 1 when the trees run a unit for different numbers of steps.
 """
@@ -134,7 +137,18 @@ def report(rows: list[dict]) -> list[str]:
         lines.append(line(row["unit"], *(x for key in keys for x in row[key])))
     lines.append(line("median over units",
                       *(statistics.median(row[key][t] for row in rows) for key in keys for t in (0, 1))))
+    total = [steps_per_s(rows, t) for t in (0, 1)]
+    lines.append(f"steps-weighted total: A {total[0]:.1f} steps/s, B {total[1]:.1f} steps/s, "
+                 f"B/A {total[1] / total[0]:.3f}")
     return lines
+
+
+def steps_per_s(rows: list[dict], t: int) -> float:
+    """Tree t's steps over the time they take at each unit's least time
+    per step: sum steps / sum (s/step x steps), as the benchmark's
+    ``steps_per_s`` reads its direct units."""
+    steps = [sum(row["steps"][t]) for row in rows]
+    return sum(steps) / sum(row["s"][t] * n for row, n in zip(rows, steps))
 
 
 def main(argv: list[str] | None = None) -> int:
