@@ -138,12 +138,13 @@ def test_ab_times_one_tree_against_itself(capsys):
     assert out[0].endswith("steps-large seed 1, least of 2 rounds")
     assert out[1].split() == ["unit", "A", "ms/step", "B", "ms/step", "B/A", "A", "faults",
                               "B", "faults", "A", "peak", "kB", "B", "peak", "kB"]
-    rows = [line.split() for line in out[2:]]
+    rows = [line.split() for line in out[2:-1]]
     assert [row[0] for row in rows[:-1]] == [
         f"1000x64x16/full_matrix/{s}"
         for s in ("hard-j6", "hard-jplus", "soft", "static", "scalarized", "grad-surgery")
     ] + ["1000x64x16/single_row/hard-jplus"]
     assert rows[-1][:3] == ["median", "over", "units"]
+    _check_total(out[-1])
     for row in rows:
         a, b, ratio, fa, fb, pa, pb = map(float, row[-7:])
         assert a > 0 and b > 0 and ratio == pytest.approx(b / a, abs=2e-3) and fa >= 0 and fb >= 0
@@ -160,7 +161,8 @@ def test_ab_batch_times_each_shape_as_one_run_many_call(capsys):
                     "--rounds", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith("steps-small --batch seed 1, least of 1 rounds")
-    rows = [line.split() for line in out[2:]]
+    rows = [line.split() for line in out[2:-1]]
+    _check_total(out[-1])
     assert [row[0] for row in rows[:-1]] == [
         "6x4x1/full_matrix/batch", "6x4x1/single_row/batch", "64x16x8/full_matrix/batch",
         "64x16x8/single_row/batch"]
@@ -168,6 +170,29 @@ def test_ab_batch_times_each_shape_as_one_run_many_call(capsys):
         a, b, ratio = map(float, row[-7:-4])
         assert a > 0 and b > 0 and ratio == pytest.approx(b / a, abs=2e-3)
         assert float(row[-2]) == pytest.approx(float(row[-1]), rel=1e-2) and float(row[-1]) > 0
+
+
+def _check_total(line):
+    # the last line: each tree's steps-weighted total and B's over A's
+    words = line.split()
+    assert words[:3] == ["steps-weighted", "total:", "A"] and words[4:6] == ["steps/s,", "B"]
+    a, b, ratio = float(words[3]), float(words[6]), float(words[9])
+    assert a > 0 and b > 0 and ratio == pytest.approx(b / a, abs=2e-3)
+
+
+def test_ab_steps_per_s_weights_each_unit_by_its_steps():
+    # sum steps / sum (s/step x steps), as the benchmark reads steps_per_s:
+    # 30 steps at 1 ms and 10 at 4 ms take 70 ms, so 40 steps run at
+    # 571.4 steps/s (the mean of the two speeds would be 625)
+    rows = [{"s": [1e-3, 2e-3], "steps": [[10, 20], [30]]},
+            {"s": [4e-3, 1e-3], "steps": [[10], [10]]}]
+    assert ab.steps_per_s(rows, 0) == pytest.approx(40 / 0.070)
+    assert ab.steps_per_s(rows, 1) == pytest.approx(40 / 0.070)
+    rows[1]["steps"][1] = [30]  # 30 steps at 2 ms and 30 at 1 ms
+    assert ab.steps_per_s(rows, 1) == pytest.approx(60 / 0.090)
+    total = ab.report([dict(row, unit=str(i), faults=[0, 0], peak=[1, 1])
+                       for i, row in enumerate(rows)])[-1]
+    assert total == "steps-weighted total: A 571.4 steps/s, B 666.7 steps/s, B/A 1.167"
 
 
 _LOC = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
