@@ -4,12 +4,15 @@ The four blocks are the gradients of the two objectives with respect to
 the two parameter groups.  Every score is a squared norm or an inner
 product of blocks or block sums, so all 15 are read from three 2x2
 matrices: the native Grams of the h blocks (J11, J21) and of the w
-blocks (J12, J22), and the cross matrix between the groups.
+blocks (J12, J22), and the cross matrix between the groups.  All three
+come from one Gram G = X X^T of four d-vectors X = (J11, y_1, J21, y_2),
+which numpy forms exactly symmetric with a non-negative diagonal; where
+w is a d-vector (SINGLE_ROW, BROADCAST), y holds the w blocks.
 
-None of them needs the w blocks.  With g_i the (T, V) logit-space
-gradient of objective i, A = H + h and B = W with w folded in, the w
-block is J_i2 = r_i^T A / T with r_i = w_columns(g_i), so with the
-T x T matrix K = A A^T and a = sum_t A_t
+Under FULL_MATRIX none of the scores needs the w blocks.  With g_i the
+(T, V) logit-space gradient of objective i, A = H + h and B = W with w
+folded in, the w block is J_i2 = r_i^T A / T with r_i = w_columns(g_i),
+so with the T x T matrix K = A A^T and a = sum_t A_t
 
     <J_i2, J_j2> = <r_i, K r_j> / T^2  (the per-example gradient-norm identity)
     J_j2 a = sum_t (K r_j)_t / T = (K 1)^T r_j / T
@@ -22,19 +25,18 @@ every logit row by B J_i1 and J_j2 moves the columns w_columns picks by
 K r_j / T.  So the cross product is w_columns(B J_i1) . (J_j2 a), and
 the field Grams are T (B J_i1).(B J_j1) and <K r_i, K r_j> / T^2 (times
 V under BROADCAST, where every column moves).  Under FULL_MATRIX the
-cross is J_i1 . B^T (J_j2 a), B^T (J_j2 a) stacked with the h blocks'
-(sum_t g_i) B / T in one (4, V) @ (V, d) product; B J_i1 is formed only
-for the cosine field Grams.  No T x V field is built.  Where w is a
-d-vector (SINGLE_ROW, BROADCAST) the w blocks are formed every step,
-beside the h blocks (``_Blocks.hw``), and direct alignment reads them;
-under FULL_MATRIX they are formed only on request (``GradientSet.w``).
+cross is J_i1 . B^T (J_j2 a): y holds B^T (J_j2 a), formed with the h
+blocks' (sum_t g_i) B / T in one (4, V) @ (V, d) product, and
+<r_i, K r_j> / T^2 is written over G's w corner; at T = 1 the cross is
+|A|^2 times the h Gram, and is formed so.  B J_i1 is formed only for the
+cosine field Grams, K r only where it is read, no T x V field at all,
+and the FULL_MATRIX w blocks only on request (``GradientSet.w``).
 
 The optimizer computes all of this for K points at once, on a leading
 K axis (``_Blocks``, ``_scores``), under the batching rule of
-``optimizer``: the h blocks (K, 2, d), each slice's native Grams and
-cross matrix (K, 2, 2), and the scores as one fixed gather-and-add over
-each slice's 2x2 entries (``_TERMS``) plus the cosine division.
-``GradientSet`` and the score functions are the K = 1 slice.
+``optimizer``, the scores as one fixed gather-and-add over each slice's
+products (``_TERMS``) plus the cosine division.  ``GradientSet`` and
+the score functions are the K = 1 slice.
 """
 
 from __future__ import annotations
@@ -109,35 +111,42 @@ _PRODUCTS = tuple(divmod(_OPERANDS.index(c.a), 3) + divmod(_OPERANDS.index(c.b),
 J6_FROM_JPLUS = (0, 4, 1, 2, 3, 5)
 J6_LABELS = tuple(JPLUS_COMPONENTS[k].label for k in J6_FROM_JPLUS)
 
-# The scores are a fixed linear map of Gram entries.  Per slice the
-# entries sit in a (6, 2, 2) block: the native Grams of the h and of the
-# w blocks, their cross matrix, the field Grams of the h and of the w
-# blocks, and -0.0 (the exact additive identity, to pad sums).  A
-# combo (m, i, j) of matrix m (i, j indexing first, second, first +
-# second) sums up to four entries, left to right.  A score row holds
-# the 15 J+ components, then the 6 j6 slots again, so that both vectors
-# are slices of it; _TERMS holds each column's terms for its product
-# (columns 0-20), then for the squared norms of its two operands in
-# the space the product is taken in (21-41 and 42-62: native within a
-# group, fields across).
-_PAD = 20
+# The scores are a fixed linear map of products.  Per slice ``_Work``
+# holds G, then the field Grams of the h and of the w blocks (2, 2, 2),
+# then -0.0 (the exact additive identity, to pad sums).  Entry (i, j) of
+# matrix m sits at offset + i row + j column, _AT[m] = (offset, row,
+# column): 0 the native h Gram, G[::2, ::2]; 1 the w Gram, G[1::2, 1::2];
+# 2 the direct cross, G[::2, 1::2]; 3 the pushforward cross, G[1::2, ::2]
+# transposed; 4 and 5 the field Grams.  A combo (m, i, j) (i, j indexing
+# first, second, first + second) sums up to four entries, left to right.
+# A score row holds the 15 J+ components, then the 6 j6 slots again, so
+# that both vectors are slices of it; _TERMS[pushforward][scaled] holds
+# each column's terms for its product (columns 0-20), then for the
+# squared norms of its two operands in the space the product is taken
+# in (21-41 and 42-62: native within a group, fields across).
+_AT = ((0, 8, 2), (5, 8, 2), (1, 8, 2), (4, 2, 8), (16, 2, 1), (20, 2, 1))
+_PAD = 24
 _ROW = _PRODUCTS + tuple(_PRODUCTS[k] for k in J6_FROM_JPLUS)
 
 
 def _terms(m: int, i: int, j: int) -> list[int]:
-    sides = ([0], [1], [0, 1])
-    terms = [4 * m + 2 * r + c for r in sides[i] for c in sides[j]]
+    sides, (at, row, column) = ([0], [1], [0, 1]), _AT[m]
+    terms = [at + row * r + column * c for r in sides[i] for c in sides[j]]
     return terms + [_PAD] * (4 - len(terms))
 
 
-_TERMS = np.array(
-    [_terms({(0, 0): 0, (1, 1): 1, (0, 1): 2}[ga, gb], i, j) for ga, i, gb, j in _ROW]
-    + [_terms(3 if ga != gb else ga, i, i) for ga, i, gb, j in _ROW]
-    + [_terms(4 if ga != gb else gb, j, j) for ga, i, gb, j in _ROW]
-).T
-_RAW_TERMS = _TERMS[:, :21]
-_INNER = np.array([(ga, i) != (gb, j) for ga, i, gb, j in _ROW])
+def _table(cross: int, field_h: int, field_w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (4, 21) raw and (4, 63) cosine gather tables of one alignment."""
+    terms = np.array(
+        [_terms({(0, 0): 0, (1, 1): 1, (0, 1): cross}[ga, gb], i, j) for ga, i, gb, j in _ROW]
+        + [_terms(field_h if ga != gb else ga, i, i) for ga, i, gb, j in _ROW]
+        + [_terms(field_w if ga != gb else gb, j, j) for ga, i, gb, j in _ROW]
+    ).T
+    return np.ascontiguousarray(terms[:, :21]), terms
 
+
+_TERMS = (_table(2, 0, 1), _table(3, 4, 5))
+_INNER = np.array([(ga, i) != (gb, j) for ga, i, gb, j in _ROW])
 
 
 class AlignKind(str, Enum):
@@ -182,73 +191,77 @@ def resolve_alignment(mode: AlignmentMode, w_mode: WMode) -> AlignmentMode:
 
 class _Work:
     """The arrays ``_Blocks`` forms the blocks of n slices in, with the
-    views of them that a step reads: the products (n, 6, 2, 2) with their
-    -0.0 pad, and the FULL_MATRIX weights (n, 2, T) with their 1/T row in
-    place.  ``take(m)`` is the work of the first m slices."""
+    views of them that a step reads: X (n, 4, d), its h and y rows (by
+    group in ``hw``); the products (n, 25) in the layout of _TERMS, with
+    the Gram G, its native Grams ``grams`` (n, 2, 2, 2, read-only) and
+    the slots written in place; and the FULL_MATRIX weights (n, 2, T)
+    with their 1/T row.  ``take(m)`` is the work of the first m slices."""
 
-    def __init__(self, products: np.ndarray, weights: np.ndarray):
-        n, self.products, self.weights = len(products), products, weights
-        self.grams, self.native = products[:, :2], (products[:, 0], products[:, 1])
-        self.flat, self.sums = products.reshape(n, 24), products[:, :2].reshape(n, 8)
+    def __init__(self, products: np.ndarray, X: np.ndarray, weights: np.ndarray):
+        n, self.products, self.X, self.weights = len(X), products, X, weights
+        self.h, self.y, self.hw = X[:, ::2], X[:, 1::2], X.reshape(n, 2, 2, -1).swapaxes(1, 2)
+        G = self.G = products[:, :16].reshape(n, 4, 4)
+        # the native Gram G[g::2, g::2] of group g, as one view
+        self.grams = G.reshape(n, 2, 2, 2, 2).diagonal(0, 2, 4).transpose(0, 3, 1, 2)
+        self.ww, self.w_diagonal = G[:, 1::2, 1::2], products[:, 5:16:10]
+        self.pushed = G[:, 1::2, ::2].swapaxes(1, 2)
+        self.fields = products[:, 16:24].reshape(n, 2, 2, 2)
+        self.field_diagonals = products[:, 16:24].reshape(n, 2, 4)[..., ::3]
         self.pairs, self.Ka = weights[:, None], weights[:, 1]
 
     def take(self, m: int) -> "_Work":
-        return _Work(self.products[:m], self.weights[:m])
+        return _Work(self.products[:m], self.X[:m], self.weights[:m])
 
 
 def _work(instance: ProblemInstance, n: int) -> _Work:
     """A new ``_Work`` of n slices."""
-    products, weights = np.empty((n, 6, 2, 2)), np.empty((n, 2, instance.T))
-    products[:, 5], weights[:, 0] = -0.0, 1 / instance.T
-    return _Work(products, weights)
+    products, weights = np.empty((n, _PAD + 1)), np.empty((n, 2, instance.T))
+    products[:, _PAD], weights[:, 0] = -0.0, 1 / instance.T
+    return _Work(products, np.empty((n, 4, instance.d)), weights)
 
 
 class _Blocks:
     """The gradient blocks at K stacked points of one instance, from
     their A and B (K, T, d), (K, V, d) and logit gradients ``g``
     (K, 2, T, V); ``h`` (K, 2, d) as in GradientSet, pulled back here
-    when not given.  r, Kr and, under FULL_MATRIX, ``BJa`` (K, 2, d),
-    B^T (J_j2 a), carry the w side (module docstring).  Where w is a
-    d-vector, the h and the w blocks sit in one array, ``hw``
-    (K, 2, 2, d), h then ``w`` (J12, J22).  ``products`` (K, 6, 2, 2)
-    holds each slice's 2x2 products in the layout of _TERMS; its native
-    Grams of the h and of the w blocks, ``grams`` (K, 2, 2, 2), are
-    formed here, the rest by ``_scores``, all in ``work`` (a ``_Work``
-    of K slices), made here when not given.  ``finite`` lists whether
-    each slice's Grams are finite."""
+    when not given (and then taken to be the blocks g gives).  Each
+    slice's products are formed in ``work`` (a ``_Work`` of K slices,
+    made here when not given), G here and the rest by ``_scores``: y is
+    the w blocks ``w`` where w is a d-vector (``hw`` holds both groups)
+    and B^T (J_j2 a) under FULL_MATRIX, which also forms ``Kr``, K r.
+    ``grams`` (K, 2, 2, 2) are the native Grams, and ``finite`` lists
+    whether each slice's are finite."""
 
     def __init__(self, instance: ProblemInstance, A: np.ndarray, B: np.ndarray, g: np.ndarray,
                  h: np.ndarray | None = None, work: _Work | None = None):
         T, n = instance.T, len(A)
         self.instance, self.A, self.B, self.g = instance, A, B, g
         self.work = work = work or _work(instance, n)
-        K = A @ A.swapaxes(1, 2)
-        self.r = w_columns(instance, g)
-        self.Kr = K[:, None] @ self.r if self.r.ndim == 4 else self.r @ K
+        full = instance.w_mode is WMode.FULL_MATRIX
         # Every logit of row t moves by B.h, so grad_h = (1/T) sum_tv g[t, v] B[v].
-        if instance.w_mode is WMode.FULL_MATRIX:
-            # per block the rows sum_t g_i / T and J_i2 a = (K 1)^T g_i / T,
-            # then all four against B in one product
+        if full:
+            # per block the rows sum_t g_i / T and J_i2 a = (K 1)^T g_i / T, all against B
+            K = A @ A.swapaxes(1, 2)
             np.divide(np.add.reduce(K, axis=1), T, out=work.Ka)  # faster than /= on the view
-            gB = (work.pairs @ g).reshape(n, 4, -1) @ B
-            self.BJa = gB[:, 1::2]
-            self.h = gB[:, 0::2] if h is None else h
+            np.matmul((work.pairs @ g).reshape(n, 4, -1), B, out=work.X)
         else:  # the h blocks, then the w blocks r^T A / T (model._pullback)
-            hw = self.hw = np.empty((n, 2, 2, instance.d))
-            np.matmul(np.add.reduce(g, axis=2), B, out=hw[:, 0])
-            _pullback(instance, A, g, out=hw[:, 1])
-            hw /= T
-            if h is not None:
-                hw[:, 0] = h
-            self.h, self.w = hw[:, 0], hw[:, 1]
-        self.products, self.grams, (hh, ww) = work.products, work.grams, work.native
-        _dots(self.h, self.h, hh)
-        _dots(self.r, self.Kr, ww)
-        if T > 1:
-            ww *= 1 / (T * T)
-        _gram(self.grams)
-        # a nan or inf entry makes the sum non-finite
-        self.finite = np.isfinite(np.add.reduce(work.sums, axis=1)).tolist()
+            np.matmul(np.add.reduce(g, axis=2), B, out=work.h)
+            _pullback(instance, A, g, out=work.y)
+            work.X /= T
+            self.hw, self.w = work.hw, work.y
+        if h is not None:
+            work.h[:] = h
+        self.h, self.grams = work.h, work.grams
+        np.matmul(work.X, work.X.swapaxes(1, 2), out=work.G)
+        if full:
+            self.Kr = K[:, None] @ g
+            _dots(g, self.Kr, work.ww)
+            if T > 1:
+                work.ww *= 1 / (T * T)
+            else:  # g_i^T B B^T g_j |a|^2, exactly symmetric
+                np.multiply(work.Ka[..., None], work.grams[:, 0], out=work.pushed)
+            _gram(work.ww, work.w_diagonal)
+        self.finite = np.isfinite(work.grams).all(axis=(1, 2, 3)).tolist()
 
 
 @dataclass(eq=False)
@@ -258,8 +271,9 @@ class GradientSet:
     ``g`` holds both objectives' logit-space gradients (2, T, V), heat
     first, ``h`` the h blocks (J11, J21) as (2, d), pulled back from g
     when not given, and ``fwd`` the forward pass they come from.  Its w
-    blocks (J12, J22), r^T A / T (``model._pullback``), are formed from
-    g when first read (``w``).
+    blocks (J12, J22), r^T A / T (``model._pullback``), are read from the
+    stacked blocks where w is a d-vector, and formed from g when first
+    read under FULL_MATRIX (``w``).
     ``grams`` holds the native 2x2 Grams of the h and of the w blocks; a
     non-finite entry raises ValueError.
     """
@@ -293,7 +307,9 @@ class GradientSet:
     @cached_property
     def w(self) -> np.ndarray:
         """The explicit w blocks (J12, J22), (2,) + w_shape."""
-        return _pullback(self.instance, self.fwd.A, self.g) / self.instance.T
+        if self.instance.w_mode is WMode.FULL_MATRIX:
+            return _pullback(self.instance, self.fwd.A, self.g) / self.instance.T
+        return self._blocks.w[0]
 
 
 def compute_gradient_set(instance: ProblemInstance, pert: Perturbations) -> GradientSet:
@@ -305,9 +321,6 @@ def compute_gradient_set(instance: ProblemInstance, pert: Perturbations) -> Grad
                                                        fwd.plogp))
 
 
-_DIAGONAL = np.eye(2, dtype=bool)
-
-
 def _dots(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
     """Write into ``out`` (K, 2, 2) the inner products <x_i, y_j> of K
     stacked operand pairs (K, 2, ...): one ``vecdot`` per entry and
@@ -316,42 +329,37 @@ def _dots(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
     np.vecdot(x.reshape(K, 2, 1, -1), y.reshape(K, 1, 2, -1), out=out)
 
 
-def _gram(dots: np.ndarray) -> None:
+def _gram(dots: np.ndarray, diagonal: np.ndarray) -> None:
     """Turn stacked (scaled) inner products (..., 2, 2) of operands x,
-    y = M x with M symmetric (y = x for a plain Gram) into their Grams in
-    place: the off-diagonal taken from <x_0, y_1> alone so that each is
-    exactly symmetric, and a diagonal entry (a squared norm) that rounds
-    below 0 set to 0."""
+    y = M x with M symmetric into their Grams in place: the off-diagonal
+    taken from <x_0, y_1> alone so that each is exactly symmetric, and a
+    diagonal entry (``diagonal`` views them) that rounds below 0 set to
+    0."""
     dots[..., 1, 0] = dots[..., 0, 1]
-    np.maximum(dots, 0.0, out=dots, where=_DIAGONAL)
+    np.maximum(diagonal, 0.0, out=diagonal)
 
 
-def _pushforward(b: _Blocks, out: np.ndarray) -> None:
-    """Write into ``out`` (K, n, 2, 2) products of the blocks' logit-space
+def _pushforward(b: _Blocks, fields: bool) -> None:
+    """Write into the blocks' work the products of their logit-space
     fields, by the closed forms in the module docstring, per slice: the
-    cross matrix and, when n = 3, the field Grams of the h blocks,
-    T (B J_i1).(B J_j1), and of the w blocks, <K r_i, K r_j> / T^2
-    (times V under BROADCAST)."""
-    instance, T = b.instance, b.instance.T
-    full, with_grams = instance.w_mode is WMode.FULL_MATRIX, out.shape[1] == 3
-    cross = out[:, 0]
-    Bh = b.h @ b.B.swapaxes(1, 2) if with_grams or not full else None  # B J_i1 (K, 2, V)
-    if full:  # J_i1 . B^T (J_j2 a), a (2, d) @ (d, 2) product
-        np.matmul(b.h, b.BJa.swapaxes(1, 2), out=cross)
-        if T == 1:
-            # Symmetric in exact arithmetic (g_i^T B B^T g_j |a|^2); form
-            # it so, so that equal scores tie exactly.
-            cross[:, 0, 1] = cross[:, 1, 0] = (cross[:, 0, 1] + cross[:, 1, 0]) / 2
-    else:  # J_j2 a is a number per block
-        Ja = np.add.reduce(b.Kr, axis=2) / T
-        np.matmul(w_columns(instance, Bh)[..., None], Ja[:, None], out=cross)
-    if with_grams:
-        copies = instance.V if instance.w_mode is WMode.BROADCAST else 1
-        _dots(Bh, Bh, out[:, 1])
-        _dots(b.Kr, b.Kr, out[:, 2])
-        out[:, 1] *= T
-        out[:, 2] *= copies / (T * T)
-        _gram(out[:, 1:])
+    cross matrix where w is a d-vector (FULL_MATRIX forms it with the
+    blocks) and, when ``fields``, the field Grams of the h blocks,
+    T (B J_i1).(B J_j1), and of the w blocks, <K r_i, K r_j> / T^2 (times
+    V under BROADCAST)."""
+    instance, T, work = b.instance, b.instance.T, b.work
+    full = instance.w_mode is WMode.FULL_MATRIX
+    Kr = b.Kr if full else w_columns(instance, b.g) @ (b.A @ b.A.swapaxes(1, 2))  # r^T K = K r
+    Bh = b.h @ b.B.swapaxes(1, 2) if fields or not full else None  # B J_i1 (K, 2, V)
+    if not full:  # J_j2 a is a number per block
+        Ja = np.add.reduce(Kr, axis=2) / T
+        np.multiply(w_columns(instance, Bh)[..., None], Ja[:, None], out=work.pushed)
+    if fields:
+        F, copies = work.fields, instance.V if instance.w_mode is WMode.BROADCAST else 1
+        _dots(Bh, Bh, F[:, 0])
+        _dots(Kr, Kr, F[:, 1])
+        F[:, 0] *= T
+        F[:, 1] *= copies / (T * T)
+        _gram(F, work.field_diagonals)
 
 
 def _scores(b: _Blocks, mode: AlignmentMode) -> np.ndarray:
@@ -359,17 +367,10 @@ def _scores(b: _Blocks, mode: AlignmentMode) -> np.ndarray:
     then the 6 j6 slots, under one resolved alignment ``mode``:
     pushforward or direct, and raw or cosine-scaled (see
     ``score_jplus``)."""
-    P, scaled = b.products, mode.scale is AlignScale.COSINE
-    if mode.kind is AlignKind.PUSHFORWARD:
-        _pushforward(b, P[:, 2:5 if scaled else 3])
-    else:
-        if scaled:
-            P[:, 3:5] = P[:, :2]  # direct alignment takes norms natively
-        np.matmul(b.h, b.w.swapaxes(1, 2), out=P[:, 2])  # w is a d-vector here
-    G = b.work.flat[:, _TERMS if scaled else _RAW_TERMS]
-    x = G[:, 0] + G[:, 1]
-    x += G[:, 2]
-    x += G[:, 3]
+    scaled, pushforward = mode.scale is AlignScale.COSINE, mode.kind is AlignKind.PUSHFORWARD
+    if pushforward:
+        _pushforward(b, scaled)
+    x = np.add.reduce(b.work.products[:, _TERMS[pushforward][scaled]], axis=1)
     if not scaled:
         return x
     s, sq_a, sq_b = x[:, :21], x[:, 21:42], x[:, 42:]

@@ -263,7 +263,7 @@ class _Batch:
 
     def _slice(self) -> None:
         n, bufs = len(self.index), self.bufs
-        self.eta_h, self.work, self.norms = self.eta[:, 0], bufs.work.take(n), bufs.norms[:n]
+        self.eta_h, self.work, self.norms = self.eta[:, :1], bufs.work.take(n), bufs.norms[:n]
         self.traced, self.diagonals = self.norms.reshape(n, 6), self.work.grams.diagonal(0, 2, 3)
         if hasattr(bufs, "g"):  # FULL_MATRIX: the combined gradient as a matmul target, delta w
             self.g, self.dw = bufs.g[:n], bufs.dw[:n]
@@ -322,14 +322,13 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: Align
         scores = _scores(blocks, mode)
         jplus, j6 = scores[:, :15], scores[:, 15:]
         c, chosen, alpha = decide(jplus, j6, blocks.grams, batch.rules)
-        # the squared norms (J11, J21), (J12, J22) and (delta h, delta w),
-        # each the dot np.vdot takes, then one sqrt
+        # the squared norms (J11, J21), (J12, J22), the Grams' diagonals,
+        # and (delta h, delta w), the dots np.vdot takes; then one sqrt
         n, norms = len(c), batch.norms
         norms[:, :2] = batch.diagonals
-        # c0 J1 + c1 J2 per group: the sum of two products, one add
+        # c0 J1 + c1 J2 per group, delta h as c's -eta_h-scaled row times the h blocks
         if full:  # pull back c10 g_1 + c11 g_2, its c carrying -eta_w / T: no V x d block
-            ch = c[:, 0, :, None] * blocks.h  # the one add a reduce would take, dispatched faster
-            delta_h = batch.eta_h * (ch[:, 0] + ch[:, 1])
+            delta_h = ((c[:, :1] * batch.eta_h) @ blocks.h)[:, 0]
             np.matmul(c[:, 1:] * batch.c_w, g.reshape(n, 2, -1), out=batch.g_rows)
             _pullback(instance, fwd.A, batch.g, out=batch.dw)
             delta_w = batch.delta_w

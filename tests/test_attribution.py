@@ -278,9 +278,8 @@ class TestGramMatchesFieldProducts:
         def vdots(xs, ys):
             return np.array([[np.vdot(x, y) for y in ys] for x in xs])
 
-        out = np.empty((1, 3, 2, 2))
-        attribution_mod._pushforward(gs._blocks, out)
-        cross, field_h, field_w = out[0]
+        attribution_mod._scores(gs._blocks, PUSH_COSINE)
+        cross, field_h, field_w = _products(gs._blocks.work)[0, 3:]
         for got, want in (
             (gs.grams[0], vdots(blocks["h"], blocks["h"])),
             (gs.grams[1], vdots(blocks["w"], blocks["w"])),
@@ -470,11 +469,20 @@ class TestSingleTokenTies:
         np.testing.assert_array_equal(s6, s15[list(J6_FROM_JPLUS)])
 
 
+def _products(work):
+    """The products of a _Work as a (K, 6, 2, 2) stack: the native Grams
+    of the h and of the w blocks, the direct cross, the pushforward
+    cross, and the field Grams of the h and of the w blocks."""
+    return np.stack([work.grams[:, 0], work.grams[:, 1], work.G[:, ::2, 1::2], work.pushed,
+                     work.fields[:, 0], work.fields[:, 1]], axis=1)
+
+
 def _stacked_products(instance, seeds, scaled, dots=None):
     """The products of the stacked points of ``instance`` drawn at
     ``seeds`` after _scores under pushforward (cosine when ``scaled``),
     formed in the first slices of a _work made for two more points;
-    ``dots`` replaces _dots.  Only the slots the alignment forms."""
+    ``dots`` replaces _dots.  Only the slots the alignment forms, in the
+    order (h Gram, w Gram, cross, h field Gram, w field Gram)."""
     perts = [init_perturbations(instance, init_scale=0.3, seed=seed) for seed in seeds]
     B = j6opt.model._factor_B(instance, np.stack([p.w for p in perts]))
     fwd = j6opt.model._forward(instance, np.stack([p.h for p in perts]), B)
@@ -485,25 +493,34 @@ def _stacked_products(instance, seeds, scaled, dots=None):
             mp.setattr(attribution_mod, "_dots", dots)
         b = attribution_mod._Blocks(instance, fwd.A, fwd.B, g, work=work)
         attribution_mod._scores(b, PUSH_COSINE if scaled else PUSH_RAW)
-    return b.products[:, :5 if scaled else 3].copy()
+    return _products(b.work)[:, [0, 1, 3, 4, 5] if scaled else [0, 1, 3]].copy()
 
 
 class TestGramForm:
     """_gram turns stacked 2x2 products into Grams in place: the entry
     <x_0, y_1> is kept as it is, copied to <x_1, y_0>, and a diagonal
-    entry that rounds below 0 reads 0.  The pushforward cross at T = 1
-    is exactly symmetric too."""
+    entry that rounds below 0 reads 0.  The stacked Gram comes out so by
+    itself, and the pushforward cross at T = 1 is exactly symmetric too."""
 
     @pytest.mark.parametrize("K", [1, 3])
     def test_sliced_stacks_in_place(self, K):
+        # the w and the field Grams of the first K slices of a work made
+        # for K + 2, clamped through the work's diagonal views
         rng = np.random.default_rng(K)
-        P = rng.normal(size=(K + 2, 6, 2, 2))
-        P[:, :, 0, 0] = -1e-17 * np.abs(P[:, :, 0, 0])  # diagonals rounded below 0
+        P = rng.normal(size=(K + 2, 25))
+
+        def grams(products):
+            work = attribution_mod._Work(products, np.empty((K + 2, 4, 1)),
+                                        np.empty((K + 2, 2, 1))).take(K)
+            return work, (work.ww, work.fields[:, 0], work.fields[:, 1])
+
+        work, held = grams(P)
+        for gram in held:
+            gram[:, 0, 0] = -1e-17 * np.abs(gram[:, 0, 0])  # diagonals rounded below 0
         expected = P.copy()
-        for slots in (slice(0, 2), slice(3, 5)):  # the native and the field Grams
-            attribution_mod._gram(P[:K, slots])
-        for m in (0, 1, 3, 4):
-            gram = expected[:K, m]
+        attribution_mod._gram(work.ww, work.w_diagonal)
+        attribution_mod._gram(work.fields, work.field_diagonals)
+        for gram in grams(expected)[1]:
             gram[:, 1, 0] = gram[:, 0, 1]
             gram[:, 0, 0] = 0.0
             gram[:, 1, 1] = np.maximum(gram[:, 1, 1], 0.0)
@@ -524,7 +541,9 @@ class TestGramForm:
         assert (P[:, grams, 0, 0] >= 0.0).all() and (P[:, grams, 1, 1] >= 0.0).all()
         for k, seed in enumerate(seeds):  # each slice is its point alone
             assert P[k].tobytes() == _stacked_products(instance, [seed], scaled)[0].tobytes()
-        # a diagonal entry formed below 0 reads 0, and nothing else moves
+        # where a Gram is formed by _dots (the FULL_MATRIX w Gram, <r, K r>,
+        # and the field Grams), a diagonal entry formed below 0 reads 0 and
+        # nothing else moves
         original = attribution_mod._dots
 
         def below_zero(x, y, out):
@@ -532,9 +551,85 @@ class TestGramForm:
             out[..., 0, 0] = -1e-300
 
         low = _stacked_products(instance, seeds, scaled, below_zero)
-        assert (low[:, grams, 0, 0] == 0.0).all()
-        for i, j in ((0, 1), (1, 0), (1, 1)):
-            assert low[:, grams, i, j].tobytes() == P[:, grams, i, j].tobytes()
+        clamped = [1] * (w_mode is WMode.FULL_MATRIX) + [3, 4] * scaled
+        assert (low[:, clamped, 0, 0] == 0.0).all()
+        low[:, clamped, 0, 0] = P[:, clamped, 0, 0]
+        assert low.tobytes() == P.tobytes()
+
+
+def _old_products(instance, A, B, g, absolute=False):
+    """Reference: one point's products (6, 2, 2) as in _products, in the
+    formulation the stacked Gram replaced: np.vdot pairs of blocks formed
+    one by one, and <r, K r> / T^2 for the w Gram.  The direct cross is
+    0 under FULL_MATRIX.  With ``absolute`` the same of |A|, |B| and |g|,
+    which bounds each entry's rounding error: gamma_N times it for a
+    chain of N roundings."""
+    if absolute:
+        A, B, g = np.abs(A), np.abs(B), np.abs(g)
+    T, full = instance.T, instance.w_mode is WMode.FULL_MATRIX
+
+    def vdots(xs, ys):
+        return np.array([[np.vdot(x, y) for y in ys] for x in xs])
+
+    K = A @ A.T
+    r = j6opt.model.w_columns(instance, g)
+    Kr = np.array([K @ ri for ri in r])
+    h = np.array([gi.sum(axis=0) / T @ B for gi in g])
+    Bh = np.array([B @ hi for hi in h])
+    if full:  # J_i1 . B^T (J_j2 a), J_j2 a = (K 1)^T g_j / T
+        BJa = np.array([B.T @ (gi.T @ (K.sum(axis=0) / T)) for gi in g])
+        direct, pushed = np.zeros((2, 2)), vdots(h, BJa)
+    else:
+        direct = vdots(h, [ri @ A / T for ri in r])
+        pushed = np.outer(j6opt.model.w_columns(instance, Bh), [x.sum() / T for x in Kr])
+    copies = instance.V if instance.w_mode is WMode.BROADCAST else 1
+    return np.array([vdots(h, h), vdots(r, Kr) / (T * T), direct, pushed,
+                     T * vdots(Bh, Bh), vdots(Kr, Kr) * copies / (T * T)])
+
+
+class TestStackedProducts:
+    """The stacked Gram and the products formed beside it against the
+    formulation they replaced (``_old_products``).  The two round
+    differently; each is within gamma_N = N u / (1 - N u) (u = 2^-53) of
+    the exact value, times the same formulation of the absolute values,
+    for any chain of at most N roundings; N = T V + 2 (d + 2 T + 2 V) + 8
+    bounds every chain here (a T V-long dot of fields formed from d-, T-
+    and V-long sums, and a few scalings).  So they may differ by twice
+    that, and by no more."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        V=st.integers(2, 12),
+        d=st.integers(1, 6),
+        T=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        w_mode=st.sampled_from(list(WMode)),
+        kind=st.sampled_from([AlignKind.DIRECT, AlignKind.PUSHFORWARD]),
+        scale=st.sampled_from(list(AlignScale)),
+        K=st.sampled_from([1, 3]),
+    )
+    def test_products_match_the_vdot_formulation(self, V, d, T, seed, w_mode, kind, scale, K):
+        full = w_mode is WMode.FULL_MATRIX
+        if kind is AlignKind.DIRECT and full:
+            kind = AlignKind.PUSHFORWARD  # h and w shapes differ there
+        instance = generate(GeneratorSpec(V=V, d=d, T=T, seed=seed, w_mode=w_mode))
+        perts = [init_perturbations(instance, init_scale=0.3, seed=seed + k) for k in range(K)]
+        B = j6opt.model._factor_B(instance, np.stack([p.w for p in perts]))
+        fwd = j6opt.model._forward(instance, np.stack([p.h for p in perts]), B)
+        g = j6opt.model._logit_gradients(fwd.logp, instance._target[1], fwd.p, fwd.plogp)
+        b = attribution_mod._Blocks(instance, fwd.A, fwd.B, g)
+        attribution_mod._scores(b, AlignmentMode(kind, scale))
+        got = _products(b.work)
+        pushforward, u = kind is AlignKind.PUSHFORWARD, 2.0**-53
+        slots = ([0, 1] + [2] * (not full) + [3] * pushforward
+                 + [4, 5] * (pushforward and scale is AlignScale.COSINE))
+        N = T * V + 2 * (d + 2 * T + 2 * V) + 8
+        gamma = N * u / (1 - N * u)
+        for k in range(K):
+            args = (instance, fwd.A[k], fwd.B[k], g[k])
+            want, bound = _old_products(*args), 2 * gamma * _old_products(*args, absolute=True)
+            gap = np.abs(got[k, slots] - want[slots])
+            assert (gap <= bound[slots]).all(), (gap - bound[slots]).max()
 
 
 class TestGradientSetValidation:
@@ -574,6 +669,18 @@ class TestGradientSetValidation:
             np.testing.assert_array_equal(block, stack[k])
         with pytest.raises(AttributeError):
             gs.J11 = np.zeros(instance.d)
+
+    @pytest.mark.parametrize("w_mode", [WMode.SINGLE_ROW, WMode.BROADCAST])
+    def test_d_vector_w_blocks_are_the_stacked_ones(self, make_point, w_mode, monkeypatch):
+        # where w is a d-vector, gs.w is the w rows of the stacked blocks the
+        # Grams are formed from, bit for bit the pullback it would take,
+        # and reading it takes no second pullback
+        instance, pert = make_point(seed=5, w_mode=w_mode)
+        gs = compute_gradient_set(instance, pert)
+        want = j6opt.model._pullback(instance, gs.fwd.A, gs.g) / instance.T
+        monkeypatch.setattr(attribution_mod, "_pullback", None)
+        assert gs.w.tobytes() == want.tobytes() and gs.w.shape == (2, instance.d)
+        assert np.shares_memory(gs.J12, gs._blocks.work.X)
 
 
 # The component table as first written out by hand: labels in component

@@ -573,17 +573,21 @@ class TestRunMany:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("w_mode", [WMode.FULL_MATRIX, WMode.SINGLE_ROW])
     def test_two_abort_causes_at_one_step(self, w_mode):
-        # From the uniform point A = 0, where the confidence gradient is 0
-        # exactly, every update of step 0 is finite.  At step 1, "grams"
-        # has A = -2^520 (K = A^2 overflows; logits -2^510 and the losses
-        # stay finite), and "update" has A = -2^10 at logits +-1, where
-        # 1e308 J22 overflows w.  The batch raises what serial order
-        # raises first, and each run's trace up to its abort is its
-        # trace alone.
-        instance = ProblemInstance(V=2, d=1, T=1, H=[[0.0]], W=[[2.0**-10], [-2.0**-10]], y=[1],
+        # From the uniform point A = 0, where the w blocks are 0 exactly,
+        # every update of step 0 is finite: h moves by eta_h (b_1 - mean b)
+        # = eta_h 2^-11, w not at all.  At step 1, "grams" has A = 2^520,
+        # past the target's optimum: class 0 wins, saturated, so the heat
+        # gradient is (1, -1, 0) and the w block 2^520 (its Gram overflows,
+        # under FULL_MATRIX through K = A^2), while the logits, 2^510, and
+        # the losses stay finite.  "update" has A = 2^9 at logits below 1,
+        # where 1e308 J22 overflows w.  The batch raises what serial order
+        # raises first, and each run's trace up to its abort is its trace
+        # alone.
+        instance = ProblemInstance(V=3, d=1, T=1, H=[[0.0]],
+                                   W=[[2.0**-10], [2.0**-11], [-3 * 2.0**-11]], y=[1],
                                    w_mode=w_mode, v_star=0)
         ok = StrategyConfig(kind=StrategyKind.STATIC)
-        grams = StrategyConfig(kind=StrategyKind.STATIC, eta_h=2.0**530)
+        grams = StrategyConfig(kind=StrategyKind.STATIC, eta_h=2.0**531)
         update = StrategyConfig(kind=StrategyKind.STATIC, eta_h=2.0**20, eta_w=1e308)
         rcfg = RunConfig(max_steps=30)
 
