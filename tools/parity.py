@@ -131,7 +131,8 @@ def decision_digests(first: int | None = None, alone: bool = False) -> dict[str,
 def differ(expected: dict, found: dict, key=lambda run: run) -> list[str]:
     """The names of the runs whose ``key`` differs between the two, or
     that only one of them holds."""
-    return [name for name in {**expected, **found} if key(expected.get(name)) != key(found.get(name))]
+    return [name for name in {**expected, **found}
+            if key(expected.get(name)) != key(found.get(name))]
 
 
 def score_gap(expected: dict, found: dict) -> tuple[float, str | None]:
