@@ -224,7 +224,7 @@ class _Blocks:
     """The gradient blocks at K stacked points of one instance, from
     their A and B (K, T, d), (K, V, d) and logit gradients ``g``
     (K, 2, T, V); ``h`` (K, 2, d) as in GradientSet, pulled back here
-    when not given (and then taken to be the blocks g gives).  Each
+    when not given (a given h must be the blocks g gives).  Each
     slice's products are formed in ``work`` (a ``_Work`` of K slices,
     made here when not given), G here and the rest by ``_scores``: y is
     the w blocks ``w`` where w is a d-vector (``hw`` holds both groups)
