@@ -113,39 +113,17 @@ J6_LABELS = tuple(JPLUS_COMPONENTS[k].label for k in J6_FROM_JPLUS)
 
 # The scores are a fixed linear map of products.  Per slice ``_Work``
 # holds G, then the field Grams of the h and of the w blocks (2, 2, 2),
-# then -0.0 (the exact additive identity, to pad sums).  Entry (i, j) of
-# matrix m sits at offset + i row + j column, _AT[m] = (offset, row,
-# column): 0 the native h Gram, G[::2, ::2]; 1 the w Gram, G[1::2, 1::2];
-# 2 the direct cross, G[::2, 1::2]; 3 the pushforward cross, G[1::2, ::2]
-# transposed; 4 and 5 the field Grams.  A combo (m, i, j) (i, j indexing
-# first, second, first + second) sums up to four entries, left to right.
-# A score row holds the 15 J+ components, then the 6 j6 slots again, so
-# that both vectors are slices of it; _TERMS[pushforward][scaled] holds
-# each column's terms for its product (columns 0-20), then for the
-# squared norms of its two operands in the space the product is taken
-# in (21-41 and 42-62: native within a group, fields across).
-_AT = ((0, 8, 2), (5, 8, 2), (1, 8, 2), (4, 2, 8), (16, 2, 1), (20, 2, 1))
+# then -0.0 at _PAD (the exact additive identity, to pad sums); its views
+# of the 2x2 matrices give their entries' offsets.  A combo (matrix, i, j)
+# (i, j indexing first, second, first + second) sums up to four entries,
+# left to right.  A score row holds the 15 J+ components, then the 6 j6
+# slots again, so that both vectors are slices of it;
+# _TERMS[pushforward][scaled] holds each column's terms for its product
+# (columns 0-20), then for the squared norms of its two operands in the
+# space the product is taken in (21-41 and 42-62: native within a group,
+# fields across).
 _PAD = 24
 _ROW = _PRODUCTS + tuple(_PRODUCTS[k] for k in J6_FROM_JPLUS)
-
-
-def _terms(m: int, i: int, j: int) -> list[int]:
-    sides, (at, row, column) = ([0], [1], [0, 1]), _AT[m]
-    terms = [at + row * r + column * c for r in sides[i] for c in sides[j]]
-    return terms + [_PAD] * (4 - len(terms))
-
-
-def _table(cross: int, field_h: int, field_w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (4, 21) raw and (4, 63) cosine gather tables of one alignment."""
-    terms = np.array(
-        [_terms({(0, 0): 0, (1, 1): 1, (0, 1): cross}[ga, gb], i, j) for ga, i, gb, j in _ROW]
-        + [_terms(field_h if ga != gb else ga, i, i) for ga, i, gb, j in _ROW]
-        + [_terms(field_w if ga != gb else gb, j, j) for ga, i, gb, j in _ROW]
-    ).T
-    return np.ascontiguousarray(terms[:, :21]), terms
-
-
-_TERMS = (_table(2, 0, 1), _table(3, 4, 5))
 _INNER = np.array([(ga, i) != (gb, j) for ga, i, gb, j in _ROW])
 
 
@@ -218,6 +196,30 @@ def _work(instance: ProblemInstance, n: int) -> _Work:
     products, weights = np.empty((n, _PAD + 1)), np.empty((n, 2, instance.T))
     products[:, _PAD], weights[:, 0] = -0.0, 1 / instance.T
     return _Work(products, np.empty((n, 4, instance.d)), weights)
+
+
+def _terms(matrix: np.ndarray, i: int, j: int) -> list[int]:
+    sides = ([0], [1], [0, 1])
+    terms = [int(matrix[r, c]) for r in sides[i] for c in sides[j]]
+    return terms + [_PAD] * (4 - len(terms))
+
+
+def _table(cross: np.ndarray, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (4, 21) raw and (4, 63) cosine gather tables of one alignment,
+    from the offsets its cross matrix and (h, w) fields hold in _PROBE."""
+    grams = _PROBE.grams[0]
+    terms = np.array(
+        [_terms(cross if ga != gb else grams[ga], i, j) for ga, i, gb, j in _ROW]
+        + [_terms(fields[0] if ga != gb else grams[ga], i, i) for ga, i, gb, j in _ROW]
+        + [_terms(fields[1] if ga != gb else grams[gb], j, j) for ga, i, gb, j in _ROW]
+    ).T
+    return np.ascontiguousarray(terms[:, :21]), terms
+
+
+# A work whose products hold their own offsets.
+_PROBE = _Work(np.arange(_PAD + 1.0)[None], np.empty((1, 4, 1)), np.empty((1, 2, 1)))
+_TERMS = (_table(_PROBE.G[0, ::2, 1::2], _PROBE.grams[0]),
+          _table(_PROBE.pushed[0], _PROBE.fields[0]))
 
 
 class _Blocks:

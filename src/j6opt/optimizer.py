@@ -151,8 +151,8 @@ def init_perturbations(
 
 
 def stop_check(trace: list[TraceRecord], rcfg: RunConfig) -> StopReason | None:
-    """Evaluated after each applied step; precedence GRAD_TOL > LOSS_TOL
-    > MAX_STEPS."""
+    """Evaluated after each applied step; precedence GRAD_TOL > LOSS_TOL.
+    The run loop, not this check, ends a run at max_steps (MAX_STEPS)."""
     last = trace[-1]
     if max(last.n11, last.n12, last.n21, last.n22) < rcfg.grad_tol:
         return StopReason.GRAD_TOL
@@ -160,8 +160,6 @@ def stop_check(trace: list[TraceRecord], rcfg: RunConfig) -> StopReason | None:
         prev = trace[-2]
         if abs(last.ob1 - prev.ob1) + abs(last.ob2 - prev.ob2) < rcfg.loss_tol:
             return StopReason.LOSS_TOL
-    if len(trace) >= rcfg.max_steps:
-        return StopReason.MAX_STEPS
     return None
 
 

@@ -7,7 +7,7 @@ digits), the CSV files are plain CSV with LF line endings and ``.``
 decimals.  Their every value is a float's or an int's repr or a fixed
 name, which never needs CSV quoting, so each row is one join.
 The JSON files are exactly ``json.dumps(doc, indent=2)`` plus a newline,
-written by ``_json`` (which never runs json's pure-Python encoder).
+written by json except for a matrix's rows, each one join of reprs.
 Files go out as streams of chunks, a trace one line at a time and a
 matrix a block of rows at a time straight from its array, so neither is
 ever held whole as text.  All writers go through a
@@ -68,44 +68,20 @@ def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-_NUMBER_TYPES = {int, float}
 # A matrix is written in chunks of whole rows of about this many numbers.
 _CHUNK_NUMBERS = 1024
-
-
-def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``'s text for a document of dicts with
-    string keys, lists and JSON scalars, at nesting ``indent``.
-
-    With ``indent`` set, json encodes through pure-Python generators, one
-    frame per value.  Here keys and scalars go through ``json.dumps``
-    without ``indent``, which runs in C, and a list of ints and floats is
-    one join of their reprs: json spells a number as its repr, except
-    nan and the infinities (the only reprs with an "n"), which fall back.
-    """
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if not isinstance(value, (list, tuple)):
-        return json.dumps(value)
-    if not value:
-        return "[]"
-    body = sep.join(map(repr, value)) if set(map(type, value)) <= _NUMBER_TYPES else None
-    if body is None or "n" in body:
-        body = sep.join(_json(v, inner) for v in value)
-    return f"[\n{inner}{body}\n{indent}]"
+# json's indented text of a list or dict; json builds it in Python, so
+# scalars go through json.dumps, which runs in C.
+_indented = json.JSONEncoder(indent=2).encode
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
-    """``_json(doc)`` plus a newline, in chunks: each matrix (a non-empty
-    2-D array) goes out in blocks of rows of about ``_CHUNK_NUMBERS``
-    numbers, read from the array, so neither the text nor a nested list
-    of the whole matrix exists at once; the other values join the next
-    chunk."""
+    """``json.dumps(doc, indent=2)`` plus a newline, in chunks: each
+    matrix (a non-empty 2-D array of finite floats) goes out in blocks of
+    rows of about ``_CHUNK_NUMBERS`` numbers, read from the array, each
+    row one join of its floats' reprs (json spells a finite float as its
+    repr), so neither the text nor a nested list of the whole matrix
+    exists at once; the other values join the next chunk."""
     text, sep = "{", "\n  "
     for key, value in doc.items():
         text += f"{sep}{json.dumps(key)}: "
@@ -113,13 +89,15 @@ def _json_chunks(doc: dict) -> Iterator[str]:
         if isinstance(value, np.ndarray):
             step, opener = max(1, _CHUNK_NUMBERS // value.shape[1]), "["
             for first in range(0, len(value), step):
-                block = value[first:first + step].tolist()
-                rows = ",\n    ".join(_json(row, "    ") for row in block)
-                yield f"{text}{opener}\n    {rows}"
+                rows = "\n    ],\n    [\n      ".join(
+                    ",\n      ".join(map(repr, row)) for row in value[first:first + step].tolist())
+                yield f"{text}{opener}\n    [\n      {rows}\n    ]"
                 text, opener = "", ","
             text = "\n  ]"
+        elif isinstance(value, (list, dict)):
+            text += _indented(value).replace("\n", "\n  ")
         else:
-            text += _json(value, "  ")
+            text += json.dumps(value)
     yield text + "\n}\n"
 
 

@@ -726,3 +726,50 @@ class TestComponentTable:
             for c in JPLUS_COMPONENTS
         )
         assert got == PINNED_ACTIONS
+
+
+# The (4, 63) cosine gather tables of _TERMS, direct then pushforward;
+# the raw tables are their first 21 columns.
+PINNED_TERMS = (
+    (  # direct
+        [0, 5, 10, 15, 3, 9, 2, 7, 1, 1, 9, 1, 3, 0, 5, 0, 3, 5, 10, 15, 9, 0, 5, 10, 15, 0, 10, 0,
+         5, 0, 0, 10, 0, 0, 0, 5, 0, 0, 5, 10, 15, 10, 0, 5, 10, 15, 15, 5, 10, 15, 5, 5, 5, 5, 15,
+         0, 5, 0, 15, 5, 10, 15, 5],
+        [24, 24, 24, 24, 24, 24, 24, 24, 3, 3, 11, 9, 11, 2, 7, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 24, 2, 24, 24, 2, 2, 2, 7, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 7, 7, 7, 24, 24, 2, 7, 24, 24, 24, 24, 24, 24],
+        [24, 24, 24, 24, 24, 24, 24, 24, 9, 24, 24, 24, 24, 8, 13, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 24, 24, 8, 24, 24, 8, 8, 8, 13, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 13, 13, 13, 24, 24, 8, 13, 24, 24, 24, 24, 24, 24],
+        [24, 24, 24, 24, 24, 24, 24, 24, 11, 24, 24, 24, 24, 10, 15, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 24, 24, 24, 10, 24, 24, 10, 10, 10, 15, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 24, 24, 15, 15, 15, 24, 24, 10, 15, 24, 24, 24, 24, 24, 24],
+    ),
+    (  # pushforward
+        [0, 5, 10, 15, 12, 6, 2, 7, 4, 4, 6, 4, 12, 0, 5, 0, 12, 5, 10, 15, 6, 0, 5, 10, 15, 16,
+         19, 0, 5, 16, 16, 19, 16, 16, 0, 5, 0, 16, 5, 10, 15, 19, 0, 5, 10, 15, 23, 20, 10, 15,
+         20, 20, 20, 20, 23, 0, 5, 0, 23, 5, 10, 15, 20],
+        [24, 24, 24, 24, 24, 24, 24, 24, 12, 12, 14, 6, 14, 2, 7, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 24, 24, 17, 24, 24, 17, 17, 2, 7, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 21, 21, 21, 24, 24, 2, 7, 24, 24, 24, 24, 24, 24],
+        [24, 24, 24, 24, 24, 24, 24, 24, 6, 24, 24, 24, 24, 8, 13, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 24, 24, 18, 24, 24, 18, 18, 8, 13, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 22, 22, 22, 24, 24, 8, 13, 24, 24, 24, 24, 24, 24],
+        [24, 24, 24, 24, 24, 24, 24, 24, 14, 24, 24, 24, 24, 10, 15, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 24, 24, 24, 19, 24, 24, 19, 19, 10, 15, 24, 24, 24, 24, 24, 24, 24, 24,
+         24, 24, 24, 24, 24, 24, 23, 23, 23, 24, 24, 10, 15, 24, 24, 24, 24, 24, 24],
+    ),
+)
+
+
+class TestGatherTables:
+    """_TERMS, built from the offsets a _Work's own views read."""
+
+    @pytest.mark.parametrize("pushforward", [False, True])
+    def test_tables_pinned(self, pushforward):
+        raw, cosine = attribution_mod._TERMS[pushforward]
+        expected = np.array(PINNED_TERMS[pushforward])
+        assert cosine.dtype == raw.dtype == np.int64
+        np.testing.assert_array_equal(cosine, expected)
+        np.testing.assert_array_equal(raw, expected[:, :21])
+        assert raw.flags.c_contiguous

@@ -118,10 +118,21 @@ class TestStopCheck:
         trace.append(_record(step=1))
         assert stop_check(trace, rcfg) is StopReason.LOSS_TOL
 
-    def test_max_steps(self):
+    def test_no_stop_at_max_steps_records(self):
+        # the run's loop ends a run at max_steps, not stop_check
         rcfg = RunConfig(max_steps=2)
         trace = [_record(step=0, ob1=2.0), _record(step=1, ob1=1.0)]
-        assert stop_check(trace, rcfg) is StopReason.MAX_STEPS
+        assert stop_check(trace, rcfg) is None
+
+    def test_run_stops_at_max_steps_unless_a_tolerance_is_met(self, make_instance):
+        instance, cfg = make_instance(seed=1), StrategyConfig(kind=StrategyKind.HARD_J6)
+        for steps in (0, 2):
+            result = run(instance, cfg, RunConfig(max_steps=steps))
+            assert (result.stop_reason, len(result.trace)) == (StopReason.MAX_STEPS, steps)
+        # H = W = 0: every block vanishes on the one step allowed
+        still = ProblemInstance(V=3, d=2, T=1, H=np.zeros((1, 2)), W=np.zeros((3, 2)), y=[0])
+        result = run(still, cfg, RunConfig(max_steps=1))
+        assert (result.stop_reason, len(result.trace)) == (StopReason.GRAD_TOL, 1)
 
     def test_precedence_grad_over_loss(self):
         rcfg = RunConfig(loss_tol=10.0)
