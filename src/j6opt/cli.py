@@ -26,7 +26,7 @@ from .probgen import Family, GeneratorSpec, generate
 # gen prints the certificate the generator computed, so it calls neither of
 # these; they stay importable here, where the benchmark's tracing hooks name them
 from .probgen import conflict_certificate, roleswap_certificate  # noqa: F401
-from .model import ProblemInstance, WMode, fd_gradient
+from .model import ProblemInstance, WMode, fd_gradient, w_shape
 from .optimizer import NonFiniteLossError, RunConfig, RunResult, init_perturbations, run, run_many
 from .serialize import (
     InstanceFormatError,
@@ -135,6 +135,12 @@ def _gradcheck_battery() -> list[ProblemInstance]:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     instances = [load_instance(args.instance)] if args.instance else _gradcheck_battery()
+    # at this eps and below, the floor of the largest block (a w block) reaches loss_scale
+    n = max(math.prod(w_shape(instance.V, instance.d, instance.w_mode)) for instance in instances)
+    bound = 4 * math.sqrt(n) * 2.0**-52 / GRADCHECK_TOL
+    if args.eps <= bound:
+        raise ValueError(f"--eps must exceed {bound:.3g}, where the rounding floor "
+                         f"reaches the loss scale, got {args.eps!r}")
     worst = {name: (0.0, "") for name, _, _ in _GRADCHECK_BLOCKS}
     for k, instance in enumerate(instances):
         pert = init_perturbations(instance, init_scale=0.3, seed=7 * k + 1)
@@ -162,6 +168,15 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _items(text: str, flag: str, what: str) -> list[str]:
+    """The stripped items of ``flag``'s comma list, none of them empty."""
+    items = [item.strip() for item in text.split(",")]
+    if not all(items):
+        raise ValueError(f"{flag} has an empty item: {text!r}" if any(items) else
+                         f"{flag} must {what}")
+    return items
+
+
 def _run_each(args: argparse.Namespace, cfgs: list[StrategyConfig]) -> list[RunResult]:
     """``compare`` and ``sweep``: check ``--jobs`` (which changes nothing),
     load the instance, then ``run_many`` every configuration."""
@@ -171,9 +186,7 @@ def _run_each(args: argparse.Namespace, cfgs: list[StrategyConfig]) -> list[RunR
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    names = [name.strip() for name in args.strategies.split(",") if name.strip()]
-    if not names:
-        raise ValueError("--strategies must name at least one strategy")
+    names = _items(args.strategies, "--strategies", "name at least one strategy")
     for name in names:
         if name not in _STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {name!r} (choose from {_STRATEGY_NAMES})")
@@ -189,9 +202,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not raw_values:
-        raise ValueError("--values must list at least one number")
+    raw_values = _items(args.values, "--values", "list at least one number")
     try:
         values = [float(v) for v in raw_values]
     except ValueError:

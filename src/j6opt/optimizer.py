@@ -31,8 +31,8 @@ Under FULL_MATRIX the update adds delta w in place to both, so no step
 reads W; w is accumulated exactly as the steps give it, and B is W + w
 up to the rounding of its own updates (at most u |B| a step).  Under
 the d-vector modes B is formed from W and the new w, as ``forward``
-would (one row under SINGLE_ROW).  Each ``run_many`` call forms its
-step arrays once, in ``_Buffers``.
+would (one row under SINGLE_ROW).  Each ``run_many`` call makes its
+step arrays once, in its one ``_Batch``, and starts every batch on them.
 """
 
 from __future__ import annotations
@@ -192,9 +192,8 @@ def run_many(
     cfgs = list(cfgs)
     modes = [resolve_alignment(cfg.alignment, instance.w_mode) for cfg in cfgs]
     width = _stack_width(instance)
-    # a zero start is written into the buffers as 0.0, with no array of its own
     start = init_perturbations(instance, rcfg.init_scale, rcfg.seed) if rcfg.init_scale else None
-    bufs = _Buffers(instance, min(width, len(cfgs)))
+    batch = _Batch(instance, min(width, len(cfgs)))
     results: list[RunResult] = []
     # numpy's warnings are noise here: a non-finite loss, block or point
     # raises NonFiniteLossError, and an overflowing step norm is traced
@@ -202,7 +201,7 @@ def run_many(
         first = 0
         for k in range(1, len(cfgs) + 1):  # batch cfgs[first:k] ends before run k
             if k == len(cfgs) or k - first == width or modes[k] != modes[first]:
-                results += _lockstep(instance, cfgs[first:k], modes[first], rcfg, bufs, start)
+                results += _lockstep(instance, cfgs[first:k], modes[first], rcfg, batch, start)
                 first = k
     return results
 
@@ -217,68 +216,59 @@ def _stack_width(instance: ProblemInstance) -> int:
     return model._stack_width(instance, 3 if instance.w_mode is WMode.FULL_MATRIX else 1)
 
 
-class _Buffers:
-    """Arrays a step is formed in, for up to K runs, shared by every batch
-    of a ``run_many`` call and sliced to a batch's runs: the stacked
-    points, the stacked B (holding W in every row a SINGLE_ROW step
-    leaves alone), the blocks' products (``attribution._work``), the
-    traced norms and, under FULL_MATRIX, the combined logit gradient
-    and its pullback, delta w (1.7 MB at 1000 x 64 x 16, K = 1)."""
+class _Batch:
+    """The state of one ``run_many`` call's lockstep batches, in arrays
+    made once for up to K runs: the stacked points, the stacked B (W in
+    every row a SINGLE_ROW step leaves alone), the blocks' products
+    (``attribution._work``), the traced norms and, under FULL_MATRIX,
+    the combined logit gradient and its pullback delta w (1.7 MB at
+    1000 x 64 x 16, K = 1).  ``begin`` starts a batch on them.  Slice i
+    holds live run ``index[i]``: its point h and w (updated in place),
+    B, the stop reason decided after its last step, and its
+    configuration in the plan ``rules``.  ``keep`` moves the runs it
+    keeps to the front, and ``_slice`` cuts every view a step reads."""
 
     def __init__(self, instance: ProblemInstance, K: int):
-        V, d, T = instance.V, instance.d, instance.T
-        self.h = np.empty((K, d))
-        self.w = np.empty((K,) + w_shape(V, d, instance.w_mode))
-        self.B = np.empty((K, V, d))
-        self.work = _work(instance, K)
-        self.norms = np.empty((K, 3, 2))
+        V, d, self.T = instance.V, instance.d, instance.T
+        self.full = instance.w_mode is WMode.FULL_MATRIX
+        self._h, self._w = np.empty((K, d)), np.empty((K,) + w_shape(V, d, instance.w_mode))
+        self._B, self._norms = np.empty((K, V, d)), np.empty((K, 3, 2))
+        self._work = _work(instance, K)
         if instance.w_mode is WMode.SINGLE_ROW:
-            self.B[:] = instance.W
-        elif instance.w_mode is WMode.FULL_MATRIX:
-            self.g = np.empty((K, 1, T, V))
-            self.dw = np.empty((K, 1, V, d))
+            self._B[:] = instance.W
+        elif self.full:
+            self._g, self._dw = np.empty((K, 1, self.T, V)), np.empty((K, 1, V, d))
 
-
-class _Batch:
-    """The live runs of a lockstep batch, slice i of every array holding
-    run ``index[i]``: its point h and w (updated in place), B (see
-    ``_Buffers``), the stop reason decided after its last step, and the
-    plan of the configurations (``rules``, which holds them).  It also
-    holds the views of the buffers that a step writes, sliced to the live
-    runs, and slices them again on ``keep`` (``_slice``)."""
-
-    def __init__(self, cfgs: list[StrategyConfig], bufs: _Buffers, start: Perturbations | None,
-                 T: int):
+    def begin(self, cfgs: list[StrategyConfig], start: Perturbations | None) -> None:
+        """Start a batch of ``cfgs`` at ``start`` (None: a zero start, with no array)."""
         K = len(cfgs)
-        self.bufs, self.index, self.rules = bufs, list(range(K)), _Rules(cfgs)
-        # -eta per run and group (K, 2, 1); c's w row takes -eta_w / T under FULL_MATRIX
+        self.index, self.rules, self.stop = list(range(K)), _Rules(cfgs), [None] * K
+        # -eta per run and group (K, 2, 1)
         self.eta = np.array([[[-cfg.eta_h], [-cfg.eta_w]] for cfg in cfgs], dtype=np.float64)
-        self.c_w = self.eta[:, 1:] / T
-        self.h, self.w, self.B = bufs.h[:K], bufs.w[:K], bufs.B[:K]
-        self.h[:], self.w[:] = (0.0, 0.0) if start is None else (start.h, start.w)  # own copies
-        self.stop: list[StopReason | None] = [None] * K
         self._slice()
+        self.h[:], self.w[:] = (0.0, 0.0) if start is None else (start.h, start.w)
 
     def _slice(self) -> None:
-        n, bufs = len(self.index), self.bufs
-        self.eta_h, self.work, self.norms = self.eta[:, :1], bufs.work.take(n), bufs.norms[:n]
+        n = len(self.index)
+        self.h, self.w, self.B, self.eta_h = self._h[:n], self._w[:n], self._B[:n], self.eta[:, :1]
+        self.work, self.norms = self._work.take(n), self._norms[:n]
         self.traced, self.diagonals = self.norms.reshape(n, 6), self.work.grams.diagonal(0, 2, 3)
-        if hasattr(bufs, "g"):  # FULL_MATRIX: the combined gradient as a matmul target, delta w
-            self.g, self.dw = bufs.g[:n], bufs.dw[:n]
+        if self.full:  # c's w row takes -eta_w / T; the combined gradient as a matmul target
+            self.c_w, self.g, self.dw = self.eta[:, 1:] / self.T, self._g[:n], self._dw[:n]
             self.g_rows, self.delta_w = self.g.reshape(n, 1, -1), self.dw[:, 0]
             self.dw_flat = self.delta_w.reshape(n, -1)
 
     def keep(self, rows: list[int]) -> None:
-        """Keep the runs at ``rows`` only."""
+        """Keep the runs at ``rows`` only, moved to the front."""
+        n = len(rows)
         self.index, self.stop = [self.index[i] for i in rows], [self.stop[i] for i in rows]
-        self.rules = _Rules([self.rules.cfgs[i] for i in rows])
-        self.eta, self.c_w, self.B = self.eta[rows], self.c_w[rows], self.B[rows]
-        self.h, self.w = self.h[rows], self.w[rows]
+        self.rules, self.eta = _Rules([self.rules.cfgs[i] for i in rows]), self.eta[rows]
+        self._h[:n], self._w[:n], self._B[:n] = self.h[rows], self.w[rows], self.B[rows]
         self._slice()
 
 
 def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: AlignmentMode,
-              rcfg: RunConfig, bufs: _Buffers, start: Perturbations | None) -> list[RunResult]:
+              rcfg: RunConfig, batch: _Batch, start: Perturbations | None) -> list[RunResult]:
     """``run_many`` for one batch, of resolved alignment ``mode``.  Each
     iteration takes one stacked forward pass: for a run that stopped
     after the previous step it gives the final objectives, for the
@@ -287,12 +277,11 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: Align
     left the finite range, in that order) drops every run after it,
     whose results can no longer matter, and the others go on, so the
     abort raised at the end is the lowest-index one.  Shapes are fixed
-    by the buffers, so a step calls the unchecked kernels."""
-    batch = _Batch(cfgs, bufs, start, instance.T)
+    by the batch's arrays, so a step calls the unchecked kernels."""
+    batch.begin(cfgs, start)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
     results: list[RunResult | None] = [None] * len(cfgs)
     abort: NonFiniteLossError | None = None
-    full = instance.w_mode is WMode.FULL_MATRIX
     _factor_B(instance, batch.w, out=batch.B)  # state beside w from here on
     for step in range(rcfg.max_steps + 1):
         fwd = _forward(instance, batch.h, batch.B)
@@ -312,8 +301,8 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: Align
         if not live:
             break
         if len(live) < len(batch.index):
+            fwd = fwd.take(live)  # before keep moves the B rows that fwd.B views
             batch.keep(live)
-            fwd = fwd.take(live)
             ob1, ob2 = [ob1[i] for i in live], [ob2[i] for i in live]
         g = _logit_gradients(fwd.logp, instance._target[1], fwd.p, fwd.plogp)
         blocks = _Blocks(instance, fwd.A, fwd.B, g, work=batch.work)
@@ -325,7 +314,7 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: Align
         n, norms = len(c), batch.norms
         norms[:, :2] = batch.diagonals
         # c0 J1 + c1 J2 per group, delta h as c's -eta_h-scaled row times the h blocks
-        if full:  # pull back c10 g_1 + c11 g_2, its c carrying -eta_w / T: no V x d block
+        if batch.full:  # pull back c10 g_1 + c11 g_2, its c carrying -eta_w / T: no V x d block
             delta_h = ((c[:, :1] * batch.eta_h) @ blocks.h)[:, 0]
             np.matmul(c[:, 1:] * batch.c_w, g.reshape(n, 2, -1), out=batch.g_rows)
             _pullback(instance, fwd.A, batch.g, out=batch.dw)
@@ -337,18 +326,17 @@ def _lockstep(instance: ProblemInstance, cfgs: list[StrategyConfig], mode: Align
             delta = batch.eta * np.add.reduce(c[..., None] * blocks.hw, axis=2)
             delta_h, delta_w = delta[:, 0], delta[:, 1]
             np.vecdot(delta, delta, out=norms[:, 2])
-        h, w = batch.h, batch.w
-        h += delta_h
-        w += delta_w
-        if not full:
-            _factor_B(instance, w, out=batch.B)
+        batch.h += delta_h
+        batch.w += delta_w
+        if not batch.full:
+            _factor_B(instance, batch.w, out=batch.B)
         np.sqrt(norms, out=norms)
         traced = batch.traced.tolist()
         ok = blocks.finite  # at finite losses, the blocks may overflow
         # h and w were finite, and a step of finite norm (entries below 2^512) keeps them so
         if not all(math.isfinite(r[4] + r[5]) for r in traced):
-            ok = (ok & np.isfinite(h).all(axis=1)
-                  & np.isfinite(w).reshape(n, -1).all(axis=1)).tolist()
+            ok = (ok & np.isfinite(batch.h).all(axis=1)
+                  & np.isfinite(batch.w).reshape(n, -1).all(axis=1)).tolist()
         if not all(ok):
             cut = ok.index(False)
             abort = NonFiniteLossError(step, (

@@ -352,6 +352,30 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert out.startswith("J11: ") and out.count("[FAIL]") == 1
 
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-14"])
+    def test_eps_where_the_floor_reaches_the_loss_scale_exits_2(self, tmp_path, capsys,
+                                                               monkeypatch, eps):
+        # all four analytic blocks sign-flipped: below 4 sqrt(n) 2^-52 /
+        # GRADCHECK_TOL (n = 24, the w block) the floor passed J21 at 1e-14
+        # and all four blocks at 1e-300
+        path = tmp_path / "rs.json"
+        assert main(["gen", "--V", "6", "--d", "4", "--T", "2", "--family", "role-swap",
+                     "--seed", "0", "-o", str(path)]) == 0
+        real = cli.compute_gradient_set
+
+        def flipped(instance, pert):
+            gs = real(instance, pert)
+            return argparse.Namespace(fwd=gs.fwd, h=-gs.h, w=-gs.w)
+
+        monkeypatch.setattr(cli, "compute_gradient_set", flipped)
+        capsys.readouterr()
+        assert main(["gradcheck", "-i", str(path)]) == 1
+        assert capsys.readouterr().out.count("[FAIL]") == 4
+        assert main(["gradcheck", "-i", str(path), "--eps", eps]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: --eps must exceed 4.35e-10, where the rounding floor reaches "
+            f"the loss scale, got {eps}\n"))
+
     def test_coarse_eps_fails(self, capsys):
         assert main(["gradcheck", "--eps", "1e-2"]) == 1
 
@@ -532,6 +556,20 @@ class TestCompare:
         assert capsys.readouterr().err == "error: --strategies must name at least one strategy\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("strategies", ["soft,,static", "soft,static,", ",soft"])
+    def test_empty_strategy_item_exits_2(self, inst, tmp_path, capsys, strategies):
+        out = tmp_path / "s.json"
+        assert main(["compare", "-i", str(inst), "--strategies", strategies,
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --strategies has an empty item: {strategies!r}\n")
+        assert not out.exists()
+
+    def test_spaces_around_strategies_are_allowed(self, inst, tmp_path, capsys):
+        assert main(["compare", "-i", str(inst), "--strategies", " soft , static",
+                     "--steps", "2", "-o", str(tmp_path / "s.json")]) == 0
+        assert capsys.readouterr().out.startswith("soft: ")
+
     def test_identical_seeds_identical_bytes(self, inst, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["compare", "-i", str(inst), "--steps", "10", "--seed", "4",
@@ -603,6 +641,14 @@ class TestSweep:
     def test_empty_values_exit_2(self, inst, tmp_path):
         assert main(["sweep", "-i", str(inst), "--param", "tau", "--values", ",",
                      "-o", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("values", ["1,,2", "1,2,", " , 1"])
+    def test_empty_value_item_exits_2(self, inst, tmp_path, capsys, values):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "-i", str(inst), "--param", "tau", "--values", values,
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --values has an empty item: {values!r}\n"
+        assert not out.exists()
 
     def test_non_numeric_values_exit_2(self, inst, tmp_path, capsys):
         assert main(["sweep", "-i", str(inst), "--param", "tau", "--values", "a,b",

@@ -887,8 +887,8 @@ def _call_sequences(draw):
 
 
 class TestSuccessiveCalls:
-    """Calls on one instance share nothing: each forms its own step
-    arrays, so no call may see what an earlier one left behind."""
+    """Calls on one instance share nothing: each makes its own step
+    arrays, once, so no call may see what an earlier one left behind."""
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -903,6 +903,40 @@ class TestSuccessiveCalls:
                 fresh = _outcome(dataclasses.replace(instance), cfgs, rcfg, path)
                 assert _outcome(instance, cfgs, rcfg, path) == fresh
                 assert isinstance(fresh, tuple) == (i == 4)  # only the batch with boom aborts
+
+    @pytest.mark.parametrize("w_mode", [WMode.FULL_MATRIX, WMode.SINGLE_ROW])
+    def test_the_batches_of_a_call_share_its_one_set_of_arrays(self, w_mode, tmp_path,
+                                                                monkeypatch):
+        # three one-run batches: the call makes its step arrays once, every
+        # batch starts on them, and each run returns what it returns alone;
+        # under SINGLE_ROW, B holds W in every row but v_star at each start
+        instance = generate(GeneratorSpec(V=6, d=4, T=3, seed=0, w_mode=w_mode))
+        rcfg = RunConfig(max_steps=8, init_scale=0.3)
+        cfgs = [StrategyConfig(kind=kind, eta_h=eta, eta_w=eta) for kind, eta in (
+            (StrategyKind.SOFT, 0.5), (StrategyKind.HARD_J6, 0.2),
+            (StrategyKind.GRAD_SURGERY, 0.05))]
+        path = tmp_path / "trace.csv"
+        alone = [_result_bytes(run(instance, cfg, rcfg), cfg.kind, path) for cfg in cfgs]
+        works, starts = [], []
+        real_work, real_begin = j6opt.optimizer._work, j6opt.optimizer._Batch.begin
+
+        def work(instance, n):
+            works.append(n)
+            return real_work(instance, n)
+
+        def begin(batch, cfgs, start):
+            real_begin(batch, cfgs, start)
+            starts.append(batch.B.copy())
+
+        monkeypatch.setattr(j6opt.optimizer, "_work", work)
+        monkeypatch.setattr(j6opt.optimizer._Batch, "begin", begin)
+        monkeypatch.setattr(j6opt.optimizer, "_stack_width", lambda instance: 1)
+        together = run_many(instance, cfgs, rcfg)
+        assert works == [1] and len(starts) == 3
+        assert [_result_bytes(r, cfg.kind, path) for cfg, r in zip(cfgs, together)] == alone
+        if w_mode is WMode.SINGLE_ROW:
+            others = np.arange(instance.V) != instance.v_star
+            assert all((B[:, others] == instance.W[others]).all() for B in starts)
 
     def test_two_threads_on_one_instance_match_sequential_runs(self, tmp_path):
         # two threads (no more) step the same instance at once, one

@@ -22,7 +22,7 @@ from j6opt import (
     decide,
     zero_perturbations,
 )
-from j6opt.optimizer import _Batch, _Buffers
+from j6opt.optimizer import _Batch
 
 ETA = 0.1
 
@@ -635,8 +635,8 @@ class TestPlan:
                            decide(jplus, j6, grams, strategies_mod._Rules(cfgs)))
         # the plan of the runs a batch keeps decides as they do alone
         instance = ProblemInstance(V=2, d=1, T=1, H=np.zeros((1, 1)), W=np.zeros((2, 1)), y=[0])
-        batch = _Batch(cfgs, _Buffers(instance, len(cfgs)), zero_perturbations(instance),
-                       instance.T)
+        batch = _Batch(instance, len(cfgs))
+        batch.begin(cfgs, zero_perturbations(instance))
         rows = sorted(data.draw(st.sets(st.integers(0, len(cfgs) - 1), min_size=1)))
         batch.keep(rows)
         assert batch.rules.cfgs == [cfgs[k] for k in rows]
